@@ -15,7 +15,6 @@ from .chern import (
     slope_mu,
     structure_class,
     twist,
-    vector_slope,
 )
 from .errors import (
     DomainError,
@@ -80,6 +79,6 @@ from .pipeline import (
     reduce_spread,
     rotate_twist,
 )
-from .stability import GradedObject, SlopeVector, compare_slope, hn_coarsen
+from .stability import GradedObject, SlopeVector, compare_slope, hn_coarsen, vector_slope
 
 __version__ = "0.1.0"

@@ -21,6 +21,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import Iterable
 from .errors import DomainError, InvalidInputError, InvariantViolationError
 from .picard import (
     DivisorClass,
@@ -175,24 +176,6 @@ def default_ample(S: Surface) -> DivisorClass:
     return DivisorClass((4,) + (1,) * S.d)
 
 
-def vector_slope(S: Surface, E: KClass, A: DivisorClass | None = None):
-    """The lexicographic slope (mu_H, mu_A, 2 ch2/r) of a positive-rank class,
-    stored as numerators over the common denominator r."""
-    from .stability import SlopeVector
-
-    if E.d != S.d:
-        raise InvalidInputError("class does not belong to this surface")
-    if E.r <= 0:
-        raise DomainError("vector slope needs positive rank")
-    if A is None:
-        A = default_ample(S)
-    H = anticanonical_divisor(S.d)
-    return SlopeVector(
-        E.r,
-        (Fraction(dot(H, E.c1)), Fraction(dot(A, E.c1)), Fraction(E.two_ch2)),
-    )
-
-
 def twist(S: Surface, E: KClass, D: DivisorClass) -> KClass:
     """E tensored with the line class of D:
     (r, c1 + r D, ch2 + c1.D + r D^2/2)."""
@@ -203,6 +186,17 @@ def twist(S: Surface, E: KClass, D: DivisorClass) -> KClass:
         E.c1 + E.r * D,
         E.ch2 + dot(E.c1, D) + Fraction(E.r * dot(D, D), 2),
     )
+
+
+def weighted_sum(terms: Iterable[tuple[KClass, int]]) -> KClass:
+    """sum m * E over the (E, m) terms, added in order."""
+    total: KClass | None = None
+    for E, m in terms:
+        piece = m * E
+        total = piece if total is None else total + piece
+    if total is None:
+        raise InvalidInputError("a weighted sum needs at least one class")
+    return total
 
 
 def dual_class(E: KClass) -> KClass:

@@ -17,21 +17,14 @@ import sys
 from fractions import Fraction
 
 from . import pipeline
-from .chern import (
-    KClass,
-    default_ample,
-    descend_class,
-    euler_form,
-    slope_mu,
-    vector_slope,
-)
+from .chern import KClass, default_ample, descend_class, euler_form, slope_mu
 from .errors import DomainError, InvalidInputError
-from .logs import MutationLog
 from .markov import markov_max_uniqueness, markov_tree, pair_orbit
 from .mutation import (
     BraidWord,
     Collection,
     Direction,
+    MutationLog,
     apply_braid,
     basic_collection,
     gram_matrix,
@@ -40,8 +33,14 @@ from .mutation import (
     mutate_collection,
 )
 from .pairs import PairKind, classify_pair
-from .picard import DivisorClass, Surface, enumerate_roots
-from .stability import GradedObject, hn_coarsen
+from .picard import (
+    DivisorClass,
+    Surface,
+    blow_down_surface,
+    effective_root_decomposition,
+    enumerate_roots,
+)
+from .stability import GradedObject, hn_coarsen, vector_slope
 
 
 class _ArgumentError(InvalidInputError):
@@ -124,8 +123,6 @@ def _cmd_classify_pair(args) -> None:
         "mu_f": _frac(slope_mu(S, F, H)),
     }
     if t.kind in (PairKind.ZERO, PairKind.SINGULAR):
-        from .picard import effective_root_decomposition
-
         C = F.c1 - E.c1
         doc["C"] = C.to_json()
         decomposition = effective_root_decomposition(S, C)
@@ -274,8 +271,6 @@ def _cmd_descend(args) -> None:
     S = _surface(args)
     E = _kclass(args.e)
     descended = descend_class(S, E)
-    from .picard import blow_down_surface
-
     _emit(
         {
             "class": descended.to_json(),
@@ -288,12 +283,6 @@ def _build_parser() -> _Parser:
     parser = _Parser(
         prog="delpezzo",
         description="Exact K-theory of exceptional collections on blow-ups of the plane.",
-    )
-    parser.add_argument(
-        "--seed",
-        type=int,
-        default=None,
-        help="seed for randomized property commands (reserved; current commands are deterministic)",
     )
     sub = parser.add_subparsers(dest="command")
 

@@ -1,107 +1,31 @@
-"""Replayable mutation logs.
+"""Bit-exact replay of mutation logs.
 
-Every transformation the library performs on a collection or class can be
-recorded as a step {kind, params, before, after} such that ``after``
-recomputes exactly from ``before`` and ``params``.  Step kinds:
-
-    mutate   one adjacent mutation        params: position, direction
-    order    a whole hom-ordering stage   params: (none)
-    rotate   rotate-and-twist             params: j (plus proof data)
-    twist    global twist by t*K          params: k_multiple
-    peel     subtract the O_e(-1) layer   params: mults, e_index, alpha
-    descend  drop the e_d coordinate      params: e_index, surface
-
-Logs serialize to JSON-lines, one step per line, and ``replay`` verifies
-bit-exact reproducibility of every recorded state.
+The step records (``LogStep``, ``MutationLog``) and their JSON-lines form
+live in ``mutation``, beside the moves that write them, and are
+re-exported here.  ``replay`` recomputes every step's ``after`` from its
+``before`` and ``params`` and checks it is reproduced exactly.
 """
 
 from __future__ import annotations
 
-import json
-from dataclasses import dataclass
-from typing import Union
-
-from .chern import KClass
+from .chern import KClass, descend_class
 from .errors import InvalidInputError
-from .mutation import Collection, Direction, mutate_collection
+from .mutation import (
+    Collection,
+    Direction,
+    LogStep,
+    MutationLog,
+    State,
+    mutate_collection,
+)
+from .picard import Surface, canonical_divisor
+from .pipeline import global_twist, order_hom, peel_curve, rotate_twist
 
-State = Union[Collection, KClass]
-
-
-def _state_to_json(state: State) -> dict:
-    if isinstance(state, Collection):
-        return {"collection": state.to_json()}
-    return {"class": state.to_json()}
-
-
-def _state_from_json(data: dict) -> State:
-    if "collection" in data:
-        return Collection.from_json(data["collection"])
-    if "class" in data:
-        return KClass.from_json(data["class"])
-    raise InvalidInputError("log state must be a collection or a class")
-
-
-@dataclass(frozen=True)
-class LogStep:
-    kind: str
-    params: dict
-    before: State
-    after: State
-
-    def to_json(self) -> dict:
-        return {
-            "kind": self.kind,
-            "params": self.params,
-            "before": _state_to_json(self.before),
-            "after": _state_to_json(self.after),
-        }
-
-    @staticmethod
-    def from_json(data: dict) -> "LogStep":
-        return LogStep(
-            kind=data["kind"],
-            params=dict(data.get("params", {})),
-            before=_state_from_json(data["before"]),
-            after=_state_from_json(data["after"]),
-        )
-
-
-@dataclass(frozen=True)
-class MutationLog:
-    steps: tuple[LogStep, ...]
-
-    def __post_init__(self):
-        object.__setattr__(self, "steps", tuple(self.steps))
-
-    def __len__(self) -> int:
-        return len(self.steps)
-
-    def __iter__(self):
-        return iter(self.steps)
-
-    def extend(self, other: "MutationLog") -> "MutationLog":
-        return MutationLog(self.steps + other.steps)
-
-    def to_jsonl(self) -> str:
-        return "".join(json.dumps(s.to_json()) + "\n" for s in self.steps)
-
-    @staticmethod
-    def from_jsonl(text: str) -> "MutationLog":
-        steps = []
-        for line in text.splitlines():
-            line = line.strip()
-            if line:
-                steps.append(LogStep.from_json(json.loads(line)))
-        return MutationLog(tuple(steps))
+__all__ = ["LogStep", "MutationLog", "State", "recompute_step", "replay"]
 
 
 def recompute_step(step: LogStep) -> State:
     """Reapply a step's transformation to its own 'before' state."""
-    from . import pipeline
-    from .chern import descend_class
-    from .picard import Surface, canonical_divisor
-
     kind, params, before = step.kind, step.params, step.before
     if kind == "mutate":
         assert isinstance(before, Collection)
@@ -110,19 +34,19 @@ def recompute_step(step: LogStep) -> State:
         )
     if kind == "order":
         assert isinstance(before, Collection)
-        ordered, _ = pipeline.order_hom(before)
+        ordered, _ = order_hom(before)
         return ordered
     if kind == "rotate":
         assert isinstance(before, Collection)
-        return pipeline.rotate_twist(before, int(params["j"]))
+        return rotate_twist(before, int(params["j"]))
     if kind == "twist":
         assert isinstance(before, Collection)
         t = int(params["k_multiple"])
         K = canonical_divisor(before.surface.d)
-        return pipeline.global_twist(before, t * K)
+        return global_twist(before, t * K)
     if kind == "peel":
         assert isinstance(before, Collection)
-        G, alpha, _ = pipeline.peel_curve(
+        G, alpha, _ = peel_curve(
             before, [int(m) for m in params["mults"]], int(params["e_index"])
         )
         if alpha != int(params["alpha"]):

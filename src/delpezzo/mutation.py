@@ -12,21 +12,38 @@ lexicographic c1, ch2.  The uniform formula specializes to the expected
 behaviour on every pair type: for a zero pair it is the transposition.
 
 An ordered collection is numerically exceptional when its Gram matrix
-chi(E_i, E_j) has unit diagonal and zeros below; that certificate is
-re-verified after every collection mutation.  Braid words act letter by
-letter.  A foundation of length n extends to a helix by the twist
-periodicity  E_{i+sn} = E_i(-sK),  and the helix axiom
-L^(n-1) A_s = A_{s-n} is checked by explicit iterated mutation.
+chi(E_i, E_j) has unit diagonal and zeros below; ``certify`` re-verifies
+that certificate after every move on a collection, here and in the
+pipeline.  Braid words act letter by letter.  A foundation of length n
+extends to a helix by the twist periodicity  E_{i+sn} = E_i(-sK),  and
+the helix axiom L^(n-1) A_s = A_{s-n} is checked by explicit iterated
+mutation.
+
+Every move is recorded as a replayable ``LogStep`` {kind, params, before,
+after}; a ``MutationLog`` of steps serializes to JSON-lines, one step per
+line.  Step kinds:
+
+    mutate   one adjacent mutation        params: position, direction
+    order    a whole hom-ordering stage   params: (none)
+    rotate   rotate-and-twist             params: j (plus proof data)
+    twist    global twist by t*K          params: k_multiple
+    peel     subtract the O_e(-1) layer   params: mults, e_index, alpha
+    descend  drop the e_d coordinate      params: e_index, surface
+
+``logs.replay`` recomputes the steps.
 """
 
 from __future__ import annotations
 
 import enum
+import json
 import re
 from dataclasses import dataclass
 from functools import lru_cache
+from typing import Union
 from .chern import KClass, curve_class, euler_form, line_class, structure_class, twist
 from .errors import InvalidInputError, InvariantViolationError
+from .pairs import classify_pair, require_exceptional_pair
 from .picard import (
     Surface,
     anticanonical_divisor,
@@ -135,6 +152,18 @@ def require_numerically_exceptional(c: Collection) -> None:
         )
 
 
+def certify(c: Collection, operation: str) -> Collection:
+    """Return the output c of ``operation`` once its certificate holds;
+    otherwise raise, naming the first failing Gram entry."""
+    ok, violation = is_numerically_exceptional(c)
+    if not ok:
+        raise InvariantViolationError(
+            f"{operation} broke the exceptionality certificate at "
+            f"chi(E_{violation.i}, E_{violation.j}) = {violation.value}"
+        )
+    return c
+
+
 def sign_normalize(S: Surface, x: KClass) -> KClass:
     """Canonical representative of {x, -x}: positive rank, else positive
     anticanonical degree, else lexicographically positive c1, else
@@ -173,8 +202,6 @@ def mutate_pair(
     equal-slope pairs whose invariants are inconsistent; rank-0 members
     (torsion classes) are mutated by the same reflection formula.
     """
-    from .pairs import classify_pair, require_exceptional_pair
-
     if E.r > 0 and F.r > 0:
         classify_pair(S, E, F)
     else:
@@ -197,15 +224,7 @@ def mutate_collection(c: Collection, i: int, direction: Direction) -> Collection
     E, F = c.members[i - 1], c.members[i]
     new_pair = mutate_pair(c.surface, E, F, direction)
     members = c.members[: i - 1] + new_pair + c.members[i + 1 :]
-    out = Collection(c.surface, members)
-    ok, violation = is_numerically_exceptional(out)
-    if not ok:
-        assert violation is not None
-        raise InvariantViolationError(
-            "mutation broke the exceptionality certificate at "
-            f"chi(E_{violation.i}, E_{violation.j}) = {violation.value}"
-        )
-    return out
+    return certify(Collection(c.surface, members), "mutation")
 
 
 @dataclass(frozen=True)
@@ -237,10 +256,78 @@ class BraidWord:
         return BraidWord(tuple(letters))
 
 
+State = Union[Collection, KClass]
+
+
+def _state_to_json(state: State) -> dict:
+    if isinstance(state, Collection):
+        return {"collection": state.to_json()}
+    return {"class": state.to_json()}
+
+
+def _state_from_json(data: dict) -> State:
+    if "collection" in data:
+        return Collection.from_json(data["collection"])
+    if "class" in data:
+        return KClass.from_json(data["class"])
+    raise InvalidInputError("log state must be a collection or a class")
+
+
+@dataclass(frozen=True)
+class LogStep:
+    kind: str
+    params: dict
+    before: State
+    after: State
+
+    def to_json(self) -> dict:
+        return {
+            "kind": self.kind,
+            "params": self.params,
+            "before": _state_to_json(self.before),
+            "after": _state_to_json(self.after),
+        }
+
+    @staticmethod
+    def from_json(data: dict) -> "LogStep":
+        if not isinstance(data, dict) or not {"kind", "before", "after"} <= set(data):
+            raise InvalidInputError("log step JSON needs keys kind, before, after")
+        return LogStep(
+            kind=data["kind"],
+            params=dict(data.get("params", {})),
+            before=_state_from_json(data["before"]),
+            after=_state_from_json(data["after"]),
+        )
+
+
+@dataclass(frozen=True)
+class MutationLog:
+    steps: tuple[LogStep, ...]
+
+    def __post_init__(self):
+        object.__setattr__(self, "steps", tuple(self.steps))
+
+    def __len__(self) -> int:
+        return len(self.steps)
+
+    def __iter__(self):
+        return iter(self.steps)
+
+    def to_jsonl(self) -> str:
+        return "".join(json.dumps(s.to_json()) + "\n" for s in self.steps)
+
+    @staticmethod
+    def from_jsonl(text: str) -> "MutationLog":
+        steps = []
+        for line in text.splitlines():
+            line = line.strip()
+            if line:
+                steps.append(LogStep.from_json(json.loads(line)))
+        return MutationLog(tuple(steps))
+
+
 def apply_braid(c: Collection, w: BraidWord):
     """Apply the word letter by letter; the log records every step."""
-    from .logs import LogStep, MutationLog
-
     steps = []
     current = c
     for pos, direction in w.letters:

@@ -16,6 +16,7 @@ coordinate deletion that realizes blowing down the last exceptional curve.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -169,7 +170,11 @@ class Surface:
         roots = tuple(
             DivisorClass.from_json(r) for r in data.get("effective_roots", [])
         )
-        return Surface(int(data["blowups"]), roots)
+        try:
+            d = int(data["blowups"])
+        except (TypeError, ValueError) as exc:
+            raise InvalidInputError(f"bad blowups value {data['blowups']!r}") from exc
+        return Surface(d, roots)
 
 
 def intersect(S: Surface, C: DivisorClass, D: DivisorClass) -> int:
@@ -194,9 +199,7 @@ def _b_vectors(length: int, total: int, sq_total: int) -> Iterator[tuple[int, ..
     # Cauchy-Schwarz prune: total^2 <= length * sq_total on the remaining block.
     if total * total > length * sq_total:
         return
-    bound = int(sq_total**0.5) + 1
-    while bound * bound > sq_total:
-        bound -= 1
+    bound = math.isqrt(sq_total)
     for b in range(-bound, bound + 1):
         yield from (
             (b,) + rest

@@ -8,9 +8,12 @@ associated class as a pullback from the surface with one fewer blow-up:
     window onto {-1, 0} -> peel the O_e(-1) layer off the accumulated
     class -> delete the e_d coordinate.
 
-Every move is recorded in a replayable log.  Multiplicities of the
-accumulated class are caller-supplied (they are not determined by
-K-theory data) and are carried positionally through the pipeline.
+``normalize_and_descend`` runs the stages order, spread, rotate, twist,
+peel and descend from one table; a stage's refusal is re-raised as a
+``PipelineError`` tagged with the stage.  Every move is recorded as a
+replayable ``LogStep``.  Multiplicities of the accumulated class are
+caller-supplied (they are not determined by K-theory data) and are
+carried positionally through the pipeline.
 
 Rank-0 members are accepted when they are multiples of the peel-curve
 class [O_{e_d}(-1)]: the basic collections contain them and the peel
@@ -29,6 +32,7 @@ from .chern import (
     euler_form,
     slope_mu,
     twist,
+    weighted_sum,
 )
 from .errors import (
     DomainError,
@@ -37,11 +41,12 @@ from .errors import (
     InvariantViolationError,
     PipelineError,
 )
-from .logs import LogStep, MutationLog
 from .mutation import (
     Collection,
     Direction,
-    is_numerically_exceptional,
+    LogStep,
+    MutationLog,
+    certify,
     mutate_collection,
     require_numerically_exceptional,
 )
@@ -151,26 +156,14 @@ def rotate_twist(c: Collection, j: int) -> Collection:
     members = c.members[j - 1 :] + tuple(
         twist(S, m, minus_k) for m in c.members[: j - 1]
     )
-    out = Collection(S, members)
-    ok, violation = is_numerically_exceptional(out)
-    if not ok:
-        assert violation is not None
-        raise InvariantViolationError(
-            "rotation broke the exceptionality certificate at "
-            f"chi(E_{violation.i}, E_{violation.j}) = {violation.value}"
-        )
-    return out
+    return certify(Collection(S, members), "rotation")
 
 
 def global_twist(c: Collection, D: DivisorClass) -> Collection:
     """Twist every member by O(D); chi values are unchanged."""
     S = c.surface
-    out = Collection(S, tuple(twist(S, m, D) for m in c.members))
-    ok, violation = is_numerically_exceptional(out)
-    if not ok:
-        assert violation is not None
-        raise InvariantViolationError("global twist broke the certificate")
-    return out
+    members = tuple(twist(S, m, D) for m in c.members)
+    return certify(Collection(S, members), "global twist")
 
 
 def reduce_spread(c: Collection) -> tuple[Collection, MutationLog]:
@@ -284,11 +277,7 @@ def peel_curve(
             f"restriction degrees {sorted(degrees)} outside {{-1, 0}}: rotate first"
         )
     L = curve_class(S, e_index, -1)
-    F: KClass | None = None
-    for m, member in zip(mults, c.members):
-        piece = m * member
-        F = piece if F is None else F + piece
-    assert F is not None
+    F = weighted_sum(zip(c.members, mults))
     alpha = euler_form(S, F, L)
     if alpha < 0:
         raise InvariantViolationError(f"peel multiplicity alpha = {alpha} < 0")
@@ -322,6 +311,72 @@ def _slope_groups(c: Collection, positive: list[int]) -> list[list[int]]:
     return groups
 
 
+def _order_stage(S: Surface, c: Collection, mults: list[int]):
+    ordered, sub = order_hom(c)
+    return ordered, mults, [LogStep("order", {}, c, ordered)] if len(sub) else []
+
+
+def _spread_stage(S: Surface, c: Collection, mults: list[int]):
+    reduced, sub = reduce_spread(c)
+    return reduced, mults, sub.steps
+
+
+def _rotate_stage(S: Surface, c: Collection, mults: list[int]):
+    positive = _validate_members(c)
+    if not positive:
+        raise DomainError("the pipeline needs at least one positive-rank member")
+    groups = _slope_groups(c, positive)
+    group_classes = [weighted_sum((c.members[p], mults[p]) for p in g) for g in groups]
+    i, window = rotation_index(S, group_classes, S.d)
+    j = 1 if i == 1 else groups[i - 1][0] + 1
+    if j > 1 and any(m.r == 0 for m in c.members[: j - 1]):
+        raise DomainError("rotation would twist torsion members")
+    rotated = rotate_twist(c, j)
+    params = {"j": j, "group_index": i, "window": [window[0], window[1]]}
+    step = LogStep("rotate", params, c, rotated)
+    return rotated, mults[j - 1 :] + mults[: j - 1], [step]
+
+
+def _twist_stage(S: Surface, c: Collection, mults: list[int]):
+    degrees = _member_degrees(c, S.d)
+    if max(degrees) - min(degrees) > 1:
+        raise DomainError(
+            f"restriction degrees {sorted(degrees)} span more than a "
+            "two-integer window after rotation"
+        )
+    t = 0 if degrees <= {-1, 0} else max(degrees)
+    if t == 0:
+        return c, mults, []
+    if any(m.r == 0 for m in c.members):
+        raise DomainError("degree normalization would twist torsion members")
+    twisted = global_twist(c, t * canonical_divisor(S.d))
+    return twisted, mults, [LogStep("twist", {"k_multiple": t}, c, twisted)]
+
+
+def _peel_stage(S: Surface, c: Collection, mults: list[int]):
+    G, _, sub = peel_curve(c, mults, S.d)
+    return G, mults, sub.steps
+
+
+def _descend_stage(S: Surface, G: KClass, mults: list[int]):
+    descended = descend_class(S, G)
+    params = {"e_index": S.d, "surface": S.to_json()}
+    return descended, mults, [LogStep("descend", params, G, descended)]
+
+
+# Each stage maps (surface, state, mults) to the new state and mults and
+# the steps that record the move; the state is a collection up to peel and
+# the peeled class after it.
+_STAGES = (
+    ("order", _order_stage),
+    ("spread", _spread_stage),
+    ("rotate", _rotate_stage),
+    ("twist", _twist_stage),
+    ("peel", _peel_stage),
+    ("descend", _descend_stage),
+)
+
+
 def normalize_and_descend(
     c: Collection, mults: list[int] | None = None
 ) -> tuple[KClass, MutationLog]:
@@ -336,129 +391,17 @@ def normalize_and_descend(
         mults = [1] * len(c.members)
     if len(mults) != len(c.members):
         raise PipelineError("peel", "one multiplicity per member is required")
-    e_index = S.d
     # The K^2 = 1 exclusion is a hypothesis on the input collection; check
     # it before any stage can reshape the pair out of recognizable form.
-    _forbidden_pair_guard(c, e_index)
-    log = MutationLog(())
-    current = c
-
-    def run(stage: str, fn):
+    _forbidden_pair_guard(c, S.d)
+    steps: list[LogStep] = []
+    state: Collection | KClass = c
+    for stage, run in _STAGES:
         try:
-            return fn()
+            state, mults, new_steps = run(S, state, mults)
         except PipelineError:
             raise
         except (InvalidInputError, DomainError) as exc:
             raise PipelineError(stage, str(exc)) from exc
-
-    def order_stage():
-        ordered, sub = order_hom(current)
-        return ordered, sub
-
-    ordered, sub = run("order", order_stage)
-    if len(sub) > 0:
-        log = log.extend(
-            MutationLog((LogStep("order", {}, current, ordered),))
-        )
-    current = ordered
-
-    def spread_stage():
-        return reduce_spread(current)
-
-    current, sub = run("spread", spread_stage)
-    log = log.extend(sub)
-
-    def rotate_stage():
-        positive = _validate_members(current)
-        if not positive:
-            raise DomainError("the pipeline needs at least one positive-rank member")
-        groups = _slope_groups(current, positive)
-        group_classes = []
-        for group in groups:
-            total: KClass | None = None
-            for p in group:
-                piece = mults[p] * current.members[p]
-                total = piece if total is None else total + piece
-            assert total is not None
-            group_classes.append(total)
-        i, window = rotation_index(S, group_classes, e_index)
-        j = 1 if i == 1 else groups[i - 1][0] + 1
-        if j > 1 and any(m.r == 0 for m in current.members[: j - 1]):
-            raise DomainError("rotation would twist torsion members")
-        rotated = rotate_twist(current, j)
-        return rotated, i, j, window
-
-    rotated, i, j, window = run("rotate", rotate_stage)
-    log = log.extend(
-        MutationLog(
-            (
-                LogStep(
-                    kind="rotate",
-                    params={
-                        "j": j,
-                        "group_index": i,
-                        "window": [window[0], window[1]],
-                    },
-                    before=current,
-                    after=rotated,
-                ),
-            )
-        )
-    )
-    mults = mults[j - 1 :] + mults[: j - 1]
-    current = rotated
-
-    def twist_stage():
-        degrees = _member_degrees(current, e_index)
-        if max(degrees) - min(degrees) > 1:
-            raise DomainError(
-                f"restriction degrees {sorted(degrees)} span more than a "
-                "two-integer window after rotation"
-            )
-        t = 0 if degrees <= {-1, 0} else max(degrees)
-        if t != 0 and any(m.r == 0 for m in current.members):
-            raise DomainError("degree normalization would twist torsion members")
-        if t == 0:
-            return current, 0
-        K = canonical_divisor(S.d)
-        return global_twist(current, t * K), t
-
-    twisted, t = run("twist", twist_stage)
-    if t != 0:
-        log = log.extend(
-            MutationLog(
-                (
-                    LogStep(
-                        kind="twist",
-                        params={"k_multiple": t},
-                        before=current,
-                        after=twisted,
-                    ),
-                )
-            )
-        )
-    current = twisted
-
-    def peel_stage():
-        return peel_curve(current, mults, e_index)
-
-    G, alpha, sub = run("peel", peel_stage)
-    log = log.extend(sub)
-
-    def descend_stage():
-        return descend_class(S, G)
-
-    descended = run("descend", descend_stage)
-    log = log.extend(
-        MutationLog(
-            (
-                LogStep(
-                    kind="descend",
-                    params={"e_index": e_index, "surface": S.to_json()},
-                    before=G,
-                    after=descended,
-                ),
-            )
-        )
-    )
-    return descended, log
+        steps.extend(new_steps)
+    return state, MutationLog(tuple(steps))

@@ -18,9 +18,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from .chern import KClass, vector_slope
+from .chern import KClass, default_ample, weighted_sum
 from .errors import DomainError, InvalidInputError
-from .picard import DivisorClass, Surface
+from .picard import DivisorClass, Surface, anticanonical_divisor, dot
 
 
 @dataclass(frozen=True)
@@ -65,6 +65,24 @@ class SlopeVector:
 
     def __ge__(self, other):
         return compare_slope(self, other) >= 0
+
+
+def vector_slope(
+    S: Surface, E: KClass, A: DivisorClass | None = None
+) -> SlopeVector:
+    """The lexicographic slope (mu_H, mu_A, 2 ch2/r) of a positive-rank class,
+    stored as numerators over the common denominator r."""
+    if E.d != S.d:
+        raise InvalidInputError("class does not belong to this surface")
+    if E.r <= 0:
+        raise DomainError("vector slope needs positive rank")
+    if A is None:
+        A = default_ample(S)
+    H = anticanonical_divisor(S.d)
+    return SlopeVector(
+        E.r,
+        (Fraction(dot(H, E.c1)), Fraction(dot(A, E.c1)), Fraction(E.two_ch2)),
+    )
 
 
 def compare_slope(a: SlopeVector, b: SlopeVector) -> int:
@@ -112,12 +130,10 @@ class GradedObject:
             raise InvalidInputError("graded-object JSON needs a 'quotients' key")
         quotients = []
         for item in data["quotients"]:
+            if not isinstance(item, dict) or not {"class", "mult"} <= set(item):
+                raise InvalidInputError("graded quotient JSON needs keys class, mult")
             quotients.append((KClass.from_json(item["class"]), int(item["mult"])))
         return GradedObject(tuple(quotients))
-
-
-def _quotient_slope(S: Surface, q: KClass, m: int, A: DivisorClass) -> SlopeVector:
-    return vector_slope(S, q, A).scaled(m)
 
 
 def hn_coarsen(g: GradedObject, A: DivisorClass) -> GradedObject:
@@ -133,7 +149,7 @@ def hn_coarsen(g: GradedObject, A: DivisorClass) -> GradedObject:
     for q, _ in g.quotients:
         if q.d != d:
             raise InvalidInputError("graded object and polarization disagree on d")
-    slopes = [_quotient_slope(surface, q, m, A) for q, m in g.quotients]
+    slopes = [vector_slope(surface, q, A).scaled(m) for q, m in g.quotients]
 
     # blocks[i] = (list of original indices, summed slope); built right to left.
     blocks: list[tuple[list[int], SlopeVector]] = []
@@ -153,11 +169,5 @@ def hn_coarsen(g: GradedObject, A: DivisorClass) -> GradedObject:
         if len(idxs) == 1:
             out.append(g.quotients[idxs[0]])
         else:
-            total: KClass | None = None
-            for i in idxs:
-                q, m = g.quotients[i]
-                piece = m * q
-                total = piece if total is None else total + piece
-            assert total is not None
-            out.append((total, 1))
+            out.append((weighted_sum(g.quotients[i] for i in idxs), 1))
     return GradedObject(tuple(out))

@@ -1,4 +1,8 @@
 import json
+import os
+import pathlib
+import subprocess
+import sys
 
 import pytest
 from _helpers import p2_basic, surface
@@ -15,6 +19,22 @@ def invoke(capsys, *argv):
 
 def doc(out: str):
     return json.loads(out)
+
+
+def invoke_process(*argv):
+    """Run the CLI in a fresh interpreter, so an escaping exception shows as
+    a traceback on stderr."""
+    src = str(pathlib.Path(__file__).resolve().parent.parent / "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+    proc = subprocess.run(
+        [sys.executable, "-m", "delpezzo.cli", *argv],
+        env=env,
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    return proc.returncode, proc.stdout, proc.stderr
 
 
 O_P2 = '{"r":1,"c1":[0],"ch2":"0/1"}'
@@ -39,6 +59,11 @@ class TestChi:
     def test_unknown_command_exits_one(self, capsys):
         code, _, _ = invoke(capsys, "frobnicate")
         assert code == 1
+
+    def test_no_global_seed_flag(self, capsys):
+        code, out, _ = invoke(capsys, "--seed", "3", "markov", "--limit", "5")
+        assert code == 1
+        assert out == ""
 
 
 class TestSlope:
@@ -85,6 +110,12 @@ class TestClassifyPair:
 
 
 class TestRoots:
+    def test_non_integer_blowups_exits_one(self):
+        code, _, err = invoke_process("roots", "--surface", '{"blowups":"x"}')
+        assert code == 1
+        assert "invalid input" in err
+        assert "Traceback" not in err
+
     def test_d2(self, capsys):
         code, out, _ = invoke(capsys, "roots", "--surface", '{"blowups":2}')
         assert code == 0
@@ -193,6 +224,13 @@ class TestHN:
         d = doc(out)
         assert len(d["quotients"]) == 1
         assert d["quotients"][0]["class"]["r"] == 2
+
+    def test_quotient_without_class_exits_one(self):
+        graded = {"quotients": [{"mult": 1}]}
+        code, _, err = invoke_process("hn", "--graded", json.dumps(graded))
+        assert code == 1
+        assert "invalid input" in err
+        assert "Traceback" not in err
 
 
 class TestMarkov:

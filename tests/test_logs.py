@@ -28,6 +28,12 @@ class TestSerialization:
         back = MutationLog.from_jsonl(text)
         assert back == log
 
+    def test_step_without_before_rejected(self):
+        data = sample_log().steps[0].to_json()
+        del data["before"]
+        with pytest.raises(InvalidInputError):
+            LogStep.from_json(data)
+
     def test_braid_log_round_trip(self):
         _, log = apply_braid(p2_basic(), BraidWord.parse("R1 L2 R2"))
         assert MutationLog.from_jsonl(log.to_jsonl()) == log

@@ -202,6 +202,10 @@ class TestPeelCurve:
         with pytest.raises(DomainError, match="rotate"):
             peel_curve(c, [1], 1)
 
+    def test_empty_collection_rejected(self):
+        with pytest.raises(InvalidInputError):
+            peel_curve(Collection(surface(1), ()), [], 1)
+
     def test_forbidden_pair_on_degree_one_surface(self):
         S = surface(8)
         shift = exceptional_divisor(8, 8) + canonical_divisor(8)
@@ -279,13 +283,33 @@ class TestNormalizeAndDescend:
 
     def test_stage_tag_on_errors(self):
         S = surface(1)
-        # torsion class of the wrong degree cannot be placed by the pipeline
+        # chi(E_1, E_0) = 1: the input fails the certificate the first stage checks
         c = Collection(S, (curve_class(S, 1, 0), structure_class(S)))
-        ok, _ = is_numerically_exceptional(c)
-        if ok:
-            with pytest.raises(PipelineError) as err:
-                normalize_and_descend(c)
-            assert err.value.stage in ("order", "spread", "rotate", "twist", "peel")
+        assert not is_numerically_exceptional(c)[0]
+        with pytest.raises(PipelineError) as err:
+            normalize_and_descend(c)
+        assert err.value.stage == "order"
+        with pytest.raises(PipelineError) as err:
+            normalize_and_descend(basic_collection(surface(0)))
+        assert err.value.stage == "descend"
+        with pytest.raises(PipelineError) as err:
+            normalize_and_descend(basic_collection(S), [1, 1])
+        assert err.value.stage == "peel"
+        S8 = surface(8)
+        O = structure_class(S8)
+        shift = exceptional_divisor(8, 8) + canonical_divisor(8)
+        with pytest.raises(ExcludedPairError) as err:
+            normalize_and_descend(Collection(S8, (O, twist(S8, O, shift))))
+        assert not isinstance(err.value, PipelineError)
+
+    @pytest.mark.parametrize("d", [1, 2])
+    def test_basic_collection_log_steps(self, d):
+        _, log = normalize_and_descend(basic_collection(surface(d)))
+        assert [(s.kind, s.params) for s in log.steps] == [
+            ("rotate", {"j": 1, "group_index": 1, "window": [0, 0]}),
+            ("peel", {"mults": [1] * (d + 3), "e_index": d, "alpha": 1}),
+            ("descend", {"e_index": d, "surface": {"blowups": d}}),
+        ]
 
     def test_window_never_widens_along_pipeline(self):
         S = surface(1)
