@@ -64,7 +64,7 @@ def _load_json(value: str):
             text = fh.read()
     try:
         return json.loads(text)
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # JSONDecodeError, or an over-long integer literal
         raise InvalidInputError(f"cannot parse JSON from {value!r}: {exc}") from exc
 
 

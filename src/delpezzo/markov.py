@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 from .chern import KClass, euler_form
 from .errors import DomainError, InvalidInputError
-from .mutation import _chi
+from .pairs import require_exceptional_pair
 from .picard import Surface
 
 
@@ -128,8 +128,7 @@ def pair_orbit(S: Surface, E0: KClass, E1: KClass, n: int) -> PairOrbit:
     """
     if not isinstance(n, int) or n < 1:
         raise InvalidInputError("orbit length must be a positive integer")
-    if _chi(S, E0, E0) != 1 or _chi(S, E1, E1) != 1 or _chi(S, E1, E0) != 0:
-        raise InvalidInputError("invalid ext-pair: not numerically exceptional")
+    require_exceptional_pair(S, E0, E1)
     h = -euler_form(S, E0, E1)
     if h < 2:
         raise InvalidInputError(f"invalid ext-pair: need chi(E0,E1) <= -2, got {-h}")

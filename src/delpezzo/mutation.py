@@ -14,10 +14,11 @@ behaviour on every pair type: for a zero pair it is the transposition.
 An ordered collection is numerically exceptional when its Gram matrix
 chi(E_i, E_j) has unit diagonal and zeros below; ``certify`` re-verifies
 that certificate after every move on a collection, here and in the
-pipeline.  Braid words act letter by letter.  A foundation of length n
-extends to a helix by the twist periodicity  E_{i+sn} = E_i(-sK),  and
-the helix axiom L^(n-1) A_s = A_{s-n} is checked by explicit iterated
-mutation.
+pipeline.  Every chi is evaluated by ``chern.euler_form`` itself: it is
+a few integer products on the stored coordinates, so nothing is cached.
+Braid words act letter by letter.  A foundation of length n extends to
+a helix by the twist periodicity  E_{i+sn} = E_i(-sK),  and the helix
+axiom L^(n-1) A_s = A_{s-n} is checked by explicit iterated mutation.
 
 Every move is recorded as a replayable ``LogStep`` {kind, params, before,
 after}; a ``MutationLog`` of steps serializes to JSON-lines, one step per
@@ -39,7 +40,6 @@ import enum
 import json
 import re
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import Union
 from .chern import KClass, curve_class, euler_form, line_class, structure_class, twist
 from .errors import InvalidInputError, InvariantViolationError
@@ -116,15 +116,10 @@ class GramViolation:
         return {"i": self.i, "j": self.j, "chi": self.value}
 
 
-@lru_cache(maxsize=1 << 18)
-def _chi(S: Surface, E: KClass, F: KClass) -> int:
-    return euler_form(S, E, F)
-
-
 def gram_matrix(c: Collection) -> list[list[int]]:
     """M[i][j] = chi(E_i, E_j)."""
     S = c.surface
-    return [[_chi(S, a, b) for b in c.members] for a in c.members]
+    return [[euler_form(S, a, b) for b in c.members] for a in c.members]
 
 
 def is_numerically_exceptional(c: Collection) -> tuple[bool, GramViolation | None]:
@@ -132,11 +127,11 @@ def is_numerically_exceptional(c: Collection) -> tuple[bool, GramViolation | Non
     row-major scan order, if any."""
     S = c.surface
     for i, a in enumerate(c.members):
-        v = _chi(S, a, a)
+        v = euler_form(S, a, a)
         if v != 1:
             return False, GramViolation(i, i, v)
         for j in range(i):
-            w = _chi(S, a, c.members[j])
+            w = euler_form(S, a, c.members[j])
             if w != 0:
                 return False, GramViolation(i, j, w)
     return True, None
@@ -176,16 +171,16 @@ def sign_normalize(S: Surface, x: KClass) -> KClass:
     for coeff in x.c1.coeffs:
         if coeff != 0:
             return x if coeff > 0 else -x
-    if x.ch2 != 0:
-        return x if x.ch2 > 0 else -x
+    if x.two_ch2 != 0:
+        return x if x.two_ch2 > 0 else -x
     raise InvariantViolationError("mutation produced the zero class")
 
 
 def _checked_pair(S: Surface, first: KClass, second: KClass) -> tuple[KClass, KClass]:
     if (
-        _chi(S, first, first) != 1
-        or _chi(S, second, second) != 1
-        or _chi(S, second, first) != 0
+        euler_form(S, first, first) != 1
+        or euler_form(S, second, second) != 1
+        or euler_form(S, second, first) != 0
     ):
         raise InvariantViolationError("mutation output is not numerically exceptional")
     return first, second
@@ -206,7 +201,7 @@ def mutate_pair(
         classify_pair(S, E, F)
     else:
         require_exceptional_pair(S, E, F)
-    chi_ef = _chi(S, E, F)
+    chi_ef = euler_form(S, E, F)
     if direction is Direction.LEFT:
         L = sign_normalize(S, chi_ef * E - F)
         return _checked_pair(S, L, E)

@@ -20,7 +20,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from typing import Iterator, Sequence
+from typing import Iterator
 
 from .errors import DomainError, InvalidInputError
 
@@ -76,11 +76,10 @@ class DivisorClass:
         return list(self.coeffs)
 
     @staticmethod
-    def from_json(data: Sequence[int]) -> "DivisorClass":
-        try:
-            return DivisorClass(tuple(int(x) for x in data))
-        except (TypeError, ValueError) as exc:
-            raise InvalidInputError(f"bad divisor class {data!r}") from exc
+    def from_json(data: list[int]) -> "DivisorClass":
+        if not isinstance(data, list) or any(type(x) is not int for x in data):
+            raise InvalidInputError(f"bad divisor class {data!r}: need a list of integers")
+        return DivisorClass(tuple(data))
 
 
 def zero_divisor(d: int) -> DivisorClass:
@@ -167,14 +166,12 @@ class Surface:
     def from_json(data: dict) -> "Surface":
         if not isinstance(data, dict) or "blowups" not in data:
             raise InvalidInputError("surface JSON needs a 'blowups' key")
-        roots = tuple(
-            DivisorClass.from_json(r) for r in data.get("effective_roots", [])
-        )
-        try:
-            d = int(data["blowups"])
-        except (TypeError, ValueError) as exc:
-            raise InvalidInputError(f"bad blowups value {data['blowups']!r}") from exc
-        return Surface(d, roots)
+        d, roots = data["blowups"], data.get("effective_roots", [])
+        if type(d) is not int:
+            raise InvalidInputError(f"blowups must be a JSON integer, got {d!r}")
+        if not isinstance(roots, list):
+            raise InvalidInputError("effective_roots must be a list of divisor classes")
+        return Surface(d, tuple(DivisorClass.from_json(r) for r in roots))
 
 
 def intersect(S: Surface, C: DivisorClass, D: DivisorClass) -> int:

@@ -132,7 +132,9 @@ class GradedObject:
         for item in data["quotients"]:
             if not isinstance(item, dict) or not {"class", "mult"} <= set(item):
                 raise InvalidInputError("graded quotient JSON needs keys class, mult")
-            quotients.append((KClass.from_json(item["class"]), int(item["mult"])))
+            if type(item["mult"]) is not int:
+                raise InvalidInputError(f"mult must be a JSON integer, got {item['mult']!r}")
+            quotients.append((KClass.from_json(item["class"]), item["mult"]))
         return GradedObject(tuple(quotients))
 
 

@@ -44,8 +44,7 @@ def random_kclass(rng: random.Random, d: int, max_rank: int = 6) -> KClass:
     c2 = rng.randint(-10, 10)
     from delpezzo import intersect
 
-    ch2 = Fraction(intersect(Surface(d), c1, c1) - 2 * c2, 2)
-    return KClass(r, c1, ch2)
+    return KClass(r, c1, intersect(Surface(d), c1, c1) - 2 * c2)
 
 
 # ---------------------------------------------------------------- oracles

@@ -35,20 +35,36 @@ from delpezzo.chern import serre_twist
 class TestKClass:
     def test_integrality_enforced(self):
         with pytest.raises(InvalidInputError):
-            KClass(1, divisor(1), Fraction(1, 3))
+            KClass(1, divisor(1), Fraction(2, 3))
         with pytest.raises(InvalidInputError):
             # c1^2 - 2 ch2 = 1 - 1 = 0 is fine; 1 - 2 = -1 is odd.
-            KClass(1, divisor(1), Fraction(1))
+            KClass(1, divisor(1), 2)
 
     def test_c2_accessor(self):
-        T = KClass(2, divisor(3), Fraction(3, 2))
+        T = KClass(2, divisor(3), 3)
         assert T.c2 == 3
-        assert T.discriminant == 3
+        assert T.two_ch2 == 3
+
+    def test_rational_third_argument_rejected(self):
+        # The third coordinate is 2*ch2; an old-style rational ch2 fails loudly.
+        with pytest.raises(InvalidInputError):
+            KClass(1, divisor(1), Fraction(1, 2))
+
+    def test_json_ch2_must_be_half_integral(self):
+        with pytest.raises(InvalidInputError):
+            KClass.from_json({"r": 1, "c1": [1], "ch2": "1/3"})
 
     def test_json_round_trip(self):
-        E = KClass(2, divisor(3, 0), Fraction(-5, 2))
+        E = KClass(2, divisor(3, 0), -5)
         assert KClass.from_json(E.to_json()) == E
         assert E.to_json()["ch2"] == "-5/2"
+        rng = random.Random(21)
+        for d in range(9):
+            for _ in range(20):
+                E = random_kclass(rng, d)
+                back = KClass.from_json(E.to_json())
+                assert back == E
+                assert hash(back) == hash(E)
 
 
 class TestEulerForm:
@@ -75,7 +91,7 @@ class TestEulerForm:
     def test_torsion_class_is_exceptional(self):
         S = surface(1)
         L = curve_class(S, 1, -1)
-        assert L == KClass(0, exceptional_divisor(1, 1), Fraction(-1, 2))
+        assert L == KClass(0, exceptional_divisor(1, 1), -1)
         assert euler_form(S, L, L) == 1
 
     @pytest.mark.parametrize("d", range(9))
@@ -150,7 +166,7 @@ class TestSlopes:
 
     def test_vector_slope_tangent_class_with_hyperplane_polarization(self):
         S = surface(0)
-        T = KClass(2, divisor(3), Fraction(3, 2))
+        T = KClass(2, divisor(3), 3)
         sv = vector_slope(S, T, A=line_divisor(0))
         assert sv.components() == (
             Fraction(9, 2),
@@ -161,7 +177,7 @@ class TestSlopes:
     def test_vector_slope_needs_positive_rank(self):
         S = surface(0)
         with pytest.raises(DomainError):
-            vector_slope(S, KClass(-1, divisor(0), Fraction(0)))
+            vector_slope(S, KClass(-1, divisor(0), 0))
 
 
 class TestTwistAndDual:
@@ -174,7 +190,7 @@ class TestTwistAndDual:
         S = surface(0)
         Oh = line_bundle(S, 1)
         K = S.canonical_class()
-        assert twist(S, Oh, K) == KClass(1, divisor(-2), Fraction(2))
+        assert twist(S, Oh, K) == KClass(1, divisor(-2), 4)
 
     def test_twist_preserves_integrality_and_composes(self):
         rng = random.Random(11)
@@ -203,8 +219,8 @@ class TestTwistAndDual:
         S = surface(0)
         O = structure_class(S)
         assert dual_class(O) == O
-        E = KClass(2, divisor(1), Fraction(-1, 2))
-        assert dual_class(E) == KClass(2, divisor(-1), Fraction(-1, 2))
+        E = KClass(2, divisor(1), -1)
+        assert dual_class(E) == KClass(2, divisor(-1), -1)
 
     def test_dual_negates_slope(self):
         rng = random.Random(13)
@@ -219,7 +235,7 @@ class TestCurveClass:
     def test_degree_minus_one(self):
         S = surface(1)
         assert curve_class(S, 1, -1) == KClass(
-            0, exceptional_divisor(1, 1), Fraction(-1, 2)
+            0, exceptional_divisor(1, 1), -1
         )
 
     def test_chi_from_structure_sheaf_counts_sections(self):
@@ -245,13 +261,13 @@ class TestCurveClass:
 class TestDescend:
     def test_structure_sheaf(self):
         S = surface(1)
-        E = KClass(1, divisor(0, 0), Fraction(0))
-        assert descend_class(S, E) == KClass(1, divisor(0), Fraction(0))
+        E = KClass(1, divisor(0, 0), 0)
+        assert descend_class(S, E) == KClass(1, divisor(0), 0)
 
     def test_rank_two_class(self):
         S = surface(1)
-        E = KClass(2, divisor(3, 0), Fraction(3, 2))
-        assert descend_class(S, E) == KClass(2, divisor(3), Fraction(3, 2))
+        E = KClass(2, divisor(3, 0), 3)
+        assert descend_class(S, E) == KClass(2, divisor(3), 3)
 
     def test_nonzero_restriction_degree_rejected(self):
         S = surface(1)

@@ -109,6 +109,63 @@ class TestClassifyPair:
         assert d["evidence"]["root_decomposition"] == [1]
 
 
+def _class_json(r="1", c1="[0]", ch2='"0/1"'):
+    return f'{{"r":{r},"c1":{c1},"ch2":{ch2}}}'
+
+
+class TestStrictJson:
+    """Non-integers, bools and malformed or oversized numbers are malformed
+    input (exit 1), never truncated, coerced or a traceback."""
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["chi", "--e", '{"r":1.9,"c1":[0.2],"ch2":0.7}'],
+            ["chi", "--e", _class_json(r="1.0")],
+            ["chi", "--e", _class_json(r="true")],
+            ["chi", "--e", _class_json(c1="[0.2]")],
+            ["chi", "--e", _class_json(c1="[true]", ch2='"1/2"')],
+            ["chi", "--e", _class_json(c1='"0"')],
+            ["chi", "--e", _class_json(ch2="0.5")],
+            ["chi", "--e", _class_json(ch2="true")],
+            ["chi", "--e", _class_json(ch2='"0.5e1"')],
+            ["chi", "--e", _class_json(ch2='"1e5000"')],
+            ["chi", "--e", _class_json(ch2='" 1/2"')],
+            ["chi", "--e", _class_json(ch2='"1/0"')],
+            ["chi", "--e", _class_json(c1="[1]", ch2='"1/3"')],
+            ["chi", "--e", _class_json(ch2="1" + "0" * 5000)],
+            ["chi", "--e", _class_json(ch2='"1' + "0" * 5000 + '"')],
+            ["roots", "--surface", '{"blowups":2.9}'],
+            ["roots", "--surface", '{"blowups":true}'],
+            ["roots", "--surface", '{"blowups":2,"effective_roots":5}'],
+            ["hn", "--graded", '{"quotients":[{"class":%s,"mult":1.5}]}' % O_P2],
+        ],
+        ids=lambda argv: argv[-1][:40],
+    )
+    def test_rejected_with_exit_one(self, argv):
+        if argv[0] == "chi":
+            argv = argv + ["--surface", '{"blowups":0}', "--f", O_P2]
+        code, out, err = invoke_process(*argv)
+        assert code == 1, out
+        assert "invalid input" in err
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize(
+        "e, chi",
+        [
+            (_class_json(ch2="0"), 3),
+            (_class_json(ch2='"3"'), 6),
+            (_class_json(r="2", c1="[3]", ch2='"-5/2"'), -4),
+        ],
+    )
+    def test_accepted_ch2_forms(self, capsys, e, chi):
+        code, out, _ = invoke(
+            capsys, "chi", "--surface", '{"blowups":0}', "--e", e, "--f", OH_P2
+        )
+        assert code == 0
+        assert doc(out) == {"chi": chi}
+
+
 class TestRoots:
     def test_non_integer_blowups_exits_one(self):
         code, _, err = invoke_process("roots", "--surface", '{"blowups":"x"}')

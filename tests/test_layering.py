@@ -77,6 +77,19 @@ def test_import_graph_is_acyclic():
         visit(name, [])
 
 
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_no_private_names_imported_from_siblings(path):
+    private = [
+        f"{node.lineno}: {alias.name}"
+        for node in ast.walk(parse(path))
+        if isinstance(node, ast.ImportFrom)
+        and (node.level == 1 or (node.module or "").startswith("delpezzo"))
+        for alias in node.names
+        if alias.name.startswith("_")
+    ]
+    assert private == [], f"private names imported: {private}"
+
+
 @pytest.mark.parametrize("demo", DEMOS, ids=lambda p: p.name)
 def test_demo_runs(demo):
     env = dict(os.environ)

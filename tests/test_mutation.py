@@ -1,5 +1,4 @@
 import random
-from fractions import Fraction
 
 import pytest
 from _helpers import braid_orbit_states, divisor, line_bundle, p2_basic, surface
@@ -30,14 +29,14 @@ class TestMutatePair:
         O, Oh = structure_class(S), line_bundle(S, 1)
         assert mutate_pair(S, O, Oh, Direction.RIGHT) == (
             Oh,
-            KClass(2, divisor(3), Fraction(3, 2)),
+            KClass(2, divisor(3), 3),
         )
 
     def test_left_mutation_recovers_cotangent_twist_class(self):
         S = surface(0)
         O, Oh = structure_class(S), line_bundle(S, 1)
         assert mutate_pair(S, O, Oh, Direction.LEFT) == (
-            KClass(2, divisor(-1), Fraction(-1, 2)),
+            KClass(2, divisor(-1), -1),
             O,
         )
 
@@ -46,7 +45,7 @@ class TestMutatePair:
         E, F = line_bundle(S, 1, 1), line_bundle(S, 0, -1)
         L, E2 = mutate_pair(S, E, F, Direction.LEFT)
         assert E2 == E
-        assert L == KClass(2, divisor(1, 0), Fraction(-1, 2))
+        assert L == KClass(2, divisor(1, 0), -1)
         assert euler_form(S, L, L) == 1
 
     def test_zero_pair_swaps(self):
@@ -104,7 +103,7 @@ class TestMutateCollection:
         c = p2_basic()
         out = mutate_collection(c, 1, Direction.RIGHT)
         assert is_numerically_exceptional(out)[0]
-        assert out.members[1] == KClass(2, divisor(3), Fraction(3, 2))
+        assert out.members[1] == KClass(2, divisor(3), 3)
 
     def test_left_right_round_trip(self):
         c = p2_basic()
@@ -166,7 +165,7 @@ class TestHelix:
         E1, E2, E3 = c.members
         _, R1 = mutate_pair(S, E1, E2, Direction.RIGHT)
         _, R2 = mutate_pair(S, R1, E3, Direction.RIGHT)
-        assert R2 == KClass(1, divisor(3), Fraction(9, 2))
+        assert R2 == KClass(1, divisor(3), 9)
         assert R2 == helix_extend(c, 4, 4)[4]
 
     @pytest.mark.parametrize("d", [0, 1, 2])

@@ -1,5 +1,3 @@
-from fractions import Fraction
-
 import pytest
 from _helpers import divisor, line_bundle, surface
 
@@ -87,7 +85,7 @@ class TestClassifyPair:
         # backward pairing vanishes and the slopes agree, yet the ranks
         # differ, so the forced -2-class equations cannot hold.
         S = surface(4)
-        F = KClass(3, divisor(0, -2, 2, -1, 1), Fraction(-3))
+        F = KClass(3, divisor(0, -2, 2, -1, 1), -6)
         O = structure_class(S)
         assert euler_form(S, F, F) == 1
         assert euler_form(S, F, O) == 0
@@ -132,13 +130,13 @@ class TestDecompositionType:
     def test_zero_type(self):
         S = surface(1)
         E = structure_class(S)  # degrees {0}
-        F = KClass(2, divisor(0, -1), Fraction(-1, 2))  # deg -1: {-1, 0}
+        F = KClass(2, divisor(0, -1), -1)  # deg -1: {-1, 0}
         assert decomposition_type(S, E, F, 1) is DecompositionType.ZERO_TYPE
 
     def test_first_type(self):
         S = surface(1)
-        E = KClass(2, divisor(0, -1), Fraction(-1, 2))  # deg -1: {-1, 0}
-        F = KClass(2, divisor(0, 1), Fraction(-1, 2))  # deg +1: {0, 1}
+        E = KClass(2, divisor(0, -1), -1)  # deg -1: {-1, 0}
+        F = KClass(2, divisor(0, 1), -1)  # deg +1: {0, 1}
         assert decomposition_type(S, E, F, 1) is DecompositionType.FIRST_TYPE
 
     def test_other(self):
