@@ -117,7 +117,7 @@ def _cmd_classify_pair(args) -> None:
     doc = {"kind": t.kind.value, "dims": list(t.dims)}
     H = S.anticanonical_class()
     evidence = {
-        "chi_ef": euler_form(S, E, F),
+        "chi_ef": t.chi,
         "chi_fe": euler_form(S, F, E),
         "mu_e": _frac(slope_mu(S, E, H)),
         "mu_f": _frac(slope_mu(S, F, H)),

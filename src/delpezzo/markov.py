@@ -20,7 +20,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .chern import KClass, euler_form
+from .chern import KClass
 from .errors import DomainError, InvalidInputError
 from .pairs import require_exceptional_pair
 from .picard import Surface
@@ -128,8 +128,7 @@ def pair_orbit(S: Surface, E0: KClass, E1: KClass, n: int) -> PairOrbit:
     """
     if not isinstance(n, int) or n < 1:
         raise InvalidInputError("orbit length must be a positive integer")
-    require_exceptional_pair(S, E0, E1)
-    h = -euler_form(S, E0, E1)
+    h = -require_exceptional_pair(S, E0, E1)
     if h < 2:
         raise InvalidInputError(f"invalid ext-pair: need chi(E0,E1) <= -2, got {-h}")
     classes: dict[int, KClass] = {0: E0, 1: E1}

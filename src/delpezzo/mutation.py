@@ -12,10 +12,10 @@ lexicographic c1, ch2.  The uniform formula specializes to the expected
 behaviour on every pair type: for a zero pair it is the transposition.
 
 An ordered collection is numerically exceptional when its Gram matrix
-chi(E_i, E_j) has unit diagonal and zeros below; ``certify`` re-verifies
-that certificate after every move on a collection, here and in the
-pipeline.  Every chi is evaluated by ``chern.euler_form`` itself: it is
-a few integer products on the stored coordinates, so nothing is cached.
+chi(E_i, E_j) has unit diagonal and zeros below.  One check goes into a
+move and one comes out: ``mutate_pair`` checks its input pair, which
+yields chi(E,F), and ``certify`` re-verifies the Gram matrix after every
+move on a collection, here and in the pipeline.  Nothing caches chi.
 Braid words act letter by letter.  A foundation of length n extends to
 a helix by the twist periodicity  E_{i+sn} = E_i(-sK),  and the helix
 axiom L^(n-1) A_s = A_{s-n} is checked by explicit iterated mutation.
@@ -97,6 +97,8 @@ class Collection:
     def from_json(data: dict) -> "Collection":
         if not isinstance(data, dict) or not {"surface", "members"} <= set(data):
             raise InvalidInputError("collection JSON needs keys surface, members")
+        if not isinstance(data["members"], list):
+            raise InvalidInputError("collection members must be a JSON list")
         return Collection(
             Surface.from_json(data["surface"]),
             tuple(KClass.from_json(m) for m in data["members"]),
@@ -176,37 +178,25 @@ def sign_normalize(S: Surface, x: KClass) -> KClass:
     raise InvariantViolationError("mutation produced the zero class")
 
 
-def _checked_pair(S: Surface, first: KClass, second: KClass) -> tuple[KClass, KClass]:
-    if (
-        euler_form(S, first, first) != 1
-        or euler_form(S, second, second) != 1
-        or euler_form(S, second, first) != 0
-    ):
-        raise InvariantViolationError("mutation output is not numerically exceptional")
-    return first, second
-
-
 def mutate_pair(
     S: Surface, E: KClass, F: KClass, direction: Direction
 ) -> tuple[KClass, KClass]:
     """Left: (E, F) -> (L, E) with [L] = +-(chi(E,F)[E] - [F]).
     Right: (E, F) -> (F, R) with [R] = +-(chi(E,F)[F] - [E]).
 
-    Requires the pair to be numerically exceptional.  When both ranks are
-    positive the pair is additionally classified, which rejects
-    equal-slope pairs whose invariants are inconsistent; rank-0 members
-    (torsion classes) are mutated by the same reflection formula.
+    Pair check in: the pair must be numerically exceptional and, when both
+    ranks are positive, classifiable (equal-slope pairs with inconsistent
+    invariants are rejected); either check yields chi(E,F).  Rank-0 members
+    are mutated by the same formula.  The output is exceptional again by
+    bilinearity; a collection's certificate is checked by its caller.
     """
     if E.r > 0 and F.r > 0:
-        classify_pair(S, E, F)
+        chi_ef = classify_pair(S, E, F).chi
     else:
-        require_exceptional_pair(S, E, F)
-    chi_ef = euler_form(S, E, F)
+        chi_ef = require_exceptional_pair(S, E, F)
     if direction is Direction.LEFT:
-        L = sign_normalize(S, chi_ef * E - F)
-        return _checked_pair(S, L, E)
-    R = sign_normalize(S, chi_ef * F - E)
-    return _checked_pair(S, F, R)
+        return sign_normalize(S, chi_ef * E - F), E
+    return F, sign_normalize(S, chi_ef * F - E)
 
 
 def mutate_collection(c: Collection, i: int, direction: Direction) -> Collection:
@@ -261,6 +251,8 @@ def _state_to_json(state: State) -> dict:
 
 
 def _state_from_json(data: dict) -> State:
+    if not isinstance(data, dict):
+        raise InvalidInputError("log state must be a JSON object")
     if "collection" in data:
         return Collection.from_json(data["collection"])
     if "class" in data:
@@ -287,9 +279,12 @@ class LogStep:
     def from_json(data: dict) -> "LogStep":
         if not isinstance(data, dict) or not {"kind", "before", "after"} <= set(data):
             raise InvalidInputError("log step JSON needs keys kind, before, after")
+        params = data.get("params", {})
+        if not isinstance(params, dict):
+            raise InvalidInputError("log step params must be a JSON object")
         return LogStep(
             kind=data["kind"],
-            params=dict(data.get("params", {})),
+            params=dict(params),
             before=_state_from_json(data["before"]),
             after=_state_from_json(data["after"]),
         )
@@ -317,7 +312,11 @@ class MutationLog:
         for line in text.splitlines():
             line = line.strip()
             if line:
-                steps.append(LogStep.from_json(json.loads(line)))
+                try:
+                    data = json.loads(line)
+                except ValueError as exc:
+                    raise InvalidInputError(f"log line is not readable JSON: {exc}") from exc
+                steps.append(LogStep.from_json(data))
         return MutationLog(tuple(steps))
 
 
@@ -368,8 +367,9 @@ class HelixWitness:
 
 def check_helix_period(foundation: Collection) -> tuple[bool, HelixWitness | None]:
     """Check L^(n-1) A_s = A_{s-n} for every s in one period, by iterated
-    left mutation against the twist-extended helix."""
-    require_numerically_exceptional(foundation)
+    left mutation against the twist-extended helix.  The foundation is
+    certified once, by ``helix_extend``; each mutation checks its input
+    pair and the last class is compared exactly with A_s(K)."""
     S = foundation.surface
     n = len(foundation.members)
     if n < 2:

@@ -78,25 +78,33 @@ class PairType:
     def singular() -> "PairType":
         return PairType(PairKind.SINGULAR, (1, 1))
 
+    @property
+    def chi(self) -> int:
+        """chi(E,F): dim for hom, -dim for ext, 0 at equal slopes."""
+        if self.kind in (PairKind.ZERO, PairKind.SINGULAR):
+            return 0
+        return self.dims[0] if self.kind is PairKind.HOM else -self.dims[0]
 
-def require_exceptional_pair(S: Surface, E: KClass, F: KClass) -> None:
-    """chi(E,E) = chi(F,F) = 1 and chi(F,E) = 0, the numerical shadow of an
-    exceptional pair."""
+
+def require_exceptional_pair(S: Surface, E: KClass, F: KClass) -> int:
+    """The pair check every mutation runs on its input: chi(E,E) = chi(F,F)
+    = 1 and chi(F,E) = 0, the numerical shadow of an exceptional pair.
+    Returns chi(E,F)."""
     if euler_form(S, E, E) != 1 or euler_form(S, F, F) != 1:
         raise InvalidInputError("not a numerically exceptional pair: chi(X,X) != 1")
     if euler_form(S, F, E) != 0:
         raise InvalidInputError("not a numerically exceptional pair: chi(F,E) != 0")
+    return euler_form(S, E, F)
 
 
 def classify_pair(S: Surface, E: KClass, F: KClass) -> PairType:
     """Type of the numerically exceptional pair (E, F) of positive ranks."""
     if E.r <= 0 or F.r <= 0:
         raise InvalidInputError("not a numerically exceptional pair: rank <= 0")
-    require_exceptional_pair(S, E, F)
+    chi_ef = require_exceptional_pair(S, E, F)
     H = S.anticanonical_class()
     mu_e = slope_mu(S, E, H)
     mu_f = slope_mu(S, F, H)
-    chi_ef = euler_form(S, E, F)
     if mu_e < mu_f:
         if chi_ef <= 0:
             raise InvariantViolationError("hom pair with chi(E,F) <= 0")

@@ -128,6 +128,8 @@ class GradedObject:
     def from_json(data: dict) -> "GradedObject":
         if not isinstance(data, dict) or "quotients" not in data:
             raise InvalidInputError("graded-object JSON needs a 'quotients' key")
+        if not isinstance(data["quotients"], list):
+            raise InvalidInputError("graded-object quotients must be a JSON list")
         quotients = []
         for item in data["quotients"]:
             if not isinstance(item, dict) or not {"class", "mult"} <= set(item):

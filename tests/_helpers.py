@@ -13,11 +13,16 @@ import random
 from fractions import Fraction
 
 from delpezzo import (
+    BraidWord,
     Collection,
     DivisorClass,
     KClass,
+    MutationLog,
     Surface,
     anticanonical_divisor,
+    apply_braid,
+    basic_collection,
+    normalize_and_descend,
     structure_class,
 )
 
@@ -226,3 +231,17 @@ def braid_orbit_states(depth: int) -> list[Collection]:
                         new.append(m)
         frontier = new
     return list(seen.values())
+
+
+def braid_log() -> MutationLog:
+    """The log of the braid word R1 L2 R2 on the plane's basic foundation."""
+    _, log = apply_braid(p2_basic(), BraidWord.parse("R1 L2 R2"))
+    return log
+
+
+def scrambled_log() -> MutationLog:
+    """A d = 1 pipeline log with order, rotate, twist, peel and descend
+    steps."""
+    c, _ = apply_braid(basic_collection(Surface(1)), BraidWord.parse("R1 R2 R2"))
+    _, log = normalize_and_descend(c)
+    return log

@@ -139,6 +139,8 @@ class TestStrictJson:
             ["roots", "--surface", '{"blowups":true}'],
             ["roots", "--surface", '{"blowups":2,"effective_roots":5}'],
             ["hn", "--graded", '{"quotients":[{"class":%s,"mult":1.5}]}' % O_P2],
+            ["hn", "--graded", '{"quotients":5}'],
+            ["check", "--collection", '{"surface":{"blowups":0},"members":5}'],
         ],
         ids=lambda argv: argv[-1][:40],
     )

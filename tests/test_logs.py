@@ -1,5 +1,5 @@
 import pytest
-from _helpers import p2_basic, surface
+from _helpers import braid_log, p2_basic, scrambled_log, surface
 
 from delpezzo import (
     BraidWord,
@@ -13,6 +13,7 @@ from delpezzo import (
     replay,
     structure_class,
 )
+from delpezzo.logs import recompute_step
 
 
 def sample_log() -> MutationLog:
@@ -33,6 +34,11 @@ class TestSerialization:
         del data["before"]
         with pytest.raises(InvalidInputError):
             LogStep.from_json(data)
+
+    @pytest.mark.parametrize("line", ["{oops", "[1,", "1" * 5000])
+    def test_line_that_is_not_json_rejected(self, line):
+        with pytest.raises(InvalidInputError):
+            MutationLog.from_jsonl(sample_log().to_jsonl() + line + "\n")
 
     def test_braid_log_round_trip(self):
         _, log = apply_braid(p2_basic(), BraidWord.parse("R1 L2 R2"))
@@ -66,3 +72,112 @@ class TestReplay:
         bad = LogStep("teleport", {}, c, c)
         with pytest.raises(InvalidInputError):
             replay(MutationLog((bad,)))
+
+
+def first_step(kind: str) -> LogStep:
+    """The first step of the given kind in a braid or a pipeline log."""
+    log = braid_log() if kind == "mutate" else scrambled_log()
+    return next(s for s in log.steps if s.kind == kind)
+
+
+def edited(kind: str, **params) -> LogStep:
+    """first_step(kind), read back from JSON with some params replaced."""
+    data = first_step(kind).to_json()
+    data["params"].update(params)
+    return LogStep.from_json(data)
+
+
+class TestStrictDecoding:
+    def test_scrambled_log_has_every_pipeline_kind(self):
+        kinds = [s.kind for s in scrambled_log().steps]
+        assert kinds == ["order", "rotate", "twist", "peel", "descend"]
+        assert replay(scrambled_log())
+
+    @pytest.mark.parametrize("key", ["params", "before", "after"])
+    @pytest.mark.parametrize("value", [5, "collection", [1], None])
+    def test_non_object_params_or_state_rejected(self, key, value):
+        data = sample_log().steps[0].to_json()
+        data[key] = value
+        with pytest.raises(InvalidInputError):
+            LogStep.from_json(data)
+
+    @pytest.mark.parametrize("value", [2.9, 2.0, True, "2", None, [2]])
+    @pytest.mark.parametrize(
+        "kind, key",
+        [
+            ("mutate", "position"),
+            ("rotate", "j"),
+            ("twist", "k_multiple"),
+            ("peel", "e_index"),
+            ("peel", "alpha"),
+        ],
+    )
+    def test_integer_params_must_be_json_integers(self, kind, key, value):
+        with pytest.raises(InvalidInputError, match="JSON integer"):
+            recompute_step(edited(kind, **{key: value}))
+
+    @pytest.mark.parametrize("mults", [[1, 1.0, 1, 1], [1, True, 1, 1], [1.9] * 4, 4, None])
+    def test_peel_mults_must_be_json_integers(self, mults):
+        with pytest.raises(InvalidInputError, match="mults"):
+            recompute_step(edited("peel", mults=mults))
+
+    def test_truncated_position_no_longer_replays(self):
+        # 2.9 used to be read as 2, so this edited log replayed as valid.
+        data = braid_log().steps[1].to_json()
+        assert data["params"]["position"] == 2
+        data["params"]["position"] = 2.9
+        with pytest.raises(InvalidInputError, match="JSON integer"):
+            replay(MutationLog((LogStep.from_json(data),)))
+
+    @pytest.mark.parametrize(
+        "kind, key",
+        [
+            ("mutate", "position"),
+            ("mutate", "direction"),
+            ("rotate", "j"),
+            ("twist", "k_multiple"),
+            ("peel", "mults"),
+            ("peel", "e_index"),
+            ("peel", "alpha"),
+            ("descend", "surface"),
+        ],
+    )
+    def test_missing_param_rejected(self, kind, key):
+        step = first_step(kind)
+        params = {k: v for k, v in step.params.items() if k != key}
+        with pytest.raises(InvalidInputError, match=key):
+            recompute_step(LogStep(kind, params, step.before, step.after))
+
+    @pytest.mark.parametrize("direction", ["l", "LEFT", "up", 1, None])
+    def test_unknown_direction_rejected(self, direction):
+        with pytest.raises(InvalidInputError, match="direction"):
+            recompute_step(edited("mutate", direction=direction))
+
+    @pytest.mark.parametrize("kind", ["mutate", "order", "rotate", "twist", "peel"])
+    def test_step_on_a_class_rejected(self, kind):
+        step = first_step(kind)
+        O = structure_class(step.before.surface)
+        with pytest.raises(InvalidInputError, match="collection"):
+            recompute_step(LogStep(kind, step.params, O, step.after))
+
+    def test_descend_on_a_collection_rejected(self):
+        step = first_step("descend")
+        on_collection = LogStep("descend", step.params, first_step("peel").before, step.after)
+        with pytest.raises(InvalidInputError, match="class"):
+            recompute_step(on_collection)
+
+
+class TestChaining:
+    def test_swapped_steps_rejected(self):
+        log = braid_log()
+        # Each step replays on its own; only the chain is broken.
+        for step in log.steps:
+            assert recompute_step(step) == step.after
+        swapped = MutationLog((log.steps[1], log.steps[0]) + log.steps[2:])
+        with pytest.raises(InvalidInputError, match="does not start where step 0 ended"):
+            replay(swapped)
+
+    def test_dropped_step_rejected(self):
+        log = scrambled_log()
+        with pytest.raises(InvalidInputError, match="does not start where"):
+            replay(MutationLog(log.steps[:1] + log.steps[2:]))

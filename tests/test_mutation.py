@@ -21,6 +21,9 @@ from delpezzo import (
     mutate_pair,
     structure_class,
 )
+from delpezzo import mutation as mutation_module
+from delpezzo import pairs as pairs_module
+from delpezzo.pairs import require_exceptional_pair
 
 
 class TestMutatePair:
@@ -98,6 +101,58 @@ class TestMutatePair:
             mutate_pair(S, O, O, Direction.LEFT)
 
 
+def scrambled_pairs(d: int, words: int, seed: int):
+    """Adjacent pairs of braid-scrambled basic collections on d blow-ups."""
+    rng = random.Random(seed)
+    c = basic_collection(surface(d))
+    n = len(c.members)
+    for _ in range(words):
+        word = BraidWord(
+            tuple(
+                (rng.randint(1, n - 1), rng.choice(list(Direction)))
+                for _ in range(rng.randint(0, 6))
+            )
+        )
+        scrambled, _ = apply_braid(c, word)
+        yield from zip(scrambled.members, scrambled.members[1:])
+
+
+class TestMutatePairOutput:
+    """mutate_pair checks its input pair and not its output: these check,
+    over braid-scrambled basic collections, that the output needs none."""
+
+    @pytest.mark.parametrize("d", range(9))
+    def test_output_is_an_exceptional_pair(self, d):
+        S = surface(d)
+        seen = set()
+        for E, F in scrambled_pairs(d, 12, seed=100 + d):
+            seen.add("torsion" if min(E.r, F.r) == 0 else "positive")
+            for direction in Direction:
+                first, second = mutate_pair(S, E, F, direction)
+                require_exceptional_pair(S, first, second)
+        assert seen == ({"positive"} if d == 0 else {"positive", "torsion"})
+
+    def test_four_chi_per_mutation(self, monkeypatch):
+        calls = []
+
+        def counted(S, E, F):
+            calls.append((E, F))
+            return euler_form(S, E, F)
+
+        for module in (pairs_module, mutation_module):
+            monkeypatch.setattr(module, "euler_form", counted)
+        S = surface(3)
+        kinds = set()
+        for E, F in scrambled_pairs(3, 6, seed=7):
+            kinds.add(min(E.r, F.r) > 0)
+            for direction in Direction:
+                calls.clear()
+                mutate_pair(S, E, F, direction)
+                assert len(calls) == 4, calls
+                assert len(set(calls)) == 4
+        assert kinds == {True, False}
+
+
 class TestMutateCollection:
     def test_right_mutation_of_basic(self):
         c = p2_basic()
@@ -172,6 +227,18 @@ class TestHelix:
     def test_periodicity_of_basic_foundations(self, d):
         ok, witness = check_helix_period(basic_collection(surface(d)))
         assert ok, witness
+
+    def test_foundation_is_certified(self):
+        S = surface(0)
+        O, Oh = structure_class(S), line_bundle(S, 1)
+        with pytest.raises(InvalidInputError, match="not numerically exceptional"):
+            check_helix_period(Collection(S, (Oh, O)))
+
+    def test_short_foundation_reports_its_length_first(self):
+        S = surface(0)
+        not_exceptional = Collection(S, (2 * structure_class(S),))
+        with pytest.raises(InvalidInputError, match="length >= 2"):
+            check_helix_period(not_exceptional)
 
     def test_non_full_triple_fails_with_witness(self):
         # A numerically exceptional window of the d=1 basic collection that
