@@ -20,7 +20,9 @@ searches.
 
 from __future__ import annotations
 
+import functools
 import re
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable
@@ -85,11 +87,31 @@ class KClass:
         return KClass(n * self.r, n * self.c1, n * self.two_ch2)
 
     def to_json(self) -> dict:
-        ch2 = self.ch2
+        """{"r": int, "c1": [int, ...], "ch2": "p/q"} in lowest terms.
+
+        Raises DomainError when an integer is too long to write: the
+        interpreter's int-to-string digit limit (4300 by default, the
+        CVE-2020-10735 guard) is the size budget of every JSON answer."""
+        t = self.two_ch2
+        num, den = (t, 2) if t & 1 else (t >> 1, 1)
+        limit = sys.get_int_max_str_digits()
+        if limit:
+            bound = _digit_bound(limit)
+            coeffs = self.c1.coeffs
+            if not (
+                -bound < self.r < bound
+                and -bound < num < bound
+                and -bound < min(coeffs)
+                and max(coeffs) < bound
+            ):
+                raise DomainError(
+                    f"class has an integer of more than {limit} digits, the "
+                    "limit for writing one"
+                )
         return {
             "r": self.r,
             "c1": self.c1.to_json(),
-            "ch2": f"{ch2.numerator}/{ch2.denominator}",
+            "ch2": f"{num}/{den}",
         }
 
     @staticmethod
@@ -111,6 +133,12 @@ class KClass:
         if ch2.denominator > 2:
             raise InvalidInputError(f"2*ch2 must be an integer, got ch2={ch2}")
         return KClass(r, DivisorClass.from_json(data["c1"]), int(2 * ch2))
+
+
+@functools.lru_cache(maxsize=None)
+def _digit_bound(limit: int) -> int:
+    """10**limit, the least integer with more than ``limit`` digits."""
+    return 10**limit
 
 
 def structure_class(S: Surface) -> KClass:

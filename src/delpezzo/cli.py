@@ -81,13 +81,18 @@ def _kclass(value: str) -> KClass:
 
 
 def _emit(doc: dict) -> None:
-    sys.stdout.write(json.dumps(doc) + "\n")
+    try:
+        text = json.dumps(doc)
+    except ValueError as exc:  # an integer past the int-to-string digit limit
+        raise DomainError(f"answer too large to write: {exc}") from exc
+    sys.stdout.write(text + "\n")
 
 
 def _write_log(log: MutationLog, out: str | None) -> None:
     if out:
+        text = log.to_jsonl()
         with open(out, "w", encoding="utf-8") as fh:
-            fh.write(log.to_jsonl())
+            fh.write(text)
 
 
 def _cmd_chi(args) -> None:

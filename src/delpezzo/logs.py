@@ -3,7 +3,8 @@
 The step records (``LogStep``, ``MutationLog``) and their JSON-lines form
 live in ``mutation``, beside the moves that write them, and are
 re-exported here.  ``replay`` recomputes every step's ``after`` from its
-``before`` and ``params`` and checks it is reproduced exactly.
+``before`` and ``params`` and checks it is reproduced exactly; after the
+first step, ``before`` is the previous step's verified result.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ from .mutation import (
     mutate_collection,
 )
 from .picard import Surface, canonical_divisor
-from .pipeline import global_twist, order_hom, peel_curve, rotate_twist
+from .pipeline import global_twist, order_hom, peel_curve, rotate_twist, rotation_start
 
 __all__ = ["LogStep", "MutationLog", "State", "recompute_step", "replay"]
 
@@ -37,58 +38,102 @@ def _int_param(step: LogStep, key: str) -> int:
     return value
 
 
-def _collection_before(step: LogStep) -> Collection:
-    if not isinstance(step.before, Collection):
+def _collection(step: LogStep, before: State) -> Collection:
+    if not isinstance(before, Collection):
         raise InvalidInputError(f"{step.kind} step must start from a collection")
-    return step.before
+    return before
 
 
-def recompute_step(step: LogStep) -> State:
-    """Reapply a step's transformation to its own 'before' state.  Params
-    must be JSON integers where the move reads integers."""
-    kind, before = step.kind, step.before
+def _check_rotation_record(step: LogStep, c: Collection, j: int) -> None:
+    """The rotate stage records the slope group it rotated to the front and
+    the restriction-degree window it reached.  The group must be the one
+    that j starts; the window must be two JSON integers at most one apart.
+    Re-deriving the window needs the multiplicities, which the log records
+    only at the peel step."""
+    if "group_index" not in step.params and "window" not in step.params:
+        return  # a rotation of the spread stage records j alone
+    group_index = _int_param(step, "group_index")
+    if rotation_start(c, group_index) != j:
+        raise InvalidInputError(f"rotate step j = {j} does not start group {group_index}")
+    window = _param(step, "window")
+    if (
+        not isinstance(window, list)
+        or len(window) != 2
+        or any(type(w) is not int for w in window)
+        or window[1] - window[0] not in (0, 1)
+    ):
+        raise InvalidInputError(
+            f"rotate param window must be two JSON integers [w, w] or [w, w+1]: {window!r}"
+        )
+
+
+def _recompute(step: LogStep, before: State) -> State:
+    kind = step.kind
     if kind == "mutate":
         direction = _param(step, "direction")
         if direction not in ("left", "right"):
             raise InvalidInputError(f"unknown direction {direction!r}")
         position = _int_param(step, "position")
-        return mutate_collection(_collection_before(step), position, Direction(direction))
+        return mutate_collection(_collection(step, before), position, Direction(direction))
     if kind == "order":
-        ordered, _ = order_hom(_collection_before(step))
+        ordered, _ = order_hom(_collection(step, before))
         return ordered
     if kind == "rotate":
-        return rotate_twist(_collection_before(step), _int_param(step, "j"))
+        c, j = _collection(step, before), _int_param(step, "j")
+        _check_rotation_record(step, c, j)
+        return rotate_twist(c, j)
     if kind == "twist":
         t = _int_param(step, "k_multiple")
-        c = _collection_before(step)
+        c = _collection(step, before)
         return global_twist(c, t * canonical_divisor(c.surface.d))
     if kind == "peel":
         mults = _param(step, "mults")
         if not isinstance(mults, list) or any(type(m) is not int for m in mults):
             raise InvalidInputError(f"peel param mults must list JSON integers: {mults!r}")
         e_index, recorded = _int_param(step, "e_index"), _int_param(step, "alpha")
-        G, alpha, _ = peel_curve(_collection_before(step), mults, e_index)
+        G, alpha, _ = peel_curve(_collection(step, before), mults, e_index)
         if alpha != recorded:
             raise InvalidInputError(f"peel step replays with alpha {alpha}")
         return G
     if kind == "descend":
         if not isinstance(before, KClass):
             raise InvalidInputError("descend step must start from a class")
-        return descend_class(Surface.from_json(_param(step, "surface")), before)
+        S = Surface.from_json(_param(step, "surface"))
+        e_index = _int_param(step, "e_index")
+        if e_index != S.d:
+            raise InvalidInputError(
+                f"descend param e_index {e_index} is not the last curve e_{S.d}"
+            )
+        return descend_class(S, before)
     raise InvalidInputError(f"unknown log step kind {kind!r}")
 
 
+def recompute_step(step: LogStep) -> State:
+    """Reapply a step's transformation to its own 'before' state.  Params
+    must be JSON integers where the move reads integers, and the proof
+    data a step records must agree with the move where it can be checked
+    without later steps."""
+    return _recompute(step, step.before)
+
+
 def replay(log: MutationLog) -> bool:
-    """Recompute every step from its recorded 'before'; True iff the steps
-    chain (each starts where the one before it ended) and every 'after' is
-    reproduced bit-exactly (raises on the first mismatch)."""
+    """Recompute every step; True iff the steps chain (each starts where the
+    one before it ended) and every 'after' is reproduced bit-exactly
+    (raises on the first mismatch).
+
+    Step 0 is recomputed from its recorded 'before', which a mutation
+    certifies in full.  Every later step is recomputed from the verified
+    result of the step before it, equal to its recorded 'before' by the
+    chain check, so a mutation step checks only its new member's Gram row
+    and column."""
+    state = None
     for k, step in enumerate(log.steps):
         if k and step.before != log.steps[k - 1].after:
             raise InvalidInputError(
                 f"step {k} ({step.kind}) does not start where step {k - 1} ended"
             )
-        result = recompute_step(step)
-        if result != step.after:
+        state = _recompute(step, step.before if k == 0 else state)
+        if state != step.after:
             raise InvalidInputError(
                 f"step {k} ({step.kind}) does not replay to its recorded state"
             )

@@ -12,10 +12,14 @@ lexicographic c1, ch2.  The uniform formula specializes to the expected
 behaviour on every pair type: for a zero pair it is the transposition.
 
 An ordered collection is numerically exceptional when its Gram matrix
-chi(E_i, E_j) has unit diagonal and zeros below.  One check goes into a
-move and one comes out: ``mutate_pair`` checks its input pair, which
-yields chi(E,F), and ``certify`` re-verifies the Gram matrix after every
-move on a collection, here and in the pipeline.  Nothing caches chi.
+chi(E_i, E_j) has unit diagonal and zeros below.  A collection that has
+passed the full n(n+1)/2-entry scan remembers it, so it is certified once.
+A mutation changes one member: ``mutate_pair`` checks its input pair,
+which yields chi(E,F), and ``mutate_collection`` then checks only the new
+member's Gram row and column, n chi, for 4 + n chi per move on a
+certified collection.  The whole-collection moves of the pipeline
+(rotation, global twist) re-verify the full matrix through ``certify``.
+Nothing caches chi.
 Braid words act letter by letter.  A foundation of length n extends to
 a helix by the twist periodicity  E_{i+sn} = E_i(-sK),  and the helix
 axiom L^(n-1) A_s = A_{s-n} is checked by explicit iterated mutation.
@@ -39,10 +43,10 @@ from __future__ import annotations
 import enum
 import json
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Union
 from .chern import KClass, curve_class, euler_form, line_class, structure_class, twist
-from .errors import InvalidInputError, InvariantViolationError
+from .errors import DomainError, InvalidInputError, InvariantViolationError
 from .pairs import classify_pair, require_exceptional_pair
 from .picard import (
     Surface,
@@ -73,10 +77,17 @@ class Direction(enum.Enum):
 
 @dataclass(frozen=True)
 class Collection:
-    """Ordered list of K-classes on a fixed surface."""
+    """Ordered list of K-classes on a fixed surface.
+
+    ``_certified`` records that the collection passed the full
+    exceptionality certificate.  It takes no part in construction,
+    equality, hashing or JSON; a frozen collection of frozen classes
+    cannot go stale.
+    """
 
     surface: Surface
     members: tuple[KClass, ...]
+    _certified: bool = field(default=False, init=False, compare=False, repr=False)
 
     def __post_init__(self):
         object.__setattr__(self, "members", tuple(self.members))
@@ -88,10 +99,13 @@ class Collection:
         return len(self.members)
 
     def to_json(self) -> dict:
-        return {
-            "surface": self.surface.to_json(),
-            "members": [m.to_json() for m in self.members],
-        }
+        members = []
+        for k, m in enumerate(self.members):
+            try:
+                members.append(m.to_json())
+            except DomainError as exc:
+                raise DomainError(f"member E_{k}: {exc}") from exc
+        return {"surface": self.surface.to_json(), "members": members}
 
     @staticmethod
     def from_json(data: dict) -> "Collection":
@@ -139,14 +153,30 @@ def is_numerically_exceptional(c: Collection) -> tuple[bool, GramViolation | Non
     return True, None
 
 
+def _mark_certified(c: Collection) -> Collection:
+    object.__setattr__(c, "_certified", True)
+    return c
+
+
 def require_numerically_exceptional(c: Collection) -> None:
+    """Raise InvalidInputError naming the first failing Gram entry unless c
+    is numerically exceptional; free on a collection already certified."""
+    if c._certified:
+        return
     ok, violation = is_numerically_exceptional(c)
     if not ok:
-        assert violation is not None
         raise InvalidInputError(
             "collection is not numerically exceptional: "
             f"chi(E_{violation.i}, E_{violation.j}) = {violation.value}"
         )
+    _mark_certified(c)
+
+
+def _broken(operation: str, violation: GramViolation) -> InvariantViolationError:
+    return InvariantViolationError(
+        f"{operation} broke the exceptionality certificate at "
+        f"chi(E_{violation.i}, E_{violation.j}) = {violation.value}"
+    )
 
 
 def certify(c: Collection, operation: str) -> Collection:
@@ -154,11 +184,28 @@ def certify(c: Collection, operation: str) -> Collection:
     otherwise raise, naming the first failing Gram entry."""
     ok, violation = is_numerically_exceptional(c)
     if not ok:
-        raise InvariantViolationError(
-            f"{operation} broke the exceptionality certificate at "
-            f"chi(E_{violation.i}, E_{violation.j}) = {violation.value}"
-        )
-    return c
+        raise _broken(operation, violation)
+    return _mark_certified(c)
+
+
+def _member_violation(c: Collection, q: int) -> GramViolation | None:
+    """The first failing Gram entry in row and column q, in the row-major
+    order of ``is_numerically_exceptional``: chi(N, N), chi(N, E_p) for p
+    before N, chi(E_p, N) for p after it.  n chi for the member N = E_q."""
+    S, members = c.surface, c.members
+    N = members[q]
+    v = euler_form(S, N, N)
+    if v != 1:
+        return GramViolation(q, q, v)
+    for p in range(q):
+        w = euler_form(S, N, members[p])
+        if w != 0:
+            return GramViolation(q, p, w)
+    for p in range(q + 1, len(members)):
+        w = euler_form(S, members[p], N)
+        if w != 0:
+            return GramViolation(p, q, w)
+    return None
 
 
 def sign_normalize(S: Surface, x: KClass) -> KClass:
@@ -201,15 +248,27 @@ def mutate_pair(
 
 def mutate_collection(c: Collection, i: int, direction: Direction) -> Collection:
     """Replace the adjacent pair (E_i, E_{i+1}) by its mutation; 1-based i.
-    The numerically-exceptional certificate is re-verified afterwards."""
+
+    The input must be numerically exceptional: it is certified in full
+    unless it already is (every output of this function is), and refused
+    with InvalidInputError otherwise.  The move changes one member, the
+    new class N (L at position i for a left mutation, R at i+1 for a
+    right one); the other member of the new pair keeps its chi with every
+    other member and its order among them.  So the output is certified by
+    N's Gram row and column alone, n chi on top of ``mutate_pair``'s 4.
+    """
     if not 1 <= i < len(c.members):
         raise InvalidInputError(
             f"mutation position {i} out of range for length {len(c.members)}"
         )
+    require_numerically_exceptional(c)
     E, F = c.members[i - 1], c.members[i]
     new_pair = mutate_pair(c.surface, E, F, direction)
-    members = c.members[: i - 1] + new_pair + c.members[i + 1 :]
-    return certify(Collection(c.surface, members), "mutation")
+    out = Collection(c.surface, c.members[: i - 1] + new_pair + c.members[i + 1 :])
+    violation = _member_violation(out, i - 1 if direction is Direction.LEFT else i)
+    if violation is not None:
+        raise _broken("mutation", violation)
+    return _mark_certified(out)
 
 
 @dataclass(frozen=True)
@@ -237,7 +296,13 @@ class BraidWord:
             m = re.fullmatch(r"([LlRr])(\d+)", token)
             if not m:
                 raise InvalidInputError(f"bad braid letter {token!r}")
-            letters.append((int(m.group(2)), Direction.from_str(m.group(1))))
+            try:
+                position = int(m.group(2))
+            except ValueError as exc:  # past the int-from-string digit limit
+                raise InvalidInputError(
+                    f"braid position of {len(m.group(2))} digits is too long"
+                ) from exc
+            letters.append((position, Direction.from_str(m.group(1))))
         return BraidWord(tuple(letters))
 
 

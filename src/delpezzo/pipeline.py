@@ -321,6 +321,23 @@ def _spread_stage(S: Surface, c: Collection, mults: list[int]):
     return reduced, mults, sub.steps
 
 
+def _group_start(groups: list[list[int]], i: int) -> int:
+    """The rotation j that brings slope group i (1-based) to the front; the
+    first group needs none, so torsion members before it stay in place."""
+    return 1 if i == 1 else groups[i - 1][0] + 1
+
+
+def rotation_start(c: Collection, group_index: int) -> int:
+    """The j that the rotate stage passes to ``rotate_twist`` when it picks
+    slope group ``group_index`` of c."""
+    groups = _slope_groups(c, _validate_members(c))
+    if not 1 <= group_index <= len(groups):
+        raise InvalidInputError(
+            f"group index {group_index} is not one of the {len(groups)} slope groups"
+        )
+    return _group_start(groups, group_index)
+
+
 def _rotate_stage(S: Surface, c: Collection, mults: list[int]):
     positive = _validate_members(c)
     if not positive:
@@ -328,7 +345,7 @@ def _rotate_stage(S: Surface, c: Collection, mults: list[int]):
     groups = _slope_groups(c, positive)
     group_classes = [weighted_sum((c.members[p], mults[p]) for p in g) for g in groups]
     i, window = rotation_index(S, group_classes, S.d)
-    j = 1 if i == 1 else groups[i - 1][0] + 1
+    j = _group_start(groups, i)
     if j > 1 and any(m.r == 0 for m in c.members[: j - 1]):
         raise DomainError("rotation would twist torsion members")
     rotated = rotate_twist(c, j)

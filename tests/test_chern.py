@@ -66,6 +66,35 @@ class TestKClass:
                 assert back == E
                 assert hash(back) == hash(E)
 
+    @pytest.mark.parametrize("two_ch2", range(-7, 8))
+    def test_json_ch2_in_lowest_terms(self, two_ch2):
+        E = KClass(0, divisor(two_ch2 % 2), two_ch2)
+        ch2 = Fraction(two_ch2, 2)
+        assert E.to_json()["ch2"] == f"{ch2.numerator}/{ch2.denominator}"
+
+    @pytest.mark.parametrize(
+        "r, c1, two_ch2",
+        [
+            (10**4300, (0,), 0),
+            (-(10**4300), (0,), 0),
+            (1, (2 * 10**4300,), 0),
+            (1, (0, -(2 * 10**4300)), 0),
+            (0, (0,), 2 * 10**4300),
+            (0, (1,), 10**4301 + 1),
+        ],
+        ids=["rank", "negative-rank", "c1", "c1-e", "ch2", "half-ch2"],
+    )
+    def test_json_refuses_integers_past_the_digit_limit(self, r, c1, two_ch2):
+        with pytest.raises(DomainError, match="more than 4300 digits"):
+            KClass(r, divisor(*c1), two_ch2).to_json()
+
+    def test_json_writes_integers_up_to_the_digit_limit(self):
+        big = 10**4300 - 1
+        # 2*ch2 has 4301 digits; the ch2 written is big/1.
+        E = KClass(-big, divisor(big - 1, 1 - big), 2 * big)
+        assert len(E.to_json()["ch2"]) == 4302
+        assert KClass.from_json(E.to_json()) == E
+
 
 class TestEulerForm:
     def test_structure_sheaf_self_pairing(self):

@@ -270,6 +270,67 @@ class TestCollectionCommands:
         assert "invalid input" in err
 
 
+NOT_EXCEPTIONAL_P2 = json.dumps(
+    {"surface": {"blowups": 0}, "members": [json.loads(x) for x in (O_P2, OH_P2, O_P2)]}
+)
+
+
+class TestRefusals:
+    """Bad input exits 1 and an answer too large to write exits 2, each with
+    a message and never a traceback."""
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["mutate", "--collection", NOT_EXCEPTIONAL_P2, "--pos", "1", "--dir", "left"],
+            ["mutate", "--collection", NOT_EXCEPTIONAL_P2, "--pos", "2", "--dir", "right"],
+            ["braid", "--collection", NOT_EXCEPTIONAL_P2, "--word", "R1 L2"],
+        ],
+        ids=["mutate-left", "mutate-right", "braid"],
+    )
+    def test_non_exceptional_input_exits_one(self, argv):
+        code, out, err = invoke_process(*argv)
+        assert code == 1, out
+        assert "invalid input: collection is not numerically exceptional" in err
+        assert "chi(E_2, E_0) = 1" in err
+        assert "Traceback" not in err
+
+    def test_long_braid_position_exits_one(self):
+        collection = json.dumps(p2_basic().to_json())
+        code, out, err = invoke_process(
+            "braid", "--collection", collection, "--word", "L" + "9" * 5000
+        )
+        assert code == 1, out
+        assert "invalid input: braid position of 5000 digits" in err
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize("with_out", [False, True])
+    def test_oversized_braid_answer_exits_two(self, tmp_path, with_out):
+        # Rank and ch2 digit counts grow about 2.6x per "L1 R2"; after 11 of
+        # them they pass the 4300-digit int-to-string limit.
+        argv = ["braid", "--collection", json.dumps(p2_basic().to_json())]
+        argv += ["--word", " ".join(["L1 R2"] * 11)]
+        log_path = tmp_path / "braid.jsonl"
+        if with_out:
+            argv += ["--out", str(log_path)]
+        code, out, err = invoke_process(*argv)
+        assert code == 2
+        assert out == ""
+        assert "domain error: member E_" in err
+        assert "more than 4300 digits" in err
+        assert "Traceback" not in err
+        assert not log_path.exists()
+
+    def test_oversized_chi_exits_two(self):
+        big = '{"r":1,"c1":[%s],"ch2":"1/2"}' % ("9" * 3000)
+        code, out, err = invoke_process(
+            "chi", "--surface", '{"blowups":0}', "--e", big, "--f", big
+        )
+        assert code == 2, out
+        assert "domain error: answer too large to write" in err
+        assert "Traceback" not in err
+
+
 class TestHN:
     def test_coarsen(self, capsys):
         graded = {

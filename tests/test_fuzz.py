@@ -1,12 +1,21 @@
-"""Fuzz the JSON readers: every generated document either decodes or is
-refused with InvalidInputError or DomainError, never another exception.
+"""Fuzz the JSON readers and the CLI: every generated document either
+decodes or is refused with InvalidInputError or DomainError, and every
+generated command line exits 0, 1 or 2; no other exception escapes.
 
 Documents are arbitrary JSON values, and valid documents written by the
 library with one node replaced by an arbitrary JSON value or deleted, so
 that the edits reach the checks behind the outer schema.  Log steps are
-decoded and then replayed by ``recompute_step``.  The runs are
+decoded and then replayed by ``recompute_step``.  Command lines give each
+command's flags fuzzed values (JSON documents, braid words, positions,
+directions, small integers) or leave them out.  The runs are
 derandomized and bounded, so the suite stays deterministic.
 """
+
+import contextlib
+import io
+import json
+import os
+import tempfile
 
 import pytest
 from _helpers import braid_log, p2_basic, scrambled_log
@@ -25,6 +34,7 @@ from delpezzo import (
     enumerate_roots,
     structure_class,
 )
+from delpezzo import cli
 from delpezzo.logs import recompute_step
 
 FUZZ = settings(
@@ -126,3 +136,79 @@ def test_reader_decodes_or_refuses(read, valid):
         decodes_or_refuses(read, doc)
 
     check()
+
+
+# ------------------------------------------------------------ CLI argv
+
+OUT = "out.jsonl"  # written inside a temporary directory
+
+
+def _json_arg(valid: list):
+    """A valid document as often as an edited or arbitrary one, so that most
+    calls get past their JSON arguments to the other flags."""
+    return (st.sampled_from(valid) | documents(valid)).map(json.dumps)
+
+
+NOT_EXCEPTIONAL = Collection(
+    Surface(0), tuple(structure_class(Surface(0)) for _ in range(2))
+).to_json()
+COLLECTIONS = VALID["collection"] + [basic_collection(Surface(1)).to_json(), NOT_EXCEPTIONAL]
+LETTER = st.tuples(
+    st.sampled_from("LRlrX"),
+    st.integers(-1, 12).map(str) | st.sampled_from(["", "1.5", "9" * 5000, "٣"]),
+).map("".join)
+FLAG_VALUES = {
+    "surface": _json_arg(VALID["surface"]),
+    "e": _json_arg(VALID["class"]),
+    "f": _json_arg(VALID["class"]),
+    "collection": _json_arg(COLLECTIONS),
+    "graded": _json_arg(VALID["graded"]),
+    "ample": _json_arg([[4, 1, 1], [3, 1, 1]]),
+    "word": st.lists(LETTER, max_size=6).map(" ".join) | st.text("LR12 -", max_size=8),
+    "pos": st.integers(-2, 12).map(str) | st.sampled_from(["x", "1.5", "9" * 5000]),
+    "dir": st.sampled_from(["left", "right", "L", "r", "up", ""]) | st.text(max_size=4),
+    "lo": st.integers(-12, 12).map(str) | st.text(max_size=3),
+    "hi": st.integers(-12, 12).map(str) | st.text(max_size=3),
+    "limit": st.integers(-2, 40).map(str) | st.text(max_size=3),
+    "braid": st.lists(LETTER, max_size=6).map(" ".join),
+    "mults": st.lists(st.integers(-2, 5).map(str), max_size=6).map(",".join),
+    "e_index": st.integers(-2, 10).map(str),
+    "out": st.just(OUT),
+}
+COMMAND_FLAGS = {
+    "chi": ("surface", "e", "f"),
+    "slope": ("surface", "e"),
+    "classify-pair": ("surface", "e", "f"),
+    "roots": ("surface",),
+    "mutate": ("collection", "pos", "dir"),
+    "braid": ("collection", "word", "out"),
+    "helix": ("collection", "lo", "hi"),
+    "gram": ("collection",),
+    "check": ("collection",),
+    "hn": ("graded", "ample"),
+    "markov": ("limit", "braid"),
+    "orbit": ("surface", "e", "f", "limit"),
+    "normalize": ("collection", "mults", "out"),
+    "peel": ("collection", "mults", "e_index", "out"),
+    "descend": ("surface", "e"),
+}
+
+
+@st.composite
+def argvs(draw):
+    """A command with each of its flags given a fuzzed value or left out."""
+    command = draw(st.sampled_from(sorted(COMMAND_FLAGS)))
+    argv = [command]
+    for flag in COMMAND_FLAGS[command]:
+        if draw(st.integers(0, 7)):
+            argv += [f"--{flag.replace('_', '-')}", draw(FLAG_VALUES[flag])]
+    return argv
+
+
+@FUZZ
+@given(argv=argvs())
+def test_cli_exits_0_1_or_2(argv):
+    with tempfile.TemporaryDirectory() as out_dir:
+        argv = [os.path.join(out_dir, OUT) if a == OUT else a for a in argv]
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+            assert cli.run(argv) in (0, 1, 2)

@@ -1,5 +1,5 @@
 import pytest
-from _helpers import braid_log, p2_basic, scrambled_log, surface
+from _helpers import braid_log, line_bundle, p2_basic, scrambled_log, surface
 
 from delpezzo import (
     BraidWord,
@@ -9,10 +9,12 @@ from delpezzo import (
     MutationLog,
     apply_braid,
     basic_collection,
+    is_numerically_exceptional,
     normalize_and_descend,
     replay,
     structure_class,
 )
+from delpezzo import mutation as mutation_module
 from delpezzo.logs import recompute_step
 
 
@@ -160,11 +162,97 @@ class TestStrictDecoding:
         with pytest.raises(InvalidInputError, match="collection"):
             recompute_step(LogStep(kind, step.params, O, step.after))
 
+    @pytest.mark.parametrize("value", [2.0, True, "1", None])
+    @pytest.mark.parametrize("key", ["group_index", "e_index"])
+    def test_recorded_indices_must_be_json_integers(self, key, value):
+        kind = "rotate" if key == "group_index" else "descend"
+        with pytest.raises(InvalidInputError, match="JSON integer"):
+            recompute_step(edited(kind, **{key: value}))
+
+    @pytest.mark.parametrize("e_index", [5, 0, 2, -1])
+    def test_descend_e_index_must_be_the_last_curve(self, e_index):
+        # The d = 1 log descends along e_1; an edited e_index used to replay.
+        assert first_step("descend").params["e_index"] == 1
+        with pytest.raises(InvalidInputError, match="e_index"):
+            recompute_step(edited("descend", e_index=e_index))
+
+    @pytest.mark.parametrize("group_index", [42, 3, 1, 0, -1])
+    def test_rotate_group_index_must_match_j(self, group_index):
+        assert first_step("rotate").params["group_index"] == 2
+        with pytest.raises(InvalidInputError, match="group"):
+            recompute_step(edited("rotate", group_index=group_index))
+
+    @pytest.mark.parametrize(
+        "window", [[7, 9], [2, 1], [1], [1, 2, 3], [1.0, 2], [1, True], "1,2", None]
+    )
+    def test_rotate_window_must_be_two_adjacent_integers(self, window):
+        assert first_step("rotate").params["window"] == [1, 2]
+        with pytest.raises(InvalidInputError, match="window"):
+            recompute_step(edited("rotate", window=window))
+
+    @pytest.mark.parametrize("window", [[0, 0], [-3, -2]])
+    def test_rotate_window_of_one_or_two_degrees_accepted(self, window):
+        # A window [w, w] is what the d = 1 basic collection records.
+        step = edited("rotate", window=window)
+        assert recompute_step(step) == step.after
+
+    @pytest.mark.parametrize("key", ["group_index", "window"])
+    def test_rotate_record_is_whole_or_absent(self, key):
+        step = first_step("rotate")
+        params = {k: v for k, v in step.params.items() if k != key}
+        with pytest.raises(InvalidInputError, match=key):
+            recompute_step(LogStep("rotate", params, step.before, step.after))
+        # A spread-stage rotation records j alone.
+        alone = LogStep("rotate", {"j": step.params["j"]}, step.before, step.after)
+        assert recompute_step(alone) == step.after
+
+    def test_edited_pipeline_log_no_longer_replays(self):
+        log = scrambled_log()
+        for kind, params in [
+            ("rotate", {"window": [7, 9]}),
+            ("rotate", {"group_index": 42}),
+            ("descend", {"e_index": 5}),
+        ]:
+            k = next(i for i, s in enumerate(log.steps) if s.kind == kind)
+            data = log.steps[k].to_json()
+            data["params"].update(params)
+            steps = log.steps[:k] + (LogStep.from_json(data),) + log.steps[k + 1 :]
+            with pytest.raises(InvalidInputError):
+                replay(MutationLog(steps))
+
     def test_descend_on_a_collection_rejected(self):
         step = first_step("descend")
         on_collection = LogStep("descend", step.params, first_step("peel").before, step.after)
         with pytest.raises(InvalidInputError, match="class"):
             recompute_step(on_collection)
+
+
+class TestIncrementalReplay:
+    def test_first_state_must_be_exceptional(self):
+        S = surface(0)
+        O, Oh = structure_class(S), line_bundle(S, 1)
+        c = Collection(S, (O, Oh, O))
+        step = LogStep("mutate", {"position": 1, "direction": "left"}, c, c)
+        with pytest.raises(InvalidInputError, match="not numerically exceptional"):
+            replay(MutationLog((step,)))
+
+    @pytest.mark.parametrize("word", ["R1 L2 R2 L1 R1 R2", "L1"])
+    def test_one_full_scan_per_braid_log(self, monkeypatch, word):
+        scans = []
+
+        def counted(c):
+            scans.append(c)
+            return is_numerically_exceptional(c)
+
+        _, log = apply_braid(basic_collection(surface(3)), BraidWord.parse(word))
+        read = MutationLog.from_jsonl(log.to_jsonl())
+        monkeypatch.setattr(mutation_module, "is_numerically_exceptional", counted)
+        assert replay(read)
+        assert scans == [read.steps[0].before]
+
+    def test_pipeline_log_replays_from_its_first_state(self):
+        log = MutationLog.from_jsonl(scrambled_log().to_jsonl())
+        assert replay(log)
 
 
 class TestChaining:

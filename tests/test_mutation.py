@@ -7,7 +7,9 @@ from delpezzo import (
     BraidWord,
     Collection,
     Direction,
+    DomainError,
     InvalidInputError,
+    InvariantViolationError,
     KClass,
     apply_braid,
     basic_collection,
@@ -23,6 +25,7 @@ from delpezzo import (
 )
 from delpezzo import mutation as mutation_module
 from delpezzo import pairs as pairs_module
+from delpezzo.mutation import certify, require_numerically_exceptional
 from delpezzo.pairs import require_exceptional_pair
 
 
@@ -101,8 +104,8 @@ class TestMutatePair:
             mutate_pair(S, O, O, Direction.LEFT)
 
 
-def scrambled_pairs(d: int, words: int, seed: int):
-    """Adjacent pairs of braid-scrambled basic collections on d blow-ups."""
+def scrambled_collections(d: int, words: int, seed: int, max_letters: int = 6):
+    """Basic collections on d blow-ups after seeded braid words."""
     rng = random.Random(seed)
     c = basic_collection(surface(d))
     n = len(c.members)
@@ -110,11 +113,16 @@ def scrambled_pairs(d: int, words: int, seed: int):
         word = BraidWord(
             tuple(
                 (rng.randint(1, n - 1), rng.choice(list(Direction)))
-                for _ in range(rng.randint(0, 6))
+                for _ in range(rng.randint(0, max_letters))
             )
         )
-        scrambled, _ = apply_braid(c, word)
-        yield from zip(scrambled.members, scrambled.members[1:])
+        yield apply_braid(c, word)[0]
+
+
+def scrambled_pairs(d: int, words: int, seed: int):
+    """Adjacent pairs of braid-scrambled basic collections on d blow-ups."""
+    for c in scrambled_collections(d, words, seed):
+        yield from zip(c.members, c.members[1:])
 
 
 class TestMutatePairOutput:
@@ -176,6 +184,116 @@ class TestMutateCollection:
             mutate_collection(c, 3, Direction.LEFT)
         with pytest.raises(InvalidInputError):
             mutate_collection(c, 0, Direction.LEFT)
+
+
+class TestIncrementalCertificate:
+    """mutate_collection certifies its input once and its output by the new
+    member's Gram row and column alone."""
+
+    @pytest.mark.parametrize("d", range(9))
+    def test_every_output_passes_the_full_scan(self, d):
+        rng = random.Random(200 + d)
+        for c in scrambled_collections(d, 6, seed=300 + d, max_letters=8):
+            for _ in range(6):
+                i = rng.randint(1, len(c.members) - 1)
+                c = mutate_collection(c, i, rng.choice(list(Direction)))
+                assert is_numerically_exceptional(c) == (True, None)
+
+    @pytest.mark.parametrize("direction", list(Direction))
+    @pytest.mark.parametrize("i", [1, 2, 3])
+    def test_wrong_new_class_is_caught_at_the_first_failing_entry(
+        self, monkeypatch, i, direction
+    ):
+        S = surface(1)
+        c = basic_collection(S)
+        O, Oh = structure_class(S), line_bundle(S, 1, 0)
+        for wrong in (O, Oh, 2 * O, c.members[0], line_bundle(S, 0, 1)):
+            def broken(S, E, F, direction, wrong=wrong):
+                return (wrong, E) if direction is Direction.LEFT else (F, wrong)
+
+            monkeypatch.setattr(mutation_module, "mutate_pair", broken)
+            out = broken(S, c.members[i - 1], c.members[i], direction)
+            members = c.members[: i - 1] + out + c.members[i + 1 :]
+            # The incremental check names the entry the full scan names.
+            with pytest.raises(InvariantViolationError) as full:
+                certify(Collection(S, members), "mutation")
+            with pytest.raises(InvariantViolationError) as incremental:
+                mutate_collection(c, i, direction)
+            assert str(incremental.value) == str(full.value)
+            assert "mutation broke the exceptionality certificate at chi(E_" in str(
+                incremental.value
+            )
+
+    @pytest.mark.parametrize("d, n", [(0, 3), (3, 6), (8, 11)])
+    def test_four_plus_n_chi_per_mutation(self, monkeypatch, d, n):
+        calls = []
+
+        def counted(S, E, F):
+            calls.append((E, F))
+            return euler_form(S, E, F)
+
+        c = basic_collection(surface(d))
+        require_numerically_exceptional(c)
+        for module in (pairs_module, mutation_module):
+            monkeypatch.setattr(module, "euler_form", counted)
+        rng = random.Random(n)
+        for _ in range(20):
+            calls.clear()
+            c = mutate_collection(c, rng.randint(1, n - 1), rng.choice(list(Direction)))
+            assert len(c.members) == n
+            assert len(calls) == 4 + n, calls
+
+    def test_uncertified_input_is_scanned_once(self, monkeypatch):
+        scans = []
+
+        def counted(c):
+            scans.append(c)
+            return is_numerically_exceptional(c)
+
+        monkeypatch.setattr(mutation_module, "is_numerically_exceptional", counted)
+        out, _ = apply_braid(p2_basic(), BraidWord.parse("L1 R2 L2 R1"))
+        assert scans == [p2_basic()]
+        assert is_numerically_exceptional(out)[0]
+
+    def test_non_exceptional_input_refused_before_the_move(self):
+        S = surface(0)
+        O, Oh = structure_class(S), line_bundle(S, 1)
+        c = Collection(S, (O, Oh, O))
+        for i in (1, 2):
+            for direction in Direction:
+                with pytest.raises(
+                    InvalidInputError,
+                    match=r"not numerically exceptional: chi\(E_2, E_0\) = 1",
+                ):
+                    mutate_collection(c, i, direction)
+
+    def test_flag_is_not_part_of_the_value(self):
+        plain = p2_basic()
+        certified = p2_basic()
+        require_numerically_exceptional(certified)
+        assert certified._certified and not plain._certified
+        assert plain == certified
+        assert hash(plain) == hash(certified)
+        assert plain.to_json() == certified.to_json()
+        assert repr(plain) == repr(certified)
+        assert len({plain, certified}) == 1
+        with pytest.raises(TypeError):
+            Collection(plain.surface, plain.members, True)
+
+    def test_only_certification_sets_the_flag(self):
+        c = p2_basic()
+        assert is_numerically_exceptional(c)[0]
+        assert not c._certified
+        assert Collection.from_json(c.to_json())._certified is False
+        assert certify(c, "test")._certified
+        assert mutate_collection(p2_basic(), 1, Direction.LEFT)._certified
+
+    def test_failed_certification_leaves_the_flag_unset(self):
+        S = surface(0)
+        c = Collection(S, (structure_class(S),) * 2)
+        with pytest.raises(InvalidInputError):
+            require_numerically_exceptional(c)
+        assert not c._certified
 
 
 class TestBraid:
@@ -307,3 +425,19 @@ class TestGramAndCertificate:
         assert base != 0
         for c in braid_orbit_states(4):
             assert abs(det3(c)) == base
+
+
+class TestSizeBudget:
+    def test_oversized_member_is_named(self):
+        S = surface(0)
+        huge = KClass(10**4300, divisor(0), 0)
+        c = Collection(S, (structure_class(S), huge))
+        with pytest.raises(DomainError, match=r"member E_1: .*more than 4300 digits"):
+            c.to_json()
+
+    def test_oversized_braid_result_refused_when_written(self):
+        out, log = apply_braid(p2_basic(), BraidWord.parse(" ".join(["L1 R2"] * 11)))
+        assert is_numerically_exceptional(out)[0]
+        for write in (out.to_json, log.to_jsonl):
+            with pytest.raises(DomainError, match="more than 4300 digits"):
+                write()
