@@ -43,6 +43,18 @@ from .picard import (
 from .stability import GradedObject, hn_coarsen, vector_slope
 
 
+# The most classes one answer may list.  A helix range or an orbit limit
+# that asks for more is refused (exit 2) before any class is computed.
+_MAX_CLASSES = 1000
+
+
+def _check_class_budget(what: str, count: int) -> None:
+    if count > _MAX_CLASSES:
+        raise DomainError(
+            f"{what} asks for {count} classes; an answer lists at most {_MAX_CLASSES}"
+        )
+
+
 class _ArgumentError(InvalidInputError):
     pass
 
@@ -158,6 +170,7 @@ def _cmd_braid(args) -> None:
 
 def _cmd_helix(args) -> None:
     c = _collection(args)
+    _check_class_budget(f"helix range [{args.lo}, {args.hi}]", args.hi - args.lo + 1)
     classes = helix_extend(c, args.lo, args.hi)
     _emit(
         {
@@ -220,7 +233,9 @@ def _cmd_markov(args) -> None:
 
 def _cmd_orbit(args) -> None:
     S = _surface(args)
-    orbit = pair_orbit(S, _kclass(args.e), _kclass(args.f), args.limit or 5)
+    E, F, n = _kclass(args.e), _kclass(args.f), args.limit or 5
+    _check_class_budget(f"orbit limit {n}", 2 * n + 2)
+    orbit = pair_orbit(S, E, F, n)
     _emit(
         {
             "h": orbit.h,

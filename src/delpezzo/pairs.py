@@ -1,13 +1,18 @@
 """Classification of numerically exceptional pairs and restriction data.
 
 A pair (E, F) of positive-rank classes with chi(E,E) = chi(F,F) = 1 and
-chi(F,E) = 0 falls into exactly one of four types, decided by the
-anticanonical slope and, at equal slopes, by whether the difference
-C = c1(F) - c1(E) is a connected effective -2-class:
+chi(F,E) = 0 falls into exactly one of four types.  The antisymmetric
+part of Riemann-Roch is
 
-    mu(E) < mu(F)   hom   (dim chi(E,F) > 0)
-    mu(E) > mu(F)   ext   (dim -chi(E,F) > 0)
-    mu(E) = mu(F)   singular if C is a connected effective root, else zero
+    chi(E,F) - chi(F,E) = rE*rF*(mu(F) - mu(E)),   mu = H.c1/r,
+
+with H the anticanonical class, so with chi(F,E) = 0 the sign of
+chi(E,F) is the slope order and no slope need be computed:
+
+    chi(E,F) > 0   hom   (mu(E) < mu(F), dim chi(E,F))
+    chi(E,F) < 0   ext   (mu(E) > mu(F), dim -chi(E,F))
+    chi(E,F) = 0   singular if C = c1(F) - c1(E) is a connected
+                   effective root, else zero (mu(E) = mu(F))
 
 The classification trusts the chi-level preconditions as certifying
 genuine exceptionality; outputs are "numerically" hom/ext/..., nothing
@@ -25,7 +30,7 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass
 
-from .chern import KClass, euler_form, slope_mu, twist
+from .chern import KClass, euler_form, slope_mu
 from .errors import DomainError, InvalidInputError, InvariantViolationError
 from .picard import (
     Surface,
@@ -98,20 +103,17 @@ def require_exceptional_pair(S: Surface, E: KClass, F: KClass) -> int:
 
 
 def classify_pair(S: Surface, E: KClass, F: KClass) -> PairType:
-    """Type of the numerically exceptional pair (E, F) of positive ranks."""
+    """Type of the numerically exceptional pair (E, F) of positive ranks.
+
+    The pair check yields chi(E,F) = rE*rF*(mu(F) - mu(E)), whose sign
+    decides hom, ext or equal slopes; only the equal-slope case reads the
+    lattice."""
     if E.r <= 0 or F.r <= 0:
         raise InvalidInputError("not a numerically exceptional pair: rank <= 0")
     chi_ef = require_exceptional_pair(S, E, F)
-    H = S.anticanonical_class()
-    mu_e = slope_mu(S, E, H)
-    mu_f = slope_mu(S, F, H)
-    if mu_e < mu_f:
-        if chi_ef <= 0:
-            raise InvariantViolationError("hom pair with chi(E,F) <= 0")
+    if chi_ef > 0:
         return PairType.hom(chi_ef)
-    if mu_e > mu_f:
-        if chi_ef >= 0:
-            raise InvariantViolationError("ext pair with chi(E,F) >= 0")
+    if chi_ef < 0:
         return PairType.ext(-chi_ef)
     C = F.c1 - E.c1
     if C.is_zero():
@@ -196,6 +198,8 @@ def rotation_index(
 
     Returns (i, (lo, hi)), the 1-based index and the observed degree
     window.  Requires the anticanonical slopes to be strictly increasing.
+    No twisted copy is built: -K.e_i = 1, so twisting by -K adds r to the
+    restriction degree and raises every splitting degree by exactly one.
     """
     if not classes:
         raise InvalidInputError("rotation index needs a nonempty list")
@@ -203,12 +207,10 @@ def rotation_index(
     slopes = [slope_mu(S, c, H) for c in classes]
     if any(a >= b for a, b in zip(slopes, slopes[1:])):
         raise DomainError("rotation index needs strictly increasing slopes")
-    minus_k = -canonical_divisor(S.d)
+    own = [splitting_degrees(c.r, restriction_degree(S, c, e_index)) for c in classes]
+    twisted = [{x + 1 for x in g} for g in own]
     for i in range(1, len(classes) + 1):
-        rotated = classes[i - 1 :] + [twist(S, c, minus_k) for c in classes[: i - 1]]
-        degrees: set[int] = set()
-        for c in rotated:
-            degrees |= splitting_degrees(c.r, restriction_degree(S, c, e_index))
+        degrees = set().union(*own[i - 1 :], *twisted[: i - 1])
         if max(degrees) - min(degrees) <= 1:
             return i, (min(degrees), max(degrees))
     raise DomainError("no rotation gives a zero-type degree window")

@@ -15,10 +15,14 @@ replayable ``LogStep``.  Multiplicities of the accumulated class are
 caller-supplied (they are not determined by K-theory data) and are
 carried positionally through the pipeline.
 
-Rank-0 members are accepted when they are multiples of the peel-curve
-class [O_{e_d}(-1)]: the basic collections contain them and the peel
-identity strips them along with the bundle layer.  Slope stages hold
-them fixed; moves that would twist them are refused rather than guessed.
+Each stage reads a collection's members once, through ``_slopes``: it
+checks every member and gives its anticanonical slope, None for a
+torsion member, and runs again only after a move.  Rank-0 members are
+accepted when they are multiples k*[O_{e_i}(-1)] of a blow-up curve
+class, read off the coordinates (c1 is -k at e_i and zero elsewhere,
+2*ch2 = -k): the basic collections contain them and the peel identity
+strips them along with the bundle layer.  Slope stages hold them fixed;
+moves that would twist them are refused rather than guessed.
 """
 
 from __future__ import annotations
@@ -30,7 +34,6 @@ from .chern import (
     curve_class,
     descend_class,
     euler_form,
-    slope_mu,
     twist,
     weighted_sum,
 )
@@ -55,48 +58,45 @@ from .picard import (
     DivisorClass,
     Surface,
     canonical_divisor,
+    dot,
     exceptional_divisor,
     intersect,
 )
 
 
-def _torsion_multiplicity(S: Surface, E: KClass) -> tuple[int, int] | None:
-    """(e_index, k) if E = k * [O_{e_i}(-1)] for some blow-up curve e_i,
-    else None.  Raises for rank-0 classes of any other shape."""
-    if E.r != 0:
-        return None
-    for i in range(1, S.d + 1):
-        unit = curve_class(S, i, -1)
-        coeff = -E.c1.coeffs[i]
-        if coeff >= 1 and E == coeff * unit:
-            return i, coeff
+def _torsion_multiplicity(E: KClass) -> tuple[int, int]:
+    """(i, k) for the rank-0 class E = k * [O_{e_i}(-1)], k >= 1: c1 is -k
+    at coordinate i and zero elsewhere, and 2*ch2 = -k.  Raises for rank-0
+    classes of any other shape."""
+    coeffs, k = E.c1.coeffs, -E.two_ch2
+    support = [i for i, x in enumerate(coeffs) if x]
+    if k >= 1 and len(support) == 1 and support[0] >= 1 and coeffs[support[0]] == -k:
+        return support[0], k
     raise DomainError(
         f"rank-0 member ({E.r}, {E.c1.coeffs}, {E.ch2}) is not a multiple of a "
         "curve class O_e(-1); the pipeline cannot place it"
     )
 
 
-def _validate_members(c: Collection) -> list[int]:
-    """Positions (0-based) of the positive-rank members; torsion members
-    must be peel-curve multiples."""
-    positive = []
-    for pos, m in enumerate(c.members):
+def _slopes(c: Collection) -> list[Fraction | None]:
+    """Each member's anticanonical slope, None for a torsion member, after
+    checking that every rank is non-negative and every torsion member is a
+    multiple k*[O_{e_i}(-1)] of a blow-up curve class."""
+    H = c.surface.anticanonical_class()
+    slopes: list[Fraction | None] = []
+    for m in c.members:
         if m.r < 0:
             raise InvalidInputError("pipeline members need non-negative rank")
-        if m.r > 0:
-            positive.append(pos)
+        if m.r == 0:
+            _torsion_multiplicity(m)
+            slopes.append(None)
         else:
-            _torsion_multiplicity(c.surface, m)
-    return positive
+            slopes.append(Fraction(dot(H, m.c1), m.r))
+    return slopes
 
 
-def _mu(c: Collection, pos: int) -> Fraction:
-    return slope_mu(c.surface, c.members[pos], c.surface.anticanonical_class())
-
-
-def _slope_window(c: Collection, positive: list[int]) -> tuple[Fraction, Fraction]:
-    mus = [_mu(c, p) for p in positive]
-    return min(mus), max(mus)
+def _bundle_slopes(slopes: list[Fraction | None]) -> list[Fraction]:
+    return [mu for mu in slopes if mu is not None]
 
 
 def order_hom(c: Collection) -> tuple[Collection, MutationLog]:
@@ -105,45 +105,48 @@ def order_hom(c: Collection) -> tuple[Collection, MutationLog]:
     members are held fixed; a descent split by a torsion member cannot be
     repaired by adjacent mutations and is refused."""
     require_numerically_exceptional(c)
-    positive = _validate_members(c)
+    slopes = _slopes(c)
+    mus = _bundle_slopes(slopes)
+    if not mus:
+        return c, MutationLog(())
+    lo0, hi0 = min(mus), max(mus)
+    guard = len(c.members) ** 2 + len(c.members) + 1
     steps: list[LogStep] = []
     current = c
-    if positive:
-        lo0, hi0 = _slope_window(current, positive)
-        guard = len(c.members) ** 2 + len(c.members) + 1
-        while True:
-            descent = None
-            for pos in range(len(current.members) - 1):
-                a, b = current.members[pos], current.members[pos + 1]
-                if a.r > 0 and b.r > 0 and _mu(current, pos) > _mu(current, pos + 1):
-                    descent = pos
-                    break
-            if descent is None:
-                break
-            if guard == 0:
-                raise InvariantViolationError("hom-ordering failed to terminate")
-            guard -= 1
-            new = mutate_collection(current, descent + 1, Direction.LEFT)
-            steps.append(
-                LogStep(
-                    kind="mutate",
-                    params={"position": descent + 1, "direction": "left"},
-                    before=current,
-                    after=new,
-                )
-            )
-            current = new
-        positive = [p for p, m in enumerate(current.members) if m.r > 0]
-        mus = [_mu(current, p) for p in positive]
-        if any(x > y for x, y in zip(mus, mus[1:])):
-            raise DomainError(
-                "descending slopes around a fixed torsion member cannot be "
-                "hom-ordered by adjacent mutations"
-            )
-        lo1, hi1 = _slope_window(current, positive)
-        if lo1 < lo0 or hi1 > hi0:
-            raise InvariantViolationError("hom-ordering widened the slope window")
+    while True:
+        descents = [
+            p
+            for p, (a, b) in enumerate(zip(slopes, slopes[1:]))
+            if a is not None and b is not None and a > b
+        ]
+        if not descents:
+            break
+        if guard == 0:
+            raise InvariantViolationError("hom-ordering failed to terminate")
+        guard -= 1
+        params = {"position": descents[0] + 1, "direction": "left"}
+        new = mutate_collection(current, descents[0] + 1, Direction.LEFT)
+        steps.append(LogStep("mutate", params, current, new))
+        current = new
+        slopes = _slopes(current)
+    mus = _bundle_slopes(slopes)
+    if any(x > y for x, y in zip(mus, mus[1:])):
+        raise DomainError(
+            "descending slopes around a fixed torsion member cannot be "
+            "hom-ordered by adjacent mutations"
+        )
+    if min(mus) < lo0 or max(mus) > hi0:
+        raise InvariantViolationError("hom-ordering widened the slope window")
     return current, MutationLog(tuple(steps))
+
+
+def _ordered(c: Collection, steps: list[LogStep]) -> Collection:
+    """``order_hom`` of c, recorded in steps as one "order" step when it
+    moves anything."""
+    ordered, sub = order_hom(c)
+    if len(sub):
+        steps.append(LogStep("order", {}, c, ordered))
+    return ordered
 
 
 def rotate_twist(c: Collection, j: int) -> Collection:
@@ -170,47 +173,32 @@ def reduce_spread(c: Collection) -> tuple[Collection, MutationLog]:
     """Rotate-and-twist, re-ordering in between, until the slope window is
     narrower than K^2.  Output is hom-ordered."""
     require_numerically_exceptional(c)
-    positive = _validate_members(c)
-    if not positive:
+    mus = _bundle_slopes(_slopes(c))
+    if not mus:
         return c, MutationLog(())
-    mus = [_mu(c, p) for p in positive]
     if any(x > y for x, y in zip(mus, mus[1:])):
         raise InvalidInputError("reduce_spread needs a hom-ordered collection")
     k2 = c.surface.k_squared
     steps: list[LogStep] = []
     current = c
-    lo, hi = _slope_window(current, positive)
-    cap = int((hi - lo) / k2) + len(c.members) + 8
+    cap = int((max(mus) - min(mus)) / k2) + len(c.members) + 8
     for _ in range(cap):
-        positive = [p for p, m in enumerate(current.members) if m.r > 0]
-        lo, hi = _slope_window(current, positive)
+        lo, hi = min(mus), max(mus)
         if hi - lo < k2:
             return current, MutationLog(tuple(steps))
-        if len(positive) != len(current.members):
-            raise DomainError(
-                "slope-window reduction would twist torsion members"
-            )
-        base = _mu(current, positive[0])
+        if len(mus) != len(current.members):
+            raise DomainError("slope-window reduction would twist torsion members")
+        # Every member has positive rank from here on, so the slopes index
+        # the members.
         if hi - lo > k2:
-            j = next(
-                p + 1 for p in positive if _mu(current, p) > base + k2
-            )
+            j = next(p + 1 for p, mu in enumerate(mus) if mu > mus[0] + k2)
         else:
             # Window exactly K^2: rotate just past the lowest slope level.
-            j = next(
-                p + 2
-                for p, q in zip(positive, positive[1:])
-                if _mu(current, p) < _mu(current, q)
-            )
+            j = next(p + 2 for p, (x, y) in enumerate(zip(mus, mus[1:])) if x < y)
         rotated = rotate_twist(current, j)
-        steps.append(
-            LogStep(kind="rotate", params={"j": j}, before=current, after=rotated)
-        )
-        current = rotated
-        ordered, sub = order_hom(current)
-        if len(sub) > 0:
-            steps.append(LogStep(kind="order", params={}, before=current, after=ordered))
-        current = ordered
+        steps.append(LogStep("rotate", {"j": j}, current, rotated))
+        current = _ordered(rotated, steps)
+        mus = _bundle_slopes(_slopes(current))
     raise PipelineError(
         "spread",
         f"window reduction did not terminate within {cap} rounds "
@@ -225,13 +213,11 @@ def _forbidden_pair_guard(c: Collection, e_index: int) -> None:
     if S.k_squared != 1:
         return
     shift = exceptional_divisor(S.d, e_index) + canonical_divisor(S.d)
-    for i, E in enumerate(c.members):
-        if E.r != 1:
-            continue
-        for j, F in enumerate(c.members):
-            if i == j or F.r != 1:
-                continue
-            if F == twist(S, E, shift):
+    line_bundles = [(i, E) for i, E in enumerate(c.members) if E.r == 1]
+    for i, E in line_bundles:
+        shifted = twist(S, E, shift)
+        for j, F in line_bundles:
+            if i != j and F == shifted:
                 raise ExcludedPairError(
                     f"members {i} and {j} form a rank-1 pair twisted by e + K "
                     "on a K^2 = 1 surface"
@@ -246,11 +232,8 @@ def _member_degrees(c: Collection, e_index: int) -> set[int]:
     for m in c.members:
         if m.r > 0:
             degrees |= splitting_degrees(m.r, restriction_degree(c.surface, m, e_index))
-        else:
-            info = _torsion_multiplicity(c.surface, m)
-            assert info is not None
-            if info[0] == e_index:
-                degrees.add(-1)
+        elif _torsion_multiplicity(m)[0] == e_index:
+            degrees.add(-1)
     return degrees
 
 
@@ -264,7 +247,7 @@ def peel_curve(
     chi(G, [O_e(-1)]) = 0: G is descent-ready.
     """
     require_numerically_exceptional(c)
-    _validate_members(c)
+    _slopes(c)
     if len(mults) != len(c.members):
         raise InvalidInputError("one multiplicity per member is required")
     if any(not isinstance(m, int) or m < 1 for m in mults):
@@ -291,20 +274,17 @@ def peel_curve(
         or euler_form(S, L, F) != -beta
     ):
         raise InvariantViolationError("peel output failed its exact identities")
-    step = LogStep(
-        kind="peel",
-        params={"mults": list(mults), "e_index": e_index, "alpha": alpha},
-        before=c,
-        after=G,
-    )
-    return G, alpha, MutationLog((step,))
+    params = {"mults": list(mults), "e_index": e_index, "alpha": alpha}
+    return G, alpha, MutationLog((LogStep("peel", params, c, G),))
 
 
-def _slope_groups(c: Collection, positive: list[int]) -> list[list[int]]:
+def _slope_groups(slopes: list[Fraction | None]) -> list[list[int]]:
     """Contiguous runs of equal slope among the positive-rank members."""
     groups: list[list[int]] = []
-    for p in positive:
-        if groups and _mu(c, groups[-1][-1]) == _mu(c, p):
+    for p, mu in enumerate(slopes):
+        if mu is None:
+            continue
+        if groups and slopes[groups[-1][-1]] == mu:
             groups[-1].append(p)
         else:
             groups.append([p])
@@ -312,8 +292,8 @@ def _slope_groups(c: Collection, positive: list[int]) -> list[list[int]]:
 
 
 def _order_stage(S: Surface, c: Collection, mults: list[int]):
-    ordered, sub = order_hom(c)
-    return ordered, mults, [LogStep("order", {}, c, ordered)] if len(sub) else []
+    steps: list[LogStep] = []
+    return _ordered(c, steps), mults, steps
 
 
 def _spread_stage(S: Surface, c: Collection, mults: list[int]):
@@ -330,7 +310,7 @@ def _group_start(groups: list[list[int]], i: int) -> int:
 def rotation_start(c: Collection, group_index: int) -> int:
     """The j that the rotate stage passes to ``rotate_twist`` when it picks
     slope group ``group_index`` of c."""
-    groups = _slope_groups(c, _validate_members(c))
+    groups = _slope_groups(_slopes(c))
     if not 1 <= group_index <= len(groups):
         raise InvalidInputError(
             f"group index {group_index} is not one of the {len(groups)} slope groups"
@@ -339,10 +319,9 @@ def rotation_start(c: Collection, group_index: int) -> int:
 
 
 def _rotate_stage(S: Surface, c: Collection, mults: list[int]):
-    positive = _validate_members(c)
-    if not positive:
+    groups = _slope_groups(_slopes(c))
+    if not groups:
         raise DomainError("the pipeline needs at least one positive-rank member")
-    groups = _slope_groups(c, positive)
     group_classes = [weighted_sum((c.members[p], mults[p]) for p in g) for g in groups]
     i, window = rotation_index(S, group_classes, S.d)
     j = _group_start(groups, i)

@@ -15,16 +15,29 @@ from fractions import Fraction
 from delpezzo import (
     BraidWord,
     Collection,
+    Direction,
     DivisorClass,
+    DomainError,
+    InvalidInputError,
     KClass,
     MutationLog,
+    PairKind,
     Surface,
     anticanonical_divisor,
     apply_braid,
     basic_collection,
+    canonical_divisor,
+    compare_slope,
+    euler_form,
+    intersect,
+    line_class,
+    mutate_collection,
     normalize_and_descend,
+    slope_mu,
     structure_class,
+    twist,
 )
+from delpezzo.pairs import restriction_degree, splitting_degrees
 
 
 def surface(d: int, roots=()) -> Surface:
@@ -36,10 +49,7 @@ def divisor(*coeffs: int) -> DivisorClass:
 
 
 def line_bundle(S: Surface, *coeffs: int) -> KClass:
-    D = DivisorClass(tuple(coeffs))
-    from delpezzo import line_class
-
-    return line_class(S, D)
+    return line_class(S, DivisorClass(tuple(coeffs)))
 
 
 def random_kclass(rng: random.Random, d: int, max_rank: int = 6) -> KClass:
@@ -47,8 +57,6 @@ def random_kclass(rng: random.Random, d: int, max_rank: int = 6) -> KClass:
     r = rng.randint(1, max_rank)
     c1 = DivisorClass(tuple(rng.randint(-5, 5) for _ in range(d + 1)))
     c2 = rng.randint(-10, 10)
-    from delpezzo import intersect
-
     return KClass(r, c1, intersect(Surface(d), c1, c1) - 2 * c2)
 
 
@@ -59,8 +67,6 @@ def oracle_chi_product_form(S: Surface, E: KClass, F: KClass) -> Fraction:
     """Riemann-Roch in product shape:
     rE rF (chi(O) + (mu(F) - mu(E))/2 + q(F) + q(E) - c1E.c1F/(rE rF)),
     with chi(O) = 1, mu = H.c1/r, q = ch2/r.  Needs nonzero ranks."""
-    from delpezzo import intersect
-
     H = anticanonical_divisor(S.d)
     mu_e = Fraction(intersect(S, H, E.c1), E.r)
     mu_f = Fraction(intersect(S, H, F.c1), F.r)
@@ -68,6 +74,40 @@ def oracle_chi_product_form(S: Surface, E: KClass, F: KClass) -> Fraction:
     q_f = Fraction(F.ch2, F.r)
     dot_c1 = Fraction(intersect(S, E.c1, F.c1), E.r * F.r)
     return E.r * F.r * (1 + Fraction(mu_f - mu_e, 2) + q_f + q_e - dot_c1)
+
+
+def oracle_rotation_index(
+    S: Surface, classes: list[KClass], e_index: int
+) -> tuple[int, tuple[int, int]]:
+    """The rotate-and-twist index by its definition: build each rotation
+    (E_i, ..., E_m, E_1(-K), ..., E_{i-1}(-K)) with explicit twists and
+    read the splitting degrees of every class in it."""
+    if not classes:
+        raise InvalidInputError("rotation index needs a nonempty list")
+    H = S.anticanonical_class()
+    slopes = [slope_mu(S, c, H) for c in classes]
+    if any(a >= b for a, b in zip(slopes, slopes[1:])):
+        raise DomainError("rotation index needs strictly increasing slopes")
+    minus_k = -canonical_divisor(S.d)
+    for i in range(1, len(classes) + 1):
+        rotated = classes[i - 1 :] + [twist(S, c, minus_k) for c in classes[: i - 1]]
+        degrees: set[int] = set()
+        for c in rotated:
+            degrees |= splitting_degrees(c.r, restriction_degree(S, c, e_index))
+        if max(degrees) - min(degrees) <= 1:
+            return i, (min(degrees), max(degrees))
+    raise DomainError("no rotation gives a zero-type degree window")
+
+
+def oracle_pair_kind(S: Surface, E: KClass, F: KClass) -> PairKind | None:
+    """Hom or ext of a positive-rank pair read from its anticanonical slopes
+    as fractions; None at equal slopes, where the lattice decides."""
+    H = anticanonical_divisor(S.d)
+    mu_e = Fraction(intersect(S, H, E.c1), E.r)
+    mu_f = Fraction(intersect(S, H, F.c1), F.r)
+    if mu_e == mu_f:
+        return None
+    return PairKind.HOM if mu_e < mu_f else PairKind.EXT
 
 
 def oracle_monomial_count(k: int) -> int:
@@ -157,14 +197,10 @@ def oracle_hn_patterns(slopes: list) -> list[list[tuple[int, int]]]:
         ok = True
         values = [block_slope(lo, hi) for lo, hi in blocks]
         for u, v in zip(values, values[1:]):
-            from delpezzo import compare_slope
-
             if compare_slope(u, v) >= 0:
                 ok = False
                 break
         if ok:
-            from delpezzo import compare_slope
-
             for (lo, hi), value in zip(blocks, values):
                 for cut in range(lo + 1, hi):
                     if compare_slope(block_slope(lo, cut), value) < 0:
@@ -178,8 +214,6 @@ def oracle_hn_patterns(slopes: list) -> list[list[tuple[int, int]]]:
 
 
 def p2_basic() -> Collection:
-    from delpezzo import basic_collection
-
     return basic_collection(Surface(0))
 
 
@@ -187,8 +221,6 @@ def ext_seed(h: int):
     """A line-bundle ext seed ([O], [O(D)]) on the 8-fold blow-up with
     chi(E1, E0) = 0 and chi(E0, E1) = -h, found by bounded search over
     D = -h - sum b_i e_i with sum b = h - 3 and sum b^2 = h + 3."""
-    from delpezzo import euler_form, line_class
-
     S = Surface(8)
 
     def search(idx, remaining_sum, remaining_sq, acc):
@@ -215,8 +247,6 @@ def ext_seed(h: int):
 def braid_orbit_states(depth: int) -> list[Collection]:
     """Distinct collections reachable from the plane's basic foundation by
     braid words of length <= depth."""
-    from delpezzo import Direction, mutate_collection
-
     basic = p2_basic()
     seen = {basic.members: basic}
     frontier = [basic]

@@ -3,6 +3,7 @@ import os
 import pathlib
 import subprocess
 import sys
+import time
 
 import pytest
 from _helpers import p2_basic, surface
@@ -39,6 +40,8 @@ def invoke_process(*argv):
 
 O_P2 = '{"r":1,"c1":[0],"ch2":"0/1"}'
 OH_P2 = '{"r":1,"c1":[1],"ch2":"1/2"}'
+MINUS_OH_P2 = '{"r":-1,"c1":[-1],"ch2":"-1/2"}'
+P2_ONE_MEMBER = '{"surface":{"blowups":0},"members":[%s]}' % O_P2
 
 
 class TestChi:
@@ -276,8 +279,9 @@ NOT_EXCEPTIONAL_P2 = json.dumps(
 
 
 class TestRefusals:
-    """Bad input exits 1 and an answer too large to write exits 2, each with
-    a message and never a traceback."""
+    """Bad input exits 1; an answer too large to write, or one listing more
+    classes than the budget, exits 2; each with a message and never a
+    traceback."""
 
     @pytest.mark.parametrize(
         "argv",
@@ -320,6 +324,45 @@ class TestRefusals:
         assert "more than 4300 digits" in err
         assert "Traceback" not in err
         assert not log_path.exists()
+
+    @pytest.mark.parametrize(
+        "argv, asked",
+        [
+            (
+                ["helix", "--collection", P2_ONE_MEMBER, "--lo", "-100000", "--hi", "100000"],
+                "helix range [-100000, 100000] asks for 200001 classes",
+            ),
+            (
+                ["orbit", "--surface", '{"blowups":0}', "--e", O_P2, "--f", MINUS_OH_P2,
+                 "--limit", "100000"],
+                "orbit limit 100000 asks for 200002 classes",
+            ),
+        ],
+        ids=["helix", "orbit"],
+    )
+    def test_class_budget_refused_before_computing(self, argv, asked):
+        start = time.perf_counter()
+        code, out, err = invoke_process(*argv)
+        elapsed = time.perf_counter() - start
+        assert code == 2, out
+        assert out == ""
+        assert f"domain error: {asked}; an answer lists at most 1000" in err
+        assert "Traceback" not in err
+        assert elapsed < 1.0
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["helix", "--collection", P2_ONE_MEMBER, "--lo", "1", "--hi", "1000"],
+            ["orbit", "--surface", '{"blowups":0}', "--e", O_P2, "--f", MINUS_OH_P2,
+             "--limit", "499"],
+        ],
+        ids=["helix", "orbit"],
+    )
+    def test_class_budget_is_inclusive(self, capsys, argv):
+        code, out, _ = invoke(capsys, *argv)
+        assert code == 0
+        assert len(doc(out)["classes"]) == 1000
 
     def test_oversized_chi_exits_two(self):
         big = '{"r":1,"c1":[%s],"ch2":"1/2"}' % ("9" * 3000)

@@ -1,5 +1,6 @@
 """Structure of the package: exact-only source, module-level imports that
-form a layered (acyclic) graph, and demos that run."""
+form a layered (acyclic) graph (the shared test helpers import at module
+level too), and demos that run."""
 
 import ast
 import os
@@ -13,6 +14,7 @@ ROOT = pathlib.Path(__file__).resolve().parent.parent
 PACKAGE = ROOT / "src" / "delpezzo"
 MODULES = sorted(PACKAGE.glob("*.py"))
 DEMOS = sorted((ROOT / "demos").glob("*.py"))
+HELPERS = ROOT / "tests" / "_helpers.py"
 
 
 def parse(path):
@@ -49,7 +51,7 @@ def test_no_float_constants(path):
     assert floats == [], f"float constants on lines {floats}"
 
 
-@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+@pytest.mark.parametrize("path", MODULES + [HELPERS], ids=lambda p: p.name)
 def test_no_function_level_imports(path):
     nested = [
         inner.lineno

@@ -1,19 +1,32 @@
+import random
+
 import pytest
-from _helpers import divisor, line_bundle, surface
+from _helpers import (
+    divisor,
+    line_bundle,
+    oracle_pair_kind,
+    oracle_rotation_index,
+    random_kclass,
+    surface,
+)
 
 from delpezzo import (
+    BraidWord,
     DecompositionType,
     DomainError,
     InvalidInputError,
     InvariantViolationError,
     KClass,
     PairKind,
+    apply_braid,
+    basic_collection,
     classify_pair,
     curve_class,
     decomposition_type,
     euler_form,
     intersect,
     rotation_index,
+    slope_mu,
     splitting_type,
     structure_class,
 )
@@ -178,3 +191,85 @@ class TestRotationIndex:
         S = surface(2)
         assert restriction_degree(S, line_bundle(S, 0, -1, 0), 1) == -1
         assert restriction_degree(S, line_bundle(S, 0, -1, 0), 2) == 0
+
+
+def outcome(fn):
+    """The value of fn(), or the type and message of its refusal."""
+    try:
+        return fn()
+    except (InvalidInputError, DomainError) as exc:
+        return type(exc), str(exc)
+
+
+def scrambled_collections(rng, d, count):
+    """The basic collection of Bl_d scrambled by seeded braid words."""
+    basic = basic_collection(surface(d))
+    n = len(basic.members)
+    for _ in range(count):
+        letters = [
+            f"{rng.choice('LR')}{rng.randint(1, n - 1)}"
+            for _ in range(rng.randint(1, 8))
+        ]
+        yield apply_braid(basic, BraidWord.parse(" ".join(letters)))[0]
+
+
+class TestSignOfChi:
+    """The pair type is the sign of chi(E,F): chi(E,F) - chi(F,E) =
+    rE*rF*(mu(F) - mu(E)), and chi(F,E) = 0 on an exceptional pair."""
+
+    def test_antisymmetric_part_is_the_slope_difference(self):
+        rng = random.Random(61)
+        for d in range(9):
+            S = surface(d)
+            H = S.anticanonical_class()
+            for _ in range(200):
+                E, F = random_kclass(rng, d), random_kclass(rng, d)
+                mu_e, mu_f = slope_mu(S, E, H), slope_mu(S, F, H)
+                assert euler_form(S, E, F) - euler_form(S, F, E) == E.r * F.r * (
+                    mu_f - mu_e
+                )
+
+    def test_kind_matches_slope_order_on_scrambled_collections(self):
+        rng = random.Random(62)
+        kinds = set()
+        for d in range(9):
+            S = surface(d)
+            for c in scrambled_collections(rng, d, 12):
+                for i, E in enumerate(c.members):
+                    for F in c.members[i + 1 :]:
+                        if E.r <= 0 or F.r <= 0:
+                            continue
+                        t = classify_pair(S, E, F)
+                        expected = oracle_pair_kind(S, E, F)
+                        if expected is None:
+                            assert t.kind in (PairKind.ZERO, PairKind.SINGULAR)
+                        else:
+                            assert t.kind is expected
+                        assert t.chi == euler_form(S, E, F)
+                        kinds.add(t.kind)
+        assert {PairKind.HOM, PairKind.EXT} <= kinds
+
+
+class TestRotationIndexOracle:
+    def test_matches_twisted_copies_on_increasing_slopes(self):
+        rng = random.Random(63)
+        seen = {"first": 0, "later": 0, "none": 0}
+        for d in range(9):
+            S = surface(d)
+            H = S.anticanonical_class()
+            for _ in range(80):
+                by_slope = {}
+                for _ in range(rng.randint(1, 4)):
+                    E = random_kclass(rng, d, max_rank=4)
+                    by_slope.setdefault(slope_mu(S, E, H), E)
+                classes = [by_slope[mu] for mu in sorted(by_slope)]
+                for e_index in range(1, max(d, 1) + 1):
+                    got = outcome(lambda: rotation_index(S, classes, e_index))
+                    assert got == outcome(
+                        lambda: oracle_rotation_index(S, classes, e_index)
+                    )
+                    if d and isinstance(got[0], int):
+                        seen["first" if got[0] == 1 else "later"] += 1
+                    elif d:
+                        seen["none"] += 1
+        assert min(seen.values()) > 0, seen

@@ -1,4 +1,6 @@
+import json
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -31,6 +33,8 @@ from delpezzo import (
     structure_class,
     twist,
 )
+from delpezzo.cli import run
+from delpezzo.pipeline import _torsion_multiplicity, rotation_start
 
 
 def slopes(c):
@@ -318,3 +322,73 @@ class TestNormalizeAndDescend:
         lo, hi = min(slopes(c)), max(slopes(c))
         lo2, hi2 = min(slopes(out)), max(slopes(out))
         assert lo <= lo2 and hi2 <= hi
+
+
+NOT_A_CURVE_MULTIPLE = "is not a multiple of a curve class O_e(-1)"
+
+
+def malformed_torsion(S):
+    """Rank-0 classes with chi(T, T) = 1 that are no k * [O_{e_i}(-1)]:
+    O_{e_1}(0), -O_{e_1}(-1) and O_C(-1) on the line C = h - e_1 - e_2."""
+    return {
+        "O_e1(0)": curve_class(S, 1, 0),
+        "-O_e1(-1)": -curve_class(S, 1, -1),
+        "h-coefficient": KClass(0, DivisorClass((1, 1, 1) + (0,) * (S.d - 2)), -1),
+    }
+
+
+class TestTorsionMembers:
+    """A rank-0 member is placed only as k * [O_{e_i}(-1)], read off its
+    coordinates; every other shape is refused by name."""
+
+    @pytest.mark.parametrize("d", [2, 5, 8])
+    @pytest.mark.parametrize("name", ["O_e1(0)", "-O_e1(-1)", "h-coefficient"])
+    def test_malformed_torsion_refused(self, capsys, d, name):
+        S = surface(d)
+        c = Collection(S, (malformed_torsion(S)[name],))
+        assert is_numerically_exceptional(c)[0]
+        with pytest.raises(DomainError, match=re.escape(NOT_A_CURVE_MULTIPLE)):
+            order_hom(c)
+        with pytest.raises(PipelineError, match=re.escape(NOT_A_CURVE_MULTIPLE)) as err:
+            normalize_and_descend(c)
+        assert err.value.stage == "order"
+        capsys.readouterr()
+        assert run(["normalize", "--collection", json.dumps(c.to_json())]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert NOT_A_CURVE_MULTIPLE in captured.err
+
+    @pytest.mark.parametrize(
+        "coeffs, two_ch2, chi",
+        [((0, -1, -1), -2, 2), ((-1, 0, 0), -1, -1)],
+        ids=["O_e1(-1)+O_e2(-1)", "h-only"],
+    )
+    def test_non_exceptional_shapes_refused(self, capsys, coeffs, two_ch2, chi):
+        # chi(T, T) != 1, so the certificate refuses a collection holding T
+        # before its shape is read; rotation_start reads the shape directly.
+        S = surface(2)
+        c = Collection(S, (KClass(0, DivisorClass(coeffs), two_ch2),))
+        certificate = f"collection is not numerically exceptional: chi(E_0, E_0) = {chi}"
+        with pytest.raises(InvalidInputError, match=re.escape(certificate)):
+            order_hom(c)
+        with pytest.raises(PipelineError, match=re.escape(certificate)):
+            normalize_and_descend(c)
+        capsys.readouterr()
+        assert run(["normalize", "--collection", json.dumps(c.to_json())]) == 2
+        assert certificate in capsys.readouterr().err
+        with pytest.raises(DomainError, match=re.escape(NOT_A_CURVE_MULTIPLE)):
+            rotation_start(c, 1)
+
+    @pytest.mark.parametrize("d", range(1, 9))
+    def test_curve_multiples_accepted(self, d):
+        S = surface(d)
+        for i in range(1, d + 1):
+            for k in (1, 2, 3):
+                T = k * curve_class(S, i, -1)
+                assert _torsion_multiplicity(T) == (i, k)
+                assert rotation_start(Collection(S, (T, structure_class(S))), 1) == 1
+            single = Collection(S, (curve_class(S, i, -1),))
+            out, log = order_hom(single)
+            assert out == single and len(log) == 0
+        basic = basic_collection(S)
+        assert order_hom(basic)[0] == basic
