@@ -36,7 +36,7 @@ from .picard import (
     zero_divisor,
 )
 
-_CH2_TEXT = re.compile(r"[+-]?[0-9]+(/[0-9]+)?")
+_CH2_TEXT = re.compile(r"([+-]?[0-9]+)(?:/([0-9]+))?")
 
 
 @dataclass(frozen=True)
@@ -122,17 +122,20 @@ class KClass:
         r, raw = data["r"], data["ch2"]
         if type(r) is not int:
             raise InvalidInputError(f"rank must be a JSON integer, got {r!r}")
-        if type(raw) is not int and not (isinstance(raw, str) and _CH2_TEXT.fullmatch(raw)):
+        text = _CH2_TEXT.fullmatch(raw) if isinstance(raw, str) else None
+        if type(raw) is not int and text is None:
             raise InvalidInputError(
                 f"ch2 must be a JSON integer or a 'p/q' string, got {raw!r}"
             )
-        try:
-            ch2 = Fraction(raw)
+        p, q = (raw, 1) if text is None else text.groups(1)
+        try:  # a zero denominator, or digits past the int-from-string limit
+            p, q = int(p), int(q)
+            two_ch2, rest = divmod(2 * p, q)
         except (ValueError, ZeroDivisionError) as exc:
             raise InvalidInputError(f"bad ch2 value {raw!r}") from exc
-        if ch2.denominator > 2:
-            raise InvalidInputError(f"2*ch2 must be an integer, got ch2={ch2}")
-        return KClass(r, DivisorClass.from_json(data["c1"]), int(2 * ch2))
+        if rest != 0:
+            raise InvalidInputError(f"2*ch2 must be an integer, got ch2={Fraction(p, q)}")
+        return KClass(r, DivisorClass.from_json(data["c1"]), two_ch2)
 
 
 @functools.lru_cache(maxsize=None)

@@ -43,8 +43,8 @@ from .picard import (
 from .stability import GradedObject, hn_coarsen, vector_slope
 
 
-# The most classes one answer may list.  A helix range or an orbit limit
-# that asks for more is refused (exit 2) before any class is computed.
+# The most classes or Markov triples one answer may list.  A larger request
+# is refused (exit 2) before it is computed, or at markov's first extra triple.
 _MAX_CLASSES = 1000
 
 
@@ -190,7 +190,6 @@ def _cmd_check(args) -> None:
     ok, violation = is_numerically_exceptional(_collection(args))
     doc: dict = {"exceptional": ok}
     if not ok:
-        assert violation is not None
         doc["violation"] = violation.to_json()
     _emit(doc)
 
@@ -220,7 +219,15 @@ def _cmd_markov(args) -> None:
         return
     if args.limit is None:
         raise InvalidInputError("markov needs --limit or --braid")
-    triples = sorted(t.as_tuple() for t in markov_tree(args.limit))
+    triples = []
+    for t in markov_tree(args.limit):
+        if len(triples) == _MAX_CLASSES:
+            raise DomainError(
+                f"markov limit {args.limit} lists more than {_MAX_CLASSES} triples; "
+                f"an answer lists at most {_MAX_CLASSES}"
+            )
+        triples.append(t.as_tuple())
+    triples.sort()
     _emit(
         {
             "triples": [list(t) for t in triples],
@@ -233,7 +240,7 @@ def _cmd_markov(args) -> None:
 
 def _cmd_orbit(args) -> None:
     S = _surface(args)
-    E, F, n = _kclass(args.e), _kclass(args.f), args.limit or 5
+    E, F, n = _kclass(args.e), _kclass(args.f), args.limit
     _check_class_budget(f"orbit limit {n}", 2 * n + 2)
     orbit = pair_orbit(S, E, F, n)
     _emit(

@@ -19,6 +19,7 @@ any irrational arithmetic.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Iterator
 
 from .chern import KClass
 from .errors import DomainError, InvalidInputError
@@ -63,9 +64,10 @@ def markov_step(t: MarkovTriple, position: int) -> MarkovTriple:
     return MarkovTriple(x, y, 3 * x * y - z)
 
 
-def markov_tree(limit: int) -> set[MarkovTriple]:
-    """All solutions with max coordinate <= limit, grown from (1,1,1) by
-    Vieta jumps and deduplicated up to coordinate order."""
+def markov_tree(limit: int) -> Iterator[MarkovTriple]:
+    """Yield each solution with max coordinate <= limit once, sorted, as
+    Vieta jumps from (1,1,1) reach it; a caller that stops early stops the
+    walk.  The limit is checked when iteration starts."""
     if not isinstance(limit, int) or limit < 1:
         raise InvalidInputError("limit must be a positive integer")
     root = MarkovTriple(1, 1, 1)
@@ -77,11 +79,11 @@ def markov_tree(limit: int) -> set[MarkovTriple]:
         if canon.max_coordinate > limit or canon in seen:
             continue
         seen.add(canon)
+        yield canon
         for pos in (1, 2, 3):
             child = markov_step(canon, pos)
             if child.max_coordinate <= limit:
                 frontier.append(child.sorted())
-    return seen
 
 
 def markov_max_uniqueness(limit: int) -> bool:

@@ -12,14 +12,14 @@ lexicographic c1, ch2.  The uniform formula specializes to the expected
 behaviour on every pair type: for a zero pair it is the transposition.
 
 An ordered collection is numerically exceptional when its Gram matrix
-chi(E_i, E_j) has unit diagonal and zeros below.  A collection that has
-passed the full n(n+1)/2-entry scan remembers it, so it is certified once.
-A mutation changes one member: ``mutate_pair`` checks its input pair,
-which yields chi(E,F), and ``mutate_collection`` then checks only the new
-member's Gram row and column, n chi, for 4 + n chi per move on a
-certified collection.  The whole-collection moves of the pipeline
-(rotation, global twist) re-verify the full matrix through ``certify``.
-Nothing caches chi.
+chi(E_i, E_j) has unit diagonal and zeros below.  One walker names the
+first failing entry in row-major order, over all n(n+1)/2 entries or over
+one member's row and column, the n that a change of that member alone can
+break.  A collection that passes the full scan is certified once.  A
+mutation changes one member: ``mutate_pair`` checks its input pair, which
+yields chi(E,F), and ``certify`` walks the new member's row and column,
+for 4 + n chi per move.  Rotation and global twist certify the full
+matrix.  Nothing caches chi.
 Braid words act letter by letter.  A foundation of length n extends to
 a helix by the twist periodicity  E_{i+sn} = E_i(-sK),  and the helix
 axiom L^(n-1) A_s = A_{s-n} is checked by explicit iterated mutation.
@@ -138,24 +138,29 @@ def gram_matrix(c: Collection) -> list[list[int]]:
     return [[euler_form(S, a, b) for b in c.members] for a in c.members]
 
 
+def _violation(c: Collection, q: int | None = None) -> GramViolation | None:
+    """The first failing Gram entry in row-major order: chi(E_i, E_i) = 1,
+    then chi(E_i, E_j) = 0 for j < i.  Given q, only member q's row and
+    column, in the same order: the n entries a change of E_q can break."""
+    S, members = c.surface, c.members
+    for i in range(0 if q is None else q, len(members)):
+        if q is None or i == q:
+            columns = [i, *range(i)]
+        else:
+            columns = [q]
+        for j in columns:
+            value = euler_form(S, members[i], members[j])
+            expected = 1 if j == i else 0
+            if value != expected:
+                return GramViolation(i, j, value)
+    return None
+
+
 def is_numerically_exceptional(c: Collection) -> tuple[bool, GramViolation | None]:
     """Unit diagonal, zeros strictly below.  Returns the first violation in
     row-major scan order, if any."""
-    S = c.surface
-    for i, a in enumerate(c.members):
-        v = euler_form(S, a, a)
-        if v != 1:
-            return False, GramViolation(i, i, v)
-        for j in range(i):
-            w = euler_form(S, a, c.members[j])
-            if w != 0:
-                return False, GramViolation(i, j, w)
-    return True, None
-
-
-def _mark_certified(c: Collection) -> Collection:
-    object.__setattr__(c, "_certified", True)
-    return c
+    violation = _violation(c)
+    return violation is None, violation
 
 
 def require_numerically_exceptional(c: Collection) -> None:
@@ -169,43 +174,22 @@ def require_numerically_exceptional(c: Collection) -> None:
             "collection is not numerically exceptional: "
             f"chi(E_{violation.i}, E_{violation.j}) = {violation.value}"
         )
-    _mark_certified(c)
+    object.__setattr__(c, "_certified", True)
 
 
-def _broken(operation: str, violation: GramViolation) -> InvariantViolationError:
-    return InvariantViolationError(
-        f"{operation} broke the exceptionality certificate at "
-        f"chi(E_{violation.i}, E_{violation.j}) = {violation.value}"
-    )
-
-
-def certify(c: Collection, operation: str) -> Collection:
+def certify(c: Collection, operation: str, q: int | None = None) -> Collection:
     """Return the output c of ``operation`` once its certificate holds;
-    otherwise raise, naming the first failing Gram entry."""
-    ok, violation = is_numerically_exceptional(c)
-    if not ok:
-        raise _broken(operation, violation)
-    return _mark_certified(c)
-
-
-def _member_violation(c: Collection, q: int) -> GramViolation | None:
-    """The first failing Gram entry in row and column q, in the row-major
-    order of ``is_numerically_exceptional``: chi(N, N), chi(N, E_p) for p
-    before N, chi(E_p, N) for p after it.  n chi for the member N = E_q."""
-    S, members = c.surface, c.members
-    N = members[q]
-    v = euler_form(S, N, N)
-    if v != 1:
-        return GramViolation(q, q, v)
-    for p in range(q):
-        w = euler_form(S, N, members[p])
-        if w != 0:
-            return GramViolation(q, p, w)
-    for p in range(q + 1, len(members)):
-        w = euler_form(S, members[p], N)
-        if w != 0:
-            return GramViolation(p, q, w)
-    return None
+    otherwise raise, naming the first failing Gram entry.  The full matrix
+    is scanned unless q names the one member the operation changed, whose
+    row and column are then all that can fail."""
+    violation = is_numerically_exceptional(c)[1] if q is None else _violation(c, q)
+    if violation is not None:
+        raise InvariantViolationError(
+            f"{operation} broke the exceptionality certificate at "
+            f"chi(E_{violation.i}, E_{violation.j}) = {violation.value}"
+        )
+    object.__setattr__(c, "_certified", True)
+    return c
 
 
 def sign_normalize(S: Surface, x: KClass) -> KClass:
@@ -265,10 +249,7 @@ def mutate_collection(c: Collection, i: int, direction: Direction) -> Collection
     E, F = c.members[i - 1], c.members[i]
     new_pair = mutate_pair(c.surface, E, F, direction)
     out = Collection(c.surface, c.members[: i - 1] + new_pair + c.members[i + 1 :])
-    violation = _member_violation(out, i - 1 if direction is Direction.LEFT else i)
-    if violation is not None:
-        raise _broken("mutation", violation)
-    return _mark_certified(out)
+    return certify(out, "mutation", i - 1 if direction is Direction.LEFT else i)
 
 
 @dataclass(frozen=True)

@@ -169,6 +169,37 @@ def oracle_markov_solutions(limit: int) -> set[tuple[int, int, int]]:
     return out
 
 
+def oracle_gram_violation(c: Collection, q: int | None = None):
+    """The first failing Gram entry (i, j, chi) or None, by two separate
+    loops.  Without q, the row-major scan: chi(E_i, E_i) = 1, then
+    chi(E_i, E_j) = 0 for j < i.  With q, the same order restricted to
+    member N = E_q: chi(N, N), chi(N, E_p) for p < q, chi(E_p, N) for p > q."""
+    S, members = c.surface, c.members
+    if q is None:
+        for i, a in enumerate(members):
+            v = euler_form(S, a, a)
+            if v != 1:
+                return (i, i, v)
+            for j in range(i):
+                w = euler_form(S, a, members[j])
+                if w != 0:
+                    return (i, j, w)
+        return None
+    N = members[q]
+    v = euler_form(S, N, N)
+    if v != 1:
+        return (q, q, v)
+    for p in range(q):
+        w = euler_form(S, N, members[p])
+        if w != 0:
+            return (q, p, w)
+    for p in range(q + 1, len(members)):
+        w = euler_form(S, members[p], N)
+        if w != 0:
+            return (p, q, w)
+    return None
+
+
 def oracle_hn_patterns(slopes: list) -> list[list[tuple[int, int]]]:
     """All valid coarsenings of a slope list by adjacent merges.
 

@@ -54,6 +54,33 @@ class TestKClass:
         with pytest.raises(InvalidInputError):
             KClass.from_json({"r": 1, "c1": [1], "ch2": "1/3"})
 
+    @pytest.mark.parametrize(
+        "raw, two_ch2",
+        [(3, 6), (-4, -8), ("4/2", 4), ("-5/2", -5), ("+3", 6), ("-0/7", 0), ("3/6", 1)],
+    )
+    def test_json_ch2_forms(self, raw, two_ch2):
+        E = KClass.from_json({"r": 0, "c1": [two_ch2 % 2], "ch2": raw})
+        assert E.two_ch2 == two_ch2
+
+    @pytest.mark.parametrize(
+        "raw, message",
+        [
+            ("2/6", "2*ch2 must be an integer, got ch2=1/3"),
+            ("-7/3", "2*ch2 must be an integer, got ch2=-7/3"),
+            ("1/0", "bad ch2 value '1/0'"),
+            ("9" * 5000, "bad ch2 value '%s'" % ("9" * 5000)),
+            ("1/" + "9" * 5000, "bad ch2 value '1/%s'" % ("9" * 5000)),
+            (1.5, "ch2 must be a JSON integer or a 'p/q' string, got 1.5"),
+            (True, "ch2 must be a JSON integer or a 'p/q' string, got True"),
+            ("1.5", "ch2 must be a JSON integer or a 'p/q' string, got '1.5'"),
+            (" 1", "ch2 must be a JSON integer or a 'p/q' string, got ' 1'"),
+        ],
+    )
+    def test_json_ch2_refusals(self, raw, message):
+        with pytest.raises(InvalidInputError) as refused:
+            KClass.from_json({"r": 1, "c1": [1], "ch2": raw})
+        assert str(refused.value) == message
+
     def test_json_round_trip(self):
         E = KClass(2, divisor(3, 0), -5)
         assert KClass.from_json(E.to_json()) == E

@@ -8,7 +8,7 @@ import time
 import pytest
 from _helpers import p2_basic, surface
 
-from delpezzo import MutationLog, basic_collection, replay
+from delpezzo import MutationLog, basic_collection, markov_max_uniqueness, markov_tree, replay
 from delpezzo.cli import run
 
 
@@ -364,6 +364,30 @@ class TestRefusals:
         assert code == 0
         assert len(doc(out)["classes"]) == 1000
 
+    def test_markov_budget_refused_at_the_first_extra_triple(self):
+        limit = 10**160
+        start = time.perf_counter()
+        code, out, err = invoke_process("markov", "--limit", str(limit))
+        elapsed = time.perf_counter() - start
+        assert code == 2, out
+        assert out == ""
+        assert err == (
+            f"domain error: markov limit {limit} lists more than 1000 triples; "
+            "an answer lists at most 1000\n"
+        )
+        assert elapsed < 1.0
+
+    def test_markov_budget_is_inclusive(self, capsys):
+        maxima = sorted(t.max_coordinate for t in markov_tree(10**40))
+        edge = maxima[1000]  # the largest coordinate of the 1001st triple
+        code, out, _ = invoke(capsys, "markov", "--limit", str(edge - 1))
+        assert code == 0
+        assert len(doc(out)["triples"]) == 1000
+        code, out, err = invoke(capsys, "markov", "--limit", str(edge))
+        assert code == 2
+        assert out == ""
+        assert "lists more than 1000 triples" in err
+
     def test_oversized_chi_exits_two(self):
         big = '{"r":1,"c1":[%s],"ch2":"1/2"}' % ("9" * 3000)
         code, out, err = invoke_process(
@@ -405,6 +429,25 @@ class TestMarkov:
             "unique_max_verified_up_to": 5,
         }
 
+    def test_answer_is_the_sorted_markov_tree(self, capsys):
+        limit = 10**6
+        triples = sorted(t.as_tuple() for t in markov_tree(limit))
+        expected = {
+            "triples": [list(t) for t in triples],
+            "unique_max_verified_up_to": limit if markov_max_uniqueness(limit) else None,
+        }
+        code, out, _ = invoke(capsys, "markov", "--limit", str(limit))
+        assert code == 0
+        assert out == json.dumps(expected) + "\n"
+        assert len(triples) == 40
+
+    @pytest.mark.parametrize("limit", ["0", "-1"])
+    def test_non_positive_limit_exits_one(self, capsys, limit):
+        code, out, err = invoke(capsys, "markov", "--limit", limit)
+        assert code == 1
+        assert out == ""
+        assert err == "invalid input: limit must be a positive integer\n"
+
     def test_braid_ranks(self, capsys):
         code, out, _ = invoke(capsys, "markov", "--braid", "R1 R2 R1")
         assert code == 0
@@ -431,6 +474,24 @@ class TestOrbit:
         d = doc(out)
         assert d["h"] == 2
         assert d["x"] == [0, 1, 2, 3, 4, 5]
+
+
+    @pytest.mark.parametrize("limit", ["0", "-1"])
+    def test_non_positive_limit_exits_one(self, capsys, limit):
+        code, out, err = invoke(
+            capsys, "orbit", "--surface", '{"blowups":0}', "--e", O_P2, "--f", MINUS_OH_P2,
+            "--limit", limit,
+        )
+        assert code == 1
+        assert out == ""
+        assert err == "invalid input: orbit length must be a positive integer\n"
+
+    def test_default_limit_is_five(self, capsys):
+        code, out, _ = invoke(
+            capsys, "orbit", "--surface", '{"blowups":0}', "--e", O_P2, "--f", MINUS_OH_P2
+        )
+        assert code == 0
+        assert len(doc(out)["classes"]) == 12
 
 
 class TestPipelineCommands:

@@ -63,6 +63,17 @@ def test_no_function_level_imports(path):
     assert nested == [], f"imports inside functions on lines {nested}"
 
 
+def test_no_assert_statements():
+    """``python -O`` strips asserts, so the package checks with raises."""
+    asserts = [
+        f"{path.name}:{node.lineno}"
+        for path in MODULES
+        for node in ast.walk(parse(path))
+        if isinstance(node, ast.Assert)
+    ]
+    assert asserts == [], f"assert statements at {asserts}"
+
+
 def test_import_graph_is_acyclic():
     graph = {path.stem: package_imports(path) for path in MODULES}
     done: set[str] = set()

@@ -1,7 +1,15 @@
 import random
 
 import pytest
-from _helpers import braid_orbit_states, divisor, line_bundle, p2_basic, surface
+from _helpers import (
+    braid_orbit_states,
+    divisor,
+    line_bundle,
+    oracle_gram_violation,
+    p2_basic,
+    random_kclass,
+    surface,
+)
 
 from delpezzo import (
     BraidWord,
@@ -22,6 +30,7 @@ from delpezzo import (
     mutate_collection,
     mutate_pair,
     structure_class,
+    twist,
 )
 from delpezzo import mutation as mutation_module
 from delpezzo import pairs as pairs_module
@@ -294,6 +303,130 @@ class TestIncrementalCertificate:
         with pytest.raises(InvalidInputError):
             require_numerically_exceptional(c)
         assert not c._certified
+
+
+def random_divisor(rng: random.Random, d: int):
+    return divisor(*(rng.randint(-2, 2) for _ in range(d + 1)))
+
+
+def broken_collections(d: int, seed: int):
+    """Braid-scrambled basic collections on d blow-ups, each broken three
+    seeded ways: one member replaced, two members swapped, one twisted."""
+    rng = random.Random(seed)
+    S = surface(d)
+    for c in scrambled_collections(d, 6, seed=seed):
+        members, n = list(c.members), len(c.members)
+        q = rng.randrange(n)
+        replaced = list(members)
+        replaced[q] = rng.choice(
+            (random_kclass(rng, d), 2 * members[q], members[rng.randrange(n)])
+        )
+        a, b = rng.sample(range(n), 2)
+        swapped = list(members)
+        swapped[a], swapped[b] = swapped[b], swapped[a]
+        twisted = list(members)
+        twisted[q] = twist(S, members[q], random_divisor(rng, d))
+        for broken in (replaced, swapped, twisted):
+            yield Collection(S, tuple(broken))
+
+
+def broke(operation: str, entry) -> str:
+    i, j, value = entry
+    return (
+        f"{operation} broke the exceptionality certificate at chi(E_{i}, E_{j}) = {value}"
+    )
+
+
+def entry_kind(entry, q=None) -> str:
+    i, j, _ = entry
+    if i == j:
+        return "diagonal"
+    return "after q" if q is not None and j == q else "below"
+
+
+class TestGramWalkOracle:
+    """The full scan and the per-mutation row-and-column walk name the
+    entry that _helpers.oracle_gram_violation's two separate loops name."""
+
+    def test_full_scan_and_row_column_walk(self):
+        kinds = {"full": set(), "row-column": set()}
+        for d in range(9):
+            for c in broken_collections(d, seed=700 + d):
+                expected = oracle_gram_violation(c)
+                ok, violation = is_numerically_exceptional(c)
+                assert ok is (expected is None)
+                if expected is None:
+                    assert violation is None
+                    assert certify(Collection(c.surface, c.members), "rotation")._certified
+                else:
+                    kinds["full"].add(entry_kind(expected))
+                    assert (violation.i, violation.j, violation.value) == expected
+                    with pytest.raises(InvalidInputError) as refused:
+                        require_numerically_exceptional(Collection(c.surface, c.members))
+                    i, j, value = expected
+                    assert str(refused.value) == (
+                        f"collection is not numerically exceptional: chi(E_{i}, E_{j}) = {value}"
+                    )
+                    with pytest.raises(InvariantViolationError) as broken:
+                        certify(Collection(c.surface, c.members), "rotation")
+                    assert str(broken.value) == broke("rotation", expected)
+                for q in range(len(c.members)):
+                    expected = oracle_gram_violation(c, q)
+                    fresh = Collection(c.surface, c.members)
+                    if expected is None:
+                        assert certify(fresh, "mutation", q) is fresh
+                        continue
+                    kinds["row-column"].add(entry_kind(expected, q))
+                    with pytest.raises(InvariantViolationError) as broken:
+                        certify(fresh, "mutation", q)
+                    assert str(broken.value) == broke("mutation", expected)
+                    assert not fresh._certified
+        assert kinds == {
+            "full": {"diagonal", "below"},
+            "row-column": {"diagonal", "below", "after q"},
+        }
+
+    def test_mutation_path(self, monkeypatch):
+        kinds = set()
+        for d in range(9):
+            rng = random.Random(800 + d)
+            S = surface(d)
+            for c in scrambled_collections(d, 3, seed=900 + d):
+                for i in range(1, len(c.members)):
+                    for direction in Direction:
+                        E, F = c.members[i - 1], c.members[i]
+                        left = direction is Direction.LEFT
+                        q = i - 1 if left else i
+                        true_pair = mutate_pair(S, E, F, direction)
+                        candidate = rng.choice(
+                            (
+                                random_kclass(rng, d),
+                                2 * E,
+                                twist(S, F, random_divisor(rng, d)),
+                                true_pair[0] if left else true_pair[1],
+                            )
+                        )
+
+                        def patched(S, E, F, direction, candidate=candidate):
+                            if direction is Direction.LEFT:
+                                return candidate, E
+                            return F, candidate
+
+                        pair = patched(S, E, F, direction)
+                        out = Collection(S, c.members[: i - 1] + pair + c.members[i + 1 :])
+                        expected = oracle_gram_violation(out, q)
+                        # Only the new member's row and column can fail.
+                        assert oracle_gram_violation(out) == expected
+                        monkeypatch.setattr(mutation_module, "mutate_pair", patched)
+                        if expected is None:
+                            assert mutate_collection(c, i, direction) == out
+                        else:
+                            kinds.add(entry_kind(expected, q))
+                            with pytest.raises(InvariantViolationError) as broken:
+                                mutate_collection(c, i, direction)
+                            assert str(broken.value) == broke("mutation", expected)
+                        monkeypatch.undo()
+        assert kinds == {"diagonal", "below", "after q"}
 
 
 class TestBraid:
