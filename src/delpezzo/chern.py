@@ -26,7 +26,7 @@ import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable
-from .errors import DomainError, InvalidInputError, InvariantViolationError
+from .errors import DomainError, InvalidInputError
 from .picard import (
     DivisorClass,
     Surface,
@@ -87,16 +87,26 @@ class KClass:
         return KClass(n * self.r, n * self.c1, n * self.two_ch2)
 
     def to_json(self) -> dict:
-        """{"r": int, "c1": [int, ...], "ch2": "p/q"} in lowest terms.
-
-        Raises DomainError when an integer is too long to write: the
-        interpreter's int-to-string digit limit (4300 by default, the
-        CVE-2020-10735 guard) is the size budget of every JSON answer."""
+        """{"r": int, "c1": [int, ...], "ch2": "p/q"} in lowest terms, once
+        ``require_writable`` passes."""
+        self.require_writable()
         t = self.two_ch2
         num, den = (t, 2) if t & 1 else (t >> 1, 1)
+        return {
+            "r": self.r,
+            "c1": self.c1.to_json(),
+            "ch2": f"{num}/{den}",
+        }
+
+    def require_writable(self) -> None:
+        """Raise DomainError when an integer is too long to write: the
+        interpreter's int-to-string digit limit (4300 by default, the
+        CVE-2020-10735 guard) is the size budget of every JSON answer."""
         limit = sys.get_int_max_str_digits()
         if limit:
             bound = _digit_bound(limit)
+            t = self.two_ch2
+            num = t if t & 1 else t >> 1
             coeffs = self.c1.coeffs
             if not (
                 -bound < self.r < bound
@@ -108,11 +118,6 @@ class KClass:
                     f"class has an integer of more than {limit} digits, the "
                     "limit for writing one"
                 )
-        return {
-            "r": self.r,
-            "c1": self.c1.to_json(),
-            "ch2": f"{num}/{den}",
-        }
 
     @staticmethod
     def from_json(data: dict) -> "KClass":
@@ -171,6 +176,7 @@ def euler_form(S: Surface, E: KClass, F: KClass) -> int:
     e, f = E.c1.coeffs, F.c1.coeffs
     # H.c1 = 3a - sum(b) for the anticanonical class H = (3; 1, ..., 1).
     mixed = E.r * (3 * f[0] - sum(f[1:])) - F.r * (3 * e[0] - sum(e[1:]))
+    # Even, as c1^2 = 2*ch2 = H.c1 (mod 2) for every class.
     doubled = (
         2 * E.r * F.r
         + mixed
@@ -178,10 +184,6 @@ def euler_form(S: Surface, E: KClass, F: KClass) -> int:
         + F.r * E.two_ch2
         - 2 * dot(E.c1, F.c1)
     )
-    if doubled % 2 != 0:
-        raise InvariantViolationError(
-            f"chi({E}, {F}) is not an integer; a class is corrupted"
-        )
     return doubled // 2
 
 

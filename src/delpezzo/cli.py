@@ -13,6 +13,7 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import re
 import sys
 from fractions import Fraction
 
@@ -258,9 +259,12 @@ def _cmd_orbit(args) -> None:
 def _parse_mults(text: str | None, n: int) -> list[int] | None:
     if text is None:
         return None
-    try:
-        mults = [int(x) for x in text.split(",") if x.strip()]
-    except ValueError as exc:
+    fields = text.split(",")
+    try:  # each field a JSON integer, as every JSON reader takes one
+        if not all(re.fullmatch(r"-?(?:0|[1-9][0-9]*)", x) for x in fields):
+            raise ValueError("a field is not a JSON integer")
+        mults = [int(x) for x in fields]
+    except ValueError as exc:  # or past the int-from-string digit limit
         raise InvalidInputError(f"bad multiplicities {text!r}") from exc
     if len(mults) != n:
         raise InvalidInputError(f"expected {n} multiplicities, got {len(mults)}")
@@ -273,13 +277,11 @@ def _cmd_normalize(args) -> None:
         c, _parse_mults(args.mults, len(c.members))
     )
     _write_log(log, args.out)
-    alphas = [
-        int(s.params["alpha"]) for s in log.steps if s.kind == "peel"
-    ]
+    alpha = next(s.params["alpha"] for s in log.steps if s.kind == "peel")
     _emit(
         {
             "descended": descended.to_json(),
-            "alpha": alphas[0] if alphas else 0,
+            "alpha": alpha,
             "steps": len(log),
         }
     )

@@ -16,10 +16,10 @@ chi(E_i, E_j) has unit diagonal and zeros below.  One walker names the
 first failing entry in row-major order, over all n(n+1)/2 entries or over
 one member's row and column, the n that a change of that member alone can
 break.  A collection that passes the full scan is certified once.  A
-mutation changes one member: ``mutate_pair`` checks its input pair, which
-yields chi(E,F), and ``certify`` walks the new member's row and column,
-for 4 + n chi per move.  Rotation and global twist certify the full
-matrix.  Nothing caches chi.
+mutation of a certified collection evaluates chi(E,F) alone and walks the
+new member's row and column, 1 + n chi per move; ``mutate_pair`` checks
+its input pair first (4 chi).  A mutation never classifies its pair.
+Rotation and global twist certify the full matrix.  Nothing caches chi.
 Braid words act letter by letter.  A foundation of length n extends to
 a helix by the twist periodicity  E_{i+sn} = E_i(-sK),  and the helix
 axiom L^(n-1) A_s = A_{s-n} is checked by explicit iterated mutation.
@@ -47,7 +47,7 @@ from dataclasses import dataclass, field
 from typing import Union
 from .chern import KClass, curve_class, euler_form, line_class, structure_class, twist
 from .errors import DomainError, InvalidInputError, InvariantViolationError
-from .pairs import classify_pair, require_exceptional_pair
+from .pairs import require_equal_slope_pair, require_exceptional_pair
 from .picard import (
     Surface,
     anticanonical_divisor,
@@ -195,7 +195,8 @@ def certify(c: Collection, operation: str, q: int | None = None) -> Collection:
 def sign_normalize(S: Surface, x: KClass) -> KClass:
     """Canonical representative of {x, -x}: positive rank, else positive
     anticanonical degree, else lexicographically positive c1, else
-    positive ch2."""
+    positive ch2.  A mutation never gives zero: chi(E,F)E = F would make
+    chi(F,E) = +-1, which its pair check or certificate rules out."""
     if x.r != 0:
         return x if x.r > 0 else -x
     deg = dot(anticanonical_divisor(S.d), x.c1)
@@ -204,9 +205,17 @@ def sign_normalize(S: Surface, x: KClass) -> KClass:
     for coeff in x.c1.coeffs:
         if coeff != 0:
             return x if coeff > 0 else -x
-    if x.two_ch2 != 0:
-        return x if x.two_ch2 > 0 else -x
-    raise InvariantViolationError("mutation produced the zero class")
+    return x if x.two_ch2 >= 0 else -x
+
+
+def _reflect(S: Surface, E: KClass, F: KClass, chi_ef: int, direction: Direction):
+    """The mutation of an exceptional pair (E, F), given chi(E,F); at equal
+    slopes only the forced -2-class equations are checked."""
+    if chi_ef == 0 and E.r > 0 and F.r > 0:
+        require_equal_slope_pair(S, E, F)
+    if direction is Direction.LEFT:
+        return sign_normalize(S, chi_ef * E - F), E
+    return F, sign_normalize(S, chi_ef * F - E)
 
 
 def mutate_pair(
@@ -215,19 +224,12 @@ def mutate_pair(
     """Left: (E, F) -> (L, E) with [L] = +-(chi(E,F)[E] - [F]).
     Right: (E, F) -> (F, R) with [R] = +-(chi(E,F)[F] - [E]).
 
-    Pair check in: the pair must be numerically exceptional and, when both
-    ranks are positive, classifiable (equal-slope pairs with inconsistent
-    invariants are rejected); either check yields chi(E,F).  Rank-0 members
-    are mutated by the same formula.  The output is exceptional again by
-    bilinearity; a collection's certificate is checked by its caller.
+    Pair check in: the pair must be numerically exceptional, which yields
+    chi(E,F) (4 chi); an equal-slope pair of positive ranks must pass the
+    forced -2-class equations, and is not classified.  Rank-0 members are
+    mutated alike; the output pair is exceptional again by bilinearity.
     """
-    if E.r > 0 and F.r > 0:
-        chi_ef = classify_pair(S, E, F).chi
-    else:
-        chi_ef = require_exceptional_pair(S, E, F)
-    if direction is Direction.LEFT:
-        return sign_normalize(S, chi_ef * E - F), E
-    return F, sign_normalize(S, chi_ef * F - E)
+    return _reflect(S, E, F, require_exceptional_pair(S, E, F), direction)
 
 
 def mutate_collection(c: Collection, i: int, direction: Direction) -> Collection:
@@ -238,17 +240,18 @@ def mutate_collection(c: Collection, i: int, direction: Direction) -> Collection
     with InvalidInputError otherwise.  The move changes one member, the
     new class N (L at position i for a left mutation, R at i+1 for a
     right one); the other member of the new pair keeps its chi with every
-    other member and its order among them.  So the output is certified by
-    N's Gram row and column alone, n chi on top of ``mutate_pair``'s 4.
+    other member and its order among them, and the input's certificate
+    holds the rest of the pair check.  So chi(E,F) and N's Gram row and
+    column are all that is evaluated: 1 + n chi per move.
     """
     if not 1 <= i < len(c.members):
         raise InvalidInputError(
             f"mutation position {i} out of range for length {len(c.members)}"
         )
     require_numerically_exceptional(c)
-    E, F = c.members[i - 1], c.members[i]
-    new_pair = mutate_pair(c.surface, E, F, direction)
-    out = Collection(c.surface, c.members[: i - 1] + new_pair + c.members[i + 1 :])
+    S, E, F = c.surface, c.members[i - 1], c.members[i]
+    new_pair = _reflect(S, E, F, euler_form(S, E, F), direction)
+    out = Collection(S, c.members[: i - 1] + new_pair + c.members[i + 1 :])
     return certify(out, "mutation", i - 1 if direction is Direction.LEFT else i)
 
 
@@ -367,19 +370,19 @@ class MutationLog:
 
 
 def apply_braid(c: Collection, w: BraidWord):
-    """Apply the word letter by letter; the log records every step."""
+    """Apply the word letter by letter; the log records every step.  A
+    letter whose new member is past the size budget stops the word."""
     steps = []
     current = c
     for pos, direction in w.letters:
         new = mutate_collection(current, pos, direction)
-        steps.append(
-            LogStep(
-                kind="mutate",
-                params={"position": pos, "direction": direction.value},
-                before=current,
-                after=new,
-            )
-        )
+        q = pos - 1 if direction is Direction.LEFT else pos
+        try:
+            new.members[q].require_writable()
+        except DomainError as exc:  # worded as Collection.to_json words it
+            raise DomainError(f"member E_{q}: {exc}") from exc
+        params = {"position": pos, "direction": direction.value}
+        steps.append(LogStep("mutate", params, current, new))
         current = new
     return current, MutationLog(tuple(steps))
 

@@ -102,19 +102,10 @@ def require_exceptional_pair(S: Surface, E: KClass, F: KClass) -> int:
     return euler_form(S, E, F)
 
 
-def classify_pair(S: Surface, E: KClass, F: KClass) -> PairType:
-    """Type of the numerically exceptional pair (E, F) of positive ranks.
-
-    The pair check yields chi(E,F) = rE*rF*(mu(F) - mu(E)), whose sign
-    decides hom, ext or equal slopes; only the equal-slope case reads the
-    lattice."""
-    if E.r <= 0 or F.r <= 0:
-        raise InvalidInputError("not a numerically exceptional pair: rank <= 0")
-    chi_ef = require_exceptional_pair(S, E, F)
-    if chi_ef > 0:
-        return PairType.hom(chi_ef)
-    if chi_ef < 0:
-        return PairType.ext(-chi_ef)
+def require_equal_slope_pair(S: Surface, E: KClass, F: KClass):
+    """The equal-slope refusal for an exceptional pair of positive ranks:
+    C = c1(F) - c1(E) must be a nonzero -2-class orthogonal to K and the
+    ranks equal.  Returns C."""
     C = F.c1 - E.c1
     if C.is_zero():
         raise InvalidInputError(
@@ -126,7 +117,23 @@ def classify_pair(S: Surface, E: KClass, F: KClass) -> PairType:
             "equal-slope pair fails the forced -2-class equations "
             f"(r {E.r} vs {F.r}, C^2 = {dot(C, C)}, C.K = {dot(C, K)})"
         )
-    if is_connected_effective_root(S, C):
+    return C
+
+
+def classify_pair(S: Surface, E: KClass, F: KClass) -> PairType:
+    """Type of the numerically exceptional pair (E, F) of positive ranks.
+
+    The pair check yields chi(E,F) = rE*rF*(mu(F) - mu(E)), whose sign
+    decides hom, ext or equal slopes; only the equal-slope case reads the
+    lattice, past the refusal mutations share, with the root search."""
+    if E.r <= 0 or F.r <= 0:
+        raise InvalidInputError("not a numerically exceptional pair: rank <= 0")
+    chi_ef = require_exceptional_pair(S, E, F)
+    if chi_ef > 0:
+        return PairType.hom(chi_ef)
+    if chi_ef < 0:
+        return PairType.ext(-chi_ef)
+    if is_connected_effective_root(S, require_equal_slope_pair(S, E, F)):
         return PairType.singular()
     return PairType.zero()
 

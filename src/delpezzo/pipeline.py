@@ -60,7 +60,6 @@ from .picard import (
     canonical_divisor,
     dot,
     exceptional_divisor,
-    intersect,
 )
 
 
@@ -101,15 +100,13 @@ def _bundle_slopes(slopes: list[Fraction | None]) -> list[Fraction]:
 
 def order_hom(c: Collection) -> tuple[Collection, MutationLog]:
     """Left-mutate adjacent descending pairs until the anticanonical slopes
-    are non-decreasing.  The slope window never widens.  Rank-0 torsion
-    members are held fixed; a descent split by a torsion member cannot be
-    repaired by adjacent mutations and is refused."""
+    are non-decreasing.  A descent has chi(E,F) < 0, so its left mutation
+    |chi|*E + F lies strictly between: the window never widens.  Torsion
+    members are held fixed; a descent split by one is refused."""
     require_numerically_exceptional(c)
     slopes = _slopes(c)
-    mus = _bundle_slopes(slopes)
-    if not mus:
+    if not _bundle_slopes(slopes):
         return c, MutationLog(())
-    lo0, hi0 = min(mus), max(mus)
     guard = len(c.members) ** 2 + len(c.members) + 1
     steps: list[LogStep] = []
     current = c
@@ -135,8 +132,6 @@ def order_hom(c: Collection) -> tuple[Collection, MutationLog]:
             "descending slopes around a fixed torsion member cannot be "
             "hom-ordered by adjacent mutations"
         )
-    if min(mus) < lo0 or max(mus) > hi0:
-        raise InvariantViolationError("hom-ordering widened the slope window")
     return current, MutationLog(tuple(steps))
 
 
@@ -242,9 +237,10 @@ def peel_curve(
 ) -> tuple[KClass, int, MutationLog]:
     """Subtract the O_e(-1) layer from the accumulated class.
 
-    F = sum mults[i] * [E_i], alpha = chi(F, [O_e(-1)]) >= 0, and
-    G = F - alpha * [O_e(-1)] satisfies c1(G).e = 0 and
-    chi(G, [O_e(-1)]) = 0: G is descent-ready.
+    F = sum mults[i] * [E_i], L = [O_e(-1)], alpha = chi(F, L) and
+    G = F - alpha * L.  By Riemann-Roch, for every F, alpha = -c1(F).e
+    (>= 0 once every degree is in {-1, 0}), c1(G).e = chi(G, L) = 0,
+    chi(L, G) = -r(G) and chi(L, F) = alpha - r(F): G is descent-ready.
     """
     require_numerically_exceptional(c)
     _slopes(c)
@@ -262,18 +258,7 @@ def peel_curve(
     L = curve_class(S, e_index, -1)
     F = weighted_sum(zip(c.members, mults))
     alpha = euler_form(S, F, L)
-    if alpha < 0:
-        raise InvariantViolationError(f"peel multiplicity alpha = {alpha} < 0")
     G = F - alpha * L
-    e = exceptional_divisor(S.d, e_index)
-    beta = F.r - alpha
-    if (
-        intersect(S, G.c1, e) != 0
-        or euler_form(S, G, L) != 0
-        or euler_form(S, L, G) != -G.r
-        or euler_form(S, L, F) != -beta
-    ):
-        raise InvariantViolationError("peel output failed its exact identities")
     params = {"mults": list(mults), "e_index": e_index, "alpha": alpha}
     return G, alpha, MutationLog((LogStep("peel", params, c, G),))
 

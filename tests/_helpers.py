@@ -52,9 +52,12 @@ def line_bundle(S: Surface, *coeffs: int) -> KClass:
     return line_class(S, DivisorClass(tuple(coeffs)))
 
 
-def random_kclass(rng: random.Random, d: int, max_rank: int = 6) -> KClass:
-    """A random class satisfying the integrality invariant, rank >= 1."""
-    r = rng.randint(1, max_rank)
+def random_kclass(
+    rng: random.Random, d: int, max_rank: int = 6, min_rank: int = 1
+) -> KClass:
+    """A random class satisfying the integrality invariant, with rank in
+    [min_rank, max_rank]."""
+    r = rng.randint(min_rank, max_rank)
     c1 = DivisorClass(tuple(rng.randint(-5, 5) for _ in range(d + 1)))
     c2 = rng.randint(-10, 10)
     return KClass(r, c1, intersect(Surface(d), c1, c1) - 2 * c2)
@@ -74,6 +77,20 @@ def oracle_chi_product_form(S: Surface, E: KClass, F: KClass) -> Fraction:
     q_f = Fraction(F.ch2, F.r)
     dot_c1 = Fraction(intersect(S, E.c1, F.c1), E.r * F.r)
     return E.r * F.r * (1 + Fraction(mu_f - mu_e, 2) + q_f + q_e - dot_c1)
+
+
+def oracle_twice_chi(S: Surface, E: KClass, F: KClass) -> Fraction:
+    """2*chi(E, F) from Riemann-Roch in rational arithmetic, with ch2 as a
+    fraction and H.c1 through the intersection form:
+    2 rE rF + H.(rE c1F - rF c1E) + 2 rE ch2F + 2 rF ch2E - 2 c1E.c1F."""
+    H = anticanonical_divisor(S.d)
+    return (
+        2 * E.r * F.r
+        + intersect(S, H, E.r * F.c1 - F.r * E.c1)
+        + 2 * E.r * F.ch2
+        + 2 * F.r * E.ch2
+        - 2 * intersect(S, E.c1, F.c1)
+    )
 
 
 def oracle_rotation_index(
@@ -292,6 +309,21 @@ def braid_orbit_states(depth: int) -> list[Collection]:
                         new.append(m)
         frontier = new
     return list(seen.values())
+
+
+def scrambled_collections(d: int, words: int, seed: int, max_letters: int = 6):
+    """Basic collections on d blow-ups after seeded braid words."""
+    rng = random.Random(seed)
+    c = basic_collection(Surface(d))
+    n = len(c.members)
+    for _ in range(words):
+        word = BraidWord(
+            tuple(
+                (rng.randint(1, n - 1), rng.choice(list(Direction)))
+                for _ in range(rng.randint(0, max_letters))
+            )
+        )
+        yield apply_braid(c, word)[0]
 
 
 def braid_log() -> MutationLog:

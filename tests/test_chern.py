@@ -7,6 +7,7 @@ from _helpers import (
     line_bundle,
     oracle_chi_product_form,
     oracle_monomial_count,
+    oracle_twice_chi,
     random_kclass,
     surface,
 )
@@ -158,6 +159,19 @@ class TestEulerForm:
             E = random_kclass(rng, d)
             F = random_kclass(rng, d)
             assert euler_form(S, E, F) == oracle_chi_product_form(S, E, F)
+
+    @pytest.mark.parametrize("d", range(9))
+    def test_twice_chi_is_even(self, d):
+        # c1^2 = 2ch2 and H.c1 = c1^2 (mod 2) for every class, so chi is an
+        # integer without a check; ranks of every sign, torsion included.
+        rng = random.Random(1000 + d)
+        S = surface(d)
+        for _ in range(200):
+            E = random_kclass(rng, d, max_rank=4, min_rank=-4)
+            F = random_kclass(rng, d, max_rank=4, min_rank=-4)
+            twice = oracle_twice_chi(S, E, F)
+            assert twice.denominator == 1 and twice.numerator % 2 == 0
+            assert 2 * euler_form(S, E, F) == twice
 
     def test_asymmetry_identity(self):
         rng = random.Random(5)

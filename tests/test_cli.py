@@ -8,7 +8,15 @@ import time
 import pytest
 from _helpers import p2_basic, surface
 
-from delpezzo import MutationLog, basic_collection, markov_max_uniqueness, markov_tree, replay
+from delpezzo import (
+    MutationLog,
+    basic_collection,
+    markov_max_uniqueness,
+    markov_tree,
+    normalize_and_descend,
+    peel_curve,
+    replay,
+)
 from delpezzo.cli import run
 
 
@@ -326,6 +334,28 @@ class TestRefusals:
         assert not log_path.exists()
 
     @pytest.mark.parametrize(
+        "argv",
+        [
+            ["braid", "--collection", json.dumps(p2_basic().to_json()), "--word"],
+            ["markov", "--braid"],
+        ],
+        ids=["braid", "markov"],
+    )
+    def test_long_braid_word_refused_at_the_size_budget(self, argv):
+        # 100 x "L1 R2" would reach hundreds of thousands of digits; the
+        # word is refused at the letter whose new member passes 4300.
+        start = time.perf_counter()
+        code, out, err = invoke_process(*argv, " ".join(["L1 R2"] * 100))
+        elapsed = time.perf_counter() - start
+        assert code == 2, out
+        assert out == ""
+        assert err == (
+            "domain error: member E_2: class has an integer of more than 4300 "
+            "digits, the limit for writing one\n"
+        )
+        assert elapsed < 1.0
+
+    @pytest.mark.parametrize(
         "argv, asked",
         [
             (
@@ -535,6 +565,35 @@ class TestPipelineCommands:
         assert code == 0
         d = doc(out)
         assert d == {"class": {"r": 1, "c1": [0, 0], "ch2": "0/1"}, "alpha": 1}
+
+    @pytest.mark.parametrize("command", ["normalize", "peel"])
+    @pytest.mark.parametrize(
+        "mults",
+        ["1_0,1, +1 ,1", "1_0,1,1,1", "+1,1,1,1", " 1,1,1,1", "1,1,1 ,1", "1,,1,1",
+         "1,1,1,1,", ",1,1,1,1", "", "1.0,1,1,1", "01,1,1,1", "1,1,1,\u0661"],
+    )
+    def test_mults_must_be_json_integers(self, capsys, command, mults):
+        collection = json.dumps(basic_collection(surface(1)).to_json())
+        argv = [command, "--collection", collection, f"--mults={mults}"]
+        code, out, err = invoke(capsys, *argv)
+        assert code == 1, out
+        assert out == ""
+        assert err == f"invalid input: bad multiplicities {mults!r}\n"
+
+    @pytest.mark.parametrize("command", ["normalize", "peel"])
+    def test_mults_read_as_given(self, capsys, command):
+        S = surface(1)
+        c = basic_collection(S)
+        code, out, _ = invoke(
+            capsys, command, "--collection", json.dumps(c.to_json()), "--mults", "1,2,1,1"
+        )
+        assert code == 0
+        if command == "peel":
+            G, alpha, _ = peel_curve(c, [1, 2, 1, 1], 1)
+            assert doc(out) == {"class": G.to_json(), "alpha": alpha}
+        else:
+            G, log = normalize_and_descend(c, [1, 2, 1, 1])
+            assert doc(out) == {"descended": G.to_json(), "alpha": 1, "steps": len(log)}
 
     def test_descend(self, capsys):
         code, out, _ = invoke(

@@ -157,6 +157,11 @@ LETTER = st.tuples(
     st.sampled_from("LRlrX"),
     st.integers(-1, 12).map(str) | st.sampled_from(["", "1.5", "9" * 5000, "٣"]),
 ).map("".join)
+# A --mults field: a JSON integer, a form int() reads but JSON does not (an
+# underscore, a '+' sign, spaces, a leading zero), a decimal, or nothing.
+MULT_FIELDS = st.integers(-2, 5).map(str) | st.sampled_from(
+    ["1_0", "+1", " 1", "1 ", " +1 ", "", "01", "1.0"]
+)
 FLAG_VALUES = {
     "surface": _json_arg(VALID["surface"]),
     "e": _json_arg(VALID["class"]),
@@ -171,7 +176,7 @@ FLAG_VALUES = {
     "hi": st.integers(-12, 12).map(str) | st.text(max_size=3),
     "limit": st.integers(-2, 40).map(str) | st.text(max_size=3),
     "braid": st.lists(LETTER, max_size=6).map(" ".join),
-    "mults": st.lists(st.integers(-2, 5).map(str), max_size=6).map(",".join),
+    "mults": st.lists(MULT_FIELDS, max_size=6).map(",".join),
     "e_index": st.integers(-2, 10).map(str),
     "out": st.just(OUT),
 }

@@ -8,6 +8,7 @@ from _helpers import (
     oracle_gram_violation,
     p2_basic,
     random_kclass,
+    scrambled_collections,
     surface,
 )
 
@@ -19,6 +20,8 @@ from delpezzo import (
     InvalidInputError,
     InvariantViolationError,
     KClass,
+    LogStep,
+    MutationLog,
     apply_braid,
     basic_collection,
     basic_collection_torsion_last,
@@ -34,7 +37,7 @@ from delpezzo import (
 )
 from delpezzo import mutation as mutation_module
 from delpezzo import pairs as pairs_module
-from delpezzo.mutation import certify, require_numerically_exceptional
+from delpezzo.mutation import HelixWitness, certify, require_numerically_exceptional
 from delpezzo.pairs import require_exceptional_pair
 
 
@@ -111,21 +114,6 @@ class TestMutatePair:
         O = structure_class(S)
         with pytest.raises(InvalidInputError):
             mutate_pair(S, O, O, Direction.LEFT)
-
-
-def scrambled_collections(d: int, words: int, seed: int, max_letters: int = 6):
-    """Basic collections on d blow-ups after seeded braid words."""
-    rng = random.Random(seed)
-    c = basic_collection(surface(d))
-    n = len(c.members)
-    for _ in range(words):
-        word = BraidWord(
-            tuple(
-                (rng.randint(1, n - 1), rng.choice(list(Direction)))
-                for _ in range(rng.randint(0, max_letters))
-            )
-        )
-        yield apply_braid(c, word)[0]
 
 
 def scrambled_pairs(d: int, words: int, seed: int):
@@ -217,11 +205,11 @@ class TestIncrementalCertificate:
         c = basic_collection(S)
         O, Oh = structure_class(S), line_bundle(S, 1, 0)
         for wrong in (O, Oh, 2 * O, c.members[0], line_bundle(S, 0, 1)):
-            def broken(S, E, F, direction, wrong=wrong):
+            def broken(S, E, F, chi_ef, direction, wrong=wrong):
                 return (wrong, E) if direction is Direction.LEFT else (F, wrong)
 
-            monkeypatch.setattr(mutation_module, "mutate_pair", broken)
-            out = broken(S, c.members[i - 1], c.members[i], direction)
+            monkeypatch.setattr(mutation_module, "_reflect", broken)
+            out = broken(S, c.members[i - 1], c.members[i], None, direction)
             members = c.members[: i - 1] + out + c.members[i + 1 :]
             # The incremental check names the entry the full scan names.
             with pytest.raises(InvariantViolationError) as full:
@@ -234,7 +222,9 @@ class TestIncrementalCertificate:
             )
 
     @pytest.mark.parametrize("d, n", [(0, 3), (3, 6), (8, 11)])
-    def test_four_plus_n_chi_per_mutation(self, monkeypatch, d, n):
+    def test_one_plus_n_chi_per_mutation(self, monkeypatch, d, n):
+        # The certified input holds the pair's chi(E,E), chi(F,F) and
+        # chi(F,E): only chi(E,F) and the new member's n entries are read.
         calls = []
 
         def counted(S, E, F):
@@ -250,7 +240,7 @@ class TestIncrementalCertificate:
             calls.clear()
             c = mutate_collection(c, rng.randint(1, n - 1), rng.choice(list(Direction)))
             assert len(c.members) == n
-            assert len(calls) == 4 + n, calls
+            assert len(calls) == 1 + n, calls
 
     def test_uncertified_input_is_scanned_once(self, monkeypatch):
         scans = []
@@ -303,6 +293,75 @@ class TestIncrementalCertificate:
         with pytest.raises(InvalidInputError):
             require_numerically_exceptional(c)
         assert not c._certified
+
+
+INCONSISTENT = (
+    "equal-slope pair fails the forced -2-class equations "
+    "(r 1 vs 3, C^2 = -10, C.K = 0)"
+)
+
+
+def inconsistent_pair():
+    """(O, F) on 4 blow-ups: chi(O,O) = chi(F,F) = 1, chi(F,O) = 0 and
+    chi(O,F) = 0, but the ranks differ and C = c1(F) has C^2 = -10."""
+    S = surface(4)
+    return S, structure_class(S), KClass(3, divisor(0, -2, 2, -1, 1), -6)
+
+
+class TestMutationReadsOneChi:
+    """A mutation needs chi(E,F) once its pair is known to be exceptional.
+    It refuses inconsistent equal-slope numerics and does not classify."""
+
+    @pytest.mark.parametrize("direction", list(Direction))
+    def test_inconsistent_equal_slope_pair_refused(self, direction):
+        S, O, F = inconsistent_pair()
+        with pytest.raises(InvariantViolationError) as pair:
+            mutate_pair(S, O, F, direction)
+        with pytest.raises(InvariantViolationError) as collection:
+            mutate_collection(Collection(S, (O, F)), 1, direction)
+        assert str(pair.value) == str(collection.value) == INCONSISTENT
+
+    def test_helix_period_witness_on_the_inconsistent_pair(self):
+        S, O, F = inconsistent_pair()
+        assert check_helix_period(Collection(S, (O, F))) == (
+            False,
+            HelixWitness(
+                1,
+                "period mismatch",
+                KClass(44, divisor(-135, -75, -15, -60, -30), 135),
+                KClass(1, divisor(-3, -1, -1, -1, -1), 5),
+            ),
+        )
+
+    @pytest.mark.parametrize(
+        "roots",
+        [(), [(0, -1, 1)], [(0, 1, -1)] * 6],
+        ids=["zero", "singular", "degenerate-roots"],
+    )
+    def test_equal_slope_pair_swaps(self, roots):
+        # With no roots declared (O, O(e1 - e2)) is a zero pair, with the
+        # root e1 - e2 declared a singular one; six copies of one root are
+        # too degenerate for the root search, which a mutation never runs.
+        S = surface(2, roots)
+        O, G = structure_class(S), line_bundle(S, 0, -1, 1)
+        for direction in Direction:
+            assert mutate_pair(S, O, G, direction) == (G, O)
+            assert mutate_collection(Collection(S, (O, G)), 1, direction).members == (G, O)
+
+    def test_mutation_never_classifies(self, monkeypatch):
+        def refused(*args):
+            raise AssertionError("a mutation ran the root search")
+
+        monkeypatch.setattr(pairs_module, "is_connected_effective_root", refused)
+        assert not hasattr(mutation_module, "classify_pair")
+        S = surface(2, [(0, -1, 1)])
+        O, G = structure_class(S), line_bundle(S, 0, -1, 1)
+        for direction in Direction:
+            assert mutate_pair(S, O, G, direction) == (G, O)
+        for c in scrambled_collections(3, 4, seed=17):
+            for i in range(1, len(c.members)):
+                for direction in Direction:
+                    mutate_collection(c, i, direction)
 
 
 def random_divisor(rng: random.Random, d: int):
@@ -407,17 +466,17 @@ class TestGramWalkOracle:
                             )
                         )
 
-                        def patched(S, E, F, direction, candidate=candidate):
+                        def patched(S, E, F, chi_ef, direction, candidate=candidate):
                             if direction is Direction.LEFT:
                                 return candidate, E
                             return F, candidate
 
-                        pair = patched(S, E, F, direction)
+                        pair = patched(S, E, F, None, direction)
                         out = Collection(S, c.members[: i - 1] + pair + c.members[i + 1 :])
                         expected = oracle_gram_violation(out, q)
                         # Only the new member's row and column can fail.
                         assert oracle_gram_violation(out) == expected
-                        monkeypatch.setattr(mutation_module, "mutate_pair", patched)
+                        monkeypatch.setattr(mutation_module, "_reflect", patched)
                         if expected is None:
                             assert mutate_collection(c, i, direction) == out
                         else:
@@ -569,8 +628,18 @@ class TestSizeBudget:
             c.to_json()
 
     def test_oversized_braid_result_refused_when_written(self):
-        out, log = apply_braid(p2_basic(), BraidWord.parse(" ".join(["L1 R2"] * 11)))
-        assert is_numerically_exceptional(out)[0]
-        for write in (out.to_json, log.to_jsonl):
-            with pytest.raises(DomainError, match="more than 4300 digits"):
+        # apply_braid refuses at the letter whose new member is past the
+        # budget; a collection built past it directly is refused when written.
+        with pytest.raises(
+            DomainError,
+            match=r"^member E_2: class has an integer of more than 4300 digits, "
+            "the limit for writing one$",
+        ):
+            apply_braid(p2_basic(), BraidWord.parse(" ".join(["L1 R2"] * 11)))
+        S = surface(0)
+        huge = KClass(2 * 10**4300 + 1, divisor(1), 3)
+        c = Collection(S, (structure_class(S), huge))
+        log = MutationLog((LogStep("mutate", {}, c, c),))
+        for write in (c.to_json, log.to_jsonl):
+            with pytest.raises(DomainError, match="member E_1: .*more than 4300 digits"):
                 write()

@@ -4,7 +4,15 @@ import re
 from fractions import Fraction
 
 import pytest
-from _helpers import braid_orbit_states, divisor, line_bundle, p2_basic, surface
+from _helpers import (
+    braid_orbit_states,
+    divisor,
+    line_bundle,
+    p2_basic,
+    random_kclass,
+    scrambled_collections,
+    surface,
+)
 
 from delpezzo import (
     Collection,
@@ -76,6 +84,24 @@ class TestOrderHom:
         c = Collection(S, (KClass(-1, divisor(0), 0),))
         with pytest.raises(InvalidInputError):
             order_hom(c)
+
+    @pytest.mark.parametrize("d", range(1, 9))
+    def test_scrambled_collections_reorder_within_window(self, d):
+        # A descent (E, F) has chi(E,F) < 0, so its left mutation
+        # |chi|*E + F has a slope strictly between the two.  The plane's
+        # orbit is the test above.
+        moved = 0
+        for c in scrambled_collections(d, 40, seed=1400 + d, max_letters=20):
+            lo, hi = min(slopes(c)), max(slopes(c))
+            try:
+                out, log = order_hom(c)
+            except DomainError:  # torsion the pipeline cannot place or pass
+                continue
+            moved += len(log) > 0
+            ordered = slopes(out)
+            assert all(x <= y for x, y in zip(ordered, ordered[1:]))
+            assert lo <= min(ordered) and max(ordered) <= hi
+        assert moved > 0
 
 
 class TestReduceSpread:
@@ -199,6 +225,47 @@ class TestPeelCurve:
             assert euler_form(S, G, L) == 0
             assert euler_form(S, L, G) == -G.r
             count += 1
+
+    @pytest.mark.parametrize("d", range(1, 9))
+    def test_riemann_roch_identities_for_every_class(self, d):
+        # The identities peel_curve does not re-check: with L = O_e(-1),
+        # alpha = chi(F, L) = -c1(F).e and G = F - alpha*L, for every F.
+        rng = random.Random(1100 + d)
+        S = surface(d)
+        for _ in range(40):
+            F = random_kclass(rng, d, max_rank=6, min_rank=-6)
+            for i in range(1, d + 1):
+                L = curve_class(S, i, -1)
+                e = exceptional_divisor(d, i)
+                alpha = euler_form(S, F, L)
+                G = F - alpha * L
+                assert alpha == -intersect(S, F.c1, e)
+                assert intersect(S, G.c1, e) == 0
+                assert euler_form(S, G, L) == 0
+                assert euler_form(S, L, G) == -G.r
+                assert euler_form(S, L, F) == alpha - F.r
+
+    @pytest.mark.parametrize("d", range(1, 9))
+    def test_alpha_is_non_negative_on_scrambled_collections(self, d):
+        rng = random.Random(1200 + d)
+        peeled = 0
+        for c in scrambled_collections(d, 20, seed=1300 + d):
+            mults = [rng.randint(1, 4) for _ in c.members]
+            for e_index in range(1, d + 1):
+                try:
+                    _, alpha, _ = peel_curve(c, mults, e_index)
+                except DomainError as exc:
+                    assert "rotate first" in str(exc)
+                    continue
+                peeled += 1
+                assert alpha >= 0
+            try:
+                _, log = normalize_and_descend(c, mults)
+            except PipelineError:
+                continue
+            (peel,) = [s for s in log.steps if s.kind == "peel"]
+            assert peel.params["alpha"] >= 0
+        assert peeled > 0
 
     def test_out_of_window_degree_rejected(self):
         S = surface(1)
