@@ -13,9 +13,8 @@ The Euler form is the surface Riemann-Roch bilinear expansion
 
 with H the anticanonical class.  It always evaluates to an integer on
 classes satisfying the integrality invariant; twice it is computed in
-plain integer arithmetic, with H.c1 = 3a - sum b read off the
-coefficients, so the pairing is cheap enough to drive large mutation
-searches.
+plain integer arithmetic, with H.c1 from ``picard.anticanonical_degree``,
+so the pairing is cheap enough to drive large mutation searches.
 """
 
 from __future__ import annotations
@@ -30,6 +29,7 @@ from .errors import DomainError, InvalidInputError
 from .picard import (
     DivisorClass,
     Surface,
+    anticanonical_degree,
     canonical_divisor,
     dot,
     exceptional_divisor,
@@ -171,11 +171,10 @@ def curve_class(S: Surface, e_index: int, deg: int) -> KClass:
 
 def euler_form(S: Surface, E: KClass, F: KClass) -> int:
     """chi(E, F), exactly, as an integer."""
-    if E.d != S.d or F.d != S.d:
+    n = S.d + 1
+    if len(E.c1.coeffs) != n or len(F.c1.coeffs) != n:
         raise InvalidInputError("class does not belong to this surface")
-    e, f = E.c1.coeffs, F.c1.coeffs
-    # H.c1 = 3a - sum(b) for the anticanonical class H = (3; 1, ..., 1).
-    mixed = E.r * (3 * f[0] - sum(f[1:])) - F.r * (3 * e[0] - sum(e[1:]))
+    mixed = E.r * anticanonical_degree(F.c1) - F.r * anticanonical_degree(E.c1)
     # Even, as c1^2 = 2*ch2 = H.c1 (mod 2) for every class.
     doubled = (
         2 * E.r * F.r

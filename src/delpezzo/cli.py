@@ -73,8 +73,11 @@ def _load_json(value: str):
     """Inline JSON, or a path to a JSON file."""
     text = value
     if not value.lstrip().startswith(("{", "[")) and os.path.exists(value):
-        with open(value, "r", encoding="utf-8") as fh:
-            text = fh.read()
+        try:  # a directory, an unreadable file, or bytes that are not UTF-8
+            with open(value, "r", encoding="utf-8") as fh:
+                text = fh.read()
+        except (OSError, UnicodeDecodeError) as exc:
+            raise InvalidInputError(f"cannot read JSON file {value!r}: {exc}") from exc
     try:
         return json.loads(text)
     except ValueError as exc:  # JSONDecodeError, or an over-long integer literal
@@ -104,8 +107,11 @@ def _emit(doc: dict) -> None:
 def _write_log(log: MutationLog, out: str | None) -> None:
     if out:
         text = log.to_jsonl()
-        with open(out, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        try:
+            with open(out, "w", encoding="utf-8") as fh:
+                fh.write(text)
+        except OSError as exc:
+            raise InvalidInputError(f"cannot write the log to {out!r}: {exc}") from exc
 
 
 def _cmd_chi(args) -> None:

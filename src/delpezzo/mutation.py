@@ -50,9 +50,8 @@ from .errors import DomainError, InvalidInputError, InvariantViolationError
 from .pairs import require_equal_slope_pair, require_exceptional_pair
 from .picard import (
     Surface,
-    anticanonical_divisor,
+    anticanonical_degree,
     canonical_divisor,
-    dot,
     line_divisor,
 )
 
@@ -192,14 +191,15 @@ def certify(c: Collection, operation: str, q: int | None = None) -> Collection:
     return c
 
 
-def sign_normalize(S: Surface, x: KClass) -> KClass:
+def sign_normalize(x: KClass) -> KClass:
     """Canonical representative of {x, -x}: positive rank, else positive
-    anticanonical degree, else lexicographically positive c1, else
-    positive ch2.  A mutation never gives zero: chi(E,F)E = F would make
-    chi(F,E) = +-1, which its pair check or certificate rules out."""
+    anticanonical degree H.c1, else lexicographically positive c1, else
+    positive ch2, all read off x alone.  A mutation never gives zero:
+    chi(E,F)E = F would make chi(F,E) = +-1, which its pair check or
+    certificate rules out."""
     if x.r != 0:
         return x if x.r > 0 else -x
-    deg = dot(anticanonical_divisor(S.d), x.c1)
+    deg = anticanonical_degree(x.c1)
     if deg != 0:
         return x if deg > 0 else -x
     for coeff in x.c1.coeffs:
@@ -214,8 +214,8 @@ def _reflect(S: Surface, E: KClass, F: KClass, chi_ef: int, direction: Direction
     if chi_ef == 0 and E.r > 0 and F.r > 0:
         require_equal_slope_pair(S, E, F)
     if direction is Direction.LEFT:
-        return sign_normalize(S, chi_ef * E - F), E
-    return F, sign_normalize(S, chi_ef * F - E)
+        return sign_normalize(chi_ef * E - F), E
+    return F, sign_normalize(chi_ef * F - E)
 
 
 def mutate_pair(

@@ -34,7 +34,7 @@ from .chern import KClass, euler_form, slope_mu
 from .errors import DomainError, InvalidInputError, InvariantViolationError
 from .picard import (
     Surface,
-    canonical_divisor,
+    anticanonical_degree,
     dot,
     exceptional_divisor,
     intersect,
@@ -111,11 +111,10 @@ def require_equal_slope_pair(S: Surface, E: KClass, F: KClass):
         raise InvalidInputError(
             "equal-slope pair with identical numerics is not classifiable"
         )
-    K = canonical_divisor(S.d)
-    if E.r != F.r or dot(C, C) != -2 or dot(C, K) != 0:
+    if E.r != F.r or dot(C, C) != -2 or anticanonical_degree(C) != 0:
         raise InvariantViolationError(
             "equal-slope pair fails the forced -2-class equations "
-            f"(r {E.r} vs {F.r}, C^2 = {dot(C, C)}, C.K = {dot(C, K)})"
+            f"(r {E.r} vs {F.r}, C^2 = {dot(C, C)}, C.K = {-anticanonical_degree(C)})"
         )
     return C
 

@@ -7,7 +7,10 @@ is stored as the integer vector (a; b_1, ..., b_d) meaning
 
     a*h - sum_i b_i * e_i.
 
-On top of the form this module provides the canonical class, enumeration
+The lattice's integer functionals live here, read off the coefficients:
+the form ``dot`` and ``anticanonical_degree`` H.D = 3a - sum b (H = -K),
+which every slope and chi reads.  No other module builds H or K to take
+one product.  On top of them come the canonical class, enumeration
 of the -2-root system {C : C^2 = -2, C.K = 0}, the effectivity/
 connectedness test for roots against a declared configuration, and the
 coordinate deletion that realizes blowing down the last exceptional curve.
@@ -42,14 +45,6 @@ class DivisorClass:
     @property
     def d(self) -> int:
         return len(self.coeffs) - 1
-
-    @property
-    def a(self) -> int:
-        return self.coeffs[0]
-
-    @property
-    def b(self) -> tuple[int, ...]:
-        return self.coeffs[1:]
 
     def __add__(self, other: "DivisorClass") -> "DivisorClass":
         if len(self.coeffs) != len(other.coeffs):
@@ -102,9 +97,16 @@ def exceptional_divisor(d: int, i: int) -> DivisorClass:
 
 def dot(C: DivisorClass, D: DivisorClass) -> int:
     """The diagonal form diag(+1, -1, ..., -1) on coefficient vectors."""
-    if len(C.coeffs) != len(D.coeffs):
+    p, q = C.coeffs, D.coeffs
+    if len(p) != len(q):
         raise InvalidInputError("divisor classes live on different surfaces")
-    return C.a * D.a - sum(x * y for x, y in zip(C.b, D.b))
+    return p[0] * q[0] - sum(x * y for x, y in zip(p[1:], q[1:]))
+
+
+def anticanonical_degree(D: DivisorClass) -> int:
+    """H.D = 3a - sum b for H = -K = (3; 1, ..., 1); K.D is its negative."""
+    c = D.coeffs
+    return 3 * c[0] - sum(c[1:])
 
 
 def canonical_divisor(d: int) -> DivisorClass:
@@ -137,11 +139,10 @@ class Surface:
         object.__setattr__(
             self, "effective_simple_roots", tuple(self.effective_simple_roots)
         )
-        K = canonical_divisor(self.d)
         for C in self.effective_simple_roots:
             if C.d != self.d:
                 raise InvalidInputError("declared root has wrong dimension")
-            if dot(C, C) != -2 or dot(C, K) != 0:
+            if dot(C, C) != -2 or anticanonical_degree(C) != 0:
                 raise InvalidInputError(
                     f"declared root {C.coeffs} is not a -2-class orthogonal to K"
                 )
@@ -289,8 +290,7 @@ def is_connected_effective_root(S: Surface, C: DivisorClass) -> bool:
     """Whether C is a non-negative combination of the declared simple roots
     whose support graph (edges where the intersection is nonzero) is
     connected."""
-    K = canonical_divisor(S.d)
-    if intersect(S, C, C) != -2 or dot(C, K) != 0:
+    if intersect(S, C, C) != -2 or anticanonical_degree(C) != 0:
         raise DomainError(f"{C.coeffs} is not a -2-class orthogonal to K")
     decomposition = effective_root_decomposition(S, C)
     if decomposition is None:

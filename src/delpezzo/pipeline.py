@@ -57,8 +57,8 @@ from .pairs import restriction_degree, rotation_index, splitting_degrees
 from .picard import (
     DivisorClass,
     Surface,
+    anticanonical_degree,
     canonical_divisor,
-    dot,
     exceptional_divisor,
 )
 
@@ -81,7 +81,6 @@ def _slopes(c: Collection) -> list[Fraction | None]:
     """Each member's anticanonical slope, None for a torsion member, after
     checking that every rank is non-negative and every torsion member is a
     multiple k*[O_{e_i}(-1)] of a blow-up curve class."""
-    H = c.surface.anticanonical_class()
     slopes: list[Fraction | None] = []
     for m in c.members:
         if m.r < 0:
@@ -90,7 +89,7 @@ def _slopes(c: Collection) -> list[Fraction | None]:
             _torsion_multiplicity(m)
             slopes.append(None)
         else:
-            slopes.append(Fraction(dot(H, m.c1), m.r))
+            slopes.append(Fraction(anticanonical_degree(m.c1), m.r))
     return slopes
 
 
@@ -105,8 +104,6 @@ def order_hom(c: Collection) -> tuple[Collection, MutationLog]:
     members are held fixed; a descent split by one is refused."""
     require_numerically_exceptional(c)
     slopes = _slopes(c)
-    if not _bundle_slopes(slopes):
-        return c, MutationLog(())
     guard = len(c.members) ** 2 + len(c.members) + 1
     steps: list[LogStep] = []
     current = c

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from .chern import KClass, default_ample, weighted_sum
 from .errors import DomainError, InvalidInputError
-from .picard import DivisorClass, Surface, anticanonical_divisor, dot
+from .picard import DivisorClass, Surface, anticanonical_degree, dot
 
 
 @dataclass(frozen=True)
@@ -78,11 +78,8 @@ def vector_slope(
         raise DomainError("vector slope needs positive rank")
     if A is None:
         A = default_ample(S)
-    H = anticanonical_divisor(S.d)
-    return SlopeVector(
-        E.r,
-        (Fraction(dot(H, E.c1)), Fraction(dot(A, E.c1)), Fraction(E.two_ch2)),
-    )
+    h, a = anticanonical_degree(E.c1), dot(A, E.c1)
+    return SlopeVector(E.r, (Fraction(h), Fraction(a), Fraction(E.two_ch2)))
 
 
 def compare_slope(a: SlopeVector, b: SlopeVector) -> int:

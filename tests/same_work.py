@@ -1,0 +1,274 @@
+"""Same-work sweep: run the public API over seeded inputs on d = 0..8 and
+print one JSON line per call, with its result or its exception type and
+message.
+
+Two trees that should do the same work print identical output:
+
+    PYTHONPATH=<tree>/src python tests/same_work.py > <tree>.jsonl
+    cmp parent.jsonl change.jsonl
+
+``--smoke`` runs a small slice in under 2 s; the test suite runs it once.
+Only names that are public at the package top level (and ``cli.run``) are
+used, so the script runs unchanged on older trees.  pytest does not
+collect this file.
+"""
+
+from __future__ import annotations
+
+import argparse
+import contextlib
+import dataclasses
+import enum
+import io
+import json
+import os
+import random
+import tempfile
+from fractions import Fraction
+
+from delpezzo import (
+    BraidWord,
+    Collection,
+    Direction,
+    DivisorClass,
+    GradedObject,
+    KClass,
+    MutationLog,
+    Surface,
+    apply_braid,
+    basic_collection,
+    basic_collection_torsion_last,
+    check_helix_period,
+    classify_pair,
+    curve_class,
+    default_ample,
+    global_twist,
+    gram_matrix,
+    hn_coarsen,
+    is_numerically_exceptional,
+    line_class,
+    line_divisor,
+    mutate_collection,
+    mutate_pair,
+    normalize_and_descend,
+    replay,
+    rotate_twist,
+    structure_class,
+    twist,
+    vector_slope,
+)
+from delpezzo import cli
+
+DIRECTIONS = (Direction.LEFT, Direction.RIGHT)
+
+
+def show(x):
+    """A JSON-able form of any result the sweep meets."""
+    if isinstance(x, MutationLog):
+        return x.to_jsonl()
+    if hasattr(x, "to_json"):
+        return x.to_json()
+    if isinstance(x, Fraction):
+        return f"{x.numerator}/{x.denominator}"
+    if isinstance(x, enum.Enum):
+        return x.value
+    if dataclasses.is_dataclass(x):
+        return {
+            f.name: show(getattr(x, f.name))
+            for f in dataclasses.fields(x)
+            if not f.name.startswith("_")
+        }
+    if isinstance(x, (list, tuple)):
+        return [show(v) for v in x]
+    if isinstance(x, dict):
+        return {str(k): show(v) for k, v in x.items()}
+    return x
+
+
+def call(label: str, fn, *args) -> None:
+    """Print fn(*args) or its exception as one JSON line."""
+    try:
+        record = {"ok": show(fn(*args))}
+    except Exception as exc:  # every outcome is a record, refusals included
+        record = {"error": type(exc).__name__, "message": str(exc)}
+    print(json.dumps({"call": label, **record}))
+
+
+def random_word(rng: random.Random, n: int, letters: int) -> BraidWord:
+    """Letters on positions 1..n, so a position n letter is out of range."""
+    return BraidWord(
+        tuple((rng.randint(1, n), rng.choice(DIRECTIONS)) for _ in range(letters))
+    )
+
+
+def braid_and_replay(c: Collection, word: BraidWord):
+    result, log = apply_braid(c, word)
+    text = log.to_jsonl()
+    return result, text, replay(MutationLog.from_jsonl(text))
+
+
+def descend_and_replay(c: Collection, mults):
+    G, log = normalize_and_descend(c, mults)
+    return G, log, replay(log)
+
+
+def sweep_collection(tag: str, c: Collection, rng: random.Random, full: bool) -> None:
+    S, members = c.surface, c.members
+    n = len(members)
+    call(f"{tag} gram_matrix", gram_matrix, c)
+    call(f"{tag} is_numerically_exceptional", is_numerically_exceptional, c)
+    for pos in range(n + 1):
+        for direction in DIRECTIONS:
+            label = f"{tag} mutate_collection {pos} {direction.value}"
+            call(label, mutate_collection, c, pos, direction)
+    pairs = [(i, j) for i in range(n) for j in range(n) if i != j]
+    if not full:
+        pairs = [(i, i + 1) for i in range(n - 1)]
+    for i, j in pairs:
+        E, F = members[i], members[j]
+        for direction in DIRECTIONS:
+            label = f"{tag} mutate_pair {i} {j} {direction.value}"
+            call(label, mutate_pair, S, E, F, direction)
+        call(f"{tag} classify_pair {i} {j}", classify_pair, S, E, F)
+    for i, E in enumerate(members):
+        call(f"{tag} vector_slope {i}", vector_slope, S, E)
+        call(f"{tag} vector_slope {i} h", vector_slope, S, E, line_divisor(S.d))
+    call(f"{tag} check_helix_period", check_helix_period, c)
+    for j in range(n + 2) if full else (1, 2):
+        call(f"{tag} rotate_twist {j}", rotate_twist, c, j)
+    call(f"{tag} global_twist h", global_twist, c, line_divisor(S.d))
+    for letters in (0, 3, 8) if full else (4,):
+        word = random_word(rng, max(n, 1), letters)
+        call(f"{tag} apply_braid {word}", braid_and_replay, c, word)
+    mult_choices = [None, [rng.randint(1, 3) for _ in members], [1] * (n + 1)]
+    if full:
+        mult_choices += [[0] + [1] * (n - 1), [rng.randint(1, 9) for _ in members]]
+    for mults in mult_choices:
+        call(f"{tag} normalize_and_descend {mults}", descend_and_replay, c, mults)
+    bundles = tuple((E, rng.randint(1, 3)) for E in members if E.r > 0)
+    if bundles:
+        g = GradedObject(bundles)
+        call(f"{tag} hn_coarsen", hn_coarsen, g, default_ample(S))
+        call(f"{tag} hn_coarsen h", hn_coarsen, g, line_divisor(S.d))
+
+
+def collections(d: int, rng: random.Random, full: bool):
+    S = Surface(d)
+    basic = basic_collection(S)
+    yield "basic", basic
+    yield "torsion-last", basic_collection_torsion_last(S)
+    n = len(basic.members)
+    for k in range(12 if full else 1):
+        word = random_word(rng, max(n - 1, 1), rng.randint(1, 8))
+        yield f"scrambled-{k} {word}", apply_braid(basic, word)[0]
+    if full and d >= 1:
+        # Torsion only: exceptional for d >= 2, one member twice at d = 1.
+        torsion = (curve_class(S, 1, -1), curve_class(S, d, -1))
+        yield "torsion-pair", Collection(S, torsion)
+        yield "twisted-basic", global_twist(basic, DivisorClass((2,) + (1,) * d))
+
+
+def special_pairs(full: bool):
+    """Equal-slope pairs: inconsistent numerics (the forced -2-class
+    equations fail, with C.K = 0, -6 and -12), and pairs on surfaces with
+    declared roots: one root, dependent roots, and too degenerate roots."""
+    S = Surface(4)
+    O = structure_class(S)
+    F = KClass(3, DivisorClass((0, -2, 2, -1, 1)), -6)
+    h = line_divisor(4)
+    for t in (0, 1, 2) if full else (1,):
+        D = t * h
+        yield f"inconsistent-{t}h", S, twist(S, O, D), twist(S, F, D)
+    configurations = {
+        "one-root": (2, [(0, -1, 1)]),
+        "dependent": (4, [(0, -1, 1, 0, 0), (0, 0, -1, 1, 0), (0, -1, 0, 1, 0)]),
+        "degenerate": (2, [(0, 1, -1)] * 6),
+    }
+    for name, (d, roots) in configurations.items():
+        S = Surface(d, tuple(DivisorClass(r) for r in roots))
+        O = structure_class(S)
+        for r in roots[:2] if full else roots[:1]:
+            for sign in (1, -1):
+                C = DivisorClass(tuple(sign * x for x in r))
+                yield f"{name} {list(C.coeffs)}", S, O, line_class(S, C)
+
+
+def sweep_special(full: bool) -> None:
+    for tag, S, E, F in special_pairs(full):
+        for direction in DIRECTIONS:
+            call(f"{tag} mutate_pair {direction.value}", mutate_pair, S, E, F, direction)
+            label = f"{tag} mutate_collection {direction.value}"
+            call(label, mutate_collection, Collection(S, (E, F)), 1, direction)
+        call(f"{tag} classify_pair", classify_pair, S, E, F)
+        call(f"{tag} check_helix_period", check_helix_period, Collection(S, (E, F)))
+
+
+def run_cli(label: str, argv: list[str], out_dir: str) -> None:
+    """cli.run in process: exit code, stdout, stderr and the --out file."""
+    log_path = os.path.join(out_dir, "log.jsonl")
+    if os.path.exists(log_path):
+        os.remove(log_path)
+    argv = [log_path if a == "{out}" else a for a in argv]
+    stdout, stderr = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+        code = cli.run(argv)
+    log = None
+    if os.path.exists(log_path):
+        with open(log_path, encoding="utf-8") as fh:
+            log = fh.read()
+    record = {"code": code, "out": stdout.getvalue(), "err": stderr.getvalue(), "log": log}
+    print(json.dumps({"call": f"cli {label}", "ok": record}))
+
+
+def sweep_cli(d: int, rng: random.Random, out_dir: str) -> None:
+    S = Surface(d)
+    c = basic_collection(S)
+    n = len(c.members)
+    surface, coll = json.dumps(S.to_json()), json.dumps(c.to_json())
+    E, F, T = (json.dumps(c.members[i].to_json()) for i in (0, 1, -1))
+    broken = json.dumps(basic_collection_torsion_last(S).to_json())
+    word = str(random_word(rng, max(n - 1, 1), 4))
+    quotients = [{"class": m.to_json(), "mult": 2} for m in c.members if m.r > 0]
+    graded = json.dumps({"quotients": quotients})
+    mults = ",".join(str(rng.randint(1, 3)) for _ in range(n))
+    commands = {
+        "chi": ["chi", "--surface", surface, "--e", E, "--f", F],
+        "slope": ["slope", "--surface", surface, "--e", E],
+        "slope-torsion": ["slope", "--surface", surface, "--e", T],
+        "classify-pair": ["classify-pair", "--surface", surface, "--e", E, "--f", F],
+        "roots": ["roots", "--surface", surface],
+        "mutate": ["mutate", "--collection", coll, "--pos", "1", "--dir", "right"],
+        "braid": ["braid", "--collection", coll, "--word", word, "--out", "{out}"],
+        "helix": ["helix", "--collection", coll, "--lo", "-2", "--hi", "5"],
+        "gram": ["gram", "--collection", coll],
+        "check": ["check", "--collection", broken],
+        "hn": ["hn", "--graded", graded],
+        "markov": ["markov", "--limit", str(10 + d)],
+        "markov-braid": ["markov", "--braid", word],
+        "orbit": ["orbit", "--surface", surface, "--e", E, "--f", F, "--limit", "3"],
+        "normalize": ["normalize", "--collection", coll, "--mults", mults, "--out", "{out}"],
+        "peel": ["peel", "--collection", coll, "--mults", mults, "--out", "{out}"],
+        "descend": ["descend", "--surface", surface, "--e", E],
+        "bad-json": ["gram", "--collection", "{oops"],
+    }
+    for name, argv in commands.items():
+        run_cli(f"d{d} {name}", argv, out_dir)
+
+
+def main() -> None:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--smoke", action="store_true", help="a small slice, under 2 s")
+    args = parser.parse_args()
+    full = not args.smoke
+    with tempfile.TemporaryDirectory() as out_dir:
+        for d in range(9):
+            rng = random.Random(100 + d)
+            for name, c in collections(d, rng, full):
+                sweep_collection(f"d{d} {name}", c, rng, full)
+            if full or d in (1, 2):
+                sweep_cli(d, rng, out_dir)
+    sweep_special(full)
+
+
+if __name__ == "__main__":
+    main()

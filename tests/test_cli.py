@@ -307,6 +307,36 @@ class TestRefusals:
         assert "chi(E_2, E_0) = 1" in err
         assert "Traceback" not in err
 
+    def test_directory_as_collection_exits_one(self, tmp_path):
+        code, out, err = invoke_process("check", "--collection", str(tmp_path))
+        assert (code, out) == (1, "")
+        assert f"invalid input: cannot read JSON file {str(tmp_path)!r}" in err
+        assert "Traceback" not in err
+
+    def test_non_utf8_collection_file_exits_one(self, tmp_path):
+        path = tmp_path / "latin1.json"
+        path.write_bytes(b'{"surface": {"blowups": 0}, "members": ["\xe9"]}')
+        code, out, err = invoke_process("check", "--collection", str(path))
+        assert (code, out) == (1, "")
+        assert f"invalid input: cannot read JSON file {str(path)!r}" in err
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize("target", ["directory", "missing-parent"])
+    def test_unwritable_log_exits_one(self, tmp_path, target):
+        out_path = tmp_path if target == "directory" else tmp_path / "no" / "log.jsonl"
+        code, out, err = invoke_process(
+            "braid",
+            "--collection",
+            json.dumps(p2_basic().to_json()),
+            "--word",
+            "R1",
+            "--out",
+            str(out_path),
+        )
+        assert (code, out) == (1, "")
+        assert f"invalid input: cannot write the log to {str(out_path)!r}" in err
+        assert "Traceback" not in err
+
     def test_long_braid_position_exits_one(self):
         collection = json.dumps(p2_basic().to_json())
         code, out, err = invoke_process(

@@ -37,7 +37,12 @@ from delpezzo import (
 )
 from delpezzo import mutation as mutation_module
 from delpezzo import pairs as pairs_module
-from delpezzo.mutation import HelixWitness, certify, require_numerically_exceptional
+from delpezzo.mutation import (
+    HelixWitness,
+    certify,
+    require_numerically_exceptional,
+    sign_normalize,
+)
 from delpezzo.pairs import require_exceptional_pair
 
 
@@ -362,6 +367,21 @@ class TestMutationReadsOneChi:
             for i in range(1, len(c.members)):
                 for direction in Direction:
                     mutate_collection(c, i, direction)
+
+
+class TestSignNormalize:
+    """Rank 0 and anticanonical degree 0 leave c1 and then ch2 to decide."""
+
+    @pytest.mark.parametrize("t", [-4, 0, 2])
+    def test_lexicographically_positive_c1(self, t):
+        # c1 = e1 - e2 = (0; -1, 1): its first nonzero coordinate is negative.
+        x = KClass(0, divisor(0, -1, 1), t)
+        assert sign_normalize(x) == sign_normalize(-x) == -x
+
+    @pytest.mark.parametrize("t", [-6, 0, 4])
+    def test_zero_c1_takes_the_sign_of_ch2(self, t):
+        x = KClass(0, divisor(0, 0, 0), t)
+        assert sign_normalize(x) == sign_normalize(-x) == KClass(0, divisor(0, 0, 0), abs(t))
 
 
 def random_divisor(rng: random.Random, d: int):

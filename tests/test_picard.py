@@ -7,9 +7,13 @@ from delpezzo import (
     DivisorClass,
     DomainError,
     InvalidInputError,
+    PairKind,
     Surface,
+    anticanonical_divisor,
     blow_down_divisor,
     canonical_class,
+    canonical_divisor,
+    classify_pair,
     enumerate_roots,
     euler_form,
     exceptional_divisor,
@@ -17,8 +21,14 @@ from delpezzo import (
     is_connected_effective_root,
     line_class,
     line_divisor,
+    structure_class,
 )
-from delpezzo.picard import blow_down_surface, effective_root_decomposition
+from delpezzo import picard as picard_module
+from delpezzo.picard import (
+    anticanonical_degree,
+    blow_down_surface,
+    effective_root_decomposition,
+)
 
 
 class TestIntersect:
@@ -150,6 +160,57 @@ class TestEffectiveRoots:
     def test_declared_root_validation(self):
         with pytest.raises(InvalidInputError):
             surface(2, roots=[(1, 0, 0)])
+
+
+# e1 - e2, e2 - e3 and their sum e1 - e3 on 4 blow-ups: rank 2, one free
+# coefficient for the search to scan.
+DEPENDENT_ROOTS = [(0, -1, 1, 0, 0), (0, 0, -1, 1, 0), (0, -1, 0, 1, 0)]
+
+
+class TestDependentRoots:
+    def test_decomposition_found_with_the_free_coefficient_at_zero(self):
+        S = surface(4, roots=DEPENDENT_ROOTS)
+        assert effective_root_decomposition(S, divisor(0, -1, 0, 1, 0)) == (1, 1, 0)
+        assert effective_root_decomposition(S, divisor(0, -2, 1, 1, 0)) == (2, 1, 0)
+
+    def test_no_non_negative_solution_in_the_box(self):
+        # e3 - e1 is in the span, but only with a negative coefficient.
+        S = surface(4, roots=DEPENDENT_ROOTS)
+        assert effective_root_decomposition(S, divisor(0, 1, 0, -1, 0)) is None
+        assert is_connected_effective_root(S, divisor(0, 1, 0, -1, 0)) is False
+
+    def test_classify_pair_reads_the_decomposition(self):
+        S = surface(4, roots=DEPENDENT_ROOTS)
+        O = structure_class(S)
+        singular = classify_pair(S, O, line_class(S, divisor(0, -1, 0, 1, 0)))
+        assert (singular.kind, singular.chi) == (PairKind.SINGULAR, 0)
+        zero = classify_pair(S, O, line_class(S, divisor(0, 1, 0, -1, 0)))
+        assert (zero.kind, zero.chi) == (PairKind.ZERO, 0)
+
+    def test_more_than_four_free_coefficients_refused(self):
+        S = surface(2, roots=[(0, 1, -1)] * 6)
+        with pytest.raises(InvalidInputError, match="too degenerate"):
+            effective_root_decomposition(S, divisor(0, 1, -1))
+
+
+class TestAnticanonicalDegree:
+    def test_matches_the_form_against_h_and_k(self):
+        rng = random.Random(11)
+        for d in range(9):
+            for _ in range(20):
+                D = divisor(*(rng.randint(-9, 9) for _ in range(d + 1)))
+                h = anticanonical_degree(D)
+                assert h == intersect(surface(d), anticanonical_divisor(d), D)
+                assert -h == intersect(surface(d), canonical_divisor(d), D)
+
+    def test_surface_without_roots_builds_no_divisor(self, monkeypatch):
+        built = []
+        monkeypatch.setattr(
+            picard_module.DivisorClass, "__post_init__", lambda D: built.append(D)
+        )
+        for d in range(9):
+            Surface(d)
+        assert built == []
 
 
 class TestBlowDown:

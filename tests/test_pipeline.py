@@ -15,6 +15,7 @@ from _helpers import (
 )
 
 from delpezzo import (
+    BraidWord,
     Collection,
     DivisorClass,
     DomainError,
@@ -22,6 +23,7 @@ from delpezzo import (
     InvalidInputError,
     KClass,
     PipelineError,
+    apply_braid,
     basic_collection,
     canonical_divisor,
     curve_class,
@@ -459,3 +461,57 @@ class TestTorsionMembers:
             assert out == single and len(log) == 0
         basic = basic_collection(S)
         assert order_hom(basic)[0] == basic
+
+
+def braided_basic(d, word):
+    c, _ = apply_braid(basic_collection(surface(d)), BraidWord.parse(word))
+    return c
+
+
+def torsion_only_d2():
+    S = surface(2)
+    return Collection(S, (curve_class(S, 1, -1), curve_class(S, 2, -1)))
+
+
+class TestPipelineRefusals:
+    """Each deterministic input reaches one pipeline refusal, by stage and
+    message, from the library and from CLI ``normalize`` (exit 2)."""
+
+    @pytest.mark.parametrize(
+        "make, stage, message",
+        [
+            (
+                torsion_only_d2,
+                "rotate",
+                "the pipeline needs at least one positive-rank member",
+            ),
+            (
+                lambda: braided_basic(2, "R2 R3"),
+                "twist",
+                "degree normalization would twist torsion members",
+            ),
+            (
+                lambda: braided_basic(2, "L1 L2 L1 R2 L3 R1 R1 L3 R4 R1 L2 R2"),
+                "rotate",
+                "rotation would twist torsion members",
+            ),
+            (
+                lambda: basic_collection(surface(3)),
+                "spread",
+                "slope-window reduction would twist torsion members",
+            ),
+        ],
+        ids=["torsion-only", "twist-torsion", "rotate-torsion", "spread-torsion"],
+    )
+    def test_refusal(self, capsys, make, stage, message):
+        c = make()
+        assert is_numerically_exceptional(c)[0]
+        with pytest.raises(PipelineError) as err:
+            normalize_and_descend(c)
+        assert err.value.stage == stage
+        assert str(err.value) == f"[{stage}] {message}"
+        capsys.readouterr()
+        assert run(["normalize", "--collection", json.dumps(c.to_json())]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"domain error: [{stage}] {message}\n"
