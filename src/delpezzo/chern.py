@@ -13,8 +13,16 @@ The Euler form is the surface Riemann-Roch bilinear expansion
 
 with H the anticanonical class.  It always evaluates to an integer on
 classes satisfying the integrality invariant; twice it is computed in
-plain integer arithmetic, with H.c1 from ``picard.anticanonical_degree``,
-so the pairing is cheap enough to drive large mutation searches.
+plain integer arithmetic, so the pairing is cheap enough to drive large
+mutation searches.
+
+Every class caches its anticanonical degree H.c1, computed once at
+construction by ``picard.anticanonical_degree``: the pairing reads both
+cached degrees and takes one product c1E.c1F.  The integrality check
+reads the cached degree too, by the congruence c1^2 = H.c1 (mod 2): for
+c1 = (a; b), a^2 - sum b^2 = a + sum b = 3a - sum b (mod 2).  Sums,
+twists and weighted sums build each new class once, from its integer
+coordinates.
 """
 
 from __future__ import annotations
@@ -22,7 +30,7 @@ from __future__ import annotations
 import functools
 import re
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterable
 from .errors import DomainError, InvalidInputError
@@ -46,16 +54,24 @@ class KClass:
     Invariant: c1^2 - 2*ch2 is an even integer, i.e. c2 is an integer.
     Negative rank is allowed (formal classes); rank-0 classes are the
     torsion ones.
+
+    ``_hc1`` caches the anticanonical degree H.c1.  It takes no part in
+    construction, equality, hashing, the repr or JSON; a frozen class
+    cannot go stale.
     """
 
     r: int
     c1: DivisorClass
     two_ch2: int
+    _hc1: int = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
         if not isinstance(self.r, int) or not isinstance(self.two_ch2, int):
             raise InvalidInputError("rank and 2*ch2 must be integers")
-        if (dot(self.c1, self.c1) - self.two_ch2) % 2 != 0:
+        hc1 = anticanonical_degree(self.c1)
+        object.__setattr__(self, "_hc1", hc1)
+        # c1^2 = H.c1 (mod 2), so this is the parity of c1^2 - 2*ch2.
+        if (hc1 - self.two_ch2) % 2 != 0:
             raise InvalidInputError(
                 f"class ({self.r}, {self.c1.coeffs}, {self.ch2}) has non-integer c2"
             )
@@ -174,7 +190,7 @@ def euler_form(S: Surface, E: KClass, F: KClass) -> int:
     n = S.d + 1
     if len(E.c1.coeffs) != n or len(F.c1.coeffs) != n:
         raise InvalidInputError("class does not belong to this surface")
-    mixed = E.r * anticanonical_degree(F.c1) - F.r * anticanonical_degree(E.c1)
+    mixed = E.r * F._hc1 - F.r * E._hc1
     # Even, as c1^2 = 2*ch2 = H.c1 (mod 2) for every class.
     doubled = (
         2 * E.r * F.r
@@ -209,22 +225,32 @@ def twist(S: Surface, E: KClass, D: DivisorClass) -> KClass:
     (r, c1 + r D, 2 ch2 + 2 c1.D + r D^2)."""
     if E.d != S.d or D.d != S.d:
         raise InvalidInputError("inputs do not belong to this surface")
-    return KClass(
-        E.r,
-        E.c1 + E.r * D,
-        E.two_ch2 + 2 * dot(E.c1, D) + E.r * dot(D, D),
-    )
+    r = E.r
+    c1 = DivisorClass(tuple([x + r * y for x, y in zip(E.c1.coeffs, D.coeffs)]))
+    return KClass(r, c1, E.two_ch2 + 2 * dot(E.c1, D) + r * dot(D, D))
 
 
 def weighted_sum(terms: Iterable[tuple[KClass, int]]) -> KClass:
-    """sum m * E over the (E, m) terms, added in order."""
-    total: KClass | None = None
+    """sum m * E over the (E, m) terms, in one pass: the rank, the c1
+    coordinates and 2*ch2 are summed as integers, and one class is built.
+    Each multiplicity must be an integer."""
+    r = two_ch2 = 0
+    coeffs: list[int] | None = None
     for E, m in terms:
-        piece = m * E
-        total = piece if total is None else total + piece
-    if total is None:
+        if not isinstance(m, int):
+            raise InvalidInputError(f"multiplicities must be integers, got {m!r}")
+        c = E.c1.coeffs
+        if coeffs is None:
+            coeffs = [m * x for x in c]
+        elif len(c) != len(coeffs):
+            raise InvalidInputError("divisor classes live on different surfaces")
+        else:
+            coeffs = [x + m * y for x, y in zip(coeffs, c)]
+        r += m * E.r
+        two_ch2 += m * E.two_ch2
+    if coeffs is None:
         raise InvalidInputError("a weighted sum needs at least one class")
-    return total
+    return KClass(r, DivisorClass(tuple(coeffs)), two_ch2)
 
 
 def dual_class(E: KClass) -> KClass:

@@ -21,7 +21,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterator
 
-from .chern import KClass
+from .chern import KClass, weighted_sum
 from .errors import DomainError, InvalidInputError
 from .pairs import require_exceptional_pair
 from .picard import Surface
@@ -134,12 +134,12 @@ def pair_orbit(S: Surface, E0: KClass, E1: KClass, n: int) -> PairOrbit:
     if h < 2:
         raise InvalidInputError(f"invalid ext-pair: need chi(E0,E1) <= -2, got {-h}")
     classes: dict[int, KClass] = {0: E0, 1: E1}
-    classes[-1] = E1 + h * E0
-    classes[2] = h * E1 + E0
+    classes[-1] = weighted_sum(((E1, 1), (E0, h)))
+    classes[2] = weighted_sum(((E1, h), (E0, 1)))
     for m in range(3, n + 2):
-        classes[m] = h * classes[m - 1] - classes[m - 2]
+        classes[m] = weighted_sum(((classes[m - 1], h), (classes[m - 2], -1)))
     for m in range(2, n + 1):
-        classes[-m] = h * classes[1 - m] - classes[2 - m]
+        classes[-m] = weighted_sum(((classes[1 - m], h), (classes[2 - m], -1)))
     x = [0, 1]
     while len(x) < n + 2:
         x.append(h * x[-1] - x[-2])

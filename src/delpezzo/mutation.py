@@ -17,8 +17,10 @@ first failing entry in row-major order, over all n(n+1)/2 entries or over
 one member's row and column, the n that a change of that member alone can
 break.  A collection that passes the full scan is certified once.  A
 mutation of a certified collection evaluates chi(E,F) alone and walks the
-new member's row and column, 1 + n chi per move; ``mutate_pair`` checks
-its input pair first (4 chi).  A mutation never classifies its pair.
+new member's row and column: 1 + n chi and one class built per move.  The
+new class is built once, from the integer coordinates of chi*E - F with
+the canonical sign already chosen.  ``mutate_pair`` checks its input pair
+first (4 chi).  A mutation never classifies its pair.
 Rotation and global twist certify the full matrix.  Nothing caches chi.
 Braid words act letter by letter.  A foundation of length n extends to
 a helix by the twist periodicity  E_{i+sn} = E_i(-sK),  and the helix
@@ -49,8 +51,8 @@ from .chern import KClass, curve_class, euler_form, line_class, structure_class,
 from .errors import DomainError, InvalidInputError, InvariantViolationError
 from .pairs import require_equal_slope_pair, require_exceptional_pair
 from .picard import (
+    DivisorClass,
     Surface,
-    anticanonical_degree,
     canonical_divisor,
     line_divisor,
 )
@@ -90,8 +92,9 @@ class Collection:
 
     def __post_init__(self):
         object.__setattr__(self, "members", tuple(self.members))
+        n = self.surface.d + 1
         for m in self.members:
-            if m.d != self.surface.d:
+            if len(m.c1.coeffs) != n:
                 raise InvalidInputError("member does not belong to the surface")
 
     def __len__(self) -> int:
@@ -191,21 +194,35 @@ def certify(c: Collection, operation: str, q: int | None = None) -> Collection:
     return c
 
 
-def sign_normalize(x: KClass) -> KClass:
-    """Canonical representative of {x, -x}: positive rank, else positive
+def _is_canonical(r: int, hc1: int, coeffs: tuple[int, ...], two_ch2: int) -> bool:
+    """Whether the class with these coordinates is the canonical
+    representative of its pair {x, -x}: positive rank, else positive
     anticanonical degree H.c1, else lexicographically positive c1, else
-    positive ch2, all read off x alone.  A mutation never gives zero:
-    chi(E,F)E = F would make chi(F,E) = +-1, which its pair check or
-    certificate rules out."""
-    if x.r != 0:
-        return x if x.r > 0 else -x
-    deg = anticanonical_degree(x.c1)
-    if deg != 0:
-        return x if deg > 0 else -x
-    for coeff in x.c1.coeffs:
-        if coeff != 0:
-            return x if coeff > 0 else -x
-    return x if x.two_ch2 >= 0 else -x
+    non-negative ch2."""
+    if r:
+        return r > 0
+    if hc1:
+        return hc1 > 0
+    for coeff in coeffs:
+        if coeff:
+            return coeff > 0
+    return two_ch2 >= 0
+
+
+def sign_normalize(x: KClass) -> KClass:
+    """Canonical representative of {x, -x}, read off x alone.  A mutation
+    never gives zero: chi(E,F)E = F would make chi(F,E) = +-1, which its
+    pair check or certificate rules out."""
+    return x if _is_canonical(x.r, x._hc1, x.c1.coeffs, x.two_ch2) else -x
+
+
+def _reflection(a: int, X: KClass, Y: KClass) -> KClass:
+    """sign_normalize(a*X - Y), built once from its integer coordinates."""
+    r, hc1, two_ch2 = a * X.r - Y.r, a * X._hc1 - Y._hc1, a * X.two_ch2 - Y.two_ch2
+    coeffs = tuple([a * x - y for x, y in zip(X.c1.coeffs, Y.c1.coeffs)])
+    if not _is_canonical(r, hc1, coeffs, two_ch2):
+        r, coeffs, two_ch2 = -r, tuple([-x for x in coeffs]), -two_ch2
+    return KClass(r, DivisorClass(coeffs), two_ch2)
 
 
 def _reflect(S: Surface, E: KClass, F: KClass, chi_ef: int, direction: Direction):
@@ -214,8 +231,8 @@ def _reflect(S: Surface, E: KClass, F: KClass, chi_ef: int, direction: Direction
     if chi_ef == 0 and E.r > 0 and F.r > 0:
         require_equal_slope_pair(S, E, F)
     if direction is Direction.LEFT:
-        return sign_normalize(chi_ef * E - F), E
-    return F, sign_normalize(chi_ef * F - E)
+        return _reflection(chi_ef, E, F), E
+    return F, _reflection(chi_ef, F, E)
 
 
 def mutate_pair(

@@ -23,6 +23,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from operator import mul
 from typing import Iterator
 
 from .errors import DomainError, InvalidInputError
@@ -100,7 +101,7 @@ def dot(C: DivisorClass, D: DivisorClass) -> int:
     p, q = C.coeffs, D.coeffs
     if len(p) != len(q):
         raise InvalidInputError("divisor classes live on different surfaces")
-    return p[0] * q[0] - sum(x * y for x, y in zip(p[1:], q[1:]))
+    return p[0] * q[0] - sum(map(mul, p[1:], q[1:]))
 
 
 def anticanonical_degree(D: DivisorClass) -> int:

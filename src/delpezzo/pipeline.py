@@ -229,6 +229,14 @@ def _member_degrees(c: Collection, e_index: int) -> set[int]:
     return degrees
 
 
+def _check_mults(c: Collection, mults: list[int]) -> None:
+    """One positive integer multiplicity per member."""
+    if len(mults) != len(c.members):
+        raise InvalidInputError("one multiplicity per member is required")
+    if any(not isinstance(m, int) or m < 1 for m in mults):
+        raise InvalidInputError("multiplicities must be positive integers")
+
+
 def peel_curve(
     c: Collection, mults: list[int], e_index: int
 ) -> tuple[KClass, int, MutationLog]:
@@ -241,10 +249,7 @@ def peel_curve(
     """
     require_numerically_exceptional(c)
     _slopes(c)
-    if len(mults) != len(c.members):
-        raise InvalidInputError("one multiplicity per member is required")
-    if any(not isinstance(m, int) or m < 1 for m in mults):
-        raise InvalidInputError("multiplicities must be positive integers")
+    _check_mults(c, mults)
     S = c.surface
     _forbidden_pair_guard(c, e_index)
     degrees = _member_degrees(c, e_index)
@@ -255,7 +260,7 @@ def peel_curve(
     L = curve_class(S, e_index, -1)
     F = weighted_sum(zip(c.members, mults))
     alpha = euler_form(S, F, L)
-    G = F - alpha * L
+    G = weighted_sum(((F, 1), (L, -alpha)))
     params = {"mults": list(mults), "e_index": e_index, "alpha": alpha}
     return G, alpha, MutationLog((LogStep("peel", params, c, G),))
 
@@ -367,8 +372,10 @@ def normalize_and_descend(
         raise PipelineError("descend", "the surface is already the plane")
     if mults is None:
         mults = [1] * len(c.members)
-    if len(mults) != len(c.members):
-        raise PipelineError("peel", "one multiplicity per member is required")
+    try:
+        _check_mults(c, mults)
+    except InvalidInputError as exc:
+        raise PipelineError("peel", str(exc)) from exc
     # The K^2 = 1 exclusion is a hypothesis on the input collection; check
     # it before any stage can reshape the pair out of recognizable form.
     _forbidden_pair_guard(c, S.d)

@@ -8,8 +8,9 @@ Two trees that should do the same work print identical output:
     cmp parent.jsonl change.jsonl
 
 ``--smoke`` runs a small slice in under 2 s; the test suite runs it once.
-Only names that are public at the package top level (and ``cli.run``) are
-used, so the script runs unchanged on older trees.  pytest does not
+Only names that are public at the package top level (and ``cli.run`` and
+``chern.weighted_sum``) are used, directly or through the shared test
+helpers, so the script runs unchanged on older trees.  pytest does not
 collect this file.
 """
 
@@ -51,6 +52,7 @@ from delpezzo import (
     mutate_collection,
     mutate_pair,
     normalize_and_descend,
+    pair_orbit,
     replay,
     rotate_twist,
     structure_class,
@@ -58,6 +60,9 @@ from delpezzo import (
     vector_slope,
 )
 from delpezzo import cli
+from delpezzo.chern import weighted_sum
+
+from _helpers import ext_seed
 
 DIRECTIONS = (Direction.LEFT, Direction.RIGHT)
 
@@ -143,8 +148,16 @@ def sweep_collection(tag: str, c: Collection, rng: random.Random, full: bool) ->
     mult_choices = [None, [rng.randint(1, 3) for _ in members], [1] * (n + 1)]
     if full:
         mult_choices += [[0] + [1] * (n - 1), [rng.randint(1, 9) for _ in members]]
+        mult_choices += [[rng.randint(-2, 2) for _ in members], [1] * (n - 1) + [-1]]
     for mults in mult_choices:
         call(f"{tag} normalize_and_descend {mults}", descend_and_replay, c, mults)
+    for _ in range(3 if full else 1):
+        D = DivisorClass(tuple(rng.randint(-9, 9) for _ in range(S.d + 1)))
+        E = rng.choice(members)
+        call(f"{tag} twist {list(D.coeffs)}", twist, S, E, D)
+        terms = tuple((E, rng.randint(-3, 3)) for E in rng.sample(members, min(n, 3)))
+        label = f"{tag} weighted_sum {[m for _, m in terms]}"
+        call(label, weighted_sum, terms)
     bundles = tuple((E, rng.randint(1, 3)) for E in members if E.r > 0)
     if bundles:
         g = GradedObject(bundles)
@@ -201,6 +214,31 @@ def sweep_special(full: bool) -> None:
             call(label, mutate_collection, Collection(S, (E, F)), 1, direction)
         call(f"{tag} classify_pair", classify_pair, S, E, F)
         call(f"{tag} check_helix_period", check_helix_period, Collection(S, (E, F)))
+
+
+def sweep_weighted(full: bool) -> None:
+    """pair_orbit for h = 2..10 and its refusals; twist and weighted_sum
+    refusals (wrong surface, no terms, non-integer multiplicities)."""
+    for h in range(2, 11) if full else (2, 5):
+        S, E0, E1 = ext_seed(h)
+        for n in (1, 2, 7, 20) if full else (3,):
+            call(f"pair_orbit h{h} n{n}", pair_orbit, S, E0, E1, n)
+    S, E0, E1 = ext_seed(3)
+    for n in (0, -1, True, "2"):
+        call(f"pair_orbit n {n!r}", pair_orbit, S, E0, E1, n)
+    call("pair_orbit hom", pair_orbit, S, E0, twist(S, E0, line_divisor(8)), 3)
+    call("pair_orbit reversed", pair_orbit, S, E1, E0, 3)
+    call("pair_orbit not exceptional", pair_orbit, S, 2 * E0, E1, 3)
+    T = Surface(1)
+    call("pair_orbit small", pair_orbit, T, line_class(T, DivisorClass((1, 1))),
+         line_class(T, DivisorClass((0, -1))), 3)
+    O1, O2 = structure_class(Surface(1)), structure_class(Surface(2))
+    call("twist wrong surface", twist, Surface(1), O1, line_divisor(2))
+    call("weighted_sum empty", weighted_sum, ())
+    call("weighted_sum mixed surfaces", weighted_sum, ((O1, 1), (O2, 1)))
+    for m in (Fraction(1, 2), "2", 1.0, None):
+        call(f"weighted_sum multiplicity {m!r}", weighted_sum, ((O1, 1), (O1, m)))
+    call("weighted_sum bool", weighted_sum, ((O1, True), (O1, 2)))
 
 
 def run_cli(label: str, argv: list[str], out_dir: str) -> None:
@@ -268,6 +306,7 @@ def main() -> None:
             if full or d in (1, 2):
                 sweep_cli(d, rng, out_dir)
     sweep_special(full)
+    sweep_weighted(full)
 
 
 if __name__ == "__main__":

@@ -1,3 +1,4 @@
+import dataclasses
 import random
 from fractions import Fraction
 
@@ -13,9 +14,11 @@ from _helpers import (
 )
 
 from delpezzo import (
+    Direction,
     DomainError,
     InvalidInputError,
     KClass,
+    basic_collection,
     curve_class,
     descend_class,
     dual_class,
@@ -24,13 +27,15 @@ from delpezzo import (
     intersect,
     line_class,
     line_divisor,
+    mutate_pair,
     pull_back_class,
     slope_mu,
     structure_class,
     twist,
     vector_slope,
 )
-from delpezzo.chern import serre_twist
+from delpezzo.chern import serre_twist, weighted_sum
+from delpezzo.picard import anticanonical_degree, dot
 
 
 class TestKClass:
@@ -351,3 +356,117 @@ class TestDescend:
             E = random_kclass(rng, 2)
             lifted = pull_back_class(E)
             assert descend_class(S, lifted) == E
+
+
+def seeded_divisors(rng: random.Random, d: int, bits: int):
+    bound = 1 << bits
+    return divisor(*(rng.randint(-bound, bound) for _ in range(d + 1)))
+
+
+class TestAnticanonicalCache:
+    """KClass caches H.c1 at construction and reads c1^2 = H.c1 (mod 2) for
+    its integrality check."""
+
+    @pytest.mark.parametrize("d", range(9))
+    def test_square_and_degree_agree_mod_two(self, d):
+        rng = random.Random(40 + d)
+        for bits in (3, 64, 300):
+            for _ in range(40):
+                D = seeded_divisors(rng, d, bits)
+                assert (dot(D, D) - anticanonical_degree(D)) % 2 == 0
+
+    @pytest.mark.parametrize("d", range(9))
+    def test_refusals_follow_the_parity_of_c2(self, d):
+        # The check accepts a class exactly when c1^2 - 2*ch2 is even, and
+        # refuses with the message that names the class.
+        rng = random.Random(60 + d)
+        refused = 0
+        for bits in (3, 300):
+            for _ in range(20):
+                c1 = seeded_divisors(rng, d, bits)
+                r, two_ch2 = rng.randint(-3, 3), rng.randint(-(1 << bits), 1 << bits)
+                if (dot(c1, c1) - two_ch2) % 2 == 0:
+                    assert KClass(r, c1, two_ch2).two_ch2 == two_ch2
+                    continue
+                refused += 1
+                message = f"class ({r}, {c1.coeffs}, {Fraction(two_ch2, 2)}) has non-integer c2"
+                with pytest.raises(InvalidInputError) as err:
+                    KClass(r, c1, two_ch2)
+                assert str(err.value) == message
+        assert refused > 0
+
+    def test_existing_refusals_keep_their_messages(self):
+        with pytest.raises(InvalidInputError, match=r"^class \(1, \(1,\), 1\) has non-integer c2$"):
+            KClass(1, divisor(1), 2)
+        with pytest.raises(InvalidInputError, match=r"^rank and 2\*ch2 must be integers$"):
+            KClass(1, divisor(1), Fraction(1, 2))
+        with pytest.raises(InvalidInputError, match=r"non-integer c2"):
+            KClass.from_json({"r": 1, "c1": [0, 1], "ch2": "1"})
+
+    def test_cache_on_every_construction(self):
+        rng = random.Random(5)
+        S = surface(3)
+        c = basic_collection(S)
+        E, F = random_kclass(rng, 3), random_kclass(rng, 3)
+        D = divisor(2, -1, 0, 3)
+        built = [
+            KClass(2, divisor(1, 2, 3, 4), 0),
+            KClass.from_json(E.to_json()),
+            E + F,
+            E - F,
+            -E,
+            3 * E,
+            twist(S, E, D),
+            weighted_sum(((E, 2), (F, -5))),
+            *mutate_pair(S, c.members[1], c.members[2], Direction.LEFT),
+            *mutate_pair(S, c.members[3], c.members[4], Direction.RIGHT),
+            descend_class(S, KClass(2, divisor(3, 1, 0, 0), 2)),
+            pull_back_class(E),
+        ]
+        for x in built:
+            assert x._hc1 == anticanonical_degree(x.c1)
+
+    def test_cache_takes_no_part_in_the_value(self):
+        E = KClass(2, divisor(3, 1, 0), 2)
+        assert "_hc1" not in repr(E)
+        assert E.to_json() == {"r": 2, "c1": [3, 1, 0], "ch2": "1/1"}
+        forged = KClass(2, divisor(3, 1, 0), 2)
+        object.__setattr__(forged, "_hc1", 99)
+        assert forged == E and hash(forged) == hash(E) and repr(forged) == repr(E)
+        assert len({forged, E}) == 1
+        with pytest.raises(TypeError):
+            KClass(2, divisor(3, 1, 0), 2, 8)
+        with pytest.raises(TypeError):
+            KClass(2, divisor(3, 1, 0), 2, _hc1=8)
+
+    def test_replace_recomputes_the_cache(self):
+        E = KClass(2, divisor(3, 1, 0), 2)
+        moved = dataclasses.replace(E, c1=divisor(2, 1, 1))
+        assert E._hc1 == 8 and moved._hc1 == anticanonical_degree(divisor(2, 1, 1)) == 4
+        with pytest.raises(InvalidInputError, match="non-integer c2"):
+            dataclasses.replace(E, c1=divisor(1, 0, 0))
+
+
+class TestWeightedSum:
+    @pytest.mark.parametrize("d", [0, 4, 8])
+    def test_matches_the_operators(self, d):
+        rng = random.Random(90 + d)
+        for k in range(1, 6):
+            terms = [(random_kclass(rng, d, min_rank=-3), rng.randint(-4, 4)) for _ in range(k)]
+            expected = terms[0][1] * terms[0][0]
+            for E, m in terms[1:]:
+                expected = expected + m * E
+            assert weighted_sum(terms) == expected
+            assert weighted_sum(iter(terms)) == expected
+
+    def test_refusals(self):
+        O1, O2 = structure_class(surface(1)), structure_class(surface(2))
+        with pytest.raises(InvalidInputError, match="^a weighted sum needs at least one class$"):
+            weighted_sum(())
+        with pytest.raises(InvalidInputError, match="^divisor classes live on different surfaces$"):
+            weighted_sum(((O1, 1), (O2, 1)))
+        for m in (Fraction(1, 2), Fraction(2, 1), 1.0, "2", None):
+            with pytest.raises(InvalidInputError, match="^multiplicities must be integers, got "):
+                weighted_sum(((O1, 1), (O1, m)))
+            with pytest.raises(InvalidInputError, match="^multiplicities must be integers, got "):
+                weighted_sum(((O1, m),))

@@ -133,3 +133,17 @@ class TestMaxUniqueness:
             1 for _ in markov_tree(200)
         )
         assert markov_max_uniqueness(200)
+
+
+class TestPairOrbitRecurrence:
+    @pytest.mark.parametrize("h", range(2, 11))
+    def test_matches_the_operator_recurrence(self, h):
+        S, E0, E1 = ext_seed(h)
+        n = 12
+        orbit = pair_orbit(S, E0, E1, n)
+        expected = {0: E0, 1: E1, -1: E1 + h * E0, 2: h * E1 + E0}
+        for m in range(3, n + 2):
+            expected[m] = h * expected[m - 1] - expected[m - 2]
+        for m in range(2, n + 1):
+            expected[-m] = h * expected[1 - m] - expected[2 - m]
+        assert orbit.classes == expected

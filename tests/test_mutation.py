@@ -26,6 +26,7 @@ from delpezzo import (
     basic_collection,
     basic_collection_torsion_last,
     check_helix_period,
+    curve_class,
     euler_form,
     gram_matrix,
     helix_extend,
@@ -44,6 +45,7 @@ from delpezzo.mutation import (
     sign_normalize,
 )
 from delpezzo.pairs import require_exceptional_pair
+from delpezzo.picard import anticanonical_degree
 
 
 class TestMutatePair:
@@ -186,6 +188,13 @@ class TestMutateCollection:
             mutate_collection(c, 3, Direction.LEFT)
         with pytest.raises(InvalidInputError):
             mutate_collection(c, 0, Direction.LEFT)
+
+    def test_members_must_live_on_the_surface(self):
+        for d, other in ((1, 2), (2, 1), (0, 8)):
+            S = surface(d)
+            members = (structure_class(S), structure_class(surface(other)))
+            with pytest.raises(InvalidInputError, match="^member does not belong to the surface$"):
+                Collection(S, members)
 
 
 class TestIncrementalCertificate:
@@ -663,3 +672,109 @@ class TestSizeBudget:
         for write in (c.to_json, log.to_jsonl):
             with pytest.raises(DomainError, match="member E_1: .*more than 4300 digits"):
                 write()
+
+
+def operator_reflection(chi_ef, E, F, direction):
+    """The mutation's new pair through the KClass operators: one class per
+    operation, then the sign rule."""
+    if direction is Direction.LEFT:
+        return sign_normalize(chi_ef * E - F), E
+    return F, sign_normalize(chi_ef * F - E)
+
+
+def result_kind(x: KClass) -> str:
+    if x.r:
+        return "rank"
+    return "degree" if x._hc1 else "rank-0 degree-0"
+
+
+class TestReflection:
+    """_reflect builds the new class once from its coordinates; it must
+    give what the operator path gives."""
+
+    @pytest.mark.parametrize("d", range(9))
+    def test_matches_the_operator_path(self, d):
+        S = surface(d)
+        kinds = set()
+        for c in scrambled_collections(d, 8, seed=500 + d):
+            members = c.members
+            # Every pair (E_i, E_j), i < j, of an exceptional collection is
+            # an exceptional pair; adjacent ones are every position.
+            for i in range(len(members)):
+                for j in range(i + 1, len(members)):
+                    E, F = members[i], members[j]
+                    chi_ef = euler_form(S, E, F)
+                    for direction in Direction:
+                        got = mutation_module._reflect(S, E, F, chi_ef, direction)
+                        assert got == operator_reflection(chi_ef, E, F, direction)
+                        new = got[0] if direction is Direction.LEFT else got[1]
+                        assert new._hc1 == anticanonical_degree(new.c1)
+                        kinds.add(result_kind(new))
+        assert "rank" in kinds
+        if d >= 1:
+            assert "degree" in kinds
+
+    @pytest.mark.parametrize("d", range(2, 9))
+    def test_torsion_pairs(self, d):
+        S = surface(d)
+        for i in range(1, d + 1):
+            for j in range(1, d + 1):
+                if i == j:
+                    continue
+                for deg in (-2, -1, 0):
+                    E, F = curve_class(S, i, deg), curve_class(S, j, -1)
+                    chi_ef = euler_form(S, E, F)
+                    for direction in Direction:
+                        got = mutation_module._reflect(S, E, F, chi_ef, direction)
+                        assert got == operator_reflection(chi_ef, E, F, direction)
+
+    @pytest.mark.parametrize("sign", [1, -1])
+    @pytest.mark.parametrize("t", [-4, 0, 2])
+    def test_rank_zero_degree_zero_results(self, sign, t):
+        # E - F = sign * (0, e1 - e2, t): rank 0 and H.c1 = 0, so the sign
+        # is read off c1 = (0; -1, 1), whose first nonzero is negative.
+        S = surface(2)
+        O = structure_class(S)
+        target = sign * KClass(0, divisor(0, -1, 1), t)
+        F = O - target
+        assert F.r == 1 and target._hc1 == 0
+        left = mutation_module._reflect(S, O, F, 1, Direction.LEFT)
+        right = mutation_module._reflect(S, F, O, 1, Direction.RIGHT)
+        assert left == operator_reflection(1, O, F, Direction.LEFT)
+        assert right == operator_reflection(1, F, O, Direction.RIGHT)
+        assert left[0] == right[1] == KClass(0, divisor(0, 1, -1), -t)
+
+    @pytest.mark.parametrize("t", [-6, 0, 4])
+    def test_zero_c1_results(self, t):
+        S = surface(1)
+        O = structure_class(S)
+        F = O - KClass(0, divisor(0, 0), t)
+        left = mutation_module._reflect(S, O, F, 1, Direction.LEFT)
+        assert left == operator_reflection(1, O, F, Direction.LEFT)
+        assert left[0] == KClass(0, divisor(0, 0), abs(t))
+
+    @pytest.mark.parametrize("d", [0, 2, 5, 8])
+    def test_one_class_built_per_mutation(self, monkeypatch, d):
+        built = []
+        post_init = KClass.__post_init__
+
+        def counted(self):
+            built.append(self)
+            post_init(self)
+
+        rng = random.Random(70 + d)
+        kinds = set()
+        for c in scrambled_collections(d, 4, seed=600 + d):
+            require_numerically_exceptional(c)
+            for _ in range(10):
+                i = rng.randint(1, len(c.members) - 1)
+                direction = rng.choice(list(Direction))
+                monkeypatch.setattr(KClass, "__post_init__", counted)
+                built.clear()
+                out = mutate_collection(c, i, direction)
+                monkeypatch.undo()
+                new = out.members[i - 1 if direction is Direction.LEFT else i]
+                kinds.add(result_kind(new))
+                assert built == [new]
+                c = out
+        assert "rank" in kinds

@@ -515,3 +515,40 @@ class TestPipelineRefusals:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err == f"domain error: [{stage}] {message}\n"
+
+
+class TestNonPositiveMultiplicities:
+    """A zero or negative multiplicity is refused up front at [peel], from
+    the library and from CLI ``normalize`` (exit 2), before any stage."""
+
+    @pytest.mark.parametrize(
+        "make, mults",
+        [
+            (lambda: basic_collection(surface(1)), [1, 0, 1, 1]),
+            (lambda: basic_collection(surface(2)), [1, 1, -1, 2, 1]),
+            (lambda: braided_basic(1, "L2 R1 R2 R2 L3 L3"), [0, 1, 1, 1]),
+        ],
+        ids=["d1-basic-zero", "d2-basic-negative", "d1-scrambled-zero"],
+    )
+    def test_refused_at_peel(self, capsys, make, mults):
+        c = make()
+        assert is_numerically_exceptional(c)[0]
+        message = "[peel] multiplicities must be positive integers"
+        with pytest.raises(PipelineError) as err:
+            normalize_and_descend(c, mults)
+        assert err.value.stage == "peel"
+        assert str(err.value) == message
+        with pytest.raises(InvalidInputError, match="^multiplicities must be positive integers$"):
+            peel_curve(c, mults, c.surface.d)
+        capsys.readouterr()
+        argv = ["normalize", "--collection", json.dumps(c.to_json())]
+        assert run(argv + ["--mults", ",".join(map(str, mults))]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"domain error: {message}\n"
+
+    def test_positive_mults_still_descend(self):
+        c = braided_basic(1, "L2 R1 R2 R2 L3 L3")
+        G, log = normalize_and_descend(c, [1, 1, 1, 1])
+        assert replay(log) is True
+        assert log.steps[-1].after == G
