@@ -38,7 +38,6 @@ from .picard import (
     DivisorClass,
     Surface,
     anticanonical_degree,
-    canonical_divisor,
     dot,
     exceptional_divisor,
     zero_divisor,
@@ -47,7 +46,7 @@ from .picard import (
 _CH2_TEXT = re.compile(r"([+-]?[0-9]+)(?:/([0-9]+))?")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class KClass:
     """A numerical K-theory class (r, c1, 2*ch2).
 
@@ -276,8 +275,3 @@ def descend_class(S: Surface, E: KClass) -> KClass:
 def pull_back_class(E: KClass) -> KClass:
     """Inverse of descend_class: re-insert a zero e-coordinate."""
     return KClass(E.r, DivisorClass(E.c1.coeffs + (0,)), E.two_ch2)
-
-
-def serre_twist(S: Surface, E: KClass) -> KClass:
-    """E(K), the twist entering the chi-level Serre pairing."""
-    return twist(S, E, canonical_divisor(S.d))

@@ -2,8 +2,9 @@
 
 Every command reads JSON (inline or from a file), runs one library
 operation and writes a single JSON document to stdout; mutation logs go
-to ``--out`` as JSON-lines.  All numbers cross the interface exactly:
-integers as JSON numbers, rationals as reduced "p/q" strings.
+to ``--out`` as JSON-lines, and ``replay --log`` reads one back and
+replays it.  All numbers cross the interface exactly: integers as JSON
+numbers, rationals as reduced "p/q" strings.
 
 Exit codes: 0 success, 1 malformed input, 2 domain error.
 """
@@ -20,6 +21,7 @@ from fractions import Fraction
 from . import pipeline
 from .chern import KClass, default_ample, descend_class, euler_form, slope_mu
 from .errors import DomainError, InvalidInputError
+from .logs import replay
 from .markov import markov_max_uniqueness, markov_tree, pair_orbit
 from .mutation import (
     BraidWord,
@@ -314,6 +316,16 @@ def _cmd_descend(args) -> None:
     )
 
 
+def _cmd_replay(args) -> None:
+    try:  # a missing path, a directory, or bytes that are not UTF-8
+        with open(args.log, "r", encoding="utf-8") as fh:
+            text = fh.read()
+    except (OSError, UnicodeDecodeError) as exc:
+        raise InvalidInputError(f"cannot read the log {args.log!r}: {exc}") from exc
+    log = MutationLog.from_jsonl(text)
+    _emit({"replayed": replay(log), "steps": len(log)})
+
+
 def _build_parser() -> _Parser:
     parser = _Parser(
         prog="delpezzo",
@@ -408,6 +420,7 @@ def _build_parser() -> _Parser:
         surface={"required": True},
         e={"required": True},
     )
+    cmd("replay", _cmd_replay, log={"required": True})
     return parser
 
 

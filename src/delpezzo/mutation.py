@@ -28,7 +28,11 @@ axiom L^(n-1) A_s = A_{s-n} is checked by explicit iterated mutation.
 
 Every move is recorded as a replayable ``LogStep`` {kind, params, before,
 after}; a ``MutationLog`` of steps serializes to JSON-lines, one step per
-line.  Step kinds:
+line, each with its full states.  A log is written and read once per
+distinct member, not per state: ``to_jsonl`` converts each member object
+and encodes each state object once, and ``from_jsonl`` builds one class
+per distinct member JSON, shared by every state that holds it.  The text
+is what json.dumps of each step gives.  Step kinds:
 
     mutate   one adjacent mutation        params: position, direction
     order    a whole hom-ordering stage   params: (none)
@@ -100,25 +104,58 @@ class Collection:
     def __len__(self) -> int:
         return len(self.members)
 
-    def to_json(self) -> dict:
+    def to_json(self, memo: dict | None = None) -> dict:
         members = []
         for k, m in enumerate(self.members):
             try:
-                members.append(m.to_json())
+                members.append(_write_member(m, memo))
             except DomainError as exc:
                 raise DomainError(f"member E_{k}: {exc}") from exc
         return {"surface": self.surface.to_json(), "members": members}
 
     @staticmethod
-    def from_json(data: dict) -> "Collection":
+    def from_json(data: dict, memo: dict | None = None) -> "Collection":
         if not isinstance(data, dict) or not {"surface", "members"} <= set(data):
             raise InvalidInputError("collection JSON needs keys surface, members")
         if not isinstance(data["members"], list):
             raise InvalidInputError("collection members must be a JSON list")
         return Collection(
             Surface.from_json(data["surface"]),
-            tuple(KClass.from_json(m) for m in data["members"]),
+            tuple(_read_member(m, memo) for m in data["members"]),
         )
+
+
+def _write_member(m: KClass, memo: dict | None) -> dict:
+    """m.to_json(); given a memo, once per distinct member object."""
+    if memo is None:
+        return m.to_json()
+    data = memo.get(id(m))
+    if data is None:
+        data = memo[id(m)] = m.to_json()
+    return data
+
+
+def _read_member(data, memo: dict | None) -> KClass:
+    """KClass.from_json(data); given a memo, once per distinct member value.
+    A member is looked up only when every value has the exact JSON type
+    that ``from_json`` accepts (rank and c1 entries int, ch2 str or int),
+    so that True == 1 and 1.0 == 1 cannot let a malformed member share the
+    class of a valid one; anything else is read, and refused, as usual."""
+    if memo is None or type(data) is not dict:
+        return KClass.from_json(data)
+    r, c1, ch2 = data.get("r"), data.get("c1"), data.get("ch2")
+    if (
+        type(r) is not int
+        or type(c1) is not list
+        or type(ch2) not in (str, int)
+        or not set(map(type, c1)) <= {int}
+    ):
+        return KClass.from_json(data)
+    key = (r, tuple(c1), ch2)
+    m = memo.get(key)
+    if m is None:
+        m = memo[key] = KClass.from_json(data)
+    return m
 
 
 @dataclass(frozen=True)
@@ -209,15 +246,10 @@ def _is_canonical(r: int, hc1: int, coeffs: tuple[int, ...], two_ch2: int) -> bo
     return two_ch2 >= 0
 
 
-def sign_normalize(x: KClass) -> KClass:
-    """Canonical representative of {x, -x}, read off x alone.  A mutation
-    never gives zero: chi(E,F)E = F would make chi(F,E) = +-1, which its
-    pair check or certificate rules out."""
-    return x if _is_canonical(x.r, x._hc1, x.c1.coeffs, x.two_ch2) else -x
-
-
 def _reflection(a: int, X: KClass, Y: KClass) -> KClass:
-    """sign_normalize(a*X - Y), built once from its integer coordinates."""
+    """The canonical representative of +-(a*X - Y), built once from its
+    integer coordinates.  A mutation never gives zero: chi(E,F)E = F would
+    make chi(F,E) = +-1, which its pair check or certificate rules out."""
     r, hc1, two_ch2 = a * X.r - Y.r, a * X._hc1 - Y._hc1, a * X.two_ch2 - Y.two_ch2
     coeffs = tuple([a * x - y for x, y in zip(X.c1.coeffs, Y.c1.coeffs)])
     if not _is_canonical(r, hc1, coeffs, two_ch2):
@@ -310,19 +342,19 @@ class BraidWord:
 State = Union[Collection, KClass]
 
 
-def _state_to_json(state: State) -> dict:
+def _state_to_json(state: State, memo: dict | None = None) -> dict:
     if isinstance(state, Collection):
-        return {"collection": state.to_json()}
-    return {"class": state.to_json()}
+        return {"collection": state.to_json(memo)}
+    return {"class": _write_member(state, memo)}
 
 
-def _state_from_json(data: dict) -> State:
+def _state_from_json(data: dict, memo: dict | None) -> State:
     if not isinstance(data, dict):
         raise InvalidInputError("log state must be a JSON object")
     if "collection" in data:
-        return Collection.from_json(data["collection"])
+        return Collection.from_json(data["collection"], memo)
     if "class" in data:
-        return KClass.from_json(data["class"])
+        return _read_member(data["class"], memo)
     raise InvalidInputError("log state must be a collection or a class")
 
 
@@ -342,7 +374,7 @@ class LogStep:
         }
 
     @staticmethod
-    def from_json(data: dict) -> "LogStep":
+    def from_json(data: dict, memo: dict | None = None) -> "LogStep":
         if not isinstance(data, dict) or not {"kind", "before", "after"} <= set(data):
             raise InvalidInputError("log step JSON needs keys kind, before, after")
         params = data.get("params", {})
@@ -351,8 +383,8 @@ class LogStep:
         return LogStep(
             kind=data["kind"],
             params=dict(params),
-            before=_state_from_json(data["before"]),
-            after=_state_from_json(data["after"]),
+            before=_state_from_json(data["before"], memo),
+            after=_state_from_json(data["after"], memo),
         )
 
 
@@ -370,19 +402,45 @@ class MutationLog:
         return iter(self.steps)
 
     def to_jsonl(self) -> str:
-        return "".join(json.dumps(s.to_json()) + "\n" for s in self.steps)
+        """One line per step, json.dumps(step.to_json()) byte for byte.
+        Each distinct member is converted once and each distinct state
+        encoded once, both by identity; a step's ``before`` is usually the
+        previous step's ``after``."""
+        members: dict[int, dict] = {}
+        states: dict[int, str] = {}
+
+        def encode(state: State) -> str:
+            text = states.get(id(state))
+            if text is None:
+                text = states[id(state)] = json.dumps(_state_to_json(state, members))
+            return text
+
+        lines = []
+        for s in self.steps:
+            before, after = encode(s.before), encode(s.after)
+            lines.append(
+                f'{{"kind": {json.dumps(s.kind)}, "params": {json.dumps(s.params)}, '
+                f'"before": {before}, "after": {after}}}\n'
+            )
+        return "".join(lines)
 
     @staticmethod
     def from_jsonl(text: str) -> "MutationLog":
+        """Read the lines of ``to_jsonl``, split at "\\n" alone: a JSON string
+        may hold U+2028, U+2029 and U+0085 raw, where ``str.splitlines``
+        would break it.  Blank lines and a trailing "\\r" are ignored.  A
+        member that recurs with the same JSON values is read once and
+        shared."""
         steps = []
-        for line in text.splitlines():
+        members: dict[tuple, KClass] = {}
+        for line in text.split("\n"):
             line = line.strip()
             if line:
                 try:
                     data = json.loads(line)
                 except ValueError as exc:
                     raise InvalidInputError(f"log line is not readable JSON: {exc}") from exc
-                steps.append(LogStep.from_json(data))
+                steps.append(LogStep.from_json(data, members))
         return MutationLog(tuple(steps))
 
 

@@ -31,7 +31,7 @@ from .errors import DomainError, InvalidInputError
 MAX_BLOWUPS = 8
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class DivisorClass:
     """Integer vector (a; b_1..b_d) for the class a*h - sum b_i e_i."""
 

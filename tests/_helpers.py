@@ -127,6 +127,26 @@ def oracle_pair_kind(S: Surface, E: KClass, F: KClass) -> PairKind | None:
     return PairKind.HOM if mu_e < mu_f else PairKind.EXT
 
 
+def oracle_sign_normalize(x: KClass) -> KClass:
+    """The representative of {x, -x} whose first nonzero key is positive:
+    rank, anticanonical degree through the intersection form, the c1
+    coordinates in order, ch2."""
+    S = Surface(x.d)
+    keys = [x.r, intersect(S, anticanonical_divisor(x.d), x.c1), *x.c1.coeffs, x.ch2]
+    first = next((k for k in keys if k), 0)
+    return -x if first < 0 else x
+
+
+def oracle_serre_twist(S: Surface, E: KClass) -> KClass:
+    """E(K) from ch(E) ch(O(K)) = (r, c1 + rK, ch2 + c1.K + r K^2/2)."""
+    K = canonical_divisor(S.d)
+    return KClass(
+        E.r,
+        E.c1 + E.r * K,
+        E.two_ch2 + 2 * intersect(S, E.c1, K) + E.r * intersect(S, K, K),
+    )
+
+
 def oracle_monomial_count(k: int) -> int:
     """h^0(P^2, O(k)) by counting degree-k monomials in three variables."""
     if k < 0:

@@ -554,6 +554,88 @@ class TestOrbit:
         assert len(doc(out)["classes"]) == 12
 
 
+class TestReplayCommand:
+    """replay --log reads a JSON-lines log, replays it and prints the step
+    count; a file it cannot read, a malformed log or one that does not
+    replay exits 1 with the message that refuses it."""
+
+    def write_log(self, capsys, tmp_path, command, *argv):
+        log_path = tmp_path / f"{command}.jsonl"
+        code, out, _ = invoke(capsys, command, *argv, "--out", str(log_path))
+        assert code == 0
+        return log_path, doc(out)["steps"]
+
+    def test_normalize_log_replays(self, capsys, tmp_path):
+        collection = json.dumps(basic_collection(surface(1)).to_json())
+        log_path, steps = self.write_log(
+            capsys, tmp_path, "normalize", "--collection", collection
+        )
+        code, out, err = invoke(capsys, "replay", "--log", str(log_path))
+        assert (code, err) == (0, "")
+        assert doc(out) == {"replayed": True, "steps": steps}
+        assert steps == len(MutationLog.from_jsonl(log_path.read_text()))
+
+    def test_braid_log_replays(self, capsys, tmp_path):
+        collection = json.dumps(basic_collection(surface(3)).to_json())
+        log_path, steps = self.write_log(
+            capsys, tmp_path, "braid", "--collection", collection, "--word", "R1 L2 R3 L4"
+        )
+        code, out, _ = invoke(capsys, "replay", "--log", str(log_path))
+        assert code == 0
+        assert doc(out) == {"replayed": True, "steps": steps} == {"replayed": True, "steps": 4}
+
+    def test_empty_log_replays(self, capsys, tmp_path):
+        path = tmp_path / "empty.jsonl"
+        path.write_text("\n")
+        code, out, _ = invoke(capsys, "replay", "--log", str(path))
+        assert code == 0
+        assert doc(out) == {"replayed": True, "steps": 0}
+
+    @pytest.mark.parametrize("target", ["missing", "directory", "latin1"])
+    def test_unreadable_log_exits_one(self, tmp_path, target):
+        path = {"missing": tmp_path / "no.jsonl", "directory": tmp_path}.get(
+            target, tmp_path / "latin1.jsonl"
+        )
+        if target == "latin1":
+            path.write_bytes(b'{"kind": "\xe9"}\n')
+        code, out, err = invoke_process("replay", "--log", str(path))
+        assert (code, out) == (1, "")
+        assert f"invalid input: cannot read the log {str(path)!r}" in err
+        assert "Traceback" not in err
+
+    def test_malformed_log_exits_one(self, capsys, tmp_path):
+        path = tmp_path / "bad.jsonl"
+        path.write_text("{oops\n")
+        code, out, err = invoke(capsys, "replay", "--log", str(path))
+        assert (code, out) == (1, "")
+        assert err.startswith("invalid input: log line is not readable JSON: ")
+
+    @pytest.mark.parametrize(
+        "edit, message",
+        [
+            (
+                lambda lines: [lines[1], lines[0]] + lines[2:],
+                "step 1 (mutate) does not start where step 0 ended",
+            ),
+            (
+                lambda lines: lines[:-1] + [lines[-1].replace('"left"', '"right"')],
+                "step 2 (mutate) does not replay to its recorded state",
+            ),
+        ],
+        ids=["swapped", "edited"],
+    )
+    def test_log_that_does_not_replay_exits_one(self, capsys, tmp_path, edit, message):
+        collection = json.dumps(p2_basic().to_json())
+        log_path, _ = self.write_log(
+            capsys, tmp_path, "braid", "--collection", collection, "--word", "R1 R2 L1"
+        )
+        lines = log_path.read_text().splitlines(keepends=True)
+        log_path.write_text("".join(edit(lines)))
+        code, out, err = invoke(capsys, "replay", "--log", str(log_path))
+        assert (code, out) == (1, "")
+        assert err == f"invalid input: {message}\n"
+
+
 class TestPipelineCommands:
     def test_normalize_with_log(self, capsys, tmp_path):
         S = surface(1)

@@ -1,10 +1,18 @@
+import json
+import random
+import re
+
 import pytest
 from _helpers import braid_log, line_bundle, p2_basic, scrambled_log, surface
 
 from delpezzo import (
     BraidWord,
     Collection,
+    Direction,
+    DivisorClass,
+    DomainError,
     InvalidInputError,
+    KClass,
     LogStep,
     MutationLog,
     apply_braid,
@@ -45,6 +53,135 @@ class TestSerialization:
     def test_braid_log_round_trip(self):
         _, log = apply_braid(p2_basic(), BraidWord.parse("R1 L2 R2"))
         assert MutationLog.from_jsonl(log.to_jsonl()) == log
+
+
+def oracle_jsonl(log: MutationLog) -> str:
+    """The log format by its definition: one json.dumps per step."""
+    return "".join(json.dumps(s.to_json()) + "\n" for s in log.steps)
+
+
+def seeded_braid_log(d: int, letters: int, seed: int) -> MutationLog:
+    rng = random.Random(seed)
+    c = basic_collection(surface(d))
+    word = BraidWord(
+        tuple((rng.randint(1, len(c) - 1), rng.choice(list(Direction))) for _ in range(letters))
+    )
+    return apply_braid(c, word)[1]
+
+
+class TestOncePerMember:
+    """to_jsonl converts each distinct member once and from_jsonl builds
+    each distinct member once; the text and the refusals are unchanged."""
+
+    @pytest.mark.parametrize("d", range(9))
+    def test_braid_log_text_matches_the_per_step_oracle(self, d):
+        for seed in range(3):
+            log = seeded_braid_log(d, 12, seed=100 * d + seed)
+            text = log.to_jsonl()
+            assert text == oracle_jsonl(log)
+            assert MutationLog.from_jsonl(text) == log
+
+    @pytest.mark.parametrize(
+        "make_log",
+        [
+            lambda: normalize_and_descend(basic_collection(surface(1)))[1],
+            lambda: normalize_and_descend(basic_collection(surface(2)))[1],
+            scrambled_log,
+        ],
+        ids=["d=1", "d=2", "scrambled"],
+    )
+    def test_pipeline_log_text_matches_the_per_step_oracle(self, make_log):
+        # The peel and descend steps hold class states.
+        log = make_log()
+        assert {"peel", "descend"} <= {s.kind for s in log.steps}
+        text = log.to_jsonl()
+        assert text == oracle_jsonl(log)
+        assert MutationLog.from_jsonl(text) == log
+
+    @pytest.mark.parametrize(
+        "key, value, message",
+        [
+            ("r", True, "rank must be a JSON integer, got True"),
+            ("r", 1.0, "rank must be a JSON integer, got 1.0"),
+            ("c1", [0.0], "bad divisor class [0.0]: need a list of integers"),
+            ("c1", [False], "bad divisor class [False]: need a list of integers"),
+            ("ch2", 0.0, "ch2 must be a JSON integer or a 'p/q' string, got 0.0"),
+            ("ch2", False, "ch2 must be a JSON integer or a 'p/q' string, got False"),
+        ],
+    )
+    def test_malformed_repeat_of_a_valid_member_refused(self, key, value, message):
+        # O = (1, [0], 0) is E_0 of every state; step 0 writes it with an
+        # integer ch2, valid, and the last step equal in value but malformed.
+        _, log = apply_braid(p2_basic(), BraidWord.parse("R2 L2 R2"))
+        steps = [json.loads(line) for line in log.to_jsonl().splitlines()]
+        first = steps[0]["before"]["collection"]["members"][0]
+        last = steps[-1]["after"]["collection"]["members"][0]
+        assert first == last == {"r": 1, "c1": [0], "ch2": "0/1"}
+        first["ch2"] = 0
+        last[key] = value
+        text = "".join(json.dumps(step) + "\n" for step in steps)
+        with pytest.raises(InvalidInputError, match=f"^{re.escape(message)}$"):
+            MutationLog.from_jsonl(text)
+        last[key] = {"r": 1, "c1": [0], "ch2": 0}[key]
+        assert MutationLog.from_jsonl("".join(json.dumps(s) + "\n" for s in steps)) == log
+
+    def test_oversized_member_message_unchanged(self):
+        S = surface(0)
+        huge = KClass(2 * 10**4300 + 1, DivisorClass((1,)), 3)
+        small = Collection(S, (structure_class(S), line_bundle(S, 1)))
+        big = Collection(S, (structure_class(S), huge))
+        log = MutationLog(
+            (LogStep("mutate", {}, small, small), LogStep("mutate", {}, small, big))
+        )
+        with pytest.raises(
+            DomainError,
+            match=r"^member E_1: class has an integer of more than 4300 digits, "
+            "the limit for writing one$",
+        ):
+            log.to_jsonl()
+        with pytest.raises(DomainError, match=r"^class has an integer of more than 4300"):
+            MutationLog((LogStep("descend", {}, huge, huge),)).to_jsonl()
+
+    @pytest.mark.parametrize("d, letters", [(0, 1), (0, 30), (3, 40), (8, 40)])
+    def test_reading_builds_at_most_n_plus_L_classes(self, monkeypatch, d, letters):
+        log = seeded_braid_log(d, letters, seed=d + letters)
+        text = log.to_jsonl()
+        built = []
+        post_init = KClass.__post_init__
+
+        def counted(self):
+            built.append(self)
+            post_init(self)
+
+        monkeypatch.setattr(KClass, "__post_init__", counted)
+        read = MutationLog.from_jsonl(text)
+        monkeypatch.undo()
+        assert read == log
+        assert 0 < len(built) <= d + 3 + letters
+
+    def test_shared_members_are_one_object(self):
+        read = MutationLog.from_jsonl(braid_log().to_jsonl())
+        for earlier, later in zip(read.steps, read.steps[1:]):
+            assert earlier.after.members == later.before.members
+            assert all(a is b for a, b in zip(earlier.after.members, later.before.members))
+
+
+class TestLineSplitting:
+    def test_crlf_and_blank_lines_tolerated(self):
+        log = braid_log()
+        text = "\n" + log.to_jsonl().replace("\n", "\r\n\n  \n")
+        assert MutationLog.from_jsonl(text) == log
+
+    @pytest.mark.parametrize("char", ["\u2028", "\u2029", "\x85"])
+    def test_raw_line_separator_inside_a_string_reaches_the_step_check(self, char):
+        # json.dumps escapes these; a JSON string may also hold them raw,
+        # and str.splitlines breaks at them.
+        text = braid_log().to_jsonl().replace('"mutate"', f'"mu{char}tate"', 1)
+        assert char in text
+        log = MutationLog.from_jsonl(text)
+        assert log.steps[0].kind == f"mu{char}tate"
+        with pytest.raises(InvalidInputError, match="unknown log step kind"):
+            replay(log)
 
 
 class TestReplay:

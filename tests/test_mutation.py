@@ -6,6 +6,7 @@ from _helpers import (
     divisor,
     line_bundle,
     oracle_gram_violation,
+    oracle_sign_normalize,
     p2_basic,
     random_kclass,
     scrambled_collections,
@@ -42,7 +43,6 @@ from delpezzo.mutation import (
     HelixWitness,
     certify,
     require_numerically_exceptional,
-    sign_normalize,
 )
 from delpezzo.pairs import require_exceptional_pair
 from delpezzo.picard import anticanonical_degree
@@ -378,6 +378,11 @@ class TestMutationReadsOneChi:
                     mutate_collection(c, i, direction)
 
 
+def library_sign_rule(x: KClass) -> KClass:
+    """The library's representative of {x, -x}: the reflection 1*x - 0."""
+    return mutation_module._reflection(1, x, KClass(0, divisor(0, 0, 0), 0))
+
+
 class TestSignNormalize:
     """Rank 0 and anticanonical degree 0 leave c1 and then ch2 to decide."""
 
@@ -385,12 +390,15 @@ class TestSignNormalize:
     def test_lexicographically_positive_c1(self, t):
         # c1 = e1 - e2 = (0; -1, 1): its first nonzero coordinate is negative.
         x = KClass(0, divisor(0, -1, 1), t)
-        assert sign_normalize(x) == sign_normalize(-x) == -x
+        assert oracle_sign_normalize(x) == oracle_sign_normalize(-x) == -x
+        assert library_sign_rule(x) == library_sign_rule(-x) == -x
 
     @pytest.mark.parametrize("t", [-6, 0, 4])
     def test_zero_c1_takes_the_sign_of_ch2(self, t):
         x = KClass(0, divisor(0, 0, 0), t)
-        assert sign_normalize(x) == sign_normalize(-x) == KClass(0, divisor(0, 0, 0), abs(t))
+        positive = KClass(0, divisor(0, 0, 0), abs(t))
+        assert oracle_sign_normalize(x) == oracle_sign_normalize(-x) == positive
+        assert library_sign_rule(x) == library_sign_rule(-x) == positive
 
 
 def random_divisor(rng: random.Random, d: int):
@@ -678,8 +686,8 @@ def operator_reflection(chi_ef, E, F, direction):
     """The mutation's new pair through the KClass operators: one class per
     operation, then the sign rule."""
     if direction is Direction.LEFT:
-        return sign_normalize(chi_ef * E - F), E
-    return F, sign_normalize(chi_ef * F - E)
+        return oracle_sign_normalize(chi_ef * E - F), E
+    return F, oracle_sign_normalize(chi_ef * F - E)
 
 
 def result_kind(x: KClass) -> str:
