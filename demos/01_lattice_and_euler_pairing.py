@@ -7,7 +7,7 @@ numerical K-theory classes.
 
 from delpezzo import (
     Surface,
-    canonical_class,
+    canonical_divisor,
     curve_class,
     enumerate_roots,
     euler_form,
@@ -31,7 +31,7 @@ print("h.h   =", intersect(S, h, h))
 print("h.e1  =", intersect(S, h, e1))
 print("e1.e1 =", intersect(S, e1, e1))
 
-K = canonical_class(S)
+K = canonical_divisor(2)
 print("K     =", K.coeffs, "   K.K =", intersect(S, K, K))
 
 # --- root systems ----------------------------------------------------------

@@ -56,11 +56,10 @@ print("Zuev configuration pair:", t.kind.value)
 # quotient first.  Coarsening merges adjacent blocks until slopes
 # strictly increase toward the sub end.
 A = default_ample(S1)
-H = S1.anticanonical_class()
 hi = line_class(S1, DivisorClass((1, 1)))  # slope 2
 lo = structure_class(S1)                   # slope 0
 
-print("slopes:", slope_mu(S1, hi, H), slope_mu(S1, lo, H))
+print("slopes:", slope_mu(S1, hi), slope_mu(S1, lo))
 g = GradedObject(((hi, 1), (lo, 1)))       # descending: must merge
 out = hn_coarsen(g, A)
 print("coarsened to", len(out.quotients), "block:",

@@ -9,6 +9,7 @@ recorded in a replayable JSON-lines log.
 
 from delpezzo import (
     Collection,
+    MutationLog,
     Surface,
     basic_collection,
     line_class,
@@ -53,7 +54,9 @@ for step in log.steps:
     print("  step:", step.kind, step.params)
 print("  descended class:", (G.r, G.c1.coeffs, str(G.ch2)))
 
-# The log serializes to JSON-lines; each line recomputes from its
-# recorded inputs.
+# The log serializes to JSON-lines; each line, read back as a one-step
+# log, replays from its own recorded inputs.
 lines = log.to_jsonl().splitlines()
 print("log has", len(lines), "lines; first line starts:", lines[0][:60], "...")
+print("each line replays alone:",
+      all(replay(MutationLog.from_jsonl(line)) for line in lines))

@@ -8,10 +8,8 @@ from .chern import (
     curve_class,
     default_ample,
     descend_class,
-    dual_class,
     euler_form,
     line_class,
-    pull_back_class,
     slope_mu,
     structure_class,
     twist,
@@ -48,20 +46,16 @@ from .mutation import (
     mutate_pair,
 )
 from .pairs import (
-    DecompositionType,
     PairKind,
     PairType,
     classify_pair,
-    decomposition_type,
     rotation_index,
     splitting_type,
 )
 from .picard import (
     DivisorClass,
     Surface,
-    blow_down_divisor,
     blow_down_surface,
-    canonical_class,
     canonical_divisor,
     anticanonical_divisor,
     enumerate_roots,

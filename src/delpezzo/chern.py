@@ -18,7 +18,8 @@ mutation searches.
 
 Every class caches its anticanonical degree H.c1, computed once at
 construction by ``picard.anticanonical_degree``: the pairing reads both
-cached degrees and takes one product c1E.c1F.  The integrality check
+cached degrees and takes one product c1E.c1F, and ``slope_mu``, the
+anticanonical slope mu_H = H.c1/r, reads one.  The integrality check
 reads the cached degree too, by the congruence c1^2 = H.c1 (mod 2): for
 c1 = (a; b), a^2 - sum b^2 = a + sum b = 3a - sum b (mod 2).  Sums,
 twists and weighted sums build each new class once, from its integer
@@ -201,13 +202,14 @@ def euler_form(S: Surface, E: KClass, F: KClass) -> int:
     return doubled // 2
 
 
-def slope_mu(S: Surface, E: KClass, D: DivisorClass) -> Fraction:
-    """(D.c1)/r.  Undefined on torsion classes."""
-    if E.d != S.d or D.d != S.d:
+def slope_mu(S: Surface, E: KClass) -> Fraction:
+    """The anticanonical slope mu_H(E) = H.c1/r, read off the cached
+    degree.  Undefined on torsion classes."""
+    if E.d != S.d:
         raise InvalidInputError("inputs do not belong to this surface")
     if E.r == 0:
         raise DomainError("slope is undefined for rank-0 classes")
-    return Fraction(dot(D, E.c1), E.r)
+    return Fraction(E._hc1, E.r)
 
 
 def default_ample(S: Surface) -> DivisorClass:
@@ -252,11 +254,6 @@ def weighted_sum(terms: Iterable[tuple[KClass, int]]) -> KClass:
     return KClass(r, DivisorClass(tuple(coeffs)), two_ch2)
 
 
-def dual_class(E: KClass) -> KClass:
-    """(r, -c1, ch2)."""
-    return KClass(E.r, -E.c1, E.two_ch2)
-
-
 def descend_class(S: Surface, E: KClass) -> KClass:
     """The same class read on the surface with d-1 blow-ups, defined when
     the e_d coordinate of c1 vanishes.  Rank and ch2 are unchanged; pulling
@@ -270,8 +267,3 @@ def descend_class(S: Surface, E: KClass) -> KClass:
             "class has nonzero restriction degree on the contracted curve"
         )
     return KClass(E.r, DivisorClass(E.c1.coeffs[:-1]), E.two_ch2)
-
-
-def pull_back_class(E: KClass) -> KClass:
-    """Inverse of descend_class: re-insert a zero e-coordinate."""
-    return KClass(E.r, DivisorClass(E.c1.coeffs + (0,)), E.two_ch2)

@@ -67,6 +67,22 @@ class _Parser(argparse.ArgumentParser):
         raise _ArgumentError(message)
 
 
+_JSON_INT = re.compile(r"-?(0|[1-9][0-9]*)")
+
+
+def _json_int(text: str) -> int:
+    """An integer flag value, written as JSON writes one: -?(0|[1-9][0-9]*)
+    in ASCII digits, within the int-from-string digit limit."""
+    if not _JSON_INT.fullmatch(text):
+        raise argparse.ArgumentTypeError(f"not a JSON integer: {text!r}")
+    try:
+        return int(text)
+    except ValueError as exc:  # past the int-from-string digit limit
+        raise argparse.ArgumentTypeError(
+            f"integer of {len(text)} digits is too long"
+        ) from exc
+
+
 def _frac(x: Fraction) -> str:
     return f"{x.numerator}/{x.denominator}"
 
@@ -124,11 +140,10 @@ def _cmd_chi(args) -> None:
 def _cmd_slope(args) -> None:
     S = _surface(args)
     E = _kclass(args.e)
-    H = S.anticanonical_class()
-    doc = {"mu_h": _frac(slope_mu(S, E, H))}
+    doc = {"mu_h": _frac(slope_mu(S, E))}
     if E.r > 0:
         sv = vector_slope(S, E)
-        doc["mu_a"] = _frac(slope_mu(S, E, default_ample(S)))
+        doc["mu_a"] = _frac(sv.components()[1])
         doc["vector"] = {
             "rank": sv.rank,
             "numerators": [_frac(x) for x in sv.numerators],
@@ -141,12 +156,11 @@ def _cmd_classify_pair(args) -> None:
     E, F = _kclass(args.e), _kclass(args.f)
     t = classify_pair(S, E, F)
     doc = {"kind": t.kind.value, "dims": list(t.dims)}
-    H = S.anticanonical_class()
     evidence = {
         "chi_ef": t.chi,
         "chi_fe": euler_form(S, F, E),
-        "mu_e": _frac(slope_mu(S, E, H)),
-        "mu_f": _frac(slope_mu(S, F, H)),
+        "mu_e": _frac(slope_mu(S, E)),
+        "mu_f": _frac(slope_mu(S, F)),
     }
     if t.kind in (PairKind.ZERO, PairKind.SINGULAR):
         C = F.c1 - E.c1
@@ -267,12 +281,9 @@ def _cmd_orbit(args) -> None:
 def _parse_mults(text: str | None, n: int) -> list[int] | None:
     if text is None:
         return None
-    fields = text.split(",")
-    try:  # each field a JSON integer, as every JSON reader takes one
-        if not all(re.fullmatch(r"-?(?:0|[1-9][0-9]*)", x) for x in fields):
-            raise ValueError("a field is not a JSON integer")
-        mults = [int(x) for x in fields]
-    except ValueError as exc:  # or past the int-from-string digit limit
+    try:
+        mults = [_json_int(x) for x in text.split(",")]
+    except argparse.ArgumentTypeError as exc:
         raise InvalidInputError(f"bad multiplicities {text!r}") from exc
     if len(mults) != n:
         raise InvalidInputError(f"expected {n} multiplicities, got {len(mults)}")
@@ -360,7 +371,7 @@ def _build_parser() -> _Parser:
         "mutate",
         _cmd_mutate,
         collection={"required": True},
-        pos={"required": True, "type": int},
+        pos={"required": True, "type": _json_int},
         dir={"required": True},
     )
     cmd(
@@ -374,8 +385,8 @@ def _build_parser() -> _Parser:
         "helix",
         _cmd_helix,
         collection={"required": True},
-        lo={"type": int, "default": -3},
-        hi={"type": int, "default": 6},
+        lo={"type": _json_int, "default": -3},
+        hi={"type": _json_int, "default": 6},
     )
     cmd("gram", _cmd_gram, collection={"required": True})
     cmd("check", _cmd_check, collection={"required": True})
@@ -388,7 +399,7 @@ def _build_parser() -> _Parser:
     cmd(
         "markov",
         _cmd_markov,
-        limit={"type": int, "default": None},
+        limit={"type": _json_int, "default": None},
         braid={"default": None},
     )
     cmd(
@@ -397,7 +408,7 @@ def _build_parser() -> _Parser:
         surface={"required": True},
         e={"required": True},
         f={"required": True},
-        limit={"type": int, "default": 5},
+        limit={"type": _json_int, "default": 5},
     )
     cmd(
         "normalize",
@@ -411,7 +422,7 @@ def _build_parser() -> _Parser:
         _cmd_peel,
         collection={"required": True},
         mults={"default": None},
-        e_index={"type": int, "default": None},
+        e_index={"type": _json_int, "default": None},
         out={"default": None},
     )
     cmd(

@@ -22,7 +22,7 @@ from .mutation import (
 from .picard import Surface, canonical_divisor
 from .pipeline import global_twist, order_hom, peel_curve, rotate_twist, rotation_start
 
-__all__ = ["LogStep", "MutationLog", "State", "recompute_step", "replay"]
+__all__ = ["LogStep", "MutationLog", "State", "replay"]
 
 
 def _param(step: LogStep, key: str):
@@ -106,14 +106,6 @@ def _recompute(step: LogStep, before: State) -> State:
             )
         return descend_class(S, before)
     raise InvalidInputError(f"unknown log step kind {kind!r}")
-
-
-def recompute_step(step: LogStep) -> State:
-    """Reapply a step's transformation to its own 'before' state.  Params
-    must be JSON integers where the move reads integers, and the proof
-    data a step records must agree with the move where it can be checked
-    without later steps."""
-    return _recompute(step, step.before)
 
 
 def replay(log: MutationLog) -> bool:

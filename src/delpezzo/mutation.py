@@ -326,7 +326,7 @@ class BraidWord:
     def parse(text: str) -> "BraidWord":
         letters = []
         for token in text.split():
-            m = re.fullmatch(r"([LlRr])(\d+)", token)
+            m = re.fullmatch(r"([LlRr])(0|[1-9][0-9]*)", token)
             if not m:
                 raise InvalidInputError(f"bad braid letter {token!r}")
             try:

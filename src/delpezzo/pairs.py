@@ -21,8 +21,9 @@ more is claimed.
 The module also computes restriction splitting types on an exceptional
 curve.  A rigid restriction of rank r and degree deg splits as
 alpha*O(s-1) + beta*O(s) for the unique (alpha, s) with beta >= 1, and
-the rotate-and-twist index of a slope-ordered list is the first rotation
-placing every member's splitting degrees inside two adjacent integers.
+the rotate-and-twist index of a list ordered by strictly increasing
+anticanonical slope (``chern.slope_mu``) is the first rotation placing
+every member's splitting degrees inside two adjacent integers.
 """
 
 from __future__ import annotations
@@ -162,40 +163,6 @@ def restriction_degree(S: Surface, E: KClass, e_index: int) -> int:
     return intersect(S, E.c1, e)
 
 
-class DecompositionType(enum.Enum):
-    ZERO_TYPE = "zero_type"
-    FIRST_TYPE = "first_type"
-    OTHER = "other"
-
-
-def decomposition_type(
-    S: Surface, E: KClass, F: KClass, e_index: int
-) -> DecompositionType:
-    """Joint splitting shape of an ordered pair on e_i.
-
-    zero type: all degrees of E and F fit in two adjacent integers.
-    first type: E splits in {t, t+1}, F in {t+1, t+2}, with both extreme
-    multiplicities nonzero.
-    """
-    if E.r <= 0 or F.r <= 0:
-        raise DomainError("decomposition type needs positive ranks")
-    deg_e = splitting_degrees(E.r, restriction_degree(S, E, e_index))
-    deg_f = splitting_degrees(F.r, restriction_degree(S, F, e_index))
-    lo = min(deg_e | deg_f)
-    hi = max(deg_e | deg_f)
-    if hi - lo <= 1:
-        return DecompositionType.ZERO_TYPE
-    if (
-        hi - lo == 2
-        and max(deg_e) <= lo + 1
-        and min(deg_f) >= lo + 1
-        and lo in deg_e
-        and hi in deg_f
-    ):
-        return DecompositionType.FIRST_TYPE
-    return DecompositionType.OTHER
-
-
 def rotation_index(
     S: Surface, classes: list[KClass], e_index: int
 ) -> tuple[int, tuple[int, int]]:
@@ -209,8 +176,7 @@ def rotation_index(
     """
     if not classes:
         raise InvalidInputError("rotation index needs a nonempty list")
-    H = S.anticanonical_class()
-    slopes = [slope_mu(S, c, H) for c in classes]
+    slopes = [slope_mu(S, c) for c in classes]
     if any(a >= b for a, b in zip(slopes, slopes[1:])):
         raise DomainError("rotation index needs strictly increasing slopes")
     own = [splitting_degrees(c.r, restriction_degree(S, c, e_index)) for c in classes]

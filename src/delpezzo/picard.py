@@ -10,10 +10,12 @@ is stored as the integer vector (a; b_1, ..., b_d) meaning
 The lattice's integer functionals live here, read off the coefficients:
 the form ``dot`` and ``anticanonical_degree`` H.D = 3a - sum b (H = -K),
 which every slope and chi reads.  No other module builds H or K to take
-one product.  On top of them come the canonical class, enumeration
-of the -2-root system {C : C^2 = -2, C.K = 0}, the effectivity/
-connectedness test for roots against a declared configuration, and the
-coordinate deletion that realizes blowing down the last exceptional curve.
+one product: ``canonical_divisor`` and ``anticanonical_divisor`` name the
+classes K and H = -K for twisting.  On top of them come enumeration of
+the -2-root system {C : C^2 = -2, C.K = 0}, the effectivity/connectedness
+test for roots against a declared configuration, and the surface with the
+last exceptional curve blown down (``chern.descend_class`` deletes the
+matching coordinate of a class).
 """
 
 from __future__ import annotations
@@ -152,12 +154,6 @@ class Surface:
     def k_squared(self) -> int:
         return 9 - self.d
 
-    def canonical_class(self) -> DivisorClass:
-        return canonical_divisor(self.d)
-
-    def anticanonical_class(self) -> DivisorClass:
-        return anticanonical_divisor(self.d)
-
     def to_json(self) -> dict:
         out: dict = {"blowups": self.d}
         if self.effective_simple_roots:
@@ -181,10 +177,6 @@ def intersect(S: Surface, C: DivisorClass, D: DivisorClass) -> int:
     if C.d != S.d or D.d != S.d:
         raise InvalidInputError("divisor class does not belong to this surface")
     return dot(C, D)
-
-
-def canonical_class(S: Surface) -> DivisorClass:
-    return canonical_divisor(S.d)
 
 
 def _b_vectors(length: int, total: int, sq_total: int) -> Iterator[tuple[int, ...]]:
@@ -309,19 +301,6 @@ def is_connected_effective_root(S: Surface, C: DivisorClass) -> bool:
                 seen.add(j)
                 frontier.append(j)
     return len(seen) == len(support)
-
-
-def blow_down_divisor(S: Surface, C: DivisorClass) -> DivisorClass:
-    """Delete the e_d coordinate; defined only when that coordinate is 0."""
-    if S.d == 0:
-        raise DomainError("P^2 has nothing left to blow down")
-    if C.d != S.d:
-        raise InvalidInputError("divisor class does not belong to this surface")
-    if C.coeffs[-1] != 0:
-        raise DomainError(
-            f"class {C.coeffs} meets the contracted curve (e_{S.d}-coefficient nonzero)"
-        )
-    return DivisorClass(C.coeffs[:-1])
 
 
 def blow_down_surface(S: Surface) -> Surface:

@@ -34,6 +34,7 @@ from .chern import (
     curve_class,
     descend_class,
     euler_form,
+    slope_mu,
     twist,
     weighted_sum,
 )
@@ -57,7 +58,7 @@ from .pairs import restriction_degree, rotation_index, splitting_degrees
 from .picard import (
     DivisorClass,
     Surface,
-    anticanonical_degree,
+    anticanonical_divisor,
     canonical_divisor,
     exceptional_divisor,
 )
@@ -89,7 +90,7 @@ def _slopes(c: Collection) -> list[Fraction | None]:
             _torsion_multiplicity(m)
             slopes.append(None)
         else:
-            slopes.append(Fraction(anticanonical_degree(m.c1), m.r))
+            slopes.append(slope_mu(c.surface, m))
     return slopes
 
 
@@ -147,9 +148,9 @@ def rotate_twist(c: Collection, j: int) -> Collection:
     if not 1 <= j <= len(c.members):
         raise InvalidInputError(f"rotation index {j} out of range")
     S = c.surface
-    minus_k = -canonical_divisor(S.d)
+    H = anticanonical_divisor(S.d)
     members = c.members[j - 1 :] + tuple(
-        twist(S, m, minus_k) for m in c.members[: j - 1]
+        twist(S, m, H) for m in c.members[: j - 1]
     )
     return certify(Collection(S, members), "rotation")
 

@@ -33,7 +33,6 @@ from delpezzo import (
     line_class,
     mutate_collection,
     normalize_and_descend,
-    slope_mu,
     structure_class,
     twist,
 )
@@ -66,13 +65,17 @@ def random_kclass(
 # ---------------------------------------------------------------- oracles
 
 
+def oracle_slope(S: Surface, E: KClass) -> Fraction:
+    """The anticanonical slope H.c1/r, with H built and paired through the
+    intersection form.  Needs nonzero rank."""
+    return Fraction(intersect(S, anticanonical_divisor(S.d), E.c1), E.r)
+
+
 def oracle_chi_product_form(S: Surface, E: KClass, F: KClass) -> Fraction:
     """Riemann-Roch in product shape:
     rE rF (chi(O) + (mu(F) - mu(E))/2 + q(F) + q(E) - c1E.c1F/(rE rF)),
     with chi(O) = 1, mu = H.c1/r, q = ch2/r.  Needs nonzero ranks."""
-    H = anticanonical_divisor(S.d)
-    mu_e = Fraction(intersect(S, H, E.c1), E.r)
-    mu_f = Fraction(intersect(S, H, F.c1), F.r)
+    mu_e, mu_f = oracle_slope(S, E), oracle_slope(S, F)
     q_e = Fraction(E.ch2, E.r)
     q_f = Fraction(F.ch2, F.r)
     dot_c1 = Fraction(intersect(S, E.c1, F.c1), E.r * F.r)
@@ -101,8 +104,7 @@ def oracle_rotation_index(
     read the splitting degrees of every class in it."""
     if not classes:
         raise InvalidInputError("rotation index needs a nonempty list")
-    H = S.anticanonical_class()
-    slopes = [slope_mu(S, c, H) for c in classes]
+    slopes = [oracle_slope(S, c) for c in classes]
     if any(a >= b for a, b in zip(slopes, slopes[1:])):
         raise DomainError("rotation index needs strictly increasing slopes")
     minus_k = -canonical_divisor(S.d)
@@ -119,9 +121,7 @@ def oracle_rotation_index(
 def oracle_pair_kind(S: Surface, E: KClass, F: KClass) -> PairKind | None:
     """Hom or ext of a positive-rank pair read from its anticanonical slopes
     as fractions; None at equal slopes, where the lattice decides."""
-    H = anticanonical_divisor(S.d)
-    mu_e = Fraction(intersect(S, H, E.c1), E.r)
-    mu_f = Fraction(intersect(S, H, F.c1), F.r)
+    mu_e, mu_f = oracle_slope(S, E), oracle_slope(S, F)
     if mu_e == mu_f:
         return None
     return PairKind.HOM if mu_e < mu_f else PairKind.EXT

@@ -1,21 +1,27 @@
 import json
 import os
 import pathlib
+import random
 import subprocess
 import sys
 import time
+from fractions import Fraction
 
 import pytest
-from _helpers import p2_basic, surface
+from _helpers import oracle_slope, p2_basic, random_kclass, surface
 
 from delpezzo import (
+    DomainError,
     MutationLog,
     basic_collection,
+    default_ample,
+    intersect,
     markov_max_uniqueness,
     markov_tree,
     normalize_and_descend,
     peel_curve,
     replay,
+    slope_mu,
 )
 from delpezzo.cli import run
 
@@ -50,6 +56,8 @@ O_P2 = '{"r":1,"c1":[0],"ch2":"0/1"}'
 OH_P2 = '{"r":1,"c1":[1],"ch2":"1/2"}'
 MINUS_OH_P2 = '{"r":-1,"c1":[-1],"ch2":"-1/2"}'
 P2_ONE_MEMBER = '{"surface":{"blowups":0},"members":[%s]}' % O_P2
+P2_BASIC = json.dumps(p2_basic().to_json())
+D1_BASIC = json.dumps(basic_collection(surface(1)).to_json())
 
 
 class TestChi:
@@ -98,6 +106,38 @@ class TestSlope:
         )
         assert code == 2
         assert "domain error" in err
+
+    def test_slopes_match_the_oracles_on_every_surface(self, capsys):
+        # mu_h is H.c1/r through the intersection form; mu_a is A.c1/r for
+        # the default ample class, printed for positive ranks only.
+        rng = random.Random(72)
+        ranks = {"negative": 0, "zero": 0, "positive": 0}
+        for d in range(9):
+            S = surface(d)
+            A = default_ample(S)
+            for _ in range(12):
+                E = random_kclass(rng, d, max_rank=4, min_rank=-2)
+                argv = ["--surface", json.dumps(S.to_json()), "--e", json.dumps(E.to_json())]
+                code, out, err = invoke(capsys, "slope", *argv)
+                if E.r == 0:
+                    ranks["zero"] += 1
+                    with pytest.raises(DomainError, match="rank-0"):
+                        slope_mu(S, E)
+                    assert (code, out) == (2, "")
+                    assert err == "domain error: slope is undefined for rank-0 classes\n"
+                    continue
+                mu = oracle_slope(S, E)
+                assert slope_mu(S, E) == mu
+                answer = doc(out)
+                assert answer["mu_h"] == f"{mu.numerator}/{mu.denominator}"
+                if E.r > 0:
+                    ranks["positive"] += 1
+                    mu_a = Fraction(intersect(S, A, E.c1), E.r)
+                    assert answer["mu_a"] == f"{mu_a.numerator}/{mu_a.denominator}"
+                else:
+                    ranks["negative"] += 1
+                    assert "mu_a" not in answer
+        assert min(ranks.values()) > 0, ranks
 
 
 class TestClassifyPair:
@@ -636,6 +676,77 @@ class TestReplayCommand:
         assert err == f"invalid input: {message}\n"
 
 
+# Forms int() would read but JSON does not write: underscores, a plus sign,
+# spaces, a leading zero, a decimal point, an exponent, non-ASCII digits.
+MALFORMED_INTEGERS = [
+    "1_0", "+1", " 1", "1 ", "01", "-01", "1.0", "1e1", "", "\u0665", "\u0661", "\uff11",
+]
+
+# One valid call per integer flag: (command and its other flags, flag, a
+# value it accepts).
+INTEGER_FLAGS = {
+    "mutate-pos": (["mutate", "--collection", P2_BASIC, "--dir", "left"], "pos", "1"),
+    "helix-lo": (["helix", "--collection", P2_BASIC], "lo", "-2"),
+    "helix-hi": (["helix", "--collection", P2_BASIC], "hi", "5"),
+    "markov-limit": (["markov"], "limit", "5"),
+    "orbit-limit": (
+        ["orbit", "--surface", '{"blowups":0}', "--e", O_P2, "--f", MINUS_OH_P2], "limit", "3"
+    ),
+    "peel-e-index": (["peel", "--collection", D1_BASIC], "e-index", "1"),
+}
+
+
+class TestIntegerFlags:
+    """Every integer flag, each --mults field and each braid position is read
+    as JSON writes an integer, -?(0|[1-9][0-9]*) in ASCII digits; any other
+    form is malformed input (exit 1) with nothing on stdout."""
+
+    @pytest.mark.parametrize("case", INTEGER_FLAGS)
+    def test_valid_value_accepted(self, capsys, case):
+        argv, flag, value = INTEGER_FLAGS[case]
+        code, out, err = invoke(capsys, *argv, f"--{flag}={value}")
+        assert code == 0, err
+        assert doc(out)
+
+    @pytest.mark.parametrize("value", MALFORMED_INTEGERS)
+    @pytest.mark.parametrize("case", INTEGER_FLAGS)
+    def test_malformed_value_exits_one(self, capsys, case, value):
+        argv, flag, _ = INTEGER_FLAGS[case]
+        code, out, err = invoke(capsys, *argv, f"--{flag}={value}")
+        assert (code, out) == (1, "")
+        assert err.startswith(f"error: argument --{flag}: not a JSON integer: {value!r}\n")
+
+    def test_integer_past_the_digit_limit_exits_one(self, capsys):
+        code, out, err = invoke(capsys, "markov", "--limit", "1" * 5000)
+        assert (code, out) == (1, "")
+        assert err.startswith("error: argument --limit: integer of 5000 digits is too long\n")
+
+    @pytest.mark.parametrize("position", ["01", "+1", "1_0", "1.0", "\u0661", "\uff11"])
+    @pytest.mark.parametrize("command", ["braid", "markov"])
+    def test_malformed_braid_position_exits_one(self, capsys, command, position):
+        word = f"R1 L{position}"
+        flags = ["--collection", P2_BASIC, "--word"] if command == "braid" else ["--braid"]
+        code, out, err = invoke(capsys, command, *flags, word)
+        assert (code, out) == (1, "")
+        assert err == f"invalid input: bad braid letter {f'L{position}'!r}\n"
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["markov", "--limit", "1_0"],
+            ["markov", "--limit", "\u0665"],
+            ["mutate", "--collection", P2_BASIC, "--pos", "+1", "--dir", "left"],
+            ["braid", "--collection", P2_BASIC, "--word", "L\u0661"],
+            ["braid", "--collection", P2_BASIC, "--word", "L\uff11"],
+        ],
+        ids=["underscore", "arabic-indic-limit", "plus-pos", "arabic-indic-word", "fullwidth-word"],
+    )
+    def test_refused_without_a_traceback(self, argv):
+        code, out, err = invoke_process(*argv)
+        assert (code, out) == (1, "")
+        assert "Traceback" not in err
+
+
 class TestPipelineCommands:
     def test_normalize_with_log(self, capsys, tmp_path):
         S = surface(1)
@@ -682,7 +793,8 @@ class TestPipelineCommands:
     @pytest.mark.parametrize(
         "mults",
         ["1_0,1, +1 ,1", "1_0,1,1,1", "+1,1,1,1", " 1,1,1,1", "1,1,1 ,1", "1,,1,1",
-         "1,1,1,1,", ",1,1,1,1", "", "1.0,1,1,1", "01,1,1,1", "1,1,1,\u0661"],
+         "1,1,1,1,", ",1,1,1,1", "", "1.0,1,1,1", "01,1,1,1", "1,1,1,\u0661",
+         "-01,1,1,1", "1e1,1,1,1", "1,1,\uff11,1", "1," + "1" * 5000 + ",1,1"],
     )
     def test_mults_must_be_json_integers(self, capsys, command, mults):
         collection = json.dumps(basic_collection(surface(1)).to_json())

@@ -5,7 +5,7 @@ generated command line exits 0, 1 or 2; no other exception escapes.
 Documents are arbitrary JSON values, and valid documents written by the
 library with one node replaced by an arbitrary JSON value or deleted, so
 that the edits reach the checks behind the outer schema.  Log steps are
-decoded and then replayed by ``recompute_step``.  Command lines give each
+decoded and then replayed alone, as a one-step log.  Command lines give each
 command's flags fuzzed values (JSON documents, braid words, positions,
 directions, small integers) or leave them out.  The runs are
 derandomized and bounded, so the suite stays deterministic.
@@ -29,13 +29,15 @@ from delpezzo import (
     InvalidInputError,
     KClass,
     LogStep,
+    MutationLog,
     Surface,
+    anticanonical_divisor,
     basic_collection,
     enumerate_roots,
+    replay,
     structure_class,
 )
 from delpezzo import cli
-from delpezzo.logs import recompute_step
 
 FUZZ = settings(
     max_examples=150,
@@ -100,7 +102,7 @@ VALID = {
     "collection": [basic_collection(S2).to_json(), p2_basic().to_json()],
     "graded": [
         GradedObject(
-            ((structure_class(S2), 2), (KClass(2, S2.anticanonical_class(), 3), 1))
+            ((structure_class(S2), 2), (KClass(2, anticanonical_divisor(2), 3), 1))
         ).to_json()
     ],
     "step": [s.to_json() for log in (scrambled_log(), braid_log()) for s in log.steps],
@@ -115,7 +117,7 @@ def decodes_or_refuses(read, doc):
 
 
 def read_and_replay(doc):
-    recompute_step(LogStep.from_json(doc))
+    replay(MutationLog((LogStep.from_json(doc),)))
 
 
 @pytest.mark.parametrize(

@@ -1,6 +1,7 @@
 """Structure of the package: exact-only source, module-level imports that
 form a layered (acyclic) graph (the shared test helpers import at module
-level too), one lattice kernel, and demos that run."""
+level too), one lattice kernel, no public name that only tests call, and
+demos that run."""
 
 import ast
 import json
@@ -15,6 +16,8 @@ ROOT = pathlib.Path(__file__).resolve().parent.parent
 PACKAGE = ROOT / "src" / "delpezzo"
 MODULES = sorted(PACKAGE.glob("*.py"))
 DEMOS = sorted((ROOT / "demos").glob("*.py"))
+BENCH = sorted((ROOT / "bench").glob("*.py"))
+INIT = PACKAGE / "__init__.py"
 HELPERS = ROOT / "tests" / "_helpers.py"
 SAME_WORK = ROOT / "tests" / "same_work.py"
 
@@ -106,13 +109,10 @@ def test_no_private_names_imported_from_siblings(path):
 
 
 # Calls that build the class H = -K or K.  A product with one of them is
-# picard.anticanonical_degree (K.D is its negative), so none reaches dot.
-H_OR_K_BUILDERS = {
-    "canonical_divisor",
-    "anticanonical_divisor",
-    "canonical_class",
-    "anticanonical_class",
-}
+# picard.anticanonical_degree (K.D is its negative), so none reaches dot or
+# intersect.
+H_OR_K_BUILDERS = {"canonical_divisor", "anticanonical_divisor"}
+PRODUCTS = {"dot", "intersect"}
 
 
 def call_name(node):
@@ -128,8 +128,8 @@ def builds_h_or_k(node):
 
 
 def h_or_k_products(tree):
-    """Lines of dot(...) calls with an argument that builds H or K, or reads
-    a name the same function bound to such a call."""
+    """Lines of dot(...) or intersect(...) calls with an argument that builds
+    H or K, or reads a name the same function bound to such a call."""
     found = []
     for fn in ast.walk(tree):
         if not isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
@@ -143,7 +143,7 @@ def h_or_k_products(tree):
             if isinstance(target, ast.Name)
         }
         for call in ast.walk(fn):
-            if call_name(call) == "dot" and any(
+            if call_name(call) in PRODUCTS and any(
                 builds_h_or_k(node) or (isinstance(node, ast.Name) and node.id in bound)
                 for arg in call.args
                 for node in ast.walk(arg)
@@ -156,20 +156,53 @@ def test_h_or_k_product_lint_catches_each_form():
     tree = ast.parse(
         "def f(S, C, x):\n"
         "    K = canonical_divisor(S.d)\n"
-        "    H = S.anticanonical_class()\n"
+        "    H = anticanonical_divisor(S.d)\n"
         "    dot(C, K)\n"
         "    dot(H, x.c1)\n"
         "    dot(anticanonical_divisor(S.d), x.c1)\n"
-        "    picard.dot(C, -S.canonical_class())\n"
+        "    picard.dot(C, -canonical_divisor(S.d))\n"
+        "    intersect(S, H, x.c1)\n"
+        "    picard.intersect(S, C, 2 * canonical_divisor(S.d))\n"
         "    dot(C, C)\n"
+        "    intersect(S, C, x.c1)\n"
+        "    twist(S, x, H)\n"
     )
-    assert h_or_k_products(tree) == [4, 5, 6, 7]
+    assert h_or_k_products(tree) == [4, 5, 6, 7, 8, 9]
 
 
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_no_dot_with_h_or_k(path):
     lines = h_or_k_products(parse(path))
-    assert lines == [], f"dot with a built H or K on lines {lines}; use anticanonical_degree"
+    assert lines == [], (
+        f"dot or intersect with a built H or K on lines {lines}; use anticanonical_degree"
+    )
+
+
+def referenced_names(path):
+    """Names a file reads, bare or as an attribute, outside the top-level
+    definition of the same name."""
+    names = set()
+    for stmt in parse(path).body:
+        read = {node.id for node in ast.walk(stmt) if isinstance(node, ast.Name)}
+        read |= {node.attr for node in ast.walk(stmt) if isinstance(node, ast.Attribute)}
+        read.discard(getattr(stmt, "name", None))
+        names |= read
+    return names
+
+
+def test_every_exported_name_has_a_caller_outside_the_tests():
+    """Each name ``delpezzo/__init__.py`` imports is read by the package,
+    a demo or the benchmark.  A name that only tests call is deleted, not
+    exported."""
+    exported = {
+        alias.asname or alias.name
+        for node in parse(INIT).body
+        if isinstance(node, ast.ImportFrom)
+        for alias in node.names
+    }
+    users = [path for path in MODULES if path != INIT] + DEMOS + BENCH
+    unused = exported - set().union(*map(referenced_names, users))
+    assert sorted(unused) == []
 
 
 def run_script(path, *argv):

@@ -12,7 +12,6 @@ from _helpers import (
 
 from delpezzo import (
     BraidWord,
-    DecompositionType,
     DomainError,
     InvalidInputError,
     InvariantViolationError,
@@ -22,7 +21,6 @@ from delpezzo import (
     basic_collection,
     classify_pair,
     curve_class,
-    decomposition_type,
     euler_form,
     intersect,
     rotation_index,
@@ -139,31 +137,6 @@ class TestSplittingType:
         assert splitting_degrees(3, 0) == {0}
 
 
-class TestDecompositionType:
-    def test_zero_type(self):
-        S = surface(1)
-        E = structure_class(S)  # degrees {0}
-        F = KClass(2, divisor(0, -1), -1)  # deg -1: {-1, 0}
-        assert decomposition_type(S, E, F, 1) is DecompositionType.ZERO_TYPE
-
-    def test_first_type(self):
-        S = surface(1)
-        E = KClass(2, divisor(0, -1), -1)  # deg -1: {-1, 0}
-        F = KClass(2, divisor(0, 1), -1)  # deg +1: {0, 1}
-        assert decomposition_type(S, E, F, 1) is DecompositionType.FIRST_TYPE
-
-    def test_other(self):
-        S = surface(1)
-        E = line_bundle(S, 0, 2)  # degree -2
-        F = line_bundle(S, 0, -2)  # degree 2
-        assert decomposition_type(S, E, F, 1) is DecompositionType.OTHER
-
-    def test_rank_zero_rejected(self):
-        S = surface(1)
-        with pytest.raises(DomainError):
-            decomposition_type(S, curve_class(S, 1, -1), structure_class(S), 1)
-
-
 class TestRotationIndex:
     def test_identity_when_window_already_fits(self):
         S = surface(1)
@@ -221,10 +194,9 @@ class TestSignOfChi:
         rng = random.Random(61)
         for d in range(9):
             S = surface(d)
-            H = S.anticanonical_class()
             for _ in range(200):
                 E, F = random_kclass(rng, d), random_kclass(rng, d)
-                mu_e, mu_f = slope_mu(S, E, H), slope_mu(S, F, H)
+                mu_e, mu_f = slope_mu(S, E), slope_mu(S, F)
                 assert euler_form(S, E, F) - euler_form(S, F, E) == E.r * F.r * (
                     mu_f - mu_e
                 )
@@ -256,12 +228,11 @@ class TestRotationIndexOracle:
         seen = {"first": 0, "later": 0, "none": 0}
         for d in range(9):
             S = surface(d)
-            H = S.anticanonical_class()
             for _ in range(80):
                 by_slope = {}
                 for _ in range(rng.randint(1, 4)):
                     E = random_kclass(rng, d, max_rank=4)
-                    by_slope.setdefault(slope_mu(S, E, H), E)
+                    by_slope.setdefault(slope_mu(S, E), E)
                 classes = [by_slope[mu] for mu in sorted(by_slope)]
                 for e_index in range(1, max(d, 1) + 1):
                     got = outcome(lambda: rotation_index(S, classes, e_index))

@@ -4,16 +4,15 @@ import pytest
 from _helpers import divisor, oracle_monomial_count, oracle_roots, surface
 
 from delpezzo import (
-    DivisorClass,
     DomainError,
     InvalidInputError,
+    KClass,
     PairKind,
     Surface,
     anticanonical_divisor,
-    blow_down_divisor,
-    canonical_class,
     canonical_divisor,
     classify_pair,
+    descend_class,
     enumerate_roots,
     euler_form,
     exceptional_divisor,
@@ -53,7 +52,7 @@ class TestIntersect:
 
     def test_k_squared_d2(self):
         S = surface(2)
-        K = canonical_class(S)
+        K = canonical_divisor(2)
         assert intersect(S, K, K) == 7
 
     def test_dimension_mismatch(self):
@@ -77,18 +76,18 @@ class TestIntersect:
 
 class TestCanonicalClass:
     def test_plane(self):
-        assert canonical_class(surface(0)) == divisor(-3)
+        assert canonical_divisor(0) == divisor(-3)
 
     @pytest.mark.parametrize("d,expected", [(2, 7), (8, 1)])
     def test_k_squared(self, d, expected):
         S = surface(d)
-        K = canonical_class(S)
+        K = canonical_divisor(d)
         assert intersect(S, K, K) == expected
 
     def test_anticanonical_square_is_9_minus_d(self):
         for d in range(9):
             S = surface(d)
-            H = S.anticanonical_class()
+            H = anticanonical_divisor(d)
             assert intersect(S, H, H) == 9 - d == S.k_squared
 
 
@@ -106,7 +105,7 @@ class TestEnumerateRoots:
     @pytest.mark.parametrize("d", range(9))
     def test_matches_oracle_and_defining_equations(self, d):
         S = surface(d)
-        K = canonical_class(S)
+        K = canonical_divisor(d)
         roots = enumerate_roots(S)
         got = {r.coeffs for r in roots}
         assert got == oracle_roots(d)
@@ -214,27 +213,38 @@ class TestAnticanonicalDegree:
 
 
 class TestBlowDown:
+    """A class blows down by ``descend_class``, which deletes the e_d
+    coordinate of c1."""
+
     def test_cubic_class(self):
-        assert blow_down_divisor(surface(1), divisor(3, 0)) == divisor(3)
+        S = surface(1)
+        down = descend_class(S, line_class(S, divisor(3, 0)))
+        assert down == line_class(surface(0), divisor(3))
 
     def test_line_through_point(self):
-        assert blow_down_divisor(surface(2), divisor(1, 1, 0)) == divisor(1, 1)
+        S = surface(2)
+        down = descend_class(S, line_class(S, divisor(1, 1, 0)))
+        assert down == line_class(surface(1), divisor(1, 1))
 
     def test_nonzero_last_coefficient(self):
-        with pytest.raises(DomainError):
-            blow_down_divisor(surface(1), divisor(1, 1))
+        S = surface(1)
+        with pytest.raises(DomainError, match="contracted curve"):
+            descend_class(S, line_class(S, divisor(1, 1)))
 
     def test_plane_cannot_blow_down(self):
-        with pytest.raises(DomainError):
-            blow_down_divisor(surface(0), divisor(1))
+        S = surface(0)
+        with pytest.raises(DomainError, match="nothing left to blow down"):
+            descend_class(S, line_class(S, divisor(1)))
+        with pytest.raises(DomainError, match="nothing left to blow down"):
+            blow_down_surface(S)
 
     def test_round_trip(self):
         rng = random.Random(3)
         S = surface(4)
         for _ in range(50):
-            C = divisor(*([rng.randint(-5, 5) for _ in range(4)] + [0]))
-            down = blow_down_divisor(S, C)
-            assert DivisorClass(down.coeffs + (0,)) == C
+            E = line_class(S, divisor(*([rng.randint(-5, 5) for _ in range(4)] + [0])))
+            down = descend_class(S, E)
+            assert KClass(down.r, divisor(*down.c1.coeffs, 0), down.two_ch2) == E
 
     def test_blow_down_surface_keeps_untouched_roots(self):
         S = surface(3, roots=[(0, -1, 1, 0), (0, 0, -1, 1)])
@@ -253,7 +263,7 @@ class TestSurfaceValidation:
     def test_declared_roots_orthogonal_to_k(self):
         for d in range(1, 9):
             S = surface(d)
-            K = canonical_class(S)
+            K = canonical_divisor(d)
             for root in enumerate_roots(S):
                 assert intersect(S, root, K) == 0
 

@@ -8,6 +8,7 @@ from _helpers import (
     braid_orbit_states,
     divisor,
     line_bundle,
+    oracle_slope,
     p2_basic,
     random_kclass,
     scrambled_collections,
@@ -48,8 +49,7 @@ from delpezzo.pipeline import _torsion_multiplicity, rotation_start
 
 
 def slopes(c):
-    H = c.surface.anticanonical_class()
-    return [slope_mu(c.surface, m, H) for m in c.members if m.r > 0]
+    return [oracle_slope(c.surface, m) for m in c.members if m.r > 0]
 
 
 class TestOrderHom:
@@ -138,7 +138,6 @@ class TestReduceSpread:
         # with T arbitrary; every such pair with mu >= K^2 = 1 must reduce.
         rng = random.Random(52)
         S = surface(8)
-        H = S.anticanonical_class()
         O = structure_class(S)
         candidates = []
         for k, max_t in ((1, 2), (2, 5)):
@@ -149,7 +148,7 @@ class TestReduceSpread:
         for D in candidates:
             E = line_class(S, D)
             assert euler_form(S, E, O) == 0
-            if slope_mu(S, E, H) < 1:
+            if slope_mu(S, E) < 1:
                 continue
             found += 1
             c = Collection(S, (O, E))
