@@ -31,9 +31,8 @@ from __future__ import annotations
 import functools
 import re
 import sys
-from dataclasses import dataclass, field
+from collections.abc import Iterable
 from fractions import Fraction
-from typing import Iterable
 from .errors import DomainError, InvalidInputError
 from .picard import (
     DivisorClass,
@@ -43,12 +42,12 @@ from .picard import (
     exceptional_divisor,
     zero_divisor,
 )
+from .values import Value
 
 _CH2_TEXT = re.compile(r"([+-]?[0-9]+)(?:/([0-9]+))?")
 
 
-@dataclass(frozen=True, slots=True)
-class KClass:
+class KClass(Value):
     """A numerical K-theory class (r, c1, 2*ch2).
 
     Invariant: c1^2 - 2*ch2 is an even integer, i.e. c2 is an integer.
@@ -60,10 +59,14 @@ class KClass:
     cannot go stale.
     """
 
-    r: int
-    c1: DivisorClass
-    two_ch2: int
-    _hc1: int = field(init=False, compare=False, repr=False)
+    __slots__ = ("r", "c1", "two_ch2", "_hc1")
+    _fields = ("r", "c1", "two_ch2")
+
+    def __init__(self, r: int, c1: DivisorClass, two_ch2: int):
+        object.__setattr__(self, "r", r)
+        object.__setattr__(self, "c1", c1)
+        object.__setattr__(self, "two_ch2", two_ch2)
+        self.__post_init__()
 
     def __post_init__(self):
         if not isinstance(self.r, int) or not isinstance(self.two_ch2, int):

@@ -59,12 +59,14 @@ def _check_class_budget(what: str, count: int) -> None:
 
 
 class _ArgumentError(InvalidInputError):
-    pass
+    def __init__(self, message: str, parser: argparse.ArgumentParser):
+        super().__init__(message)
+        self.parser = parser
 
 
 class _Parser(argparse.ArgumentParser):
     def error(self, message):  # keep exit-code control in run()
-        raise _ArgumentError(message)
+        raise _ArgumentError(message, self)
 
 
 _JSON_INT = re.compile(r"-?(0|[1-9][0-9]*)")
@@ -179,7 +181,7 @@ def _cmd_roots(args) -> None:
 
 def _cmd_mutate(args) -> None:
     c = _collection(args)
-    out = mutate_collection(c, args.pos, Direction.from_str(args.dir))
+    out = mutate_collection(c, args.pos, args.dir)
     _emit(out.to_json())
 
 
@@ -337,109 +339,98 @@ def _cmd_replay(args) -> None:
     _emit({"replayed": replay(log), "steps": len(log)})
 
 
-def _build_parser() -> _Parser:
+_REQUIRED = {"required": True}
+_OPTIONAL: dict = {}
+
+# Each command: its function and its flags, --flag-name for flag_name.
+_COMMANDS = {
+    "chi": (_cmd_chi, {"surface": _REQUIRED, "e": _REQUIRED, "f": _REQUIRED}),
+    "slope": (_cmd_slope, {"surface": _REQUIRED, "e": _REQUIRED}),
+    "classify-pair": (
+        _cmd_classify_pair,
+        {"surface": _REQUIRED, "e": _REQUIRED, "f": _REQUIRED},
+    ),
+    "roots": (_cmd_roots, {"surface": _REQUIRED}),
+    "mutate": (
+        _cmd_mutate,
+        {
+            "collection": _REQUIRED,
+            "pos": {"required": True, "type": _json_int},
+            "dir": {"required": True, "type": Direction},
+        },
+    ),
+    "braid": (_cmd_braid, {"collection": _REQUIRED, "word": _REQUIRED, "out": _OPTIONAL}),
+    "helix": (
+        _cmd_helix,
+        {
+            "collection": _REQUIRED,
+            "lo": {"type": _json_int, "default": -3},
+            "hi": {"type": _json_int, "default": 6},
+        },
+    ),
+    "gram": (_cmd_gram, {"collection": _REQUIRED}),
+    "check": (_cmd_check, {"collection": _REQUIRED}),
+    "hn": (_cmd_hn, {"graded": _REQUIRED, "ample": _OPTIONAL}),
+    "markov": (_cmd_markov, {"limit": {"type": _json_int}, "braid": _OPTIONAL}),
+    "orbit": (
+        _cmd_orbit,
+        {
+            "surface": _REQUIRED,
+            "e": _REQUIRED,
+            "f": _REQUIRED,
+            "limit": {"type": _json_int, "default": 5},
+        },
+    ),
+    "normalize": (
+        _cmd_normalize,
+        {"collection": _REQUIRED, "mults": _OPTIONAL, "out": _OPTIONAL},
+    ),
+    "peel": (
+        _cmd_peel,
+        {
+            "collection": _REQUIRED,
+            "mults": _OPTIONAL,
+            "e_index": {"type": _json_int},
+            "out": _OPTIONAL,
+        },
+    ),
+    "descend": (_cmd_descend, {"surface": _REQUIRED, "e": _REQUIRED}),
+    "replay": (_cmd_replay, {"log": _REQUIRED}),
+}
+
+
+def _add_command(parser: _Parser, name: str) -> None:
+    fn, flags = _COMMANDS[name]
+    for flag, kwargs in flags.items():
+        parser.add_argument(f"--{flag.replace('_', '-')}", **kwargs)
+    parser.set_defaults(fn=fn)
+
+
+def _build_parser(argv: list[str]) -> tuple[_Parser, list[str]]:
+    """The parser for argv and the arguments it reads.  When argv[0] names
+    a command, that command's parser alone, which a cold call builds in a
+    small part of the time all of them take; otherwise the top-level
+    parser with every command, which reports an unknown command, a stray
+    flag or --help."""
+    if argv and argv[0] in _COMMANDS:
+        parser = _Parser(prog=f"delpezzo {argv[0]}")
+        _add_command(parser, argv[0])
+        return parser, argv[1:]
     parser = _Parser(
         prog="delpezzo",
         description="Exact K-theory of exceptional collections on blow-ups of the plane.",
     )
     sub = parser.add_subparsers(dest="command")
-
-    def cmd(name, fn, **flags):
-        p = sub.add_parser(name)
-        for flag, kwargs in flags.items():
-            p.add_argument(f"--{flag.replace('_', '-')}", **kwargs)
-        p.set_defaults(fn=fn)
-        return p
-
-    cmd(
-        "chi",
-        _cmd_chi,
-        surface={"required": True},
-        e={"required": True},
-        f={"required": True},
-    )
-    cmd("slope", _cmd_slope, surface={"required": True}, e={"required": True})
-    cmd(
-        "classify-pair",
-        _cmd_classify_pair,
-        surface={"required": True},
-        e={"required": True},
-        f={"required": True},
-    )
-    cmd("roots", _cmd_roots, surface={"required": True})
-    cmd(
-        "mutate",
-        _cmd_mutate,
-        collection={"required": True},
-        pos={"required": True, "type": _json_int},
-        dir={"required": True},
-    )
-    cmd(
-        "braid",
-        _cmd_braid,
-        collection={"required": True},
-        word={"required": True},
-        out={"default": None},
-    )
-    cmd(
-        "helix",
-        _cmd_helix,
-        collection={"required": True},
-        lo={"type": _json_int, "default": -3},
-        hi={"type": _json_int, "default": 6},
-    )
-    cmd("gram", _cmd_gram, collection={"required": True})
-    cmd("check", _cmd_check, collection={"required": True})
-    cmd(
-        "hn",
-        _cmd_hn,
-        graded={"required": True},
-        ample={"default": None},
-    )
-    cmd(
-        "markov",
-        _cmd_markov,
-        limit={"type": _json_int, "default": None},
-        braid={"default": None},
-    )
-    cmd(
-        "orbit",
-        _cmd_orbit,
-        surface={"required": True},
-        e={"required": True},
-        f={"required": True},
-        limit={"type": _json_int, "default": 5},
-    )
-    cmd(
-        "normalize",
-        _cmd_normalize,
-        collection={"required": True},
-        mults={"default": None},
-        out={"default": None},
-    )
-    cmd(
-        "peel",
-        _cmd_peel,
-        collection={"required": True},
-        mults={"default": None},
-        e_index={"type": _json_int, "default": None},
-        out={"default": None},
-    )
-    cmd(
-        "descend",
-        _cmd_descend,
-        surface={"required": True},
-        e={"required": True},
-    )
-    cmd("replay", _cmd_replay, log={"required": True})
-    return parser
+    for name in _COMMANDS:
+        _add_command(sub.add_parser(name), name)
+    return parser, argv
 
 
 def run(argv: list[str]) -> int:
     """Dispatch one command; returns the process exit code."""
-    parser = _build_parser()
+    parser, rest = _build_parser(argv)
     try:
-        args = parser.parse_args(argv)
+        args = parser.parse_args(rest)
         if not getattr(args, "fn", None):
             parser.print_usage(sys.stderr)
             return 1
@@ -447,7 +438,7 @@ def run(argv: list[str]) -> int:
         return 0
     except _ArgumentError as exc:
         print(f"error: {exc}", file=sys.stderr)
-        parser.print_usage(sys.stderr)
+        exc.parser.print_usage(sys.stderr)
         return 1
     except InvalidInputError as exc:
         print(f"invalid input: {exc}", file=sys.stderr)

@@ -18,20 +18,23 @@ any irrational arithmetic.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Iterator
+from collections.abc import Iterator
 
 from .chern import KClass, weighted_sum
 from .errors import DomainError, InvalidInputError
 from .pairs import require_exceptional_pair
 from .picard import Surface
+from .values import Value
 
 
-@dataclass(frozen=True)
-class MarkovTriple:
-    x: int
-    y: int
-    z: int
+class MarkovTriple(Value):
+    __slots__ = _fields = ("x", "y", "z")
+
+    def __init__(self, x: int, y: int, z: int):
+        object.__setattr__(self, "x", x)
+        object.__setattr__(self, "y", y)
+        object.__setattr__(self, "z", z)
+        self.__post_init__()
 
     def __post_init__(self):
         for v in (self.x, self.y, self.z):
@@ -105,13 +108,15 @@ def markov_form(p: int, q: int, h: int) -> int:
     return p * p - h * p * q + q * q
 
 
-@dataclass(frozen=True)
-class PairOrbit:
+class PairOrbit(Value):
     """Two-sided mutation orbit of an ext-pair, indices -n .. n+1."""
 
-    classes: dict[int, KClass]
-    x: tuple[int, ...]
-    h: int
+    __slots__ = _fields = ("classes", "x", "h")
+
+    def __init__(self, classes: dict[int, KClass], x: tuple[int, ...], h: int):
+        object.__setattr__(self, "classes", classes)
+        object.__setattr__(self, "x", x)
+        object.__setattr__(self, "h", h)
 
     def __getitem__(self, n: int) -> KClass:
         return self.classes[n]

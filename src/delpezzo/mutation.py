@@ -49,8 +49,7 @@ from __future__ import annotations
 import enum
 import json
 import re
-from dataclasses import dataclass, field
-from typing import Union
+
 from .chern import KClass, curve_class, euler_form, line_class, structure_class, twist
 from .errors import DomainError, InvalidInputError, InvariantViolationError
 from .pairs import require_equal_slope_pair, require_exceptional_pair
@@ -60,6 +59,7 @@ from .picard import (
     canonical_divisor,
     line_divisor,
 )
+from .values import Value
 
 
 class Direction(enum.Enum):
@@ -70,18 +70,8 @@ class Direction(enum.Enum):
     def letter(self) -> str:
         return "L" if self is Direction.LEFT else "R"
 
-    @staticmethod
-    def from_str(text: str) -> "Direction":
-        t = text.strip().lower()
-        if t in ("l", "left"):
-            return Direction.LEFT
-        if t in ("r", "right"):
-            return Direction.RIGHT
-        raise InvalidInputError(f"unknown direction {text!r}")
 
-
-@dataclass(frozen=True)
-class Collection:
+class Collection(Value):
     """Ordered list of K-classes on a fixed surface.
 
     ``_certified`` records that the collection passed the full
@@ -90,9 +80,14 @@ class Collection:
     cannot go stale.
     """
 
-    surface: Surface
-    members: tuple[KClass, ...]
-    _certified: bool = field(default=False, init=False, compare=False, repr=False)
+    __slots__ = ("surface", "members", "_certified")
+    _fields = ("surface", "members")
+
+    def __init__(self, surface: Surface, members: tuple[KClass, ...]):
+        object.__setattr__(self, "surface", surface)
+        object.__setattr__(self, "members", members)
+        object.__setattr__(self, "_certified", False)
+        self.__post_init__()
 
     def __post_init__(self):
         object.__setattr__(self, "members", tuple(self.members))
@@ -158,14 +153,16 @@ def _read_member(data, memo: dict | None) -> KClass:
     return m
 
 
-@dataclass(frozen=True)
-class GramViolation:
+class GramViolation(Value):
     """First failing Gram entry: chi(E_i, E_j) = value, expected 1 on the
     diagonal and 0 below it."""
 
-    i: int
-    j: int
-    value: int
+    __slots__ = _fields = ("i", "j", "value")
+
+    def __init__(self, i: int, j: int, value: int):
+        object.__setattr__(self, "i", i)
+        object.__setattr__(self, "j", j)
+        object.__setattr__(self, "value", value)
 
     def to_json(self) -> dict:
         return {"i": self.i, "j": self.j, "chi": self.value}
@@ -304,12 +301,15 @@ def mutate_collection(c: Collection, i: int, direction: Direction) -> Collection
     return certify(out, "mutation", i - 1 if direction is Direction.LEFT else i)
 
 
-@dataclass(frozen=True)
-class BraidWord:
+class BraidWord(Value):
     """Sequence of (position, direction) letters, applied left to right.
     Text form: letters like 'L1 R2' separated by spaces."""
 
-    letters: tuple[tuple[int, Direction], ...]
+    __slots__ = _fields = ("letters",)
+
+    def __init__(self, letters: tuple[tuple[int, Direction], ...]):
+        object.__setattr__(self, "letters", letters)
+        self.__post_init__()
 
     def __post_init__(self):
         object.__setattr__(self, "letters", tuple(self.letters))
@@ -324,8 +324,12 @@ class BraidWord:
 
     @staticmethod
     def parse(text: str) -> "BraidWord":
+        """Read letters L<i> or R<i> (l, r too) separated by ASCII spaces;
+        a run of spaces, or spaces at either end, count as one separator.
+        Any other character between letters, a tab or a Unicode space
+        among them, makes a letter bad."""
         letters = []
-        for token in text.split():
+        for token in filter(None, text.split(" ")):
             m = re.fullmatch(r"([LlRr])(0|[1-9][0-9]*)", token)
             if not m:
                 raise InvalidInputError(f"bad braid letter {token!r}")
@@ -335,11 +339,12 @@ class BraidWord:
                 raise InvalidInputError(
                     f"braid position of {len(m.group(2))} digits is too long"
                 ) from exc
-            letters.append((position, Direction.from_str(m.group(1))))
+            direction = Direction.LEFT if m.group(1) in "Ll" else Direction.RIGHT
+            letters.append((position, direction))
         return BraidWord(tuple(letters))
 
 
-State = Union[Collection, KClass]
+State = Collection | KClass
 
 
 def _state_to_json(state: State, memo: dict | None = None) -> dict:
@@ -358,12 +363,14 @@ def _state_from_json(data: dict, memo: dict | None) -> State:
     raise InvalidInputError("log state must be a collection or a class")
 
 
-@dataclass(frozen=True)
-class LogStep:
-    kind: str
-    params: dict
-    before: State
-    after: State
+class LogStep(Value):
+    __slots__ = _fields = ("kind", "params", "before", "after")
+
+    def __init__(self, kind: str, params: dict, before: State, after: State):
+        object.__setattr__(self, "kind", kind)
+        object.__setattr__(self, "params", params)
+        object.__setattr__(self, "before", before)
+        object.__setattr__(self, "after", after)
 
     def to_json(self) -> dict:
         return {
@@ -388,9 +395,12 @@ class LogStep:
         )
 
 
-@dataclass(frozen=True)
-class MutationLog:
-    steps: tuple[LogStep, ...]
+class MutationLog(Value):
+    __slots__ = _fields = ("steps",)
+
+    def __init__(self, steps: tuple[LogStep, ...]):
+        object.__setattr__(self, "steps", steps)
+        self.__post_init__()
 
     def __post_init__(self):
         object.__setattr__(self, "steps", tuple(self.steps))
@@ -479,14 +489,18 @@ def helix_extend(foundation: Collection, lo: int, hi: int) -> dict[int, KClass]:
     return out
 
 
-@dataclass(frozen=True)
-class HelixWitness:
+class HelixWitness(Value):
     """Counterexample data for a failed periodicity check."""
 
-    index: int
-    reason: str
-    computed: KClass | None
-    expected: KClass | None
+    __slots__ = _fields = ("index", "reason", "computed", "expected")
+
+    def __init__(
+        self, index: int, reason: str, computed: KClass | None, expected: KClass | None
+    ):
+        object.__setattr__(self, "index", index)
+        object.__setattr__(self, "reason", reason)
+        object.__setattr__(self, "computed", computed)
+        object.__setattr__(self, "expected", expected)
 
 
 def check_helix_period(foundation: Collection) -> tuple[bool, HelixWitness | None]:

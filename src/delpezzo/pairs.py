@@ -29,7 +29,6 @@ every member's splitting degrees inside two adjacent integers.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
 
 from .chern import KClass, euler_form, slope_mu
 from .errors import DomainError, InvalidInputError, InvariantViolationError
@@ -41,6 +40,7 @@ from .picard import (
     intersect,
     is_connected_effective_root,
 )
+from .values import Value
 
 
 class PairKind(enum.Enum):
@@ -50,13 +50,16 @@ class PairKind(enum.Enum):
     SINGULAR = "singular"
 
 
-@dataclass(frozen=True)
-class PairType:
+class PairType(Value):
     """Pair type with pinned dimensions: hom/ext carry chi-sized dims,
     singular always carries (h^0, h^1) = (1, 1), zero carries none."""
 
-    kind: PairKind
-    dims: tuple[int, ...]
+    __slots__ = _fields = ("kind", "dims")
+
+    def __init__(self, kind: PairKind, dims: tuple[int, ...]):
+        object.__setattr__(self, "kind", kind)
+        object.__setattr__(self, "dims", dims)
+        self.__post_init__()
 
     def __post_init__(self):
         if self.kind in (PairKind.HOM, PairKind.EXT):

@@ -22,22 +22,25 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
+from collections.abc import Iterator
 from fractions import Fraction
 from functools import lru_cache
 from operator import mul
-from typing import Iterator
 
 from .errors import DomainError, InvalidInputError
+from .values import Value
 
 MAX_BLOWUPS = 8
 
 
-@dataclass(frozen=True, slots=True)
-class DivisorClass:
+class DivisorClass(Value):
     """Integer vector (a; b_1..b_d) for the class a*h - sum b_i e_i."""
 
-    coeffs: tuple[int, ...]
+    __slots__ = _fields = ("coeffs",)
+
+    def __init__(self, coeffs: tuple[int, ...]):
+        object.__setattr__(self, "coeffs", coeffs)
+        self.__post_init__()
 
     def __post_init__(self):
         if not self.coeffs:
@@ -121,8 +124,7 @@ def anticanonical_divisor(d: int) -> DivisorClass:
     return -canonical_divisor(d)
 
 
-@dataclass(frozen=True)
-class Surface:
+class Surface(Value):
     """Bl_d(P^2) together with its declared -2-curve configuration.
 
     ``effective_simple_roots`` lists the classes the caller declares to be
@@ -131,8 +133,12 @@ class Surface:
     models blowing up points in general position.
     """
 
-    d: int
-    effective_simple_roots: tuple[DivisorClass, ...] = ()
+    __slots__ = _fields = ("d", "effective_simple_roots")
+
+    def __init__(self, d: int, effective_simple_roots: tuple[DivisorClass, ...] = ()):
+        object.__setattr__(self, "d", d)
+        object.__setattr__(self, "effective_simple_roots", effective_simple_roots)
+        self.__post_init__()
 
     def __post_init__(self):
         if not isinstance(self.d, int) or not 0 <= self.d <= MAX_BLOWUPS:

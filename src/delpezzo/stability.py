@@ -16,19 +16,22 @@ polygon, generalized to lexicographic slopes).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from .chern import KClass, default_ample, weighted_sum
 from .errors import DomainError, InvalidInputError
 from .picard import DivisorClass, Surface, anticanonical_degree, dot
+from .values import Value
 
 
-@dataclass(frozen=True)
-class SlopeVector:
+class SlopeVector(Value):
     """Lexicographic slope (d_H/r, d_A/r, d_Delta/r) kept as exact numerators."""
 
-    rank: int
-    numerators: tuple[Fraction, ...]
+    __slots__ = _fields = ("rank", "numerators")
+
+    def __init__(self, rank: int, numerators: tuple[Fraction, ...]):
+        object.__setattr__(self, "rank", rank)
+        object.__setattr__(self, "numerators", numerators)
+        self.__post_init__()
 
     def __post_init__(self):
         if not isinstance(self.rank, int) or self.rank <= 0:
@@ -94,15 +97,18 @@ def compare_slope(a: SlopeVector, b: SlopeVector) -> int:
     return 0
 
 
-@dataclass(frozen=True)
-class GradedObject:
+class GradedObject(Value):
     """Formal graded object: quotients (class, multiplicity), top first.
 
     Read right-to-left this is the record (G_n, ..., G_1) of a filtration
     with G_1 the top quotient.  Every quotient must have positive rank.
     """
 
-    quotients: tuple[tuple[KClass, int], ...]
+    __slots__ = _fields = ("quotients",)
+
+    def __init__(self, quotients: tuple[tuple[KClass, int], ...]):
+        object.__setattr__(self, "quotients", quotients)
+        self.__post_init__()
 
     def __post_init__(self):
         object.__setattr__(self, "quotients", tuple(self.quotients))

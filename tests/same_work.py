@@ -18,7 +18,6 @@ from __future__ import annotations
 
 import argparse
 import contextlib
-import dataclasses
 import enum
 import io
 import json
@@ -77,12 +76,11 @@ def show(x):
         return f"{x.numerator}/{x.denominator}"
     if isinstance(x, enum.Enum):
         return x.value
-    if dataclasses.is_dataclass(x):
-        return {
-            f.name: show(getattr(x, f.name))
-            for f in dataclasses.fields(x)
-            if not f.name.startswith("_")
-        }
+    # A value type names its fields in _fields; older trees' data classes
+    # in __dataclass_fields__, where the private ones are left out.
+    names = getattr(x, "_fields", None) or getattr(x, "__dataclass_fields__", None)
+    if names is not None:
+        return {n: show(getattr(x, n)) for n in names if not n.startswith("_")}
     if isinstance(x, (list, tuple)):
         return [show(v) for v in x]
     if isinstance(x, dict):

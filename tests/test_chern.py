@@ -1,4 +1,6 @@
+import copy
 import dataclasses
+import pickle
 import random
 from fractions import Fraction
 
@@ -434,11 +436,19 @@ class TestAnticanonicalCache:
             KClass(2, divisor(3, 1, 0), 2, _hc1=8)
 
     def test_replace_recomputes_the_cache(self):
+        """No copy keeps a stale cache: a changed class is built through the
+        constructor, and copy and pickle rebuild through it too."""
         E = KClass(2, divisor(3, 1, 0), 2)
-        moved = dataclasses.replace(E, c1=divisor(2, 1, 1))
+        with pytest.raises(TypeError):
+            dataclasses.replace(E, c1=divisor(2, 1, 1))
+        moved = KClass(E.r, divisor(2, 1, 1), E.two_ch2)
         assert E._hc1 == 8 and moved._hc1 == anticanonical_degree(divisor(2, 1, 1)) == 4
         with pytest.raises(InvalidInputError, match="non-integer c2"):
-            dataclasses.replace(E, c1=divisor(1, 0, 0))
+            KClass(E.r, divisor(1, 0, 0), E.two_ch2)
+        forged = KClass(2, divisor(3, 1, 0), 2)
+        object.__setattr__(forged, "_hc1", 99)
+        for copied in (copy.copy(forged), pickle.loads(pickle.dumps(forged))):
+            assert copied == E and copied._hc1 == 8
 
 
 class TestWeightedSum:

@@ -747,6 +747,81 @@ class TestIntegerFlags:
         assert "Traceback" not in err
 
 
+MARKOV_USAGE = "usage: delpezzo markov [-h] [--limit LIMIT] [--braid BRAID]\n"
+
+
+class TestUsageOnError:
+    """An argument error prints the usage of the parser that refused it:
+    the command's own for a command's flag, the top level's otherwise."""
+
+    @pytest.mark.parametrize(
+        "argv, usage",
+        [
+            (["markov", "--limit", "1_0"], MARKOV_USAGE),
+            (["markov", "--limit", "5", "--bogus"], MARKOV_USAGE),
+            (
+                ["mutate", "--collection", P2_BASIC, "--pos", "1"],
+                "usage: delpezzo mutate [-h] --collection COLLECTION --pos POS --dir DIR\n",
+            ),
+            (["roots"], "usage: delpezzo roots [-h] --surface SURFACE\n"),
+        ],
+        ids=["bad-type", "unknown-flag", "missing-flag", "no-flags"],
+    )
+    def test_command_error_prints_the_command_usage(self, capsys, argv, usage):
+        code, out, err = invoke(capsys, *argv)
+        assert (code, out) == (1, "")
+        assert err.startswith("error: ")
+        assert err.endswith(usage)
+
+    @pytest.mark.parametrize(
+        "argv", [["frobnicate"], ["--seed", "3", "markov", "--limit", "5"], []]
+    )
+    def test_top_level_error_prints_every_command(self, capsys, argv):
+        code, out, err = invoke(capsys, *argv)
+        assert (code, out) == (1, "")
+        assert "usage: delpezzo [-h]" in err and "{chi,slope," in err and "replay}" in err
+
+
+class TestStrictWords:
+    """Braid letters are separated by ASCII spaces alone, and --dir is
+    exactly left or right; anything else is malformed input (exit 1)."""
+
+    @pytest.mark.parametrize(
+        "separator", ["\u3000", "\u00a0", "\t", "\n"], ids=["ideographic", "nbsp", "tab", "newline"]
+    )
+    @pytest.mark.parametrize("command", ["braid", "markov"])
+    def test_other_whitespace_between_letters_exits_one(self, capsys, command, separator):
+        word = f"L1{separator}R2"
+        flags = ["--collection", P2_BASIC, "--word"] if command == "braid" else ["--braid"]
+        code, out, err = invoke(capsys, command, *flags, word)
+        assert (code, out) == (1, "")
+        assert err == f"invalid input: bad braid letter {word!r}\n"
+
+    @pytest.mark.parametrize("word", ["L1 R2", "  L1   R2 ", " l1 r2", "L1 R2  "])
+    @pytest.mark.parametrize("command", ["braid", "markov"])
+    def test_ascii_spaces_separate_letters(self, capsys, command, word):
+        flags = ["--collection", P2_BASIC, "--word"] if command == "braid" else ["--braid"]
+        expected = invoke(capsys, command, *flags, "L1 R2")
+        assert expected[0] == 0
+        assert invoke(capsys, command, *flags, word) == expected
+
+    @pytest.mark.parametrize("value", [" Left ", "LEFT", "Left", "left\n", "", "L", "r"])
+    def test_malformed_direction_exits_one(self, capsys, value):
+        code, out, err = invoke(
+            capsys, "mutate", "--collection", P2_BASIC, "--pos", "1", "--dir", value
+        )
+        assert (code, out) == (1, "")
+        assert err.startswith(f"error: argument --dir: invalid Direction value: {value!r}\n")
+
+    @pytest.mark.parametrize("value", ["left", "right"])
+    def test_direction_names_accepted(self, capsys, value):
+        code, out, err = invoke(
+            capsys, "mutate", "--collection", P2_BASIC, "--pos", "1", "--dir", value
+        )
+        assert code == 0, err
+        assert len(doc(out)["members"]) == 3
+
+
 class TestPipelineCommands:
     def test_normalize_with_log(self, capsys, tmp_path):
         S = surface(1)

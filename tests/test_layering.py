@@ -219,6 +219,22 @@ def run_script(path, *argv):
     )
 
 
+def test_cli_import_leaves_out_heavy_modules():
+    """A cold command-line call pays for every module it imports.
+    ``dataclasses`` alone brings ``inspect``, ``ast``, ``dis`` and
+    ``tokenize``; ``typing`` is not needed for annotations that are never
+    evaluated.  ``-S`` keeps site-packages' start-up hooks out."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = str(ROOT / "src")
+    heavy = ("dataclasses", "inspect", "typing")
+    code = f"import sys, delpezzo.cli; print([m for m in {heavy!r} if m in sys.modules])"
+    proc = subprocess.run(
+        [sys.executable, "-S", "-c", code], env=env, capture_output=True, text=True, timeout=60
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "[]\n"
+
+
 @pytest.mark.parametrize("demo", DEMOS, ids=lambda p: p.name)
 def test_demo_runs(demo):
     proc = run_script(demo)
