@@ -208,7 +208,9 @@ def _cmd_helix(args) -> None:
 
 
 def _cmd_gram(args) -> None:
-    _emit({"gram": gram_matrix(_collection(args))})
+    c = _collection(args)
+    _check_class_budget(f"gram of {len(c)} members", len(c))
+    _emit({"gram": gram_matrix(c)})
 
 
 def _cmd_check(args) -> None:

@@ -31,17 +31,14 @@ class MarkovTriple(Value):
     __slots__ = _fields = ("x", "y", "z")
 
     def __init__(self, x: int, y: int, z: int):
+        for v in (x, y, z):
+            if not isinstance(v, int) or v < 1:
+                raise DomainError("Markov coordinates must be positive integers")
+        if x**2 + y**2 + z**2 != 3 * x * y * z:
+            raise DomainError(f"({x}, {y}, {z}) is not a Markov triple")
         object.__setattr__(self, "x", x)
         object.__setattr__(self, "y", y)
         object.__setattr__(self, "z", z)
-        self.__post_init__()
-
-    def __post_init__(self):
-        for v in (self.x, self.y, self.z):
-            if not isinstance(v, int) or v < 1:
-                raise DomainError("Markov coordinates must be positive integers")
-        if self.x**2 + self.y**2 + self.z**2 != 3 * self.x * self.y * self.z:
-            raise DomainError(f"({self.x}, {self.y}, {self.z}) is not a Markov triple")
 
     def as_tuple(self) -> tuple[int, int, int]:
         return (self.x, self.y, self.z)
@@ -73,18 +70,17 @@ def markov_tree(limit: int) -> Iterator[MarkovTriple]:
     walk.  The limit is checked when iteration starts."""
     if not isinstance(limit, int) or limit < 1:
         raise InvalidInputError("limit must be a positive integer")
-    root = MarkovTriple(1, 1, 1)
     seen: set[MarkovTriple] = set()
-    frontier = [root]
+    # Only sorted triples within the limit are ever pushed.
+    frontier = [MarkovTriple(1, 1, 1)]
     while frontier:
         t = frontier.pop()
-        canon = t.sorted()
-        if canon.max_coordinate > limit or canon in seen:
+        if t in seen:
             continue
-        seen.add(canon)
-        yield canon
+        seen.add(t)
+        yield t
         for pos in (1, 2, 3):
-            child = markov_step(canon, pos)
+            child = markov_step(t, pos)
             if child.max_coordinate <= limit:
                 frontier.append(child.sorted())
 

@@ -84,17 +84,14 @@ class Collection(Value):
     _fields = ("surface", "members")
 
     def __init__(self, surface: Surface, members: tuple[KClass, ...]):
+        members = tuple(members)
+        n = surface.d + 1
+        for m in members:
+            if len(m.c1.coeffs) != n:
+                raise InvalidInputError("member does not belong to the surface")
         object.__setattr__(self, "surface", surface)
         object.__setattr__(self, "members", members)
         object.__setattr__(self, "_certified", False)
-        self.__post_init__()
-
-    def __post_init__(self):
-        object.__setattr__(self, "members", tuple(self.members))
-        n = self.surface.d + 1
-        for m in self.members:
-            if len(m.c1.coeffs) != n:
-                raise InvalidInputError("member does not belong to the surface")
 
     def __len__(self) -> int:
         return len(self.members)
@@ -308,16 +305,13 @@ class BraidWord(Value):
     __slots__ = _fields = ("letters",)
 
     def __init__(self, letters: tuple[tuple[int, Direction], ...]):
-        object.__setattr__(self, "letters", letters)
-        self.__post_init__()
-
-    def __post_init__(self):
-        object.__setattr__(self, "letters", tuple(self.letters))
-        for pos, direction in self.letters:
+        letters = tuple(letters)
+        for pos, direction in letters:
             if not isinstance(pos, int) or pos < 1:
                 raise InvalidInputError(f"braid position {pos} must be >= 1")
             if not isinstance(direction, Direction):
                 raise InvalidInputError("braid letter needs a Direction")
+        object.__setattr__(self, "letters", letters)
 
     def __str__(self) -> str:
         return " ".join(f"{d.letter}{p}" for p, d in self.letters)
@@ -399,11 +393,7 @@ class MutationLog(Value):
     __slots__ = _fields = ("steps",)
 
     def __init__(self, steps: tuple[LogStep, ...]):
-        object.__setattr__(self, "steps", steps)
-        self.__post_init__()
-
-    def __post_init__(self):
-        object.__setattr__(self, "steps", tuple(self.steps))
+        object.__setattr__(self, "steps", tuple(steps))
 
     def __len__(self) -> int:
         return len(self.steps)

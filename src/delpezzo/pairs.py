@@ -36,8 +36,6 @@ from .picard import (
     Surface,
     anticanonical_degree,
     dot,
-    exceptional_divisor,
-    intersect,
     is_connected_effective_root,
 )
 from .values import Value
@@ -57,19 +55,16 @@ class PairType(Value):
     __slots__ = _fields = ("kind", "dims")
 
     def __init__(self, kind: PairKind, dims: tuple[int, ...]):
+        if kind in (PairKind.HOM, PairKind.EXT):
+            if len(dims) != 1 or dims[0] <= 0:
+                raise InvalidInputError(f"{kind.value} pair needs a positive dim")
+        elif kind is PairKind.ZERO:
+            if dims != ():
+                raise InvalidInputError("zero pair carries no dims")
+        elif dims != (1, 1):
+            raise InvalidInputError("singular pair dims are pinned to (1, 1)")
         object.__setattr__(self, "kind", kind)
         object.__setattr__(self, "dims", dims)
-        self.__post_init__()
-
-    def __post_init__(self):
-        if self.kind in (PairKind.HOM, PairKind.EXT):
-            if len(self.dims) != 1 or self.dims[0] <= 0:
-                raise InvalidInputError(f"{self.kind.value} pair needs a positive dim")
-        elif self.kind is PairKind.ZERO:
-            if self.dims != ():
-                raise InvalidInputError("zero pair carries no dims")
-        elif self.dims != (1, 1):
-            raise InvalidInputError("singular pair dims are pinned to (1, 1)")
 
     @staticmethod
     def hom(dim: int) -> "PairType":
@@ -161,9 +156,12 @@ def splitting_degrees(r: int, deg: int) -> set[int]:
 
 
 def restriction_degree(S: Surface, E: KClass, e_index: int) -> int:
-    """deg of E restricted to e_i, i.e. c1(E).e_i."""
-    e = exceptional_divisor(S.d, e_index)
-    return intersect(S, E.c1, e)
+    """deg of E restricted to e_i, i.e. c1(E).e_i: the coefficient b_i."""
+    if not 1 <= e_index <= S.d:
+        raise InvalidInputError(f"e_{e_index} does not exist with {S.d} blow-ups")
+    if E.c1.d != S.d:
+        raise InvalidInputError("divisor class does not belong to this surface")
+    return E.c1.coeffs[e_index]
 
 
 def rotation_index(

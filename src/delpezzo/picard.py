@@ -136,25 +136,20 @@ class Surface(Value):
     __slots__ = _fields = ("d", "effective_simple_roots")
 
     def __init__(self, d: int, effective_simple_roots: tuple[DivisorClass, ...] = ()):
-        object.__setattr__(self, "d", d)
-        object.__setattr__(self, "effective_simple_roots", effective_simple_roots)
-        self.__post_init__()
-
-    def __post_init__(self):
-        if not isinstance(self.d, int) or not 0 <= self.d <= MAX_BLOWUPS:
+        if not isinstance(d, int) or not 0 <= d <= MAX_BLOWUPS:
             raise InvalidInputError(
                 f"need 0 <= d <= {MAX_BLOWUPS} blow-ups so that K^2 = 9 - d > 0"
             )
-        object.__setattr__(
-            self, "effective_simple_roots", tuple(self.effective_simple_roots)
-        )
-        for C in self.effective_simple_roots:
-            if C.d != self.d:
+        roots = tuple(effective_simple_roots)
+        for C in roots:
+            if C.d != d:
                 raise InvalidInputError("declared root has wrong dimension")
             if dot(C, C) != -2 or anticanonical_degree(C) != 0:
                 raise InvalidInputError(
                     f"declared root {C.coeffs} is not a -2-class orthogonal to K"
                 )
+        object.__setattr__(self, "d", d)
+        object.__setattr__(self, "effective_simple_roots", roots)
 
     @property
     def k_squared(self) -> int:

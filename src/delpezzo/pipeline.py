@@ -201,20 +201,23 @@ def reduce_spread(c: Collection) -> tuple[Collection, MutationLog]:
 
 def _forbidden_pair_guard(c: Collection, e_index: int) -> None:
     """On K^2 = 1 surfaces, refuse collections containing a rank-1 pair
-    related by a twist by e + K; restriction control fails for these."""
+    related by a twist by e + K; restriction control fails for these.
+    Each twist is looked up among the rank-1 members by value, so the
+    first (i, j) is found in one pass; a twist by the nonzero e + K never
+    gives back its own member, so j != i."""
     S = c.surface
     if S.k_squared != 1:
         return
     shift = exceptional_divisor(S.d, e_index) + canonical_divisor(S.d)
     line_bundles = [(i, E) for i, E in enumerate(c.members) if E.r == 1]
+    first = {E: i for i, E in reversed(line_bundles)}  # a member's first index
     for i, E in line_bundles:
-        shifted = twist(S, E, shift)
-        for j, F in line_bundles:
-            if i != j and F == shifted:
-                raise ExcludedPairError(
-                    f"members {i} and {j} form a rank-1 pair twisted by e + K "
-                    "on a K^2 = 1 surface"
-                )
+        j = first.get(twist(S, E, shift))
+        if j is not None:
+            raise ExcludedPairError(
+                f"members {i} and {j} form a rank-1 pair twisted by e + K "
+                "on a K^2 = 1 surface"
+            )
 
 
 def _member_degrees(c: Collection, e_index: int) -> set[int]:

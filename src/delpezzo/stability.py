@@ -29,16 +29,10 @@ class SlopeVector(Value):
     __slots__ = _fields = ("rank", "numerators")
 
     def __init__(self, rank: int, numerators: tuple[Fraction, ...]):
-        object.__setattr__(self, "rank", rank)
-        object.__setattr__(self, "numerators", numerators)
-        self.__post_init__()
-
-    def __post_init__(self):
-        if not isinstance(self.rank, int) or self.rank <= 0:
+        if not isinstance(rank, int) or rank <= 0:
             raise InvalidInputError("slope rank must be a positive integer")
-        object.__setattr__(
-            self, "numerators", tuple(Fraction(x) for x in self.numerators)
-        )
+        object.__setattr__(self, "rank", rank)
+        object.__setattr__(self, "numerators", tuple(Fraction(x) for x in numerators))
 
     def __add__(self, other: "SlopeVector") -> "SlopeVector":
         if len(self.numerators) != len(other.numerators):
@@ -82,7 +76,7 @@ def vector_slope(
     if A is None:
         A = default_ample(S)
     h, a = anticanonical_degree(E.c1), dot(A, E.c1)
-    return SlopeVector(E.r, (Fraction(h), Fraction(a), Fraction(E.two_ch2)))
+    return SlopeVector(E.r, (h, a, E.two_ch2))
 
 
 def compare_slope(a: SlopeVector, b: SlopeVector) -> int:
@@ -107,18 +101,15 @@ class GradedObject(Value):
     __slots__ = _fields = ("quotients",)
 
     def __init__(self, quotients: tuple[tuple[KClass, int], ...]):
-        object.__setattr__(self, "quotients", quotients)
-        self.__post_init__()
-
-    def __post_init__(self):
-        object.__setattr__(self, "quotients", tuple(self.quotients))
-        if not self.quotients:
+        quotients = tuple(quotients)
+        if not quotients:
             raise InvalidInputError("graded object needs at least one quotient")
-        for q, m in self.quotients:
+        for q, m in quotients:
             if q.r <= 0:
                 raise DomainError("graded quotients must have positive rank")
             if not isinstance(m, int) or m < 1:
                 raise InvalidInputError("multiplicities must be positive integers")
+        object.__setattr__(self, "quotients", quotients)
 
     def to_json(self) -> dict:
         return {

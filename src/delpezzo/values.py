@@ -2,16 +2,19 @@
 
 A value type declares its ``__slots__``, the tuple ``_fields`` of the
 fields that take part in ``==``, the hash and the repr, and an
-``__init__`` that sets each field with ``object.__setattr__`` and then,
-where the type checks its fields, calls ``self.__post_init__()``.  A slot
-left out of ``_fields`` (a cache or a certificate flag) takes part in
-none of them.  Equality holds between instances of one class only, the
-hash is that of the tuple of field values and the repr reads
-``Name(field=value, ...)``: the values a frozen standard-library data
-class computes, so set and dict orders and printed forms are unchanged.
-Assignment and deletion raise AttributeError.  The types are written out
-by hand because a class decorator that generates these methods costs a
-cold command-line call more than its whole computation.
+``__init__`` that does three things: normalise, check, then set each
+field once with ``object.__setattr__``.  ``KClass`` and ``DivisorClass``
+alone set their fields first and then check them in
+``self.__post_init__()``, because the benchmark's tracer counts their
+builds through that method.  A slot left out of ``_fields`` (a cache or
+a certificate flag) takes part in none of them.  Equality holds between
+instances of one class only, the hash is that of the tuple of field
+values and the repr reads ``Name(field=value, ...)``: the values a frozen
+standard-library data class computes, so set and dict orders and printed
+forms are unchanged.  Assignment and deletion raise AttributeError.  The
+types are written out by hand because a class decorator that generates
+these methods costs a cold command-line call more than its whole
+computation.
 """
 
 from __future__ import annotations

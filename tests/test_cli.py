@@ -464,6 +464,21 @@ class TestRefusals:
         assert code == 0
         assert len(doc(out)["classes"]) == 1000
 
+    def test_gram_budget_refused_before_any_chi(self, capsys, monkeypatch):
+        evaluated = []
+        monkeypatch.setattr(
+            "delpezzo.mutation.euler_form", lambda *a: evaluated.append(a) or 0
+        )
+        many = '{"surface":{"blowups":0},"members":[%s]}' % ",".join([O_P2] * 1001)
+        code, out, err = invoke(capsys, "gram", "--collection", many)
+        assert code == 2
+        assert out == ""
+        assert err == (
+            "domain error: gram of 1001 members asks for 1001 classes; "
+            "an answer lists at most 1000\n"
+        )
+        assert evaluated == []
+
     def test_markov_budget_refused_at_the_first_extra_triple(self):
         limit = 10**160
         start = time.perf_counter()

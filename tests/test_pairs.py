@@ -12,6 +12,7 @@ from _helpers import (
 
 from delpezzo import (
     BraidWord,
+    DivisorClass,
     DomainError,
     InvalidInputError,
     InvariantViolationError,
@@ -164,6 +165,26 @@ class TestRotationIndex:
         S = surface(2)
         assert restriction_degree(S, line_bundle(S, 0, -1, 0), 1) == -1
         assert restriction_degree(S, line_bundle(S, 0, -1, 0), 2) == 0
+
+    def test_degree_is_read_off_the_coordinates(self, monkeypatch):
+        """c1(E).e_i is the coefficient b_i: no DivisorClass is built."""
+        S = surface(2)
+        E = line_bundle(S, 3, 1, -2)
+        built = []
+        monkeypatch.setattr(DivisorClass, "__post_init__", lambda D: built.append(D))
+        assert [restriction_degree(S, E, i) for i in (1, 2)] == [1, -2]
+        assert built == []
+
+    def test_degree_refusals_in_order(self):
+        S, E1 = surface(2), line_bundle(surface(1), 0, 1)
+        with pytest.raises(InvalidInputError, match=r"^e_3 does not exist with 2 blow-ups$"):
+            restriction_degree(S, E1, 3)
+        with pytest.raises(InvalidInputError, match=r"^e_0 does not exist with 2 blow-ups$"):
+            restriction_degree(S, line_bundle(S, 0, 1, 0), 0)
+        with pytest.raises(
+            InvalidInputError, match=r"^divisor class does not belong to this surface$"
+        ):
+            restriction_degree(S, E1, 1)
 
 
 def outcome(fn):

@@ -45,7 +45,7 @@ from delpezzo import (
     twist,
 )
 from delpezzo.cli import run
-from delpezzo.pipeline import _torsion_multiplicity, rotation_start
+from delpezzo.pipeline import _forbidden_pair_guard, _torsion_multiplicity, rotation_start
 
 
 def slopes(c):
@@ -348,6 +348,31 @@ class TestNormalizeAndDescend:
         c = Collection(S, (O, twist(S, O, shift)))
         with pytest.raises(ExcludedPairError):
             normalize_and_descend(c)
+
+    def test_forbidden_pair_guard_looks_each_twist_up_once(self, monkeypatch):
+        """The K^2 = 1 guard compares each rank-1 member's twist with the
+        members by value lookup, not with every member: on 400 line
+        bundles that are not exceptional it makes at most one KClass
+        equality test per member, where a pairwise scan makes about
+        160,000, and it still names the first pair."""
+        S = surface(8)
+        c = Collection(S, tuple(line_bundle(S, k, *[0] * 8) for k in range(400)))
+        compared = []
+        eq = KClass.__eq__
+        monkeypatch.setattr(
+            KClass, "__eq__", lambda a, b: compared.append(1) or eq(a, b)
+        )
+        _forbidden_pair_guard(c, 8)
+        assert len(compared) <= 400
+        with pytest.raises(PipelineError) as err:
+            normalize_and_descend(c)
+        assert err.value.stage == "order"
+        assert len(compared) <= 800
+        monkeypatch.undo()
+        O = structure_class(S)
+        F = twist(S, O, exceptional_divisor(8, 8) + canonical_divisor(8))
+        with pytest.raises(ExcludedPairError, match="members 0 and 2 form"):
+            _forbidden_pair_guard(Collection(S, (O, O, F, F)), 8)
 
     def test_plane_input_rejected(self):
         with pytest.raises(PipelineError):

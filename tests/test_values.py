@@ -111,6 +111,31 @@ def test_value_type(cls, names, values, text):
     assert copy.copy(x) == x and pickle.loads(pickle.dumps(x)) == x
 
 
+# The field each of these constructors turns into a tuple.
+TUPLED = {
+    Surface: "effective_simple_roots",
+    Collection: "members",
+    BraidWord: "letters",
+    MutationLog: "steps",
+    GradedObject: "quotients",
+}
+
+
+@pytest.mark.parametrize("cls, names, values, text", CASES, ids=[c[0].__name__ for c in CASES])
+def test_one_constructor_per_type(cls, names, values, text):
+    """Only the two types whose builds are counted keep a __post_init__;
+    every other constructor normalises, checks and sets in __init__."""
+    assert ("__post_init__" in vars(cls)) == (cls in (KClass, DivisorClass))
+    if cls in TUPLED:
+        field = TUPLED[cls]
+        x = cls(**{n: list(v) if n == field else v for n, v in zip(names, values)})
+        assert type(getattr(x, field)) is tuple and x == cls(*values)
+    if cls is SlopeVector:
+        x = SlopeVector(2, [1, -1])
+        assert x.numerators == (Fraction(1), Fraction(-1))
+        assert {type(v) for v in x.numerators} == {Fraction}
+
+
 def test_types_with_equal_fields_are_unequal():
     assert GramViolation(1, 2, 5) != MarkovTriple(1, 2, 5)
     assert len({GramViolation(1, 2, 5), MarkovTriple(1, 2, 5)}) == 2
