@@ -191,16 +191,16 @@ def curve_class(S: Surface, e_index: int, deg: int) -> KClass:
 def euler_form(S: Surface, E: KClass, F: KClass) -> int:
     """chi(E, F), exactly, as an integer."""
     n = S.d + 1
-    if len(E.c1.coeffs) != n or len(F.c1.coeffs) != n:
+    p, q = E.c1, F.c1
+    if len(p.coeffs) != n or len(q.coeffs) != n:
         raise InvalidInputError("class does not belong to this surface")
-    mixed = E.r * F._hc1 - F.r * E._hc1
-    # Even, as c1^2 = 2*ch2 = H.c1 (mod 2) for every class.
+    er, fr = E.r, F.r
+    # 2 chi; even, as c1^2 = 2*ch2 = H.c1 (mod 2) for every class.
     doubled = (
-        2 * E.r * F.r
-        + mixed
-        + E.r * F.two_ch2
-        + F.r * E.two_ch2
-        - 2 * dot(E.c1, F.c1)
+        2 * er * fr
+        + er * (F._hc1 + F.two_ch2)
+        - fr * (E._hc1 - E.two_ch2)
+        - 2 * dot(p, q)
     )
     return doubled // 2
 

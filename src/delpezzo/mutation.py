@@ -28,11 +28,15 @@ axiom L^(n-1) A_s = A_{s-n} is checked by explicit iterated mutation.
 
 Every move is recorded as a replayable ``LogStep`` {kind, params, before,
 after}; a ``MutationLog`` of steps serializes to JSON-lines, one step per
-line, each with its full states.  A log is written and read once per
-distinct member, not per state: ``to_jsonl`` converts each member object
-and encodes each state object once, and ``from_jsonl`` builds one class
-per distinct member JSON, shared by every state that holds it.  The text
-is what json.dumps of each step gives.  Step kinds:
+line, each with its full states.  The text is what json.dumps of each
+step gives, and a round trip costs what the steps change, not what the
+lines hold.  ``to_jsonl`` runs json.dumps once per distinct member and
+once per distinct surface and joins each distinct state's text from those
+pieces once.  ``from_jsonl`` reads each state text once: a step's
+``before`` whose text is the previous line's ``after`` is that step's
+state object, so L chained steps read L + 1 states, and one class is
+built per distinct member JSON, shared by every state that holds it.
+Step kinds:
 
     mutate   one adjacent mutation        params: position, direction
     order    a whole hom-ordering stage   params: (none)
@@ -49,6 +53,7 @@ from __future__ import annotations
 import enum
 import json
 import re
+from json.decoder import JSONObject
 
 from .chern import KClass, curve_class, euler_form, line_class, structure_class, twist
 from .errors import DomainError, InvalidInputError, InvariantViolationError
@@ -96,13 +101,8 @@ class Collection(Value):
     def __len__(self) -> int:
         return len(self.members)
 
-    def to_json(self, memo: dict | None = None) -> dict:
-        members = []
-        for k, m in enumerate(self.members):
-            try:
-                members.append(_write_member(m, memo))
-            except DomainError as exc:
-                raise DomainError(f"member E_{k}: {exc}") from exc
+    def to_json(self) -> dict:
+        members = _write_members(KClass.to_json, self.members)
         return {"surface": self.surface.to_json(), "members": members}
 
     @staticmethod
@@ -117,14 +117,15 @@ class Collection(Value):
         )
 
 
-def _write_member(m: KClass, memo: dict | None) -> dict:
-    """m.to_json(); given a memo, once per distinct member object."""
-    if memo is None:
-        return m.to_json()
-    data = memo.get(id(m))
-    if data is None:
-        data = memo[id(m)] = m.to_json()
-    return data
+def _write_members(write, members: tuple[KClass, ...]) -> list:
+    """[write(m) for m in members]; a DomainError names the member E_k."""
+    out = []
+    for k, m in enumerate(members):
+        try:
+            out.append(write(m))
+        except DomainError as exc:
+            raise DomainError(f"member E_{k}: {exc}") from exc
+    return out
 
 
 def _read_member(data, memo: dict | None) -> KClass:
@@ -341,13 +342,25 @@ class BraidWord(Value):
 State = Collection | KClass
 
 
-def _state_to_json(state: State, memo: dict | None = None) -> dict:
+def _state_to_json(state: State) -> dict:
     if isinstance(state, Collection):
-        return {"collection": state.to_json(memo)}
-    return {"class": _write_member(state, memo)}
+        return {"collection": state.to_json()}
+    return {"class": state.to_json()}
+
+
+class _Same:
+    """A top-level log state whose text is ``text``, the previous line's
+    ``after``: that step's state object, read once."""
+
+    __slots__ = ("state", "text")
+
+    def __init__(self, state: State, text: str):
+        self.state, self.text = state, text
 
 
 def _state_from_json(data: dict, memo: dict | None) -> State:
+    if type(data) is _Same:
+        return data.state
     if not isinstance(data, dict):
         raise InvalidInputError("log state must be a JSON object")
     if "collection" in data:
@@ -403,16 +416,31 @@ class MutationLog(Value):
 
     def to_jsonl(self) -> str:
         """One line per step, json.dumps(step.to_json()) byte for byte.
-        Each distinct member is converted once and each distinct state
-        encoded once, both by identity; a step's ``before`` is usually the
-        previous step's ``after``."""
-        members: dict[int, dict] = {}
+        json.dumps runs once per distinct member and once per distinct
+        surface, both by identity, and each distinct state's text is joined
+        from those pieces once; a step's ``before`` is usually the previous
+        step's ``after``."""
+        pieces: dict[int, str] = {}
         states: dict[int, str] = {}
+
+        def dumps(value: KClass | Surface) -> str:
+            text = pieces.get(id(value))
+            if text is None:
+                text = pieces[id(value)] = json.dumps(value.to_json())
+            return text
 
         def encode(state: State) -> str:
             text = states.get(id(state))
             if text is None:
-                text = states[id(state)] = json.dumps(_state_to_json(state, members))
+                if isinstance(state, Collection):
+                    members = ", ".join(_write_members(dumps, state.members))
+                    text = (
+                        f'{{"collection": {{"surface": {dumps(state.surface)}, '
+                        f'"members": [{members}]}}}}'
+                    )
+                else:
+                    text = f'{{"class": {dumps(state)}}}'
+                states[id(state)] = text
             return text
 
         lines = []
@@ -430,18 +458,57 @@ class MutationLog(Value):
         may hold U+2028, U+2029 and U+0085 raw, where ``str.splitlines``
         would break it.  Blank lines and a trailing "\\r" are ignored.  A
         member that recurs with the same JSON values is read once and
-        shared."""
+        shared.  A ``before`` or ``after`` whose text is the previous line's
+        ``after`` is not read again: it is that step's state object."""
         steps = []
         members: dict[tuple, KClass] = {}
+        scan = json.JSONDecoder().scan_once
+        same = None
         for line in text.split("\n"):
             line = line.strip()
             if line:
-                try:
-                    data = json.loads(line)
-                except ValueError as exc:
-                    raise InvalidInputError(f"log line is not readable JSON: {exc}") from exc
-                steps.append(LogStep.from_json(data, members))
+                data, after = _read_line(line, scan, same)
+                step = LogStep.from_json(data, members)
+                same = None if after is None else _Same(step.after, after)
+                steps.append(step)
         return MutationLog(tuple(steps))
+
+
+def _read_line(line: str, scan, same: _Same | None) -> tuple[object, str | None]:
+    """json.loads(line), except that a top-level ``before`` or ``after``
+    whose text is ``same.text`` reads as ``same``, unparsed; with the text of
+    ``after`` when it is the line's last key, else None.
+
+    The line's object is read by json's own object reader over its C value
+    scanner.  A line that is not an object, that json refuses, that has
+    trailing data or that holds ``same.text`` under another key goes to
+    json.loads whole, so every value and message is json's own.  The text
+    of a state is a JSON object, so a match ends where the value would."""
+    span = [0, 0]
+
+    def value(s: str, start: int):
+        if same is not None and s.startswith(same.text, start):
+            obj, end = same, start + len(same.text)
+        else:
+            obj, end = scan(s, start)
+        span[:] = start, end
+        return obj, end
+
+    if line[0] == "{":
+        try:
+            pairs, end = JSONObject((line, 1), True, value, None, list)
+        except ValueError:
+            pass
+        else:
+            if end == len(line) and all(
+                type(v) is not _Same or k in ("before", "after") for k, v in pairs
+            ):
+                last = pairs[-1][0] if pairs else None
+                return dict(pairs), line[span[0] : span[1]] if last == "after" else None
+    try:
+        return json.loads(line), None
+    except ValueError as exc:
+        raise InvalidInputError(f"log line is not readable JSON: {exc}") from exc
 
 
 def apply_braid(c: Collection, w: BraidWord):
@@ -454,7 +521,7 @@ def apply_braid(c: Collection, w: BraidWord):
         q = pos - 1 if direction is Direction.LEFT else pos
         try:
             new.members[q].require_writable()
-        except DomainError as exc:  # worded as Collection.to_json words it
+        except DomainError as exc:  # worded as _write_members words it
             raise DomainError(f"member E_{q}: {exc}") from exc
         params = {"position": pos, "direction": direction.value}
         steps.append(LogStep("mutate", params, current, new))
@@ -495,14 +562,15 @@ class HelixWitness(Value):
 
 def check_helix_period(foundation: Collection) -> tuple[bool, HelixWitness | None]:
     """Check L^(n-1) A_s = A_{s-n} for every s in one period, by iterated
-    left mutation against the twist-extended helix.  The foundation is
-    certified once, by ``helix_extend``; each mutation checks its input
-    pair and the last class is compared exactly with A_s(K)."""
+    left mutation against the twist-extended helix A_{1-n}, ..., A_n, 2n
+    twists.  The foundation is certified once, by ``helix_extend``; each
+    mutation checks its input pair and the last class is compared exactly
+    with A_{s-n} = A_s(K), read off the helix."""
     S = foundation.surface
     n = len(foundation.members)
     if n < 2:
         raise InvalidInputError("periodicity needs a foundation of length >= 2")
-    helix = helix_extend(foundation, 2 - n, n)
+    helix = helix_extend(foundation, 1 - n, n)
     for s in range(1, n + 1):
         x = helix[s]
         for t in range(1, n):
@@ -511,7 +579,7 @@ def check_helix_period(foundation: Collection) -> tuple[bool, HelixWitness | Non
                 x, _ = mutate_pair(S, partner, x, Direction.LEFT)
             except (InvalidInputError, InvariantViolationError) as exc:
                 return False, HelixWitness(s, f"step {t}: {exc}", None, None)
-        expected = twist(S, helix[s], canonical_divisor(S.d))
+        expected = helix[s - n]
         if x != expected:
             return False, HelixWitness(s, "period mismatch", x, expected)
     return True, None

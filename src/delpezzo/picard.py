@@ -25,6 +25,7 @@ import math
 from collections.abc import Iterator
 from fractions import Fraction
 from functools import lru_cache
+from itertools import repeat
 from operator import mul
 
 from .errors import DomainError, InvalidInputError
@@ -45,7 +46,7 @@ class DivisorClass(Value):
     def __post_init__(self):
         if not self.coeffs:
             raise InvalidInputError("divisor class needs at least the h coordinate")
-        if not all(isinstance(c, int) for c in self.coeffs):
+        if not all(map(isinstance, self.coeffs, repeat(int))):
             raise InvalidInputError("divisor coefficients must be integers")
 
     @property
@@ -106,13 +107,13 @@ def dot(C: DivisorClass, D: DivisorClass) -> int:
     p, q = C.coeffs, D.coeffs
     if len(p) != len(q):
         raise InvalidInputError("divisor classes live on different surfaces")
-    return p[0] * q[0] - sum(map(mul, p[1:], q[1:]))
+    return 2 * p[0] * q[0] - sum(map(mul, p, q))
 
 
 def anticanonical_degree(D: DivisorClass) -> int:
     """H.D = 3a - sum b for H = -K = (3; 1, ..., 1); K.D is its negative."""
     c = D.coeffs
-    return 3 * c[0] - sum(c[1:])
+    return 4 * c[0] - sum(c)
 
 
 def canonical_divisor(d: int) -> DivisorClass:

@@ -8,6 +8,7 @@ comparison stay independent.
 from __future__ import annotations
 
 import itertools
+import json
 import math
 import random
 from fractions import Fraction
@@ -20,6 +21,7 @@ from delpezzo import (
     DomainError,
     InvalidInputError,
     KClass,
+    LogStep,
     MutationLog,
     PairKind,
     Surface,
@@ -63,6 +65,23 @@ def random_kclass(
 
 
 # ---------------------------------------------------------------- oracles
+
+
+def oracle_from_jsonl(text: str) -> MutationLog:
+    """The log reader line by line: json.loads and LogStep.from_json per
+    line, every state read from its own text, members shared through
+    LogStep's value memo."""
+    steps = []
+    members: dict = {}
+    for line in text.split("\n"):
+        line = line.strip()
+        if line:
+            try:
+                data = json.loads(line)
+            except ValueError as exc:
+                raise InvalidInputError(f"log line is not readable JSON: {exc}") from exc
+            steps.append(LogStep.from_json(data, members))
+    return MutationLog(tuple(steps))
 
 
 def oracle_slope(S: Surface, E: KClass) -> Fraction:

@@ -3,7 +3,15 @@ import random
 import re
 
 import pytest
-from _helpers import braid_log, line_bundle, p2_basic, scrambled_log, surface
+from _helpers import (
+    braid_log,
+    line_bundle,
+    oracle_from_jsonl,
+    p2_basic,
+    scrambled_collections,
+    scrambled_log,
+    surface,
+)
 
 from delpezzo import (
     BraidWord,
@@ -15,6 +23,7 @@ from delpezzo import (
     KClass,
     LogStep,
     MutationLog,
+    PipelineError,
     apply_braid,
     basic_collection,
     is_numerically_exceptional,
@@ -163,6 +172,200 @@ class TestOncePerMember:
         for earlier, later in zip(read.steps, read.steps[1:]):
             assert earlier.after.members == later.before.members
             assert all(a is b for a, b in zip(earlier.after.members, later.before.members))
+
+
+def state_objects(log: MutationLog):
+    """The distinct members and surfaces of a log's states, by identity."""
+    members, surfaces = {}, {}
+    for step in log.steps:
+        for state in (step.before, step.after):
+            if isinstance(state, Collection):
+                surfaces[id(state.surface)] = state.surface
+                members.update((id(m), m) for m in state.members)
+            else:
+                members[id(state)] = state
+    return members, surfaces
+
+
+LOGS = [
+    lambda: seeded_braid_log(0, 30, seed=30),
+    lambda: seeded_braid_log(8, 40, seed=48),
+    lambda: normalize_and_descend(basic_collection(surface(2)))[1],
+    scrambled_log,
+]
+LOG_IDS = ["braid d=0", "braid d=8", "pipeline d=2", "scrambled"]
+
+
+class TestOncePerState:
+    """A state's text is joined once from member and surface texts, and
+    read once: a step's ``before`` is the previous step's ``after``."""
+
+    @pytest.mark.parametrize("d, letters", [(0, 1), (0, 30), (3, 40), (8, 40)])
+    def test_reading_builds_L_plus_one_collections(self, monkeypatch, d, letters):
+        log = seeded_braid_log(d, letters, seed=d + letters)
+        text = log.to_jsonl()
+        built = []
+        init = Collection.__init__
+
+        def counted(self, *args):
+            built.append(self)
+            init(self, *args)
+
+        monkeypatch.setattr(Collection, "__init__", counted)
+        read = MutationLog.from_jsonl(text)
+        monkeypatch.undo()
+        assert read == log
+        assert len(built) == letters + 1
+
+    @pytest.mark.parametrize("make_log", LOGS, ids=LOG_IDS)
+    def test_each_before_is_the_previous_after(self, make_log):
+        read = MutationLog.from_jsonl(make_log().to_jsonl())
+        assert all(b.before is a.after for a, b in zip(read.steps, read.steps[1:]))
+
+    def test_a_line_with_after_before_its_last_key_is_read_whole(self):
+        # The next line's before is then read from its own text.
+        steps = [json.loads(line) for line in braid_log().to_jsonl().splitlines()]
+        first = {key: steps[0][key] for key in ("kind", "after", "params", "before")}
+        text = "".join(json.dumps(s) + "\n" for s in [first, *steps[1:]])
+        read = MutationLog.from_jsonl(text)
+        assert read == braid_log()
+        assert read.steps[1].before is not read.steps[0].after
+        assert read.steps[2].before is read.steps[1].after
+
+    @pytest.mark.parametrize("make_log", LOGS, ids=LOG_IDS)
+    def test_writing_dumps_each_member_and_surface_once(self, monkeypatch, make_log):
+        log = make_log()
+        members, surfaces = state_objects(log)
+        dumped = []
+        dumps = json.dumps
+
+        def counted(obj, *args, **kwargs):
+            dumped.append(obj)
+            return dumps(obj, *args, **kwargs)
+
+        monkeypatch.setattr(json, "dumps", counted)
+        text = log.to_jsonl()
+        monkeypatch.undo()
+        assert text == oracle_jsonl(log)
+        assert len(dumped) == len(members) + len(surfaces) + 2 * len(log)
+        states = [x for x in dumped if isinstance(x, dict) and {"collection", "class"} & x.keys()]
+        assert states == []
+
+
+def corpus_log(kind: str, d: int) -> MutationLog:
+    """A seeded braid log on d blow-ups, or the first pipeline log of a
+    seeded scramble of the basic collection that descends."""
+    if kind == "braid":
+        return seeded_braid_log(d, 8, seed=70 + d)
+    for c in scrambled_collections(d, 30, seed=d):
+        try:
+            return normalize_and_descend(c)[1]
+        except PipelineError:
+            continue
+    raise AssertionError(f"no seeded collection on {d} blow-ups descends")
+
+
+CORPUS = [("braid", d) for d in range(9)] + [("pipeline", d) for d in range(1, 8)]
+
+
+def pairs_line(pairs) -> str:
+    """A JSON object written from (key, value) pairs, duplicates kept."""
+    return "{" + ", ".join(f"{json.dumps(k)}: {json.dumps(v)}" for k, v in pairs) + "}"
+
+
+def line_variants(lines: list[str], k: int, rng: random.Random):
+    """Edits of line k of a valid log: values of the wrong JSON type,
+    duplicate, missing and reordered keys, the previous after under another
+    key, whitespace, trailing data, a BOM, a non-object line and random
+    single-character edits."""
+    line = lines[k]
+    data = json.loads(line)
+    pairs = list(data.items())
+    previous = json.loads(lines[k - 1])["after"] if k else data["before"]
+    numbers = [m.span() for m in re.finditer(r"(?<=[\[ ])-?[0-9]+(?=[,\]}])", line)]
+    for token in ["true", "false", "1.0", "NaN", "-Infinity", '"1"', "null", "1e400"]:
+        start, end = rng.choice(numbers)
+        yield line[:start] + token + line[end:]
+    for token in ["0.0", "false", '"1/0"', '"x/2"', "[]"]:
+        yield re.sub(r'"-?[0-9]+/[12]"', token, line, count=1)
+    for key in data:
+        yield pairs_line([p for p in pairs if p[0] != key])
+    yield pairs_line(pairs + [("after", data["before"])])
+    yield pairs_line(pairs + [("before", data["after"])])
+    yield pairs_line([("after", data["before"])] + pairs)
+    yield pairs_line(pairs + [("kind", "mutate")])
+    yield pairs_line([pairs[0], pairs[1], pairs[3], pairs[2]])
+    yield pairs_line([("kind", previous), *pairs[1:]])
+    yield pairs_line([pairs[0], ("params", previous), *pairs[2:]])
+    yield pairs_line(pairs + [("extra", previous)])
+    yield json.dumps(data, separators=(",", ":"))
+    yield json.dumps(data, separators=(" ,\t", " : "))
+    for char in " \t":
+        spots = [i + 1 for i, c in enumerate(line) if c in ",:[]{}"]
+        spot = rng.choice(spots)
+        yield line[:spot] + char + line[spot:]
+    for tail in [" x", "{}", ", 1", "]", '"', " \t"]:
+        yield line + tail
+    yield "\ufeff" + line
+    for other in ["[1]", "1", '"x"', "null", "{}", "{"]:
+        yield other
+    yield line[: rng.randrange(1, len(line))]
+    alphabet = '{}[],:" 0123456789-.eEtfnlNI\\/x'
+    for _ in range(12):
+        i = rng.randrange(len(line))
+        yield rng.choice(
+            [
+                line[:i] + line[i + 1 :],
+                line[:i] + rng.choice(alphabet) + line[i + 1 :],
+                line[:i] + rng.choice(alphabet) + line[i:],
+            ]
+        )
+
+
+def read_outcome(read, text: str):
+    try:
+        return "read", read(text)
+    except Exception as exc:  # compared by type and message
+        return type(exc), str(exc)
+
+
+class TestReaderMatchesTheLineByLineOracle:
+    """from_jsonl and the line-by-line oracle accept the same texts, read
+    them to the same logs and refuse the rest with the same exception.
+    Logs are compared by repr too, which tells 1 from 1.0 and True and
+    holds for NaN."""
+
+    def assert_same(self, text: str):
+        new = read_outcome(MutationLog.from_jsonl, text)
+        old = read_outcome(oracle_from_jsonl, text)
+        if new[0] == old[0] == "read":
+            assert repr(new[1]) == repr(old[1])
+            if "NaN" not in text:
+                assert new[1] == old[1]
+        else:
+            assert new == old
+        return new[0] == "read"
+
+    @pytest.mark.parametrize("kind, d", CORPUS, ids=[f"{k} d={d}" for k, d in CORPUS])
+    def test_variants_of_a_log(self, kind, d):
+        rng = random.Random(f"{kind} {d}")
+        text = corpus_log(kind, d).to_jsonl()
+        lines = text.splitlines()
+        assert self.assert_same(text)
+        assert self.assert_same("\ufeff" + text) is False
+        assert self.assert_same(json.dumps(json.loads(lines[0]), separators=(",", ":")))
+        compact = "\n".join(json.dumps(json.loads(x), separators=(",", ":")) for x in lines)
+        assert self.assert_same(compact)
+        swapped = lines[1:2] + lines[:1] + lines[2:]
+        assert self.assert_same("\n".join(swapped))
+        accepted = refused = 0
+        for k in sorted({0, 1, len(lines) - 1, rng.randrange(len(lines))}):
+            for variant in line_variants(lines, k, rng):
+                if self.assert_same("\n".join(lines[:k] + [variant] + lines[k + 1 :])):
+                    accepted += 1
+                else:
+                    refused += 1
+        assert accepted and refused
 
 
 class TestLineSplitting:

@@ -26,6 +26,7 @@ from delpezzo import (
     apply_braid,
     basic_collection,
     basic_collection_torsion_last,
+    canonical_divisor,
     check_helix_period,
     curve_class,
     euler_form,
@@ -597,6 +598,31 @@ class TestHelix:
         ok, witness = check_helix_period(c)
         assert not ok
         assert witness is not None
+
+    def test_period_mismatch_expects_the_twist_by_K(self):
+        # The same non-full triple: A_1 comes back as a class other than
+        # A_{1-n} = A_1(K).
+        S = surface(1)
+        c = Collection(S, basic_collection(S).members[:3])
+        _, witness = check_helix_period(c)
+        assert (witness.index, witness.reason) == (1, "period mismatch")
+        assert witness.expected == twist(S, c.members[0], canonical_divisor(1))
+        assert witness.computed != witness.expected
+
+    @pytest.mark.parametrize("d", [0, 3, 8])
+    def test_each_helix_class_is_twisted_once(self, monkeypatch, d):
+        # A_{s-n} = A_s(K) is read off the window A_{1-n}..A_n: 2n twists,
+        # not 2n - 1 for the window and n more for the comparison.
+        c = basic_collection(surface(d))
+        calls = []
+
+        def counted(*args):
+            calls.append(args)
+            return twist(*args)
+
+        monkeypatch.setattr(mutation_module, "twist", counted)
+        assert check_helix_period(c) == (True, None)
+        assert len(calls) == 2 * len(c)
 
 
 class TestGramAndCertificate:
