@@ -40,15 +40,19 @@ G = line_class(S2, DivisorClass((0, -1, 1)))
 t = classify_pair(S2, structure_class(S2), G)
 print("(O, O(e1-e2)) with the root declared:", t.kind.value, t.dims)
 
-# In the three-point configuration with roots e1-e2 and e1-e3 the classes
-# O(e1-e2), O(e1-e3) differ by e2-e3, which is NOT effective: a zero pair.
-S3 = Surface(3, (DivisorClass((0, -1, 1, 0)), DivisorClass((0, -1, 0, 1))))
+# Declaring e1-e2 and e1-e3 together is refused: they meet at -1.  Such a
+# surface blows up two points of the first exceptional curve E1, so the
+# strict transform of E1 is the -3-curve e1-e2-e3, -K is not nef, and
+# neither class is an irreducible curve.
+# With e1-e2 alone the classes O(e1-e2), O(e1-e3) differ by e2-e3, which
+# is outside the declared span: a zero pair.
+S3 = Surface(3, (DivisorClass((0, -1, 1, 0)),))
 t = classify_pair(
     S3,
     line_class(S3, DivisorClass((0, -1, 1, 0))),
     line_class(S3, DivisorClass((0, -1, 0, 1))),
 )
-print("Zuev configuration pair:", t.kind.value)
+print("(O(e1-e2), O(e1-e3)) with e1-e2 declared:", t.kind.value)
 
 # --- slope filtrations -----------------------------------------------------
 

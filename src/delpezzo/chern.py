@@ -219,7 +219,11 @@ def default_ample(S: Surface) -> DivisorClass:
     """A = 4h - sum e_i, the documented default polarization.
 
     Ampleness is not decidable from the lattice; using this class as an
-    ample divisor is an assumption on the configuration.
+    ample divisor is an assumption on the configuration.  On a root
+    C = (a; b) it reads A.C = 4a - sum b = a, so A is zero on the d(d-1)
+    roots e_i - e_j (56 of 240 at d = 8) and breaks no mu_A tie across
+    them.  It reads only S.d, never the declared roots, and the CLI's
+    ``hn`` without ``--ample`` builds it on a surface with none.
     """
     return DivisorClass((4,) + (1,) * S.d)
 

@@ -11,8 +11,9 @@ chi(E,F) is the slope order and no slope need be computed:
 
     chi(E,F) > 0   hom   (mu(E) < mu(F), dim chi(E,F))
     chi(E,F) < 0   ext   (mu(E) > mu(F), dim -chi(E,F))
-    chi(E,F) = 0   singular if C = c1(F) - c1(E) is a connected
-                   effective root, else zero (mu(E) = mu(F))
+    chi(E,F) = 0   singular if C = c1(F) - c1(E) is a positive root
+                   of the declared configuration, else zero
+                   (mu(E) = mu(F))
 
 The classification trusts the chi-level preconditions as certifying
 genuine exceptionality; outputs are "numerically" hom/ext/..., nothing
@@ -123,7 +124,7 @@ def classify_pair(S: Surface, E: KClass, F: KClass) -> PairType:
 
     The pair check yields chi(E,F) = rE*rF*(mu(F) - mu(E)), whose sign
     decides hom, ext or equal slopes; only the equal-slope case reads the
-    lattice, past the refusal mutations share, with the root search."""
+    lattice, past the refusal mutations share, with the root descent."""
     if E.r <= 0 or F.r <= 0:
         raise InvalidInputError("not a numerically exceptional pair: rank <= 0")
     chi_ef = require_exceptional_pair(S, E, F)

@@ -12,18 +12,16 @@ the form ``dot`` and ``anticanonical_degree`` H.D = 3a - sum b (H = -K),
 which every slope and chi reads.  No other module builds H or K to take
 one product: ``canonical_divisor`` and ``anticanonical_divisor`` name the
 classes K and H = -K for twisting.  On top of them come enumeration of
-the -2-root system {C : C^2 = -2, C.K = 0}, the effectivity/connectedness
-test for roots against a declared configuration, and the surface with the
-last exceptional curve blown down (``chern.descend_class`` deletes the
-matching coordinate of a class).
+the -2-root system {C : C^2 = -2, C.K = 0}, the decomposition of a root
+over the declared simple roots (the irreducible -2-curves), and the
+surface with the last exceptional curve blown down
+(``chern.descend_class`` deletes the matching coordinate of a class).
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 from collections.abc import Iterator
-from fractions import Fraction
 from functools import lru_cache
 from itertools import repeat
 from operator import mul
@@ -129,9 +127,13 @@ class Surface(Value):
     """Bl_d(P^2) together with its declared -2-curve configuration.
 
     ``effective_simple_roots`` lists the classes the caller declares to be
-    irreducible effective -2-curves.  The lattice alone cannot decide
-    effectivity, so this is configuration data; the default (no roots)
-    models blowing up points in general position.
+    the irreducible -2-curves of a surface with -K nef.  The lattice alone
+    cannot decide effectivity, so this is configuration data; the default
+    (no roots) models blowing up points in general position.  Such curves
+    are the simple roots of a negative-definite root system, so the
+    constructor refuses (``InvalidInputError``) a list of more than d
+    classes, or of classes that are not -2-classes orthogonal to K, not
+    pairwise distinct, meet negatively, or are linearly dependent.
     """
 
     __slots__ = _fields = ("d", "effective_simple_roots")
@@ -142,13 +144,15 @@ class Surface(Value):
                 f"need 0 <= d <= {MAX_BLOWUPS} blow-ups so that K^2 = 9 - d > 0"
             )
         roots = tuple(effective_simple_roots)
-        for C in roots:
-            if C.d != d:
-                raise InvalidInputError("declared root has wrong dimension")
-            if dot(C, C) != -2 or anticanonical_degree(C) != 0:
+        if roots:
+            if len(roots) > d:
                 raise InvalidInputError(
-                    f"declared root {C.coeffs} is not a -2-class orthogonal to K"
+                    f"declared {len(roots)} roots: at most d = {d} are independent"
                 )
+            for i, C in enumerate(roots):
+                if not isinstance(C, DivisorClass):
+                    raise InvalidInputError(f"declared root {i} is not a divisor class")
+            _check_configuration(d, tuple(C.coeffs for C in roots))
         object.__setattr__(self, "d", d)
         object.__setattr__(self, "effective_simple_roots", roots)
 
@@ -172,6 +176,45 @@ class Surface(Value):
         if not isinstance(roots, list):
             raise InvalidInputError("effective_roots must be a list of divisor classes")
         return Surface(d, tuple(DivisorClass.from_json(r) for r in roots))
+
+
+@lru_cache(maxsize=256)
+def _check_configuration(d: int, coeffs: tuple[tuple[int, ...], ...]) -> None:
+    """Refuse roots that cannot be the simple roots of a root system in the
+    negative-definite lattice K^perp (K^2 > 0).  Cached by the roots'
+    coefficients, because every log state read builds its surface again."""
+    roots = [DivisorClass(c) for c in coeffs]
+    for i, C in enumerate(roots):
+        if C.d != d:
+            raise InvalidInputError(f"declared root {i} has wrong dimension")
+        if dot(C, C) != -2 or anticanonical_degree(C) != 0:
+            raise InvalidInputError(
+                f"declared root {i} {C.coeffs} is not a -2-class orthogonal to K"
+            )
+    gram = [[dot(C, D) for D in roots] for C in roots]
+    for j, D in enumerate(roots):
+        for i in range(j):
+            if roots[i] == D:
+                raise InvalidInputError(f"declared roots {i} and {j} are equal")
+            if gram[i][j] < 0:
+                raise InvalidInputError(
+                    f"declared roots {i} and {j} meet negatively ({gram[i][j]})"
+                )
+    # Fraction-free (Bareiss) elimination: the pivot gram[k][k] is the
+    # leading minor of size k + 1, and in a definite lattice it vanishes
+    # exactly when roots 0..k are dependent.
+    previous = 1
+    for k in range(len(roots)):
+        pivot = gram[k][k]
+        if pivot == 0:
+            raise InvalidInputError(
+                f"declared roots 0..{k} are linearly dependent: "
+                f"root {k} lies in the span of the roots before it"
+            )
+        for i in range(k + 1, len(roots)):
+            for j in range(k + 1, len(roots)):
+                gram[i][j] = (gram[i][j] * pivot - gram[i][k] * gram[k][j]) // previous
+        previous = pivot
 
 
 def intersect(S: Surface, C: DivisorClass, D: DivisorClass) -> int:
@@ -219,90 +262,36 @@ def enumerate_roots(S: Surface) -> list[DivisorClass]:
 def effective_root_decomposition(
     S: Surface, C: DivisorClass
 ) -> tuple[int, ...] | None:
-    """One expression of C as a non-negative integer combination of the
-    declared simple roots, or None if no such expression exists.
+    """The multiplicities of the declared simple roots in C, or None if C
+    is not a non-negative combination of them.
 
-    The search solves the linear system exactly; when the declared roots
-    are linearly dependent the finitely many free coefficients are scanned
-    over a small box (root coordinates in these lattices never exceed 6,
-    the search allows 8).
+    Descent: while C != 0, subtract a root beta with C.beta < 0.  A
+    non-negative combination C != 0 has C^2 < 0, so some beta has
+    C.beta < 0, and beta occurs in C because distinct simple roots meet
+    non-negatively; the roots being independent, the multiplicities are
+    the unique ones.  A root C stays a root along the way and takes at
+    most 29 steps, the height of E8's highest root.
     """
     roots = S.effective_simple_roots
-    if not roots:
-        return None
-    k = len(roots)
-    n = S.d + 1
-    # Row-reduce the k x n system  sum n_i roots[i] = C  over Q, tracking C.
-    rows = [[Fraction(roots[i].coeffs[j]) for i in range(k)] for j in range(n)]
-    rhs = [Fraction(c) for c in C.coeffs]
-    pivots: list[int] = []
-    r = 0
-    for col in range(k):
-        piv = next((i for i in range(r, n) if rows[i][col] != 0), None)
-        if piv is None:
-            continue
-        rows[r], rows[piv] = rows[piv], rows[r]
-        rhs[r], rhs[piv] = rhs[piv], rhs[r]
-        inv = 1 / rows[r][col]
-        rows[r] = [x * inv for x in rows[r]]
-        rhs[r] *= inv
-        for i in range(n):
-            if i != r and rows[i][col] != 0:
-                f = rows[i][col]
-                rows[i] = [x - f * y for x, y in zip(rows[i], rows[r])]
-                rhs[i] -= f * rhs[r]
-        pivots.append(col)
-        r += 1
-    if any(rhs[i] != 0 for i in range(r, n)):
-        return None
-    free = [c for c in range(k) if c not in pivots]
-
-    def solution(free_vals: dict[int, int]) -> tuple[int, ...] | None:
-        sol = [Fraction(0)] * k
-        for c, v in free_vals.items():
-            sol[c] = Fraction(v)
-        for i, col in enumerate(pivots):
-            val = rhs[i] - sum(rows[i][f] * sol[f] for f in free)
-            sol[col] = val
-        if all(v.denominator == 1 and v >= 0 for v in sol):
-            return tuple(int(v) for v in sol)
-        return None
-
-    if not free:
-        return solution({})
-    if len(free) > 4:
-        raise InvalidInputError(
-            "declared root configuration is too degenerate to decompose against"
-        )
-    for combo in itertools.product(range(0, 9), repeat=len(free)):
-        sol = solution(dict(zip(free, combo)))
-        if sol is not None:
-            return sol
-    return None
+    counts = [0] * len(roots)
+    while not C.is_zero():
+        for i, beta in enumerate(roots):
+            if dot(C, beta) < 0:
+                C -= beta
+                counts[i] += 1
+                break
+        else:
+            return None
+    return tuple(counts)
 
 
 def is_connected_effective_root(S: Surface, C: DivisorClass) -> bool:
-    """Whether C is a non-negative combination of the declared simple roots
-    whose support graph (edges where the intersection is nonzero) is
-    connected."""
+    """Whether the root C is a positive root of the declared configuration:
+    a non-negative combination of the simple roots.  The support of a
+    positive root in a simply-laced system is connected."""
     if intersect(S, C, C) != -2 or anticanonical_degree(C) != 0:
         raise DomainError(f"{C.coeffs} is not a -2-class orthogonal to K")
-    decomposition = effective_root_decomposition(S, C)
-    if decomposition is None:
-        return False
-    support = [i for i, m in enumerate(decomposition) if m > 0]
-    if not support:
-        return False
-    roots = S.effective_simple_roots
-    seen = {support[0]}
-    frontier = [support[0]]
-    while frontier:
-        i = frontier.pop()
-        for j in support:
-            if j not in seen and dot(roots[i], roots[j]) != 0:
-                seen.add(j)
-                frontier.append(j)
-    return len(seen) == len(support)
+    return effective_root_decomposition(S, C) is not None
 
 
 def blow_down_surface(S: Surface) -> Surface:

@@ -205,6 +205,93 @@ def oracle_roots(d: int) -> set[tuple[int, ...]]:
     return out
 
 
+def _form(p: tuple[int, ...], q: tuple[int, ...]) -> int:
+    """h^2 = 1, e_i^2 = -1 on (a; b) coefficient vectors."""
+    return p[0] * q[0] - sum(x * y for x, y in zip(p[1:], q[1:]))
+
+
+def _rank(vectors: list[tuple[int, ...]]) -> int:
+    """Rank over Q by Gauss-Jordan elimination on the coefficient vectors."""
+    rows = [[Fraction(x) for x in v] for v in vectors]
+    rank = 0
+    for col in range(len(rows[0]) if rows else 0):
+        pivot = next((i for i in range(rank, len(rows)) if rows[i][col]), None)
+        if pivot is None:
+            continue
+        rows[rank], rows[pivot] = rows[pivot], rows[rank]
+        for i in range(len(rows)):
+            if i != rank and rows[i][col]:
+                f = rows[i][col] / rows[rank][col]
+                rows[i] = [x - f * y for x, y in zip(rows[i], rows[rank])]
+        rank += 1
+    return rank
+
+
+def oracle_valid_configuration(d: int, simple: list[tuple[int, ...]]) -> bool:
+    """Whether ``simple`` can be the irreducible -2-curves of a surface with
+    -K nef: at most d classes, each C^2 = -2 with C.K = 0 (sum b = 3a),
+    pairwise distinct, meeting non-negatively, and of full rank over Q."""
+    if len(simple) > d or len(set(simple)) != len(simple):
+        return False
+    if any(_form(p, p) != -2 or sum(p[1:]) != 3 * p[0] for p in simple):
+        return False
+    if any(_form(p, q) < 0 for i, p in enumerate(simple) for q in simple[i + 1:]):
+        return False
+    return _rank(simple) == len(simple)
+
+
+def oracle_positive_roots(simple: list[tuple[int, ...]]) -> dict:
+    """The positive roots of a valid configuration, each with its
+    multiplicities on the simple roots, by closure: start from the simple
+    roots and add a simple root beta to a root alpha whenever
+    alpha.beta = 1 (alpha + beta is then again a -2-class)."""
+    k = len(simple)
+    found = {
+        beta: tuple(int(i == j) for j in range(k)) for i, beta in enumerate(simple)
+    }
+    frontier = list(found)
+    while frontier:
+        new = []
+        for alpha in frontier:
+            for i, beta in enumerate(simple):
+                if _form(alpha, beta) == 1:
+                    root = tuple(x + y for x, y in zip(alpha, beta))
+                    if root not in found:
+                        m = list(found[alpha])
+                        m[i] += 1
+                        found[root] = tuple(m)
+                        new.append(root)
+        frontier = new
+    return found
+
+
+# The simple roots e1 - e2, ..., e7 - e8, h - e1 - e2 - e3 of E8 on d = 8.
+E8_SIMPLE_ROOTS = [
+    (0,) + tuple(-1 if j == i else 1 if j == i + 1 else 0 for j in range(8))
+    for i in range(7)
+] + [(1, 1, 1, 1, 0, 0, 0, 0, 0)]
+
+
+def random_valid_configurations(d: int, count: int, seed: int) -> list[list[tuple]]:
+    """Seeded valid configurations on d blow-ups: the roots in a random
+    order, each kept while the configuration stays valid, up to a random
+    size in 1..d."""
+    rng = random.Random(seed)
+    roots = sorted(oracle_roots(d))
+    out = []
+    for _ in range(count):
+        rng.shuffle(roots)
+        size = rng.randint(1, d)
+        simple: list[tuple[int, ...]] = []
+        for root in roots:
+            if len(simple) == size:
+                break
+            if oracle_valid_configuration(d, simple + [root]):
+                simple.append(root)
+        out.append(simple)
+    return out
+
+
 def oracle_markov_solutions(limit: int) -> set[tuple[int, int, int]]:
     """All x <= y <= z <= limit with x^2+y^2+z^2 = 3xyz, by solving the
     quadratic in z for each (x, y)."""

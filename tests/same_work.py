@@ -61,7 +61,7 @@ from delpezzo import (
 from delpezzo import cli
 from delpezzo.chern import weighted_sum
 
-from _helpers import ext_seed
+from _helpers import E8_SIMPLE_ROOTS, ext_seed
 
 DIRECTIONS = (Direction.LEFT, Direction.RIGHT)
 
@@ -88,13 +88,17 @@ def show(x):
     return x
 
 
-def call(label: str, fn, *args) -> None:
-    """Print fn(*args) or its exception as one JSON line."""
+def call(label: str, fn, *args):
+    """Print fn(*args) or its exception as one JSON line; return the value,
+    or None on an exception."""
+    value = None
     try:
-        record = {"ok": show(fn(*args))}
+        value = fn(*args)
+        record = {"ok": show(value)}
     except Exception as exc:  # every outcome is a record, refusals included
         record = {"error": type(exc).__name__, "message": str(exc)}
     print(json.dumps({"call": label, **record}))
+    return value
 
 
 def random_word(rng: random.Random, n: int, letters: int) -> BraidWord:
@@ -182,7 +186,9 @@ def collections(d: int, rng: random.Random, full: bool):
 def special_pairs(full: bool):
     """Equal-slope pairs: inconsistent numerics (the forced -2-class
     equations fail, with C.K = 0, -6 and -12), and pairs on surfaces with
-    declared roots: one root, dependent roots, and too degenerate roots."""
+    declared roots: one root, an A2 chain and E8, each with a root and a
+    positive root that is not simple.  A refused configuration is a record
+    of its own."""
     S = Surface(4)
     O = structure_class(S)
     F = KClass(3, DivisorClass((0, -2, 2, -1, 1)), -6)
@@ -191,14 +197,17 @@ def special_pairs(full: bool):
         D = t * h
         yield f"inconsistent-{t}h", S, twist(S, O, D), twist(S, F, D)
     configurations = {
-        "one-root": (2, [(0, -1, 1)]),
-        "dependent": (4, [(0, -1, 1, 0, 0), (0, 0, -1, 1, 0), (0, -1, 0, 1, 0)]),
-        "degenerate": (2, [(0, 1, -1)] * 6),
+        "one-root": (2, [(0, -1, 1)], []),
+        "a2-chain": (4, [(0, -1, 1, 0, 0), (0, 0, -1, 1, 0)], [(0, -1, 0, 1, 0)]),
+        # The highest root of E8, of height 29.
+        "e8": (8, E8_SIMPLE_ROOTS, [(3, 1, 1, 1, 1, 1, 1, 1, 2)]),
     }
-    for name, (d, roots) in configurations.items():
-        S = Surface(d, tuple(DivisorClass(r) for r in roots))
+    for name, (d, roots, others) in configurations.items():
+        S = call(f"{name} Surface", Surface, d, tuple(DivisorClass(r) for r in roots))
+        if S is None:
+            continue
         O = structure_class(S)
-        for r in roots[:2] if full else roots[:1]:
+        for r in (roots[:1] + others) if full else roots[:1]:
             for sign in (1, -1):
                 C = DivisorClass(tuple(sign * x for x in r))
                 yield f"{name} {list(C.coeffs)}", S, O, line_class(S, C)

@@ -251,7 +251,8 @@ def test_criterion_9_pair_classification():
             assert t.kind is PairKind.SINGULAR and t.dims == (1, 1)
             C = F.c1 - E.c1
             assert (intersect(S, F.c1, C) + 1) % F.r == 0
-        S3 = surface(3, roots=[(0, -1, 1, 0), (0, -1, 0, 1)])
+        # e2 - e3 is outside the span of the one declared root e1 - e2.
+        S3 = surface(3, roots=[(0, -1, 1, 0)])
         t = classify_pair(
             S3, line_bundle(S3, 0, -1, 1, 0), line_bundle(S3, 0, -1, 0, 1)
         )

@@ -160,6 +160,62 @@ class TestClassifyPair:
         assert d["evidence"]["root_decomposition"] == [1]
 
 
+# Declared configurations no surface with -K nef has, with the words each
+# refusal prints (see tests/test_picard.py for the library side).
+REFUSED_SURFACES = {
+    "opposite": ([[0, -1, 1, 0], [0, 1, -1, 0]], "roots 0..1 are linearly dependent"),
+    "repeated": ([[0, -1, 1, 0], [0, -1, 1, 0]], "roots 0 and 1 are equal"),
+    "negative-pairing": ([[0, -1, 1, 0], [0, -1, 0, 1]], "roots 0 and 1 meet negatively"),
+    "dependent-cycle": (
+        [[0, -1, 1, 0], [0, 0, -1, 1], [0, 1, 0, -1]], "roots 0..2 are linearly dependent"
+    ),
+    "d-plus-one": (
+        [[0, -1, 1, 0], [0, 0, -1, 1], [1, 1, 1, 1], [0, 1, -1, 0]], "declared 4 roots"
+    ),
+    "huge": ([[0, -1, 1, 0]] * 100_000, "declared 100000 roots"),
+}
+O_D3 = '{"r":1,"c1":[0,0,0,0],"ch2":"0/1"}'
+O_E1_E2_D3 = '{"r":1,"c1":[0,-1,1,0],"ch2":"-1/1"}'
+
+
+class TestRefusedConfiguration:
+    @pytest.mark.parametrize("command", ["roots", "classify-pair"])
+    @pytest.mark.parametrize(
+        "roots, words", REFUSED_SURFACES.values(), ids=list(REFUSED_SURFACES)
+    )
+    def test_exit_one_naming_the_roots(self, capsys, command, roots, words):
+        surface_json = json.dumps({"blowups": 3, "effective_roots": roots})
+        argv = [command, "--surface", surface_json]
+        if command == "classify-pair":
+            argv += ["--e", O_D3, "--f", O_E1_E2_D3]
+        code, out, err = invoke(capsys, *argv)
+        assert (code, out) == (1, "")
+        assert err.startswith("invalid input: declared ") and words in err
+
+    def test_both_orders_of_a_pair_are_refused_not_singular(self):
+        # With C and -C declared, (O, O(C)) and (O(C), O) were both called
+        # singular; the configuration itself is now refused.
+        roots = REFUSED_SURFACES["opposite"][0]
+        surface_json = json.dumps({"blowups": 3, "effective_roots": roots})
+        for e, f in ((O_D3, O_E1_E2_D3), (O_E1_E2_D3, O_D3)):
+            code, out, err = invoke_process(
+                "classify-pair", "--surface", surface_json, "--e", e, "--f", f
+            )
+            assert (code, out) == (1, "")
+            assert "linearly dependent" in err and "Traceback" not in err
+
+    def test_valid_configuration_gives_a_zero_pair(self, capsys):
+        # e2 - e3 is outside the span of e1 - e2.
+        surface_json = '{"blowups":3,"effective_roots":[[0,-1,1,0]]}'
+        f = '{"r":1,"c1":[0,-1,0,1],"ch2":"-1/1"}'
+        code, out, _ = invoke(
+            capsys, "classify-pair", "--surface", surface_json, "--e", O_E1_E2_D3, "--f", f
+        )
+        assert code == 0
+        assert (doc(out)["kind"], doc(out)["C"]) == ("zero", [0, 0, -1, 1])
+        assert "root_decomposition" not in doc(out)["evidence"]
+
+
 def _class_json(r="1", c1="[0]", ch2='"0/1"'):
     return f'{{"r":{r},"c1":{c1},"ch2":{ch2}}}'
 

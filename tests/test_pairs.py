@@ -52,7 +52,9 @@ class TestClassifyPair:
         assert t.dims == (1, 1)
 
     def test_zero_pair_in_zuev_configuration(self):
-        S = surface(3, roots=[(0, -1, 1, 0), (0, -1, 0, 1)])
+        # The roots e1 - e2 and e1 - e3 meet at -1 and are refused; with
+        # e1 - e2 alone, e2 - e3 is outside the declared span.
+        S = surface(3, roots=[(0, -1, 1, 0)])
         E = line_bundle(S, 0, -1, 1, 0)
         F = line_bundle(S, 0, -1, 0, 1)
         t = classify_pair(S, E, F)

@@ -1,7 +1,18 @@
 import random
+import re
+import time
 
 import pytest
-from _helpers import divisor, oracle_monomial_count, oracle_roots, surface
+from _helpers import (
+    E8_SIMPLE_ROOTS,
+    divisor,
+    oracle_monomial_count,
+    oracle_positive_roots,
+    oracle_roots,
+    oracle_valid_configuration,
+    random_valid_configurations,
+    surface,
+)
 
 from delpezzo import (
     DomainError,
@@ -129,9 +140,9 @@ class TestEffectiveRoots:
         assert is_connected_effective_root(S, divisor(0, 1, -1)) is False
 
     def test_difference_of_zuev_roots_is_not_effective(self):
-        # Blowing up two points on one exceptional curve declares
-        # e1 - e2 and e1 - e3; their difference e2 - e3 is not effective.
-        S = surface(3, roots=[(0, -1, 1, 0), (0, -1, 0, 1)])
+        # e1 - e2 and e1 - e3 meet at -1, so they are not both declared;
+        # with e1 - e2 alone their difference e2 - e3 is not effective.
+        S = surface(3, roots=[(0, -1, 1, 0)])
         assert is_connected_effective_root(S, divisor(0, 0, -1, 1)) is False
 
     def test_chain_sum_is_connected(self):
@@ -161,35 +172,101 @@ class TestEffectiveRoots:
             surface(2, roots=[(1, 0, 0)])
 
 
-# e1 - e2, e2 - e3 and their sum e1 - e3 on 4 blow-ups: rank 2, one free
-# coefficient for the search to scan.
-DEPENDENT_ROOTS = [(0, -1, 1, 0, 0), (0, 0, -1, 1, 0), (0, -1, 0, 1, 0)]
+# Configurations no surface with -K nef has, each with the words its
+# refusal names.  In the cycle e1 - e2, e2 - e3, e3 - e1 every two roots
+# meet at 1, so only the independence check refuses it.
+REFUSED = {
+    "opposite": (3, [(0, -1, 1, 0), (0, 1, -1, 0)], "roots 0..1 are linearly dependent"),
+    "repeated": (3, [(0, -1, 1, 0), (0, 0, -1, 1), (0, -1, 1, 0)], "roots 0 and 2 are equal"),
+    "negative-pairing": (3, [(0, -1, 1, 0), (0, -1, 0, 1)], "roots 0 and 1 meet negatively (-1)"),
+    "dependent-cycle": (
+        3, [(0, -1, 1, 0), (0, 0, -1, 1), (0, 1, 0, -1)], "roots 0..2 are linearly dependent"
+    ),
+    "d-plus-one": (
+        3, [(0, -1, 1, 0), (0, 0, -1, 1), (1, 1, 1, 1), (0, 1, -1, 0)], "declared 4 roots"
+    ),
+    "not-a-root": (2, [(0, -1, 1), (1, 0, 0)], "root 1 (1, 0, 0) is not a -2-class"),
+}
 
 
-class TestDependentRoots:
-    def test_decomposition_found_with_the_free_coefficient_at_zero(self):
-        S = surface(4, roots=DEPENDENT_ROOTS)
-        assert effective_root_decomposition(S, divisor(0, -1, 0, 1, 0)) == (1, 1, 0)
-        assert effective_root_decomposition(S, divisor(0, -2, 1, 1, 0)) == (2, 1, 0)
+class TestConfigurationRefused:
+    @pytest.mark.parametrize("d, roots, words", REFUSED.values(), ids=list(REFUSED))
+    def test_refusal_names_the_roots(self, d, roots, words):
+        assert not oracle_valid_configuration(d, roots)
+        with pytest.raises(InvalidInputError, match=re.escape(words)):
+            surface(d, roots)
 
-    def test_no_non_negative_solution_in_the_box(self):
-        # e3 - e1 is in the span, but only with a negative coefficient.
-        S = surface(4, roots=DEPENDENT_ROOTS)
-        assert effective_root_decomposition(S, divisor(0, 1, 0, -1, 0)) is None
-        assert is_connected_effective_root(S, divisor(0, 1, 0, -1, 0)) is False
+    def test_a_huge_list_is_refused_before_any_pairwise_work(self):
+        roots = (divisor(0, -1, 1),) * 100_000
+        start = time.monotonic()
+        with pytest.raises(InvalidInputError, match="declared 100000 roots"):
+            Surface(2, roots)
+        assert time.monotonic() - start < 0.1
 
-    def test_classify_pair_reads_the_decomposition(self):
-        S = surface(4, roots=DEPENDENT_ROOTS)
+    def test_a_tuple_is_not_a_root(self):
+        with pytest.raises(InvalidInputError, match="root 0 is not a divisor class"):
+            Surface(2, ((0, -1, 1),))
+
+    def test_surface_accepts_exactly_the_valid_configurations(self):
+        # Valid configurations, each with one more root, one root negated
+        # or one root repeated.
+        rng = random.Random(23)
+        seen = {True: 0, False: 0}
+        for d in range(2, 9):
+            roots = sorted(oracle_roots(d))
+            for simple in random_valid_configurations(d, 12, seed=100 + d):
+                i = rng.randrange(len(simple))
+                negated = simple[:i] + [tuple(-x for x in simple[i])] + simple[i + 1:]
+                for variant in (
+                    simple, simple + [rng.choice(roots)], negated, simple + [simple[i]]
+                ):
+                    valid = oracle_valid_configuration(d, variant)
+                    seen[valid] += 1
+                    if valid:
+                        assert surface(d, variant).d == d
+                    else:
+                        with pytest.raises(InvalidInputError):
+                            surface(d, variant)
+        assert min(seen.values()) > 50, seen
+
+    def test_blow_down_keeps_e8_valid_down_to_the_plane(self):
+        S = surface(8, E8_SIMPLE_ROOTS)
+        sizes = []
+        while S.d:
+            S = blow_down_surface(S)
+            simple = [r.coeffs for r in S.effective_simple_roots]
+            assert oracle_valid_configuration(S.d, simple)
+            sizes.append(len(simple))
+        # E7, E6, D5, A4, A2 x A1, A1, and nothing on d = 1 and P^2.
+        assert sizes == [7, 6, 5, 4, 3, 1, 0, 0]
+
+
+def valid_configurations():
+    for d in range(2, 9):
+        for k, simple in enumerate(random_valid_configurations(d, 6, seed=d)):
+            yield pytest.param(d, simple, id=f"d{d}-{k}")
+    yield pytest.param(8, E8_SIMPLE_ROOTS, id="E8")
+
+
+class TestDescentMatchesTheClosureOracle:
+    @pytest.mark.parametrize("d, simple", list(valid_configurations()))
+    def test_every_root(self, d, simple):
+        S = surface(d, simple)
         O = structure_class(S)
-        singular = classify_pair(S, O, line_class(S, divisor(0, -1, 0, 1, 0)))
-        assert (singular.kind, singular.chi) == (PairKind.SINGULAR, 0)
-        zero = classify_pair(S, O, line_class(S, divisor(0, 1, 0, -1, 0)))
-        assert (zero.kind, zero.chi) == (PairKind.ZERO, 0)
+        positive = oracle_positive_roots(simple)
+        for C in enumerate_roots(S):
+            expected = positive.get(C.coeffs)
+            assert effective_root_decomposition(S, C) == expected
+            assert is_connected_effective_root(S, C) is (expected is not None)
+            kind = classify_pair(S, O, line_class(S, C)).kind
+            assert kind is (PairKind.ZERO if expected is None else PairKind.SINGULAR)
 
-    def test_more_than_four_free_coefficients_refused(self):
-        S = surface(2, roots=[(0, 1, -1)] * 6)
-        with pytest.raises(InvalidInputError, match="too degenerate"):
-            effective_root_decomposition(S, divisor(0, 1, -1))
+    def test_e8_has_120_positive_roots_up_to_the_highest(self):
+        S = surface(8, E8_SIMPLE_ROOTS)
+        decompositions = [effective_root_decomposition(S, C) for C in enumerate_roots(S)]
+        found = [m for m in decompositions if m is not None]
+        assert len(found) == len(oracle_positive_roots(E8_SIMPLE_ROOTS)) == 120
+        assert max(map(sum, found)) == 29
 
 
 class TestAnticanonicalDegree:
