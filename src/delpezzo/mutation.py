@@ -24,18 +24,24 @@ first (4 chi).  A mutation never classifies its pair.
 Rotation and global twist certify the full matrix.  Nothing caches chi.
 Braid words act letter by letter.  A foundation of length n extends to
 a helix by the twist periodicity  E_{i+sn} = E_i(-sK),  and the helix
-axiom L^(n-1) A_s = A_{s-n} is checked by explicit iterated mutation.
+axiom L^(n-1) A_s = A_{s-n} is checked by explicit iterated mutation, one
+chi per step: the certified foundation makes every window of the helix,
+mutated or not, exceptional (twist invariance, Serre duality and the
+isometry of a mutation), so no step re-checks its pair.
 
 Every move is recorded as a replayable ``LogStep`` {kind, params, before,
 after}; a ``MutationLog`` of steps serializes to JSON-lines, one step per
 line, each with its full states.  The text is what json.dumps of each
 step gives, and a round trip costs what the steps change, not what the
 lines hold.  ``to_jsonl`` runs json.dumps once per distinct member and
-once per distinct surface and joins each distinct state's text from those
-pieces once.  ``from_jsonl`` reads each state text once: a step's
-``before`` whose text is the previous line's ``after`` is that step's
-state object, so L chained steps read L + 1 states, and one class is
-built per distinct member JSON, shared by every state that holds it.
+once per distinct surface and joins each distinct state's text once, from
+those texts and the literal pieces of the line layout.  ``from_jsonl``
+reads a line by the same pieces.  A state whose text is the previous state's is that
+state object, so L chained steps build L + 1 states; a surface or member
+whose text is the previous state's at the same place is that object; any
+other value is taken by json's C scanner, and one class is built per
+distinct member text, shared by every state that holds it.  A line off
+the layout goes to json.loads and ``LogStep.from_json`` whole.
 Step kinds:
 
     mutate   one adjacent mutation        params: position, direction
@@ -53,7 +59,6 @@ from __future__ import annotations
 import enum
 import json
 import re
-from json.decoder import JSONObject
 
 from .chern import KClass, curve_class, euler_form, line_class, structure_class, twist
 from .errors import DomainError, InvalidInputError, InvariantViolationError
@@ -106,14 +111,14 @@ class Collection(Value):
         return {"surface": self.surface.to_json(), "members": members}
 
     @staticmethod
-    def from_json(data: dict, memo: dict | None = None) -> "Collection":
+    def from_json(data: dict) -> "Collection":
         if not isinstance(data, dict) or not {"surface", "members"} <= set(data):
             raise InvalidInputError("collection JSON needs keys surface, members")
         if not isinstance(data["members"], list):
             raise InvalidInputError("collection members must be a JSON list")
         return Collection(
             Surface.from_json(data["surface"]),
-            tuple(_read_member(m, memo) for m in data["members"]),
+            tuple(KClass.from_json(m) for m in data["members"]),
         )
 
 
@@ -126,29 +131,6 @@ def _write_members(write, members: tuple[KClass, ...]) -> list:
         except DomainError as exc:
             raise DomainError(f"member E_{k}: {exc}") from exc
     return out
-
-
-def _read_member(data, memo: dict | None) -> KClass:
-    """KClass.from_json(data); given a memo, once per distinct member value.
-    A member is looked up only when every value has the exact JSON type
-    that ``from_json`` accepts (rank and c1 entries int, ch2 str or int),
-    so that True == 1 and 1.0 == 1 cannot let a malformed member share the
-    class of a valid one; anything else is read, and refused, as usual."""
-    if memo is None or type(data) is not dict:
-        return KClass.from_json(data)
-    r, c1, ch2 = data.get("r"), data.get("c1"), data.get("ch2")
-    if (
-        type(r) is not int
-        or type(c1) is not list
-        or type(ch2) not in (str, int)
-        or not set(map(type, c1)) <= {int}
-    ):
-        return KClass.from_json(data)
-    key = (r, tuple(c1), ch2)
-    m = memo.get(key)
-    if m is None:
-        m = memo[key] = KClass.from_json(data)
-    return m
 
 
 class GramViolation(Value):
@@ -341,6 +323,22 @@ class BraidWord(Value):
 
 State = Collection | KClass
 
+# The literal pieces of a log line, shared by the writer and the reader:
+#     {"kind": K, "params": P, "before": S, "after": S}
+# where a state S is {"collection": {"surface": X, "members": [M, M, ...]}}
+# or {"class": M}.
+_LINE_OPEN = '{"kind": '
+_LINE_PARAMS = ', "params": '
+_LINE_BEFORE = ', "before": '
+_LINE_AFTER = ', "after": '
+_LINE_CLOSE = "}"
+_COLLECTION_OPEN = '{"collection": {"surface": '
+_COLLECTION_MEMBERS = ', "members": ['
+_MEMBER_SEP = ", "
+_COLLECTION_CLOSE = "]}}"
+_CLASS_OPEN = '{"class": '
+_CLASS_CLOSE = "}"
+
 
 def _state_to_json(state: State) -> dict:
     if isinstance(state, Collection):
@@ -348,25 +346,13 @@ def _state_to_json(state: State) -> dict:
     return {"class": state.to_json()}
 
 
-class _Same:
-    """A top-level log state whose text is ``text``, the previous line's
-    ``after``: that step's state object, read once."""
-
-    __slots__ = ("state", "text")
-
-    def __init__(self, state: State, text: str):
-        self.state, self.text = state, text
-
-
-def _state_from_json(data: dict, memo: dict | None) -> State:
-    if type(data) is _Same:
-        return data.state
+def _state_from_json(data: dict) -> State:
     if not isinstance(data, dict):
         raise InvalidInputError("log state must be a JSON object")
     if "collection" in data:
-        return Collection.from_json(data["collection"], memo)
+        return Collection.from_json(data["collection"])
     if "class" in data:
-        return _read_member(data["class"], memo)
+        return KClass.from_json(data["class"])
     raise InvalidInputError("log state must be a collection or a class")
 
 
@@ -388,7 +374,7 @@ class LogStep(Value):
         }
 
     @staticmethod
-    def from_json(data: dict, memo: dict | None = None) -> "LogStep":
+    def from_json(data: dict) -> "LogStep":
         if not isinstance(data, dict) or not {"kind", "before", "after"} <= set(data):
             raise InvalidInputError("log step JSON needs keys kind, before, after")
         params = data.get("params", {})
@@ -397,8 +383,8 @@ class LogStep(Value):
         return LogStep(
             kind=data["kind"],
             params=dict(params),
-            before=_state_from_json(data["before"], memo),
-            after=_state_from_json(data["after"], memo),
+            before=_state_from_json(data["before"]),
+            after=_state_from_json(data["after"]),
         )
 
 
@@ -433,13 +419,13 @@ class MutationLog(Value):
             text = states.get(id(state))
             if text is None:
                 if isinstance(state, Collection):
-                    members = ", ".join(_write_members(dumps, state.members))
+                    members = _MEMBER_SEP.join(_write_members(dumps, state.members))
                     text = (
-                        f'{{"collection": {{"surface": {dumps(state.surface)}, '
-                        f'"members": [{members}]}}}}'
+                        f"{_COLLECTION_OPEN}{dumps(state.surface)}"
+                        f"{_COLLECTION_MEMBERS}{members}{_COLLECTION_CLOSE}"
                     )
                 else:
-                    text = f'{{"class": {dumps(state)}}}'
+                    text = f"{_CLASS_OPEN}{dumps(state)}{_CLASS_CLOSE}"
                 states[id(state)] = text
             return text
 
@@ -447,8 +433,8 @@ class MutationLog(Value):
         for s in self.steps:
             before, after = encode(s.before), encode(s.after)
             lines.append(
-                f'{{"kind": {json.dumps(s.kind)}, "params": {json.dumps(s.params)}, '
-                f'"before": {before}, "after": {after}}}\n'
+                f"{_LINE_OPEN}{json.dumps(s.kind)}{_LINE_PARAMS}{json.dumps(s.params)}"
+                f"{_LINE_BEFORE}{before}{_LINE_AFTER}{after}{_LINE_CLOSE}\n"
             )
         return "".join(lines)
 
@@ -456,59 +442,130 @@ class MutationLog(Value):
     def from_jsonl(text: str) -> "MutationLog":
         """Read the lines of ``to_jsonl``, split at "\\n" alone: a JSON string
         may hold U+2028, U+2029 and U+0085 raw, where ``str.splitlines``
-        would break it.  Blank lines and a trailing "\\r" are ignored.  A
-        member that recurs with the same JSON values is read once and
-        shared.  A ``before`` or ``after`` whose text is the previous line's
-        ``after`` is not read again: it is that step's state object."""
+        would break it.  Blank lines and a trailing "\\r" are ignored.
+
+        A line is read by the layout ``to_jsonl`` writes (see
+        ``_read_line``).  A line off that layout, or one whose layout read
+        raises, goes to the plain reader, json.loads and
+        ``LogStep.from_json``, whose result or refusal is final."""
         steps = []
-        members: dict[tuple, KClass] = {}
-        scan = json.JSONDecoder().scan_once
-        same = None
+        members: dict[str, KClass] = {}
+        previous = None
         for line in text.split("\n"):
             line = line.strip()
             if line:
-                data, after = _read_line(line, scan, same)
-                step = LogStep.from_json(data, members)
-                same = None if after is None else _Same(step.after, after)
+                try:
+                    step, previous = _read_line(line, previous, members)
+                except (ValueError, StopIteration):  # StopIteration: no value
+                    step, previous = _read_plain(line), None
                 steps.append(step)
         return MutationLog(tuple(steps))
 
 
-def _read_line(line: str, scan, same: _Same | None) -> tuple[object, str | None]:
-    """json.loads(line), except that a top-level ``before`` or ``after``
-    whose text is ``same.text`` reads as ``same``, unparsed; with the text of
-    ``after`` when it is the line's last key, else None.
-
-    The line's object is read by json's own object reader over its C value
-    scanner.  A line that is not an object, that json refuses, that has
-    trailing data or that holds ``same.text`` under another key goes to
-    json.loads whole, so every value and message is json's own.  The text
-    of a state is a JSON object, so a match ends where the value would."""
-    span = [0, 0]
-
-    def value(s: str, start: int):
-        if same is not None and s.startswith(same.text, start):
-            obj, end = same, start + len(same.text)
-        else:
-            obj, end = scan(s, start)
-        span[:] = start, end
-        return obj, end
-
-    if line[0] == "{":
-        try:
-            pairs, end = JSONObject((line, 1), True, value, None, list)
-        except ValueError:
-            pass
-        else:
-            if end == len(line) and all(
-                type(v) is not _Same or k in ("before", "after") for k, v in pairs
-            ):
-                last = pairs[-1][0] if pairs else None
-                return dict(pairs), line[span[0] : span[1]] if last == "after" else None
+def _read_plain(line: str) -> LogStep:
+    """json.loads(line) and ``LogStep.from_json``."""
     try:
-        return json.loads(line), None
+        data = json.loads(line)
     except ValueError as exc:
         raise InvalidInputError(f"log line is not readable JSON: {exc}") from exc
+    return LogStep.from_json(data)
+
+
+_scan = json.JSONDecoder().scan_once
+
+
+class _ReadState:
+    """A state read from a log line, with the texts it was read from: the
+    whole state, its surface (None for a class) and each member."""
+
+    __slots__ = ("state", "text", "surface_text", "member_texts", "members")
+
+    def __init__(self, state, text, surface_text, member_texts, members):
+        self.state, self.text, self.surface_text = state, text, surface_text
+        self.member_texts, self.members = member_texts, members
+
+
+def _expect(line: str, i: int, piece: str) -> int:
+    """The offset past ``piece`` at line[i:]; raises if it is not there."""
+    if not line.startswith(piece, i):
+        raise ValueError(f"log line off the layout at offset {i}")
+    return i + len(piece)
+
+
+def _read_line(
+    line: str, previous: _ReadState | None, members: dict[str, KClass]
+) -> tuple[LogStep, _ReadState]:
+    """The step of a line in the layout ``to_jsonl`` writes, and its
+    ``after`` as read; raises on a line off the layout.  ``before`` is read
+    against the previous line's ``after``, and ``after`` against
+    ``before``."""
+    i = _expect(line, 0, _LINE_OPEN)
+    kind, i = _scan(line, i)
+    params, i = _scan(line, _expect(line, i, _LINE_PARAMS))
+    if type(params) is not dict:
+        raise ValueError("log step params off the layout")
+    before, i = _read_state(line, _expect(line, i, _LINE_BEFORE), previous, members)
+    after, i = _read_state(line, _expect(line, i, _LINE_AFTER), before, members)
+    if _expect(line, i, _LINE_CLOSE) != len(line):
+        raise ValueError("trailing data after a log line")
+    return LogStep(kind, params, before.state, after.state), after
+
+
+def _read_state(
+    line: str, i: int, previous: _ReadState | None, members: dict[str, KClass]
+) -> tuple[_ReadState, int]:
+    """The state at line[i:] and the offset past it, read against the
+    previous state.  A state whose text is the previous state's, so whose
+    surface and members would all be the previous state's objects, is that
+    state; any other state is built from its surface and members."""
+    start = i
+    if previous is not None and line.startswith(previous.text, i):
+        return previous, i + len(previous.text)
+    if line.startswith(_CLASS_OPEN, i):
+        m, text, i = _read_member(line, i + len(_CLASS_OPEN), 0, previous, members)
+        i = _expect(line, i, _CLASS_CLOSE)
+        return _ReadState(m, line[start:i], None, (text,), (m,)), i
+    i = _expect(line, i, _COLLECTION_OPEN)
+    surface_text = None if previous is None else previous.surface_text
+    if surface_text is not None and line.startswith(surface_text, i):
+        surface = previous.state.surface
+        i += len(surface_text)
+    else:
+        value, end = _scan(line, i)
+        surface, surface_text, i = Surface.from_json(value), line[i:end], end
+    i = _expect(line, i, _COLLECTION_MEMBERS)
+    read, texts = [], []
+    while not line.startswith(_COLLECTION_CLOSE, i):
+        if read:
+            i = _expect(line, i, _MEMBER_SEP)
+        m, text, i = _read_member(line, i, len(read), previous, members)
+        read.append(m)
+        texts.append(text)
+    i += len(_COLLECTION_CLOSE)
+    state = Collection(surface, tuple(read))
+    return _ReadState(state, line[start:i], surface_text, texts, state.members), i
+
+
+def _read_member(
+    line: str, i: int, k: int, previous: _ReadState | None, members: dict[str, KClass]
+) -> tuple[KClass, str, int]:
+    """Member k at line[i:], its text and the offset past it.  It is the
+    previous state's member k when that member's text is there; otherwise
+    the C scanner takes the value, and the class is built once per
+    distinct text and shared through ``members``.  The text of a member is
+    a JSON object, which ends where its value does, so a text that matches
+    is the value; and equal texts are equal values, so sharing needs no
+    type guard."""
+    if previous is not None and k < len(previous.member_texts):
+        text = previous.member_texts[k]
+        if line.startswith(text, i):
+            return previous.members[k], text, i + len(text)
+    value, end = _scan(line, i)
+    text = line[i:end]
+    m = members.get(text)
+    if m is None:
+        m = members[text] = KClass.from_json(value)
+    return m, text, end
 
 
 def apply_braid(c: Collection, w: BraidWord):
@@ -563,9 +620,16 @@ class HelixWitness(Value):
 def check_helix_period(foundation: Collection) -> tuple[bool, HelixWitness | None]:
     """Check L^(n-1) A_s = A_{s-n} for every s in one period, by iterated
     left mutation against the twist-extended helix A_{1-n}, ..., A_n, 2n
-    twists.  The foundation is certified once, by ``helix_extend``; each
-    mutation checks its input pair and the last class is compared exactly
-    with A_{s-n} = A_s(K), read off the helix."""
+    twists.  The foundation is certified once, by ``helix_extend``, and
+    each step evaluates chi(A_{s-t}, x) alone (n(n-1) chi in all); the last
+    class is compared exactly with A_{s-n} = A_s(K), read off the helix.
+
+    No step re-checks its pair: chi is unchanged by a twist and
+    chi(E, F(K)) = chi(F, E) (Serre duality), so every window
+    A_{s-n+1}, ..., A_s of the helix of a certified foundation is
+    numerically exceptional, and a mutation is an isometry, so every
+    partly mutated window is too.  Only an equal-slope pair's forced
+    -2-class equations are checked, as in every mutation."""
     S = foundation.surface
     n = len(foundation.members)
     if n < 2:
@@ -576,7 +640,7 @@ def check_helix_period(foundation: Collection) -> tuple[bool, HelixWitness | Non
         for t in range(1, n):
             partner = helix[s - t]
             try:
-                x, _ = mutate_pair(S, partner, x, Direction.LEFT)
+                x, _ = _reflect(S, partner, x, euler_form(S, partner, x), Direction.LEFT)
             except (InvalidInputError, InvariantViolationError) as exc:
                 return False, HelixWitness(s, f"step {t}: {exc}", None, None)
         expected = helix[s - n]

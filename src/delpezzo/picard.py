@@ -139,16 +139,9 @@ class Surface(Value):
     __slots__ = _fields = ("d", "effective_simple_roots")
 
     def __init__(self, d: int, effective_simple_roots: tuple[DivisorClass, ...] = ()):
-        if not isinstance(d, int) or not 0 <= d <= MAX_BLOWUPS:
-            raise InvalidInputError(
-                f"need 0 <= d <= {MAX_BLOWUPS} blow-ups so that K^2 = 9 - d > 0"
-            )
         roots = tuple(effective_simple_roots)
+        _check_size(d, len(roots))
         if roots:
-            if len(roots) > d:
-                raise InvalidInputError(
-                    f"declared {len(roots)} roots: at most d = {d} are independent"
-                )
             for i, C in enumerate(roots):
                 if not isinstance(C, DivisorClass):
                     raise InvalidInputError(f"declared root {i} is not a divisor class")
@@ -175,7 +168,18 @@ class Surface(Value):
             raise InvalidInputError(f"blowups must be a JSON integer, got {d!r}")
         if not isinstance(roots, list):
             raise InvalidInputError("effective_roots must be a list of divisor classes")
+        _check_size(d, len(roots))  # before any root is built
         return Surface(d, tuple(DivisorClass.from_json(r) for r in roots))
+
+
+def _check_size(d: int, count: int) -> None:
+    """Refuse d outside 0..8, or more than d declared roots."""
+    if not isinstance(d, int) or not 0 <= d <= MAX_BLOWUPS:
+        raise InvalidInputError(
+            f"need 0 <= d <= {MAX_BLOWUPS} blow-ups so that K^2 = 9 - d > 0"
+        )
+    if count > d:
+        raise InvalidInputError(f"declared {count} roots: at most d = {d} are independent")
 
 
 @lru_cache(maxsize=256)

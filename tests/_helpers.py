@@ -68,11 +68,9 @@ def random_kclass(
 
 
 def oracle_from_jsonl(text: str) -> MutationLog:
-    """The log reader line by line: json.loads and LogStep.from_json per
-    line, every state read from its own text, members shared through
-    LogStep's value memo."""
+    """The plain log reader: json.loads and LogStep.from_json per line,
+    every state and member read from its own text."""
     steps = []
-    members: dict = {}
     for line in text.split("\n"):
         line = line.strip()
         if line:
@@ -80,7 +78,7 @@ def oracle_from_jsonl(text: str) -> MutationLog:
                 data = json.loads(line)
             except ValueError as exc:
                 raise InvalidInputError(f"log line is not readable JSON: {exc}") from exc
-            steps.append(LogStep.from_json(data, members))
+            steps.append(LogStep.from_json(data))
     return MutationLog(tuple(steps))
 
 

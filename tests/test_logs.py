@@ -273,11 +273,55 @@ def pairs_line(pairs) -> str:
     return "{" + ", ".join(f"{json.dumps(k)}: {json.dumps(v)}" for k, v in pairs) + "}"
 
 
+def state_members(state: dict) -> list:
+    """The member JSON values of a log state, in order."""
+    return state["collection"]["members"] if "collection" in state else [state["class"]]
+
+
+def layout_variants(lines: list[str], k: int, rng: random.Random):
+    """Edits of line k that keep the layout to_jsonl writes, except the
+    last: two members of after swapped, a before member's ch2 "p/1"
+    respelled p, the surface respelled with an empty effective_roots, a
+    member of after replaced by before's member at another index, and a
+    stray character after a member's text."""
+    data = json.loads(lines[k])
+    before, after = state_members(data["before"]), state_members(data["after"])
+    if len(after) >= 2:
+        i, j = rng.sample(range(len(after)), 2)
+        edit = json.loads(lines[k])
+        members = state_members(edit["after"])
+        members[i], members[j] = members[j], members[i]
+        yield json.dumps(edit)
+    spots = [i for i, m in enumerate(before) if m["ch2"].endswith("/1")]
+    if spots:
+        edit = json.loads(lines[k])
+        member = state_members(edit["before"])[rng.choice(spots)]
+        member["ch2"] = int(member["ch2"][:-2])
+        yield json.dumps(edit)
+    if "collection" in data["before"]:
+        edit = json.loads(lines[k])
+        surface = edit["before"]["collection"]["surface"]
+        surface.setdefault("effective_roots", [])
+        yield json.dumps(edit)
+    if len(before) >= 2:
+        i = rng.randrange(len(after))
+        j = rng.choice([j for j in range(len(before)) if j != i])
+        edit = json.loads(lines[k])
+        state_members(edit["after"])[i] = before[j]
+        yield json.dumps(edit)
+    start = lines[k].rindex('"after": ') + len('"after": ')
+    member = json.dumps(after[0])
+    end = lines[k].index(member, start) + len(member)
+    for char in " x]}":
+        yield lines[k][:end] + char + lines[k][end:]
+
+
 def line_variants(lines: list[str], k: int, rng: random.Random):
-    """Edits of line k of a valid log: values of the wrong JSON type,
-    duplicate, missing and reordered keys, the previous after under another
-    key, whitespace, trailing data, a BOM, a non-object line and random
-    single-character edits."""
+    """Edits of line k of a valid log: the layout variants, values of the
+    wrong JSON type, duplicate, missing and reordered keys, the previous
+    after under another key, whitespace, trailing data, a BOM, a
+    non-object line and random single-character edits."""
+    yield from layout_variants(lines, k, rng)
     line = lines[k]
     data = json.loads(line)
     pairs = list(data.items())
@@ -329,6 +373,26 @@ def read_outcome(read, text: str):
         return type(exc), str(exc)
 
 
+def assert_shared_by_text(text: str) -> None:
+    """In a log read from lines in the layout to_jsonl writes, members with
+    the same text are one object, and so is a before whose text is the
+    previous line's after."""
+    log = MutationLog.from_jsonl(text)
+    data = [json.loads(line) for line in text.splitlines()]
+    objects: dict[str, list] = {}
+    for step, line in zip(log.steps, data):
+        for key in ("before", "after"):
+            state = getattr(step, key)
+            members = state.members if isinstance(state, Collection) else (state,)
+            for m, value in zip(members, state_members(line[key]), strict=True):
+                objects.setdefault(json.dumps(value), []).append(m)
+    for same in objects.values():
+        assert all(m is same[0] for m in same)
+    for k in range(1, len(log)):
+        if json.dumps(data[k]["before"]) == json.dumps(data[k - 1]["after"]):
+            assert log.steps[k].before is log.steps[k - 1].after
+
+
 class TestReaderMatchesTheLineByLineOracle:
     """from_jsonl and the line-by-line oracle accept the same texts, read
     them to the same logs and refuse the rest with the same exception.
@@ -366,6 +430,35 @@ class TestReaderMatchesTheLineByLineOracle:
                 else:
                     refused += 1
         assert accepted and refused
+
+    @pytest.mark.parametrize("kind, d", CORPUS, ids=[f"{k} d={d}" for k, d in CORPUS])
+    def test_layout_variants_share_members_by_text(self, kind, d):
+        rng = random.Random(f"layout {kind} {d}")
+        lines = corpus_log(kind, d).to_jsonl().splitlines()
+        accepted = refused = 0
+        for k in range(len(lines)):
+            for variant in layout_variants(lines, k, rng):
+                text = "\n".join(lines[:k] + [variant] + lines[k + 1 :])
+                if not self.assert_same(text):
+                    refused += 1
+                elif variant == json.dumps(json.loads(variant)):
+                    accepted += 1
+                    assert_shared_by_text(text)
+        assert accepted and refused
+
+
+class TestWriterAndReaderStayInStep:
+    @pytest.mark.parametrize("kind, d", CORPUS, ids=[f"{k} d={d}" for k, d in CORPUS])
+    def test_no_line_the_writer_makes_goes_to_json_loads(self, monkeypatch, kind, d):
+        log = corpus_log(kind, d)
+        text = log.to_jsonl()
+        loads = []
+        monkeypatch.setattr(json, "loads", lambda *args, **kwargs: loads.append(args))
+        read = MutationLog.from_jsonl(text)
+        monkeypatch.undo()
+        assert loads == []
+        assert read == log
+        assert_shared_by_text(text)
 
 
 class TestLineSplitting:

@@ -624,6 +624,88 @@ class TestHelix:
         assert len(calls) == 2 * len(c)
 
 
+def pair_checked_helix_period(foundation: Collection):
+    """The helix check with every step's pair checked: each step is
+    ``mutate_pair``, which refuses a pair that is not exceptional."""
+    S, n = foundation.surface, len(foundation.members)
+    helix = helix_extend(foundation, 1 - n, n)
+    for s in range(1, n + 1):
+        x = helix[s]
+        for t in range(1, n):
+            try:
+                x, _ = mutate_pair(S, helix[s - t], x, Direction.LEFT)
+            except (InvalidInputError, InvariantViolationError) as exc:
+                return False, HelixWitness(s, f"step {t}: {exc}", None, None)
+        if x != helix[s - n]:
+            return False, HelixWitness(s, "period mismatch", x, helix[s - n])
+    return True, None
+
+
+def helix_foundations(d: int, words: int, seed: int):
+    """Braid-scrambled basic collections on d blow-ups, each also twisted by
+    a seeded divisor, and every consecutive window of 2 to n - 1 members of
+    both."""
+    rng = random.Random(seed)
+    for c in scrambled_collections(d, words, seed=seed, max_letters=8):
+        S = c.surface
+        D = divisor(*(rng.randint(-3, 3) for _ in range(d + 1)))
+        for members in (c.members, tuple(twist(S, m, D) for m in c.members)):
+            n = len(members)
+            yield Collection(S, members)
+            for length in range(2, n):
+                for start in range(n - length + 1):
+                    yield Collection(S, members[start : start + length])
+
+
+class TestHelixStepsNeedNoPairCheck:
+    """A helix step evaluates chi(A_{s-t}, x) alone: the certified
+    foundation makes every window, mutated or not, exceptional."""
+
+    @pytest.mark.parametrize("d", range(9))
+    def test_every_step_pair_is_exceptional(self, monkeypatch, d):
+        fired, steps = [], []
+        reflect = mutation_module._reflect
+
+        def checked(S, E, F, chi_ef, direction):
+            steps.append(direction)
+            try:
+                if require_exceptional_pair(S, E, F) != chi_ef:
+                    fired.append((E, F, "chi"))
+            except (InvalidInputError, InvariantViolationError) as exc:
+                fired.append((E, F, str(exc)))
+            return reflect(S, E, F, chi_ef, direction)
+
+        outcomes = set()
+        for c in helix_foundations(d, 6, seed=40 + d):
+            expected = pair_checked_helix_period(c)
+            monkeypatch.setattr(mutation_module, "_reflect", checked)
+            got = check_helix_period(c)
+            monkeypatch.undo()
+            assert got == expected
+            outcomes.add(got[0])
+        assert fired == []
+        assert set(steps) == {Direction.LEFT}
+        assert outcomes == {True, False}
+
+    @pytest.mark.parametrize("d", [0, 3, 8])
+    def test_one_chi_per_step_and_no_pair_check(self, monkeypatch, d):
+        c = basic_collection(surface(d))
+        require_numerically_exceptional(c)
+        n, calls = len(c), []
+
+        def counted(*args):
+            calls.append(args)
+            return euler_form(*args)
+
+        def refused(*args):
+            raise AssertionError("a helix step checked its pair")
+
+        monkeypatch.setattr(mutation_module, "euler_form", counted)
+        monkeypatch.setattr(mutation_module, "require_exceptional_pair", refused)
+        assert check_helix_period(c) == (True, None)
+        assert len(calls) == n * (n - 1)
+
+
 class TestGramAndCertificate:
     def test_plane_gram_matrix(self):
         assert gram_matrix(p2_basic()) == [[1, 3, 6], [0, 1, 3], [0, 0, 1]]

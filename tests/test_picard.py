@@ -347,3 +347,33 @@ class TestSurfaceValidation:
     def test_json_round_trip(self):
         S = surface(3, roots=[(0, -1, 1, 0)])
         assert Surface.from_json(S.to_json()) == S
+
+    @pytest.mark.parametrize(
+        "data, words",
+        [
+            ({"blowups": 2, "effective_roots": [[0, -1, 1]] * 100_000}, "declared 100000 roots"),
+            ({"blowups": 9, "effective_roots": [[0, -1, 1]]}, "need 0 <= d <= 8"),
+            ({"blowups": -1, "effective_roots": [[0.5]]}, "need 0 <= d <= 8"),
+        ],
+        ids=["too-many", "d-too-large", "d-negative"],
+    )
+    def test_json_size_refused_before_any_root_is_built(self, monkeypatch, data, words):
+        built = []
+        monkeypatch.setattr(
+            picard_module.DivisorClass, "__post_init__", lambda D: built.append(D)
+        )
+        with pytest.raises(InvalidInputError, match=re.escape(words)):
+            Surface.from_json(data)
+        assert built == []
+
+    def test_json_refusal_order_of_a_long_malformed_list(self):
+        # Three roots on d = 2, the second malformed: the count is refused
+        # first, then (with the count in range) the malformed root, then
+        # the configuration.
+        roots = [[0, -1, 1], [0, "x", 1], [0, 1, -1]]
+        with pytest.raises(InvalidInputError, match=r"^declared 3 roots: at most d = 2"):
+            Surface.from_json({"blowups": 2, "effective_roots": roots})
+        with pytest.raises(InvalidInputError, match=r"^bad divisor class \[0, 'x', 1\]"):
+            Surface.from_json({"blowups": 2, "effective_roots": roots[:2]})
+        with pytest.raises(InvalidInputError, match=r"^declared roots 0\.\.1 are linearly"):
+            Surface.from_json({"blowups": 2, "effective_roots": roots[::2]})
