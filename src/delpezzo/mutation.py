@@ -36,12 +36,12 @@ step gives, and a round trip costs what the steps change, not what the
 lines hold.  ``to_jsonl`` runs json.dumps once per distinct member and
 once per distinct surface and joins each distinct state's text once, from
 those texts and the literal pieces of the line layout.  ``from_jsonl``
-reads a line by the same pieces.  A state whose text is the previous state's is that
-state object, so L chained steps build L + 1 states; a surface or member
-whose text is the previous state's at the same place is that object; any
-other value is taken by json's C scanner, and one class is built per
-distinct member text, shared by every state that holds it.  A line off
-the layout goes to json.loads and ``LogStep.from_json`` whole.
+reads a line by the same pieces, by one rule: each distinct state,
+surface and member text is built once per log, by json's C scanner, and
+a text seen again is that object.  So a log builds one collection per
+distinct state text and one class per distinct member text, shared by
+every state that holds it.  A line off the layout goes to json.loads and
+``LogStep.from_json`` whole.
 Step kinds:
 
     mutate   one adjacent mutation        params: position, direction
@@ -445,19 +445,20 @@ class MutationLog(Value):
         would break it.  Blank lines and a trailing "\\r" are ignored.
 
         A line is read by the layout ``to_jsonl`` writes (see
-        ``_read_line``).  A line off that layout, or one whose layout read
-        raises, goes to the plain reader, json.loads and
-        ``LogStep.from_json``, whose result or refusal is final."""
+        ``_read_line``): each distinct state, surface and member text is
+        built once per log, and a text seen again is that object.  A line
+        off that layout, or one whose layout read raises, goes to the plain
+        reader, json.loads and ``LogStep.from_json``, whose result or
+        refusal is final."""
         steps = []
-        members: dict[str, KClass] = {}
-        previous = None
+        memos: _Memos = ({}, {}, {})
         for line in text.split("\n"):
             line = line.strip()
             if line:
                 try:
-                    step, previous = _read_line(line, previous, members)
+                    step = _read_line(line, memos)
                 except (ValueError, StopIteration):  # StopIteration: no value
-                    step, previous = _read_plain(line), None
+                    step = _read_plain(line)
                 steps.append(step)
         return MutationLog(tuple(steps))
 
@@ -473,16 +474,8 @@ def _read_plain(line: str) -> LogStep:
 
 _scan = json.JSONDecoder().scan_once
 
-
-class _ReadState:
-    """A state read from a log line, with the texts it was read from: the
-    whole state, its surface (None for a class) and each member."""
-
-    __slots__ = ("state", "text", "surface_text", "member_texts", "members")
-
-    def __init__(self, state, text, surface_text, member_texts, members):
-        self.state, self.text, self.surface_text = state, text, surface_text
-        self.member_texts, self.members = member_texts, members
+# The states, surfaces and members of a log read so far, each by its text.
+_Memos = tuple[dict[str, State], dict[str, Surface], dict[str, KClass]]
 
 
 def _expect(line: str, i: int, piece: str) -> int:
@@ -492,80 +485,71 @@ def _expect(line: str, i: int, piece: str) -> int:
     return i + len(piece)
 
 
-def _read_line(
-    line: str, previous: _ReadState | None, members: dict[str, KClass]
-) -> tuple[LogStep, _ReadState]:
-    """The step of a line in the layout ``to_jsonl`` writes, and its
-    ``after`` as read; raises on a line off the layout.  ``before`` is read
-    against the previous line's ``after``, and ``after`` against
-    ``before``."""
+def _read_line(line: str, memos: _Memos) -> LogStep:
+    """The step of a line in the layout ``to_jsonl`` writes; raises on a
+    line off the layout."""
     i = _expect(line, 0, _LINE_OPEN)
     kind, i = _scan(line, i)
     params, i = _scan(line, _expect(line, i, _LINE_PARAMS))
     if type(params) is not dict:
         raise ValueError("log step params off the layout")
-    before, i = _read_state(line, _expect(line, i, _LINE_BEFORE), previous, members)
-    after, i = _read_state(line, _expect(line, i, _LINE_AFTER), before, members)
+    before, i = _read_state(line, _expect(line, i, _LINE_BEFORE), memos)
+    after, i = _read_state(line, _expect(line, i, _LINE_AFTER), memos)
     if _expect(line, i, _LINE_CLOSE) != len(line):
         raise ValueError("trailing data after a log line")
-    return LogStep(kind, params, before.state, after.state), after
+    return LogStep(kind, params, before, after)
 
 
-def _read_state(
-    line: str, i: int, previous: _ReadState | None, members: dict[str, KClass]
-) -> tuple[_ReadState, int]:
-    """The state at line[i:] and the offset past it, read against the
-    previous state.  A state whose text is the previous state's, so whose
-    surface and members would all be the previous state's objects, is that
-    state; any other state is built from its surface and members."""
-    start = i
-    if previous is not None and line.startswith(previous.text, i):
-        return previous, i + len(previous.text)
-    if line.startswith(_CLASS_OPEN, i):
-        m, text, i = _read_member(line, i + len(_CLASS_OPEN), 0, previous, members)
-        i = _expect(line, i, _CLASS_CLOSE)
-        return _ReadState(m, line[start:i], None, (text,), (m,)), i
-    i = _expect(line, i, _COLLECTION_OPEN)
-    surface_text = None if previous is None else previous.surface_text
-    if surface_text is not None and line.startswith(surface_text, i):
-        surface = previous.state.surface
-        i += len(surface_text)
-    else:
-        value, end = _scan(line, i)
-        surface, surface_text, i = Surface.from_json(value), line[i:end], end
-    i = _expect(line, i, _COLLECTION_MEMBERS)
-    read, texts = [], []
-    while not line.startswith(_COLLECTION_CLOSE, i):
-        if read:
-            i = _expect(line, i, _MEMBER_SEP)
-        m, text, i = _read_member(line, i, len(read), previous, members)
-        read.append(m)
-        texts.append(text)
-    i += len(_COLLECTION_CLOSE)
-    state = Collection(surface, tuple(read))
-    return _ReadState(state, line[start:i], surface_text, texts, state.members), i
+def _read_state(line: str, i: int, memos: _Memos) -> tuple[State, int]:
+    """The state at line[i:] and the offset past it.  A collection state
+    ends at the first "]}}" and a class state at the first "}}"; the state
+    is built once per distinct text.  A collection's surface ends at the
+    first members piece, and each member at the first "}, " after it
+    starts, the last at the "]}}"; each is built once per distinct text.
 
-
-def _read_member(
-    line: str, i: int, k: int, previous: _ReadState | None, members: dict[str, KClass]
-) -> tuple[KClass, str, int]:
-    """Member k at line[i:], its text and the offset past it.  It is the
-    previous state's member k when that member's text is there; otherwise
-    the C scanner takes the value, and the class is built once per
-    distinct text and shared through ``members``.  The text of a member is
-    a JSON object, which ends where its value does, so a text that matches
-    is the value; and equal texts are equal values, so sharing needs no
-    type guard."""
-    if previous is not None and k < len(previous.member_texts):
-        text = previous.member_texts[k]
-        if line.startswith(text, i):
-            return previous.members[k], text, i + len(text)
-    value, end = _scan(line, i)
+    Each piece must parse whole, so a cut that falls inside a string or a
+    nested object raises; a piece that does is a JSON value, which ends
+    where its text does, and equal texts are equal values, so sharing by
+    text needs no type guard."""
+    states, surfaces, members = memos
+    is_collection = line.startswith(_COLLECTION_OPEN, i)
+    close = _COLLECTION_CLOSE if is_collection else "}" + _CLASS_CLOSE
+    end = line.find(close, i)
+    if end < 0:
+        raise ValueError("log state off the layout")
+    end += len(close)
     text = line[i:end]
-    m = members.get(text)
-    if m is None:
-        m = members[text] = KClass.from_json(value)
-    return m, text, end
+    state = states.get(text)
+    if state is not None:
+        return state, end
+    if is_collection:
+        body = text[len(_COLLECTION_OPEN) : -len(_COLLECTION_CLOSE)]
+        surface, found, segment = body.partition(_COLLECTION_MEMBERS)
+        # The members less their closing braces, then an empty remainder.
+        texts = (segment + _MEMBER_SEP).split("}" + _MEMBER_SEP) if segment else [""]
+        if not found or texts.pop():
+            raise ValueError("log state off the layout")
+        state = Collection(
+            _read_value(surface, surfaces, Surface.from_json),
+            tuple([_read_value(m + "}", members, KClass.from_json) for m in texts]),
+        )
+    else:
+        member = text[_expect(text, 0, _CLASS_OPEN) : -len(_CLASS_CLOSE)]
+        state = _read_value(member, members, KClass.from_json)
+    states[text] = state
+    return state, end
+
+
+def _read_value(text: str, memo: dict, from_json):
+    """from_json of the JSON value whose whole text is ``text``, built once
+    per distinct text and shared through ``memo``."""
+    value = memo.get(text)
+    if value is None:
+        data, end = _scan(text, 0)
+        if end != len(text):
+            raise ValueError("trailing data after a log value")
+        value = memo[text] = from_json(data)
+    return value
 
 
 def apply_braid(c: Collection, w: BraidWord):

@@ -145,7 +145,7 @@ class Surface(Value):
             for i, C in enumerate(roots):
                 if not isinstance(C, DivisorClass):
                     raise InvalidInputError(f"declared root {i} is not a divisor class")
-            _check_configuration(d, tuple(C.coeffs for C in roots))
+            _check_configuration(d, roots)
         object.__setattr__(self, "d", d)
         object.__setattr__(self, "effective_simple_roots", roots)
 
@@ -182,12 +182,9 @@ def _check_size(d: int, count: int) -> None:
         raise InvalidInputError(f"declared {count} roots: at most d = {d} are independent")
 
 
-@lru_cache(maxsize=256)
-def _check_configuration(d: int, coeffs: tuple[tuple[int, ...], ...]) -> None:
+def _check_configuration(d: int, roots: tuple[DivisorClass, ...]) -> None:
     """Refuse roots that cannot be the simple roots of a root system in the
-    negative-definite lattice K^perp (K^2 > 0).  Cached by the roots'
-    coefficients, because every log state read builds its surface again."""
-    roots = [DivisorClass(c) for c in coeffs]
+    negative-definite lattice K^perp (K^2 > 0)."""
     for i, C in enumerate(roots):
         if C.d != d:
             raise InvalidInputError(f"declared root {i} has wrong dimension")

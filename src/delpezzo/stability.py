@@ -51,18 +51,6 @@ class SlopeVector(Value):
     def components(self) -> tuple[Fraction, ...]:
         return tuple(x / self.rank for x in self.numerators)
 
-    def __lt__(self, other):
-        return compare_slope(self, other) < 0
-
-    def __le__(self, other):
-        return compare_slope(self, other) <= 0
-
-    def __gt__(self, other):
-        return compare_slope(self, other) > 0
-
-    def __ge__(self, other):
-        return compare_slope(self, other) >= 0
-
 
 def vector_slope(
     S: Surface, E: KClass, A: DivisorClass | None = None

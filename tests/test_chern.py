@@ -25,6 +25,7 @@ from delpezzo import (
     curve_class,
     anticanonical_divisor,
     canonical_divisor,
+    compare_slope,
     descend_class,
     euler_form,
     exceptional_divisor,
@@ -244,7 +245,7 @@ class TestSlopes:
         sv = vector_slope(S, E)
         assert sv.components() == (0, 0, -2)
         O = vector_slope(S, structure_class(S))
-        assert sv < O
+        assert compare_slope(sv, O) == -1
 
     def test_vector_slope_tangent_class_with_hyperplane_polarization(self):
         S = surface(0)

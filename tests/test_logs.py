@@ -187,6 +187,12 @@ def state_objects(log: MutationLog):
     return members, surfaces
 
 
+def state_texts(text: str) -> set[str]:
+    """The distinct before and after texts of a log's lines."""
+    lines = [json.loads(line) for line in text.splitlines()]
+    return {json.dumps(line[key]) for line in lines for key in ("before", "after")}
+
+
 LOGS = [
     lambda: seeded_braid_log(0, 30, seed=30),
     lambda: seeded_braid_log(8, 40, seed=48),
@@ -198,10 +204,12 @@ LOG_IDS = ["braid d=0", "braid d=8", "pipeline d=2", "scrambled"]
 
 class TestOncePerState:
     """A state's text is joined once from member and surface texts, and
-    read once: a step's ``before`` is the previous step's ``after``."""
+    read once: each distinct state text is built once per log."""
 
     @pytest.mark.parametrize("d, letters", [(0, 1), (0, 30), (3, 40), (8, 40)])
-    def test_reading_builds_L_plus_one_collections(self, monkeypatch, d, letters):
+    def test_reading_builds_one_collection_per_distinct_state_text(
+        self, monkeypatch, d, letters
+    ):
         log = seeded_braid_log(d, letters, seed=d + letters)
         text = log.to_jsonl()
         built = []
@@ -215,7 +223,20 @@ class TestOncePerState:
         read = MutationLog.from_jsonl(text)
         monkeypatch.undo()
         assert read == log
-        assert len(built) == letters + 1
+        assert len(built) == len(state_texts(text))
+
+    def test_a_revisited_state_is_one_object(self):
+        # L1 R1 is the identity, so the states alternate: 2 distinct texts.
+        c = basic_collection(surface(3))
+        _, log = apply_braid(c, BraidWord.parse("L1 R1 L1 R1"))
+        text = log.to_jsonl()
+        assert len(state_texts(text)) == 2
+        read = MutationLog.from_jsonl(text)
+        assert read == log
+        assert read.steps[2].before is read.steps[0].before
+        assert read.steps[3].after is read.steps[0].before
+        assert read.steps[3].before is read.steps[0].after
+        assert_shared_by_text(text)
 
     @pytest.mark.parametrize("make_log", LOGS, ids=LOG_IDS)
     def test_each_before_is_the_previous_after(self, make_log):
@@ -280,10 +301,10 @@ def state_members(state: dict) -> list:
 
 def layout_variants(lines: list[str], k: int, rng: random.Random):
     """Edits of line k that keep the layout to_jsonl writes, except the
-    last: two members of after swapped, a before member's ch2 "p/1"
+    last ones: two members of after swapped, a before member's ch2 "p/1"
     respelled p, the surface respelled with an empty effective_roots, a
-    member of after replaced by before's member at another index, and a
-    stray character after a member's text."""
+    member of after replaced by before's member at another index, a stray
+    character after a member's text, and the delimiter variants."""
     data = json.loads(lines[k])
     before, after = state_members(data["before"]), state_members(data["after"])
     if len(after) >= 2:
@@ -314,6 +335,25 @@ def layout_variants(lines: list[str], k: int, rng: random.Random):
     end = lines[k].index(member, start) + len(member)
     for char in " x]}":
         yield lines[k][:end] + char + lines[k][end:]
+    yield from delimiter_variants(lines, k)
+
+
+def delimiter_variants(lines: list[str], k: int):
+    """Edits of line k, in json.dumps' spelling, whose values hold the
+    pieces the layout reader cuts at: a member with an extra key holding
+    "}, {", "]}}" or "}}" or a nested object, and a surface with an extra
+    key "members" holding a list, so that ', "members": [' occurs in it.
+    The plain reader ignores extra keys, so every edit is readable."""
+    data = json.loads(lines[k])
+    for key in ("before", "after"):
+        for extra in ["}, {", "]}}", "}}", {"a": {"b": 1}}]:
+            edit = json.loads(lines[k])
+            state_members(edit[key])[0]["x"] = extra
+            yield json.dumps(edit)
+        if "collection" in data[key]:
+            edit = json.loads(lines[k])
+            edit[key]["collection"]["surface"]["members"] = state_members(data[key])[:1]
+            yield json.dumps(edit)
 
 
 def line_variants(lines: list[str], k: int, rng: random.Random):
@@ -366,6 +406,14 @@ def line_variants(lines: list[str], k: int, rng: random.Random):
         )
 
 
+def empty_collection_log() -> MutationLog:
+    """Two steps between the basic collection on d = 2 and no members."""
+    S = surface(2)
+    empty, basic = Collection(S, ()), basic_collection(S)
+    steps = (LogStep("order", {}, empty, basic), LogStep("order", {}, basic, empty))
+    return MutationLog(steps)
+
+
 def read_outcome(read, text: str):
     try:
         return "read", read(text)
@@ -374,23 +422,22 @@ def read_outcome(read, text: str):
 
 
 def assert_shared_by_text(text: str) -> None:
-    """In a log read from lines in the layout to_jsonl writes, members with
-    the same text are one object, and so is a before whose text is the
-    previous line's after."""
+    """In a log read from lines in the layout to_jsonl writes, states with
+    the same text are one object wherever they stand in the log, and so
+    are members with the same text, whether they stand in a collection or
+    as a class state."""
     log = MutationLog.from_jsonl(text)
     data = [json.loads(line) for line in text.splitlines()]
     objects: dict[str, list] = {}
     for step, line in zip(log.steps, data):
         for key in ("before", "after"):
             state = getattr(step, key)
+            objects.setdefault(json.dumps(line[key]), []).append(state)
             members = state.members if isinstance(state, Collection) else (state,)
             for m, value in zip(members, state_members(line[key]), strict=True):
                 objects.setdefault(json.dumps(value), []).append(m)
     for same in objects.values():
-        assert all(m is same[0] for m in same)
-    for k in range(1, len(log)):
-        if json.dumps(data[k]["before"]) == json.dumps(data[k - 1]["after"]):
-            assert log.steps[k].before is log.steps[k - 1].after
+        assert all(x is same[0] for x in same)
 
 
 class TestReaderMatchesTheLineByLineOracle:
@@ -431,16 +478,27 @@ class TestReaderMatchesTheLineByLineOracle:
                     refused += 1
         assert accepted and refused
 
+    def test_edits_of_an_empty_collection(self):
+        text = empty_collection_log().to_jsonl()
+        assert self.assert_same(text)
+        assert self.assert_same(text.replace("[]", "[ ]", 1))
+        assert not self.assert_same(text.replace("[]", "[{}]", 1))
+        assert not self.assert_same(text.replace(', "members": [', "", 1))
+
     @pytest.mark.parametrize("kind, d", CORPUS, ids=[f"{k} d={d}" for k, d in CORPUS])
     def test_layout_variants_share_members_by_text(self, kind, d):
         rng = random.Random(f"layout {kind} {d}")
         lines = corpus_log(kind, d).to_jsonl().splitlines()
         accepted = refused = 0
         for k in range(len(lines)):
+            delimited = set(delimiter_variants(lines, k))
             for variant in layout_variants(lines, k, rng):
                 text = "\n".join(lines[:k] + [variant] + lines[k + 1 :])
                 if not self.assert_same(text):
+                    assert variant not in delimited
                     refused += 1
+                elif variant in delimited:
+                    continue  # read whole by the plain reader, which shares nothing
                 elif variant == json.dumps(json.loads(variant)):
                     accepted += 1
                     assert_shared_by_text(text)
@@ -451,6 +509,17 @@ class TestWriterAndReaderStayInStep:
     @pytest.mark.parametrize("kind, d", CORPUS, ids=[f"{k} d={d}" for k, d in CORPUS])
     def test_no_line_the_writer_makes_goes_to_json_loads(self, monkeypatch, kind, d):
         log = corpus_log(kind, d)
+        text = log.to_jsonl()
+        loads = []
+        monkeypatch.setattr(json, "loads", lambda *args, **kwargs: loads.append(args))
+        read = MutationLog.from_jsonl(text)
+        monkeypatch.undo()
+        assert loads == []
+        assert read == log
+        assert_shared_by_text(text)
+
+    def test_an_empty_collection_is_read_by_the_layout(self, monkeypatch):
+        log = empty_collection_log()
         text = log.to_jsonl()
         loads = []
         monkeypatch.setattr(json, "loads", lambda *args, **kwargs: loads.append(args))
