@@ -5,6 +5,7 @@ blow-down pipeline.  All arithmetic is exact; no floats anywhere."""
 
 from .chern import (
     KClass,
+    compare_mu,
     curve_class,
     default_ample,
     descend_class,

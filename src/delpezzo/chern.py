@@ -18,12 +18,14 @@ mutation searches.
 
 Every class caches its anticanonical degree H.c1, computed once at
 construction by ``picard.anticanonical_degree``: the pairing reads both
-cached degrees and takes one product c1E.c1F, and ``slope_mu``, the
-anticanonical slope mu_H = H.c1/r, reads one.  The integrality check
-reads the cached degree too, by the congruence c1^2 = H.c1 (mod 2): for
-c1 = (a; b), a^2 - sum b^2 = a + sum b = 3a - sum b (mod 2).  Sums,
-twists and weighted sums build each new class once, from its integer
-coordinates.
+cached degrees and takes one product c1E.c1F.  The anticanonical slope
+mu_H = H.c1/r is ordered by ``compare_mu``, which cross-multiplies the
+integers (H.c1, r); ``slope_mu`` builds the Fraction only to show one.
+Other modules read the cached degree as ``KClass.hc1``.  The integrality
+check reads the cached degree too, by the congruence c1^2 = H.c1
+(mod 2): for c1 = (a; b), a^2 - sum b^2 = a + sum b = 3a - sum b
+(mod 2).  Sums, twists and weighted sums build each new class once,
+from its integer coordinates.
 """
 
 from __future__ import annotations
@@ -54,9 +56,9 @@ class KClass(Value):
     Negative rank is allowed (formal classes); rank-0 classes are the
     torsion ones.
 
-    ``_hc1`` caches the anticanonical degree H.c1.  It takes no part in
-    construction, equality, hashing, the repr or JSON; a frozen class
-    cannot go stale.
+    ``_hc1`` caches the anticanonical degree H.c1, read as ``hc1``.  It
+    takes no part in construction, equality, hashing, the repr or JSON; a
+    frozen class cannot go stale.
     """
 
     __slots__ = ("r", "c1", "two_ch2", "_hc1")
@@ -78,6 +80,11 @@ class KClass(Value):
             raise InvalidInputError(
                 f"class ({self.r}, {self.c1.coeffs}, {self.ch2}) has non-integer c2"
             )
+
+    @property
+    def hc1(self) -> int:
+        """The anticanonical degree H.c1, cached at construction."""
+        return self._hc1
 
     @property
     def ch2(self) -> Fraction:
@@ -205,14 +212,35 @@ def euler_form(S: Surface, E: KClass, F: KClass) -> int:
     return doubled // 2
 
 
-def slope_mu(S: Surface, E: KClass) -> Fraction:
-    """The anticanonical slope mu_H(E) = H.c1/r, read off the cached
-    degree.  Undefined on torsion classes."""
+def _require_slope(S: Surface, E: KClass) -> None:
     if E.d != S.d:
         raise InvalidInputError("inputs do not belong to this surface")
     if E.r == 0:
         raise DomainError("slope is undefined for rank-0 classes")
+
+
+def slope_mu(S: Surface, E: KClass) -> Fraction:
+    """The anticanonical slope mu_H(E) = H.c1/r, read off the cached
+    degree, as the Fraction a user is shown.  Undefined on torsion
+    classes."""
+    _require_slope(S, E)
     return Fraction(E._hc1, E.r)
+
+
+def compare_mu(S: Surface, E: KClass, F: KClass) -> int:
+    """-1, 0, +1 as mu_H(E) <, =, > mu_H(F), decided on the integers
+    (H.c1, r): mu_H(E) - mu_H(F) = (hE rF - hF rE) / (rE rF), so the
+    cross product has its sign when rE and rF have the same sign and the
+    opposite sign otherwise.  Refuses E, then F, as ``slope_mu`` would;
+    compare_mu(S, E, E) is 0 for every class ``slope_mu`` accepts."""
+    n = S.d + 1  # one test for the common case, then slope_mu's refusals
+    if len(E.c1.coeffs) != n or len(F.c1.coeffs) != n or not E.r or not F.r:
+        _require_slope(S, E)
+        _require_slope(S, F)
+    t = E._hc1 * F.r - F._hc1 * E.r
+    if (E.r < 0) is not (F.r < 0):
+        t = -t
+    return (t > 0) - (t < 0)
 
 
 def default_ample(S: Surface) -> DivisorClass:

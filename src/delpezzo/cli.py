@@ -85,7 +85,8 @@ def _json_int(text: str) -> int:
         ) from exc
 
 
-def _frac(x: Fraction) -> str:
+def _frac(x: int | Fraction) -> str:
+    """A slope as "p/q" in lowest terms; an integer shows as "p/1"."""
     return f"{x.numerator}/{x.denominator}"
 
 

@@ -23,7 +23,7 @@ The module also computes restriction splitting types on an exceptional
 curve.  A rigid restriction of rank r and degree deg splits as
 alpha*O(s-1) + beta*O(s) for the unique (alpha, s) with beta >= 1, and
 the rotate-and-twist index of a list ordered by strictly increasing
-anticanonical slope (``chern.slope_mu``) is the first rotation placing
+anticanonical slope (``chern.compare_mu``) is the first rotation placing
 every member's splitting degrees inside two adjacent integers.
 """
 
@@ -31,7 +31,7 @@ from __future__ import annotations
 
 import enum
 
-from .chern import KClass, euler_form, slope_mu
+from .chern import KClass, compare_mu, euler_form
 from .errors import DomainError, InvalidInputError, InvariantViolationError
 from .picard import (
     Surface,
@@ -172,14 +172,20 @@ def rotation_index(
     all splitting degrees inside two adjacent integers.
 
     Returns (i, (lo, hi)), the 1-based index and the observed degree
-    window.  Requires the anticanonical slopes to be strictly increasing.
+    window.  Requires the anticanonical slopes to be strictly increasing,
+    decided by ``chern.compare_mu`` on the integers (H.c1, r).
     No twisted copy is built: -K.e_i = 1, so twisting by -K adds r to the
     restriction degree and raises every splitting degree by exactly one.
     """
     if not classes:
         raise InvalidInputError("rotation index needs a nonempty list")
-    slopes = [slope_mu(S, c) for c in classes]
-    if any(a >= b for a, b in zip(slopes, slopes[1:])):
+    # compare_mu refuses E, then F, as slope_mu would: every sign (a lone
+    # class's against itself) is taken before any is read, so the first
+    # refusal is the first bad class's.
+    signs = [compare_mu(S, a, b) for a, b in zip(classes, classes[1:])]
+    if len(classes) == 1:
+        compare_mu(S, classes[0], classes[0])
+    if any(s >= 0 for s in signs):
         raise DomainError("rotation index needs strictly increasing slopes")
     own = [splitting_degrees(c.r, restriction_degree(S, c, e_index)) for c in classes]
     twisted = [{x + 1 for x in g} for g in own]

@@ -16,25 +16,26 @@ caller-supplied (they are not determined by K-theory data) and are
 carried positionally through the pipeline.
 
 Each stage reads a collection's members once, through ``_slopes``: it
-checks every member and gives its anticanonical slope, None for a
-torsion member, and runs again only after a move.  Rank-0 members are
-accepted when they are multiples k*[O_{e_i}(-1)] of a blow-up curve
-class, read off the coordinates (c1 is -k at e_i and zero elsewhere,
-2*ch2 = -k): the basic collections contain them and the peel identity
-strips them along with the bundle layer.  Slope stages hold them fixed;
-moves that would twist them are refused rather than guessed.
+checks every member and gives the member that carries an anticanonical
+slope, None for a torsion member, and runs again only after a move.
+Slopes are ordered by ``chern.compare_mu``, and the window is measured
+against K^2, by integer cross-multiplication on (H.c1, r); no Fraction
+is built.  Rank-0 members are accepted when they are multiples
+k*[O_{e_i}(-1)] of a blow-up curve class, read off the coordinates (c1
+is -k at e_i and zero elsewhere, 2*ch2 = -k): the basic collections
+contain them and the peel identity strips them along with the bundle
+layer.  Slope stages hold them fixed; moves that would twist them are
+refused rather than guessed.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
-
 from .chern import (
     KClass,
+    compare_mu,
     curve_class,
     descend_class,
     euler_form,
-    slope_mu,
     twist,
     weighted_sum,
 )
@@ -78,11 +79,12 @@ def _torsion_multiplicity(E: KClass) -> tuple[int, int]:
     )
 
 
-def _slopes(c: Collection) -> list[Fraction | None]:
-    """Each member's anticanonical slope, None for a torsion member, after
-    checking that every rank is non-negative and every torsion member is a
-    multiple k*[O_{e_i}(-1)] of a blow-up curve class."""
-    slopes: list[Fraction | None] = []
+def _slopes(c: Collection) -> list[KClass | None]:
+    """Each member that has an anticanonical slope, None for a torsion
+    member, after checking that every rank is non-negative and every
+    torsion member is a multiple k*[O_{e_i}(-1)] of a blow-up curve class.
+    The slopes are compared with ``compare_mu``, never built."""
+    slopes: list[KClass | None] = []
     for m in c.members:
         if m.r < 0:
             raise InvalidInputError("pipeline members need non-negative rank")
@@ -90,12 +92,16 @@ def _slopes(c: Collection) -> list[Fraction | None]:
             _torsion_multiplicity(m)
             slopes.append(None)
         else:
-            slopes.append(slope_mu(c.surface, m))
+            slopes.append(m)
     return slopes
 
 
-def _bundle_slopes(slopes: list[Fraction | None]) -> list[Fraction]:
-    return [mu for mu in slopes if mu is not None]
+def _bundle_slopes(slopes: list[KClass | None]) -> list[KClass]:
+    return [m for m in slopes if m is not None]
+
+
+def _descending(S: Surface, mus: list[KClass]) -> bool:
+    return any(compare_mu(S, x, y) > 0 for x, y in zip(mus, mus[1:]))
 
 
 def order_hom(c: Collection) -> tuple[Collection, MutationLog]:
@@ -104,6 +110,7 @@ def order_hom(c: Collection) -> tuple[Collection, MutationLog]:
     |chi|*E + F lies strictly between: the window never widens.  Torsion
     members are held fixed; a descent split by one is refused."""
     require_numerically_exceptional(c)
+    S = c.surface
     slopes = _slopes(c)
     guard = len(c.members) ** 2 + len(c.members) + 1
     steps: list[LogStep] = []
@@ -112,7 +119,7 @@ def order_hom(c: Collection) -> tuple[Collection, MutationLog]:
         descents = [
             p
             for p, (a, b) in enumerate(zip(slopes, slopes[1:]))
-            if a is not None and b is not None and a > b
+            if a is not None and b is not None and compare_mu(S, a, b) > 0
         ]
         if not descents:
             break
@@ -124,8 +131,7 @@ def order_hom(c: Collection) -> tuple[Collection, MutationLog]:
         steps.append(LogStep("mutate", params, current, new))
         current = new
         slopes = _slopes(current)
-    mus = _bundle_slopes(slopes)
-    if any(x > y for x, y in zip(mus, mus[1:])):
+    if _descending(S, _bundle_slopes(slopes)):
         raise DomainError(
             "descending slopes around a fixed torsion member cannot be "
             "hom-ordered by adjacent mutations"
@@ -164,30 +170,45 @@ def global_twist(c: Collection, D: DivisorClass) -> Collection:
 
 def reduce_spread(c: Collection) -> tuple[Collection, MutationLog]:
     """Rotate-and-twist, re-ordering in between, until the slope window is
-    narrower than K^2.  Output is hom-ordered."""
+    narrower than K^2.  Output is hom-ordered.
+
+    Every rank here is positive, so mu_H(y) - mu_H(x) compares with K^2 as
+    hy rx - hx ry with K^2 rx ry, h = H.c1; the input is hom-ordered, so
+    the window runs from the first member's slope to the last one's."""
     require_numerically_exceptional(c)
+    S = c.surface
     mus = _bundle_slopes(_slopes(c))
     if not mus:
         return c, MutationLog(())
-    if any(x > y for x, y in zip(mus, mus[1:])):
+    if _descending(S, mus):
         raise InvalidInputError("reduce_spread needs a hom-ordered collection")
-    k2 = c.surface.k_squared
+    k2 = S.k_squared
+
+    def excess(x: KClass, y: KClass) -> int:
+        """(mu_H(y) - mu_H(x) - K^2) * rx * ry, which has its sign."""
+        return y.hc1 * x.r - x.hc1 * y.r - k2 * x.r * y.r
+
+    lo, hi = mus[0], mus[-1]
+    cap = (hi.hc1 * lo.r - lo.hc1 * hi.r) // (k2 * lo.r * hi.r) + len(c.members) + 8
     steps: list[LogStep] = []
     current = c
-    cap = int((max(mus) - min(mus)) / k2) + len(c.members) + 8
     for _ in range(cap):
-        lo, hi = min(mus), max(mus)
-        if hi - lo < k2:
+        over = excess(mus[0], mus[-1])
+        if over < 0:
             return current, MutationLog(tuple(steps))
         if len(mus) != len(current.members):
             raise DomainError("slope-window reduction would twist torsion members")
         # Every member has positive rank from here on, so the slopes index
         # the members.
-        if hi - lo > k2:
-            j = next(p + 1 for p, mu in enumerate(mus) if mu > mus[0] + k2)
+        if over > 0:
+            j = next(p + 1 for p, mu in enumerate(mus) if excess(mus[0], mu) > 0)
         else:
             # Window exactly K^2: rotate just past the lowest slope level.
-            j = next(p + 2 for p, (x, y) in enumerate(zip(mus, mus[1:])) if x < y)
+            j = next(
+                p + 2
+                for p, (x, y) in enumerate(zip(mus, mus[1:]))
+                if compare_mu(S, x, y) < 0
+            )
         rotated = rotate_twist(current, j)
         steps.append(LogStep("rotate", {"j": j}, current, rotated))
         current = _ordered(rotated, steps)
@@ -269,13 +290,13 @@ def peel_curve(
     return G, alpha, MutationLog((LogStep("peel", params, c, G),))
 
 
-def _slope_groups(slopes: list[Fraction | None]) -> list[list[int]]:
+def _slope_groups(S: Surface, slopes: list[KClass | None]) -> list[list[int]]:
     """Contiguous runs of equal slope among the positive-rank members."""
     groups: list[list[int]] = []
     for p, mu in enumerate(slopes):
         if mu is None:
             continue
-        if groups and slopes[groups[-1][-1]] == mu:
+        if groups and compare_mu(S, slopes[groups[-1][-1]], mu) == 0:
             groups[-1].append(p)
         else:
             groups.append([p])
@@ -301,7 +322,7 @@ def _group_start(groups: list[list[int]], i: int) -> int:
 def rotation_start(c: Collection, group_index: int) -> int:
     """The j that the rotate stage passes to ``rotate_twist`` when it picks
     slope group ``group_index`` of c."""
-    groups = _slope_groups(_slopes(c))
+    groups = _slope_groups(c.surface, _slopes(c))
     if not 1 <= group_index <= len(groups):
         raise InvalidInputError(
             f"group index {group_index} is not one of the {len(groups)} slope groups"
@@ -310,7 +331,7 @@ def rotation_start(c: Collection, group_index: int) -> int:
 
 
 def _rotate_stage(S: Surface, c: Collection, mults: list[int]):
-    groups = _slope_groups(_slopes(c))
+    groups = _slope_groups(S, _slopes(c))
     if not groups:
         raise DomainError("the pipeline needs at least one positive-rank member")
     group_classes = [weighted_sum((c.members[p], mults[p]) for p in g) for g in groups]

@@ -4,7 +4,10 @@ Slopes are stored unreduced as (numerators, rank) so that comparison is
 cross-multiplication (no division and no floats ever decide a tie) and
 so that merging two slopes is just adding both parts -- the mediant,
 which is the arithmetic engine behind the see-saw axiom: the slope of an
-extension sits weakly between the slopes of its pieces.
+extension sits weakly between the slopes of its pieces.  The numerators
+of a class's slope are integers, so ordering, scaling and merging are
+plain integer arithmetic; a Fraction is built only to show a slope
+(``SlopeVector.components``).
 
 The HN machinery acts on formal graded objects: ordered lists of
 (K-class, multiplicity) quotients, top quotient first, each quotient
@@ -19,20 +22,30 @@ from __future__ import annotations
 from fractions import Fraction
 from .chern import KClass, default_ample, weighted_sum
 from .errors import DomainError, InvalidInputError
-from .picard import DivisorClass, Surface, anticanonical_degree, dot
+from .picard import DivisorClass, Surface, dot
 from .values import Value
 
 
 class SlopeVector(Value):
-    """Lexicographic slope (d_H/r, d_A/r, d_Delta/r) kept as exact numerators."""
+    """Lexicographic slope (d_H/r, d_A/r, d_Delta/r) kept as exact numerators.
+
+    Each numerator is kept as given, an int or a Fraction: a class's slope
+    has integer numerators, and nothing converts them.  A float, a string
+    or a bool is refused rather than read as a number."""
 
     __slots__ = _fields = ("rank", "numerators")
 
-    def __init__(self, rank: int, numerators: tuple[Fraction, ...]):
-        if not isinstance(rank, int) or rank <= 0:
+    def __init__(self, rank: int, numerators: tuple[int | Fraction, ...]):
+        if type(rank) is not int or rank <= 0:
             raise InvalidInputError("slope rank must be a positive integer")
+        numerators = tuple(numerators)
+        for x in numerators:
+            if type(x) is not int and type(x) is not Fraction:
+                raise InvalidInputError(
+                    f"slope numerators must be integers or Fractions, got {x!r}"
+                )
         object.__setattr__(self, "rank", rank)
-        object.__setattr__(self, "numerators", tuple(Fraction(x) for x in numerators))
+        object.__setattr__(self, "numerators", numerators)
 
     def __add__(self, other: "SlopeVector") -> "SlopeVector":
         if len(self.numerators) != len(other.numerators):
@@ -49,7 +62,8 @@ class SlopeVector(Value):
         return SlopeVector(m * self.rank, tuple(m * x for x in self.numerators))
 
     def components(self) -> tuple[Fraction, ...]:
-        return tuple(x / self.rank for x in self.numerators)
+        """The slope's components as the Fractions a user is shown."""
+        return tuple(Fraction(x, self.rank) for x in self.numerators)
 
 
 def vector_slope(
@@ -63,8 +77,7 @@ def vector_slope(
         raise DomainError("vector slope needs positive rank")
     if A is None:
         A = default_ample(S)
-    h, a = anticanonical_degree(E.c1), dot(A, E.c1)
-    return SlopeVector(E.r, (h, a, E.two_ch2))
+    return SlopeVector(E.r, (E.hc1, dot(A, E.c1), E.two_ch2))
 
 
 def compare_slope(a: SlopeVector, b: SlopeVector) -> int:

@@ -421,7 +421,7 @@ class TestAnticanonicalCache:
             descend_class(S, KClass(2, divisor(3, 1, 0, 0), 2)),
         ]
         for x in built:
-            assert x._hc1 == anticanonical_degree(x.c1)
+            assert x._hc1 == x.hc1 == anticanonical_degree(x.c1)
 
     def test_cache_takes_no_part_in_the_value(self):
         E = KClass(2, divisor(3, 1, 0), 2)

@@ -13,6 +13,7 @@ from _helpers import oracle_slope, p2_basic, random_kclass, surface
 from delpezzo import (
     DomainError,
     MutationLog,
+    anticanonical_divisor,
     basic_collection,
     default_ample,
     intersect,
@@ -94,6 +95,10 @@ class TestSlope:
         d = doc(out)
         assert d["mu_h"] == "0/1"
         assert d["vector"]["rank"] == 1
+        assert out == (
+            '{"mu_h": "0/1", "mu_a": "0/1", '
+            '"vector": {"rank": 1, "numerators": ["0/1", "0/1", "0/1"]}}\n'
+        )
 
     def test_rank_zero_is_domain_error(self, capsys):
         code, _, err = invoke(
@@ -109,7 +114,9 @@ class TestSlope:
 
     def test_slopes_match_the_oracles_on_every_surface(self, capsys):
         # mu_h is H.c1/r through the intersection form; mu_a is A.c1/r for
-        # the default ample class, printed for positive ranks only.
+        # the default ample class, printed for positive ranks only, with
+        # the vector's integer numerators (H.c1, A.c1, 2 ch2) as "p/1".
+        # The whole answer is pinned byte for byte.
         rng = random.Random(72)
         ranks = {"negative": 0, "zero": 0, "positive": 0}
         for d in range(9):
@@ -130,13 +137,22 @@ class TestSlope:
                 assert slope_mu(S, E) == mu
                 answer = doc(out)
                 assert answer["mu_h"] == f"{mu.numerator}/{mu.denominator}"
+                expected = {"mu_h": answer["mu_h"]}
                 if E.r > 0:
                     ranks["positive"] += 1
                     mu_a = Fraction(intersect(S, A, E.c1), E.r)
                     assert answer["mu_a"] == f"{mu_a.numerator}/{mu_a.denominator}"
+                    h = intersect(S, anticanonical_divisor(d), E.c1)
+                    numerators = [h, intersect(S, A, E.c1), E.two_ch2]
+                    assert answer["vector"] == {
+                        "rank": E.r,
+                        "numerators": [f"{x}/1" for x in numerators],
+                    }
+                    expected.update(mu_a=answer["mu_a"], vector=answer["vector"])
                 else:
                     ranks["negative"] += 1
                     assert "mu_a" not in answer
+                assert (code, out, err) == (0, json.dumps(expected) + "\n", "")
         assert min(ranks.values()) > 0, ranks
 
 

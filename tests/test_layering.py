@@ -56,6 +56,20 @@ def test_no_float_constants(path):
     assert floats == [], f"float constants on lines {floats}"
 
 
+@pytest.mark.parametrize("name", ["pipeline.py", "pairs.py"])
+def test_slope_order_modules_import_nothing_from_fractions(name):
+    """The pipeline and the pair layer order slopes by integer
+    cross-multiplication (``chern.compare_mu``); a Fraction is built only
+    where a slope is shown."""
+    found = [
+        node.lineno
+        for node in ast.walk(parse(PACKAGE / name))
+        if (isinstance(node, ast.ImportFrom) and node.module == "fractions")
+        or (isinstance(node, ast.Import) and any(a.name == "fractions" for a in node.names))
+    ]
+    assert found == [], f"fractions imported on lines {found}"
+
+
 @pytest.mark.parametrize("path", MODULES + [HELPERS], ids=lambda p: p.name)
 def test_no_function_level_imports(path):
     nested = [

@@ -53,6 +53,31 @@ class TestCompareSlope:
             SlopeVector(0, (Fraction(1),))
 
 
+class TestSlopeVectorInputs:
+    @pytest.mark.parametrize("bad", [0.1, "1/2", True, False], ids=["float", "str", "True", "False"])
+    def test_refuses_a_numerator_that_is_no_int_or_fraction(self, bad):
+        with pytest.raises(InvalidInputError, match="^slope numerators must be integers or Fractions"):
+            SlopeVector(1, (1, bad))
+
+    def test_refuses_a_bool_rank(self):
+        with pytest.raises(InvalidInputError, match="^slope rank must be a positive integer$"):
+            SlopeVector(True, (1,))
+
+    def test_keeps_ints_and_fractions_as_given(self):
+        x = SlopeVector(2, [3, Fraction(1, 2)])
+        assert x.numerators == (3, Fraction(1, 2))
+        assert [type(v) for v in x.numerators] == [int, Fraction]
+        assert x.components() == (Fraction(3, 2), Fraction(1, 4))
+        assert {type(v) for v in x.components()} == {Fraction}
+
+    def test_integer_arithmetic_stays_integer(self):
+        S = surface(3)
+        a = vector_slope(S, line_bundle(S, 1, 1, 0, 0))
+        b = vector_slope(S, structure_class(S)).scaled(3)
+        for v in (a, b, a + b, (a + b).scaled(2)):
+            assert {type(x) for x in v.numerators} == {int}
+
+
 class TestMediantAndGap:
     def test_mediant_trichotomy(self):
         rng = random.Random(22)
