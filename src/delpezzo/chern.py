@@ -212,6 +212,19 @@ def euler_form(S: Surface, E: KClass, F: KClass) -> int:
     return doubled // 2
 
 
+def euler_weights(S: Surface, E: KClass) -> tuple[int, ...]:
+    """The weights w of chi(E, .) on integer coordinates: for every class
+    F with coordinates y = (r, 2*ch2, H.c1, *c1), 2 chi(E, F) = sum w*y.
+    They are ``euler_form``'s expansion with F left open: the rank,
+    2*ch2 and cached degree terms, then -2 c1E weighted by ``dot``'s
+    diagonal (+1, -1, ..., -1)."""
+    p = E.c1.coeffs
+    if len(p) != S.d + 1:
+        raise InvalidInputError("class does not belong to this surface")
+    er = E.r
+    return (2 * er - E._hc1 + E.two_ch2, er, er, -2 * p[0], *[2 * x for x in p[1:]])
+
+
 def _require_slope(S: Surface, E: KClass) -> None:
     if E.d != S.d:
         raise InvalidInputError("inputs do not belong to this surface")

@@ -4,7 +4,7 @@ The step records (``LogStep``, ``MutationLog``) and their JSON-lines form
 live in ``mutation``, beside the moves that write them, and are
 re-exported here.  ``replay`` recomputes every step's ``after`` from its
 ``before`` and ``params`` and checks it is reproduced exactly; after the
-first step, ``before`` is the previous step's verified result.
+first step, ``before`` is the previous step's verified recorded ``after``.
 """
 
 from __future__ import annotations
@@ -18,6 +18,7 @@ from .mutation import (
     MutationLog,
     State,
     mutate_collection,
+    recorded_state,
 )
 from .picard import Surface, canonical_divisor
 from .pipeline import global_twist, order_hom, peel_curve, rotate_twist, rotation_start
@@ -114,18 +115,24 @@ def replay(log: MutationLog) -> bool:
     (raises on the first mismatch).
 
     Step 0 is recomputed from its recorded 'before', which a mutation
-    certifies in full.  Every later step is recomputed from the verified
-    result of the step before it, equal to its recorded 'before' by the
-    chain check, so a mutation step checks only its new member's Gram row
-    and column."""
+    certifies in full.  Once a step's result equals its recorded 'after',
+    replay goes on from the recorded object, which takes over the
+    result's certificate (``mutation.recorded_state``).  So every later
+    step starts from a state as certified as the step before left it,
+    equal to its recorded 'before' by the chain check, and a mutation step
+    checks only its new member's Gram row and column.  A log read by
+    ``from_jsonl`` shares each state and member by its text, so the chain
+    check and the comparison of the members a step leaves alone meet
+    identical objects."""
     state = None
     for k, step in enumerate(log.steps):
-        if k and step.before != log.steps[k - 1].after:
+        if k and step.before != state:
             raise InvalidInputError(
                 f"step {k} ({step.kind}) does not start where step {k - 1} ended"
             )
-        state = _recompute(step, step.before if k == 0 else state)
-        if state != step.after:
+        computed = _recompute(step, step.before if k == 0 else state)
+        state = recorded_state(computed, step.after)
+        if state is None:
             raise InvalidInputError(
                 f"step {k} ({step.kind}) does not replay to its recorded state"
             )

@@ -24,10 +24,12 @@ first (4 chi).  A mutation never classifies its pair.
 Rotation and global twist certify the full matrix.  Nothing caches chi.
 Braid words act letter by letter.  A foundation of length n extends to
 a helix by the twist periodicity  E_{i+sn} = E_i(-sK),  and the helix
-axiom L^(n-1) A_s = A_{s-n} is checked by explicit iterated mutation, one
-chi per step: the certified foundation makes every window of the helix,
-mutated or not, exceptional (twist invariance, Serre duality and the
-isometry of a mutation), so no step re-checks its pair.
+axiom L^(n-1) A_s = A_{s-n} is checked by explicit iterated mutation on
+integer coordinates (r, 2*ch2, H.c1, *c1): one chi per step, read off
+the partner's ``chern.euler_weights``, and one class built per s.  The
+certified foundation makes every window of the helix, mutated or not,
+exceptional (twist invariance, Serre duality and the isometry of a
+mutation), so no step re-checks its pair.
 
 Every move is recorded as a replayable ``LogStep`` {kind, params, before,
 after}; a ``MutationLog`` of steps serializes to JSON-lines, one step per
@@ -51,7 +53,8 @@ Step kinds:
     peel     subtract the O_e(-1) layer   params: mults, e_index, alpha
     descend  drop the e_d coordinate      params: e_index, surface
 
-``logs.replay`` recomputes the steps.
+``logs.replay`` recomputes the steps and goes on from each recorded
+state it matches, which takes over the certificate by ``recorded_state``.
 """
 
 from __future__ import annotations
@@ -59,8 +62,17 @@ from __future__ import annotations
 import enum
 import json
 import re
+from operator import mul
 
-from .chern import KClass, curve_class, euler_form, line_class, structure_class, twist
+from .chern import (
+    KClass,
+    curve_class,
+    euler_form,
+    euler_weights,
+    line_class,
+    structure_class,
+    twist,
+)
 from .errors import DomainError, InvalidInputError, InvariantViolationError
 from .pairs import require_equal_slope_pair, require_exceptional_pair
 from .picard import (
@@ -208,6 +220,17 @@ def certify(c: Collection, operation: str, q: int | None = None) -> Collection:
     return c
 
 
+def recorded_state(computed: State, recorded: State) -> State | None:
+    """``recorded`` if it equals ``computed``, else None.  An equal
+    collection has the same Gram matrix, so a recorded collection takes
+    over the certificate of the computed one."""
+    if computed != recorded:
+        return None
+    if isinstance(computed, Collection) and computed._certified:
+        object.__setattr__(recorded, "_certified", True)
+    return recorded
+
+
 def _is_canonical(r: int, hc1: int, coeffs: tuple[int, ...], two_ch2: int) -> bool:
     """Whether the class with these coordinates is the canonical
     representative of its pair {x, -x}: positive rank, else positive
@@ -223,15 +246,24 @@ def _is_canonical(r: int, hc1: int, coeffs: tuple[int, ...], two_ch2: int) -> bo
     return two_ch2 >= 0
 
 
+def _canonical_class(r: int, two_ch2: int, hc1: int, coeffs: tuple[int, ...]) -> KClass:
+    """The canonical representative of the pair {x, -x}, for the class x
+    with these coordinates, built once."""
+    if not _is_canonical(r, hc1, coeffs, two_ch2):
+        r, coeffs, two_ch2 = -r, tuple([-x for x in coeffs]), -two_ch2
+    return KClass(r, DivisorClass(coeffs), two_ch2)
+
+
 def _reflection(a: int, X: KClass, Y: KClass) -> KClass:
     """The canonical representative of +-(a*X - Y), built once from its
     integer coordinates.  A mutation never gives zero: chi(E,F)E = F would
     make chi(F,E) = +-1, which its pair check or certificate rules out."""
-    r, hc1, two_ch2 = a * X.r - Y.r, a * X._hc1 - Y._hc1, a * X.two_ch2 - Y.two_ch2
-    coeffs = tuple([a * x - y for x, y in zip(X.c1.coeffs, Y.c1.coeffs)])
-    if not _is_canonical(r, hc1, coeffs, two_ch2):
-        r, coeffs, two_ch2 = -r, tuple([-x for x in coeffs]), -two_ch2
-    return KClass(r, DivisorClass(coeffs), two_ch2)
+    return _canonical_class(
+        a * X.r - Y.r,
+        a * X.two_ch2 - Y.two_ch2,
+        a * X._hc1 - Y._hc1,
+        tuple([a * x - y for x, y in zip(X.c1.coeffs, Y.c1.coeffs)]),
+    )
 
 
 def _reflect(S: Surface, E: KClass, F: KClass, chi_ef: int, direction: Direction):
@@ -572,7 +604,8 @@ def apply_braid(c: Collection, w: BraidWord):
 
 def helix_extend(foundation: Collection, lo: int, hi: int) -> dict[int, KClass]:
     """Classes E_m for m in [lo, hi] of the helix generated by a foundation
-    occupying indices 1..n, via E_{i+sn} = E_i(-sK)."""
+    occupying indices 1..n, via E_{i+sn} = E_i(-sK); for s = 0 that is
+    the foundation's own member, not a twist of it."""
     require_numerically_exceptional(foundation)
     n = len(foundation.members)
     if n == 0:
@@ -583,7 +616,8 @@ def helix_extend(foundation: Collection, lo: int, hi: int) -> dict[int, KClass]:
     for m in range(lo, hi + 1):
         i = (m - 1) % n + 1
         s = (m - i) // n
-        out[m] = twist(S, foundation.members[i - 1], -s * K)
+        E = foundation.members[i - 1]
+        out[m] = twist(S, E, -s * K) if s else E
     return out
 
 
@@ -603,31 +637,47 @@ class HelixWitness(Value):
 
 def check_helix_period(foundation: Collection) -> tuple[bool, HelixWitness | None]:
     """Check L^(n-1) A_s = A_{s-n} for every s in one period, by iterated
-    left mutation against the twist-extended helix A_{1-n}, ..., A_n, 2n
-    twists.  The foundation is certified once, by ``helix_extend``, and
-    each step evaluates chi(A_{s-t}, x) alone (n(n-1) chi in all); the last
-    class is compared exactly with A_{s-n} = A_s(K), read off the helix.
+    left mutation against the helix A_{1-n}, ..., A_n extended from the
+    foundation, n twists by K.  The foundation is certified once, by
+    ``helix_extend``.
+
+    The chain runs on integer coordinates y = (r, 2*ch2, H.c1, *c1),
+    all linear: each step reads chi(A_{s-t}, y) off the partner's
+    ``euler_weights`` (one set per partner) and sets
+    y <- chi(A_{s-t}, y) A_{s-t} - y, which is the mutation up to sign.
+    One class is built per s, with the canonical sign, and compared
+    exactly with A_{s-n} = A_s(K), read off the helix.
 
     No step re-checks its pair: chi is unchanged by a twist and
     chi(E, F(K)) = chi(F, E) (Serre duality), so every window
     A_{s-n+1}, ..., A_s of the helix of a certified foundation is
     numerically exceptional, and a mutation is an isometry, so every
     partly mutated window is too.  Only an equal-slope pair's forced
-    -2-class equations are checked, as in every mutation."""
+    -2-class equations are checked, as in every mutation: at a step with
+    chi = 0 whose partner and class (A_s itself at step 1, the canonical
+    sign later) have positive ranks, that class is built and checked."""
     S = foundation.surface
     n = len(foundation.members)
     if n < 2:
         raise InvalidInputError("periodicity needs a foundation of length >= 2")
     helix = helix_extend(foundation, 1 - n, n)
+    coords = {m: (E.r, E.two_ch2, E.hc1, *E.c1.coeffs) for m, E in helix.items()}
+    weights = {m: euler_weights(S, helix[m]) for m in range(2 - n, n)}
     for s in range(1, n + 1):
-        x = helix[s]
+        y = coords[s]
         for t in range(1, n):
-            partner = helix[s - t]
-            try:
-                x, _ = _reflect(S, partner, x, euler_form(S, partner, x), Direction.LEFT)
-            except (InvalidInputError, InvariantViolationError) as exc:
-                return False, HelixWitness(s, f"step {t}: {exc}", None, None)
-        expected = helix[s - n]
+            m = s - t
+            chi = sum(map(mul, weights[m], y)) // 2
+            if not chi and helix[m].r > 0 and y[0]:
+                # A_s enters step 1 as it is; later classes take the canonical sign.
+                x = helix[s] if t == 1 else _canonical_class(y[0], y[1], y[2], y[3:])
+                if x.r > 0:
+                    try:
+                        require_equal_slope_pair(S, helix[m], x)
+                    except (InvalidInputError, InvariantViolationError) as exc:
+                        return False, HelixWitness(s, f"step {t}: {exc}", None, None)
+            y = tuple([chi * a - b for a, b in zip(coords[m], y)])
+        x, expected = _canonical_class(y[0], y[1], y[2], y[3:]), helix[s - n]
         if x != expected:
             return False, HelixWitness(s, "period mismatch", x, expected)
     return True, None

@@ -38,7 +38,7 @@ from delpezzo import (
     twist,
     vector_slope,
 )
-from delpezzo.chern import weighted_sum
+from delpezzo.chern import euler_weights, weighted_sum
 from delpezzo.picard import anticanonical_degree, dot
 
 
@@ -213,6 +213,35 @@ class TestEulerForm:
                 q = Fraction(E.ch2, E.r)
                 c1sq = intersect(S, E.c1, E.c1)
                 assert q == Fraction(Fraction(c1sq + 1, E.r**2) - 1, 2)
+
+
+class TestEulerWeights:
+    """2 chi(E, F) is the sum of euler_weights(E) times F's coordinates
+    (r, 2*ch2, H.c1, *c1)."""
+
+    @pytest.mark.parametrize("d", range(9))
+    def test_weights_give_twice_chi(self, d):
+        rng = random.Random(1900 + d)
+        S = surface(d)
+        big = rng.getrandbits(300) | 1 << 299
+        classes = [random_kclass(rng, d, max_rank=4, min_rank=-4) for _ in range(30)]
+        classes += [KClass(0, divisor(*[0] * (d + 1)), 2)]
+        classes += [curve_class(S, i, rng.randint(-3, 3)) for i in range(1, d + 1)]
+        classes += [big * E for E in classes[:10]]
+        classes += [E - big * F for E, F in zip(classes[10:20], classes[20:30])]
+        assert {(E.r > 0) - (E.r < 0) for E in classes} == {-1, 0, 1}
+        assert max(abs(E.r).bit_length() for E in classes) >= 300
+        for E in classes:
+            w = euler_weights(S, E)
+            for F in classes:
+                y = (F.r, F.two_ch2, F.hc1, *F.c1.coeffs)
+                assert sum(a * b for a, b in zip(w, y, strict=True)) == 2 * euler_form(
+                    S, E, F
+                )
+
+    def test_class_of_another_surface_refused(self):
+        with pytest.raises(InvalidInputError, match="does not belong"):
+            euler_weights(surface(2), structure_class(surface(1)))
 
 
 class TestSlopes:

@@ -31,6 +31,7 @@ from delpezzo import (
     replay,
     structure_class,
 )
+from delpezzo import logs as logs_module
 from delpezzo import mutation as mutation_module
 
 
@@ -754,6 +755,67 @@ class TestIncrementalReplay:
     def test_pipeline_log_replays_from_its_first_state(self):
         log = MutationLog.from_jsonl(scrambled_log().to_jsonl())
         assert replay(log)
+
+
+def with_member_edited(state: Collection, j: int) -> Collection:
+    """state with member j negated, a class of the same surface."""
+    members = state.members
+    return Collection(state.surface, members[:j] + (-members[j],) + members[j + 1 :])
+
+
+class TestReplayContinuesFromTheRecord:
+    """Once a step's result equals its recorded after, replay goes on from
+    the recorded object, which takes over the certificate."""
+
+    @pytest.mark.parametrize("make_log", LOGS, ids=LOG_IDS)
+    def test_each_step_starts_from_the_recorded_after(self, monkeypatch, make_log):
+        read = MutationLog.from_jsonl(make_log().to_jsonl())
+        starts = []
+        recompute = logs_module._recompute
+
+        def recorded(step, before):
+            starts.append(before)
+            return recompute(step, before)
+
+        monkeypatch.setattr(logs_module, "_recompute", recorded)
+        assert replay(read)
+        expected = [read.steps[0].before] + [s.after for s in read.steps[:-1]]
+        assert len(starts) == len(expected)
+        assert all(a is b for a, b in zip(starts, expected))
+
+    @pytest.mark.parametrize("d, letters", [(0, 6), (3, 12), (8, 12)])
+    def test_recorded_collections_take_over_the_certificate(self, d, letters):
+        read = MutationLog.from_jsonl(seeded_braid_log(d, letters, seed=d).to_jsonl())
+        assert not any(s.after._certified for s in read.steps)
+        assert replay(read)
+        assert all(s.after._certified for s in read.steps)
+
+    @pytest.mark.parametrize("read_back", [False, True], ids=["objects", "text"])
+    def test_a_one_member_edit_is_refused_at_its_step(self, read_back):
+        log = seeded_braid_log(3, 8, seed=3)
+        for k, step in enumerate(log.steps):
+            for j in range(len(step.after)):
+                after = with_member_edited(step.after, j)
+                forged = LogStep(step.kind, step.params, step.before, after)
+                edited = MutationLog(log.steps[:k] + (forged,) + log.steps[k + 1 :])
+                if read_back:
+                    edited = MutationLog.from_jsonl(edited.to_jsonl())
+                message = f"step {k} (mutate) does not replay to its recorded state"
+                with pytest.raises(InvalidInputError, match=re.escape(message) + "$"):
+                    replay(edited)
+
+    def test_a_log_that_revisits_its_states_replays(self):
+        c = basic_collection(surface(3))
+        _, log = apply_braid(c, BraidWord.parse("L1 R1 L2 R2 L1 R1"))
+        read = MutationLog.from_jsonl(log.to_jsonl())
+        assert read.steps[1].after is read.steps[0].before
+        assert replay(log) and replay(read)
+        # A revisited state ends the chain the next step starts from.
+        c = basic_collection(surface(2))
+        _, log = apply_braid(c, BraidWord.parse("L2 R2 R2 L2"))
+        read = MutationLog.from_jsonl(log.to_jsonl())
+        assert read.steps[-1].after is read.steps[0].before
+        assert replay(read)
 
 
 class TestChaining:

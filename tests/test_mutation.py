@@ -1,4 +1,5 @@
 import random
+import re
 
 import pytest
 from _helpers import (
@@ -43,6 +44,7 @@ from delpezzo import pairs as pairs_module
 from delpezzo.mutation import (
     HelixWitness,
     certify,
+    recorded_state,
     require_numerically_exceptional,
 )
 from delpezzo.pairs import require_exceptional_pair
@@ -301,6 +303,19 @@ class TestIncrementalCertificate:
         assert Collection.from_json(c.to_json())._certified is False
         assert certify(c, "test")._certified
         assert mutate_collection(p2_basic(), 1, Direction.LEFT)._certified
+
+    def test_a_recorded_state_takes_over_the_certificate(self):
+        computed, recorded, other = p2_basic(), p2_basic(), basic_collection(surface(1))
+        assert recorded_state(computed, recorded) is recorded
+        assert not recorded._certified
+        certify(computed, "test")
+        assert recorded_state(computed, other) is None
+        assert not other._certified
+        assert recorded_state(computed, recorded) is recorded
+        assert recorded._certified
+        O = structure_class(surface(0))
+        assert recorded_state(O, structure_class(surface(0))) == O
+        assert recorded_state(O, computed) is None
 
     def test_failed_certification_leaves_the_flag_unset(self):
         S = surface(0)
@@ -610,9 +625,10 @@ class TestHelix:
 
     @pytest.mark.parametrize("d", [0, 3, 8])
     def test_each_helix_class_is_twisted_once(self, monkeypatch, d):
-        # A_{s-n} = A_s(K) is read off the window A_{1-n}..A_n: 2n twists,
-        # not 2n - 1 for the window and n more for the comparison.
+        # The window A_{1-n}..A_n is the foundation and its twist by K, and
+        # A_{s-n} = A_s(K) is read off it: n twists, each member's once.
         c = basic_collection(surface(d))
+        K = canonical_divisor(d)
         calls = []
 
         def counted(*args):
@@ -621,7 +637,13 @@ class TestHelix:
 
         monkeypatch.setattr(mutation_module, "twist", counted)
         assert check_helix_period(c) == (True, None)
-        assert len(calls) == 2 * len(c)
+        assert calls == [(c.surface, E, K) for E in c.members]
+
+    def test_the_foundation_is_its_own_period_zero(self, monkeypatch):
+        c = basic_collection(surface(3))
+        monkeypatch.setattr(mutation_module, "twist", None)
+        helix = helix_extend(c, 1, len(c))
+        assert all(helix[i + 1] is E for i, E in enumerate(c.members))
 
 
 def pair_checked_helix_period(foundation: Collection):
@@ -657,53 +679,146 @@ def helix_foundations(d: int, words: int, seed: int):
                     yield Collection(S, members[start : start + length])
 
 
+def with_one_member_negated(foundations):
+    """Each foundation with its k-th member negated, k cycling: a negative
+    rank A_s enters its chain as it is, not with the canonical sign."""
+    for k, c in enumerate(foundations):
+        j = k % len(c)
+        members = c.members[:j] + (-c.members[j],) + c.members[j + 1 :]
+        yield Collection(c.surface, members)
+
+
+def all_helix_foundations(d: int):
+    foundations = list(helix_foundations(d, 6, seed=40 + d))
+    return foundations + list(with_one_member_negated(foundations))
+
+
+def recorded_weights(monkeypatch, reads: list):
+    """Make each partner's ``euler_weights`` append the partner to reads
+    whenever a chi is read off them."""
+    weights = mutation_module.euler_weights
+
+    class Recorded(tuple):
+        def __iter__(self):
+            reads.append(self.partner)
+            return super().__iter__()
+
+    def recorded(S, E):
+        w = Recorded(weights(S, E))
+        w.partner = E
+        return w
+
+    monkeypatch.setattr(mutation_module, "euler_weights", recorded)
+
+
 class TestHelixStepsNeedNoPairCheck:
-    """A helix step evaluates chi(A_{s-t}, x) alone: the certified
-    foundation makes every window, mutated or not, exceptional."""
+    """A helix step reads chi(A_{s-t}, y) off the partner's weights alone:
+    the certified foundation makes every window, mutated or not,
+    exceptional."""
 
     @pytest.mark.parametrize("d", range(9))
     def test_every_step_pair_is_exceptional(self, monkeypatch, d):
-        fired, steps = [], []
-        reflect = mutation_module._reflect
+        checked, fired = [], []
+        require = mutation_module.require_exceptional_pair
 
-        def checked(S, E, F, chi_ef, direction):
-            steps.append(direction)
+        def recorded(S, E, F):
+            checked.append(E)
             try:
-                if require_exceptional_pair(S, E, F) != chi_ef:
-                    fired.append((E, F, "chi"))
+                return require(S, E, F)
             except (InvalidInputError, InvariantViolationError) as exc:
                 fired.append((E, F, str(exc)))
-            return reflect(S, E, F, chi_ef, direction)
+                raise
 
         outcomes = set()
         for c in helix_foundations(d, 6, seed=40 + d):
+            checked.clear()
+            monkeypatch.setattr(mutation_module, "require_exceptional_pair", recorded)
             expected = pair_checked_helix_period(c)
-            monkeypatch.setattr(mutation_module, "_reflect", checked)
+            monkeypatch.undo()
+            reads = []
+            recorded_weights(monkeypatch, reads)
             got = check_helix_period(c)
             monkeypatch.undo()
             assert got == expected
+            # One chi per step, off the partner of the pair the oracle checks.
+            assert reads == checked
             outcomes.add(got[0])
         assert fired == []
-        assert set(steps) == {Direction.LEFT}
         assert outcomes == {True, False}
 
     @pytest.mark.parametrize("d", [0, 3, 8])
     def test_one_chi_per_step_and_no_pair_check(self, monkeypatch, d):
         c = basic_collection(surface(d))
         require_numerically_exceptional(c)
-        n, calls = len(c), []
+        n, reads, chis, weights = len(c), [], [], []
 
         def counted(*args):
-            calls.append(args)
+            chis.append(args)
             return euler_form(*args)
 
         def refused(*args):
             raise AssertionError("a helix step checked its pair")
 
+        recorded_weights(monkeypatch, reads)
+        built = mutation_module.euler_weights
+
+        def counted_weights(*args):
+            weights.append(args[1])
+            return built(*args)
+
+        monkeypatch.setattr(mutation_module, "euler_weights", counted_weights)
         monkeypatch.setattr(mutation_module, "euler_form", counted)
         monkeypatch.setattr(mutation_module, "require_exceptional_pair", refused)
         assert check_helix_period(c) == (True, None)
-        assert len(calls) == n * (n - 1)
+        assert len(reads) == n * (n - 1)
+        # One set of weights per partner A_{2-n}, ..., A_{n-1}.
+        assert weights == list(helix_extend(c, 2 - n, n - 1).values())
+        assert chis == []
+
+
+class TestHelixMatchesTheOracle:
+    """The integer chain gives what iterated ``mutate_pair`` gives, on
+    foundations of both outcomes, negative ranks among them."""
+
+    @pytest.mark.parametrize("d", range(9))
+    def test_outcomes_witnesses_and_equal_slope_checks(self, monkeypatch, d):
+        calls = []
+        require = mutation_module.require_equal_slope_pair
+
+        def recorded(S, E, F):
+            calls.append((E, F))
+            return require(S, E, F)
+
+        monkeypatch.setattr(mutation_module, "require_equal_slope_pair", recorded)
+        outcomes, checks = set(), 0
+        for c in all_helix_foundations(d):
+            expected = pair_checked_helix_period(c)
+            oracle_calls, calls[:] = calls[:], []
+            assert check_helix_period(c) == expected
+            assert calls == oracle_calls
+            checks += len(calls)
+            calls.clear()
+            outcomes.add(expected[0])
+        assert outcomes == {True, False}
+        if d >= 2:
+            assert checks
+
+    @pytest.mark.parametrize("d", [3, 5, 7, 8])
+    def test_a_refused_equal_slope_pair_gives_the_step_witness(self, monkeypatch, d):
+        def refused(S, E, F):
+            raise InvariantViolationError(f"refused ({E.r}, {F.r})")
+
+        monkeypatch.setattr(mutation_module, "require_equal_slope_pair", refused)
+        steps = []
+        for c in all_helix_foundations(d):
+            got = check_helix_period(c)
+            assert got == pair_checked_helix_period(c)
+            if not got[0] and got[1].reason != "period mismatch":
+                steps.append(got[1])
+        assert steps
+        for witness in steps:
+            assert re.fullmatch(r"step [1-9]: refused \(\d+, \d+\)", witness.reason)
+            assert witness.computed is witness.expected is None
 
 
 class TestGramAndCertificate:
