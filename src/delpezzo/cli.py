@@ -234,7 +234,7 @@ def _cmd_hn(args) -> None:
 
 
 def _cmd_markov(args) -> None:
-    if args.braid:
+    if args.braid is not None:
         foundation = basic_collection(Surface(0))
         result, _ = apply_braid(foundation, BraidWord.parse(args.braid))
         ranks = [m.r for m in result.members]

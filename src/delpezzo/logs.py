@@ -17,8 +17,8 @@ from .mutation import (
     LogStep,
     MutationLog,
     State,
+    carry_certificate,
     mutate_collection,
-    recorded_state,
 )
 from .picard import Surface, canonical_divisor
 from .pipeline import global_twist, order_hom, peel_curve, rotate_twist, rotation_start
@@ -114,10 +114,10 @@ def replay(log: MutationLog) -> bool:
     one before it ended) and every 'after' is reproduced bit-exactly
     (raises on the first mismatch).
 
-    Step 0 is recomputed from its recorded 'before', which a mutation
+    Step 0 is recomputed from its recorded 'before', which every move
     certifies in full.  Once a step's result equals its recorded 'after',
-    replay goes on from the recorded object, which takes over the
-    result's certificate (``mutation.recorded_state``).  So every later
+    replay goes on from the recorded object, which carries the result's
+    certificate (``mutation.carry_certificate``).  So every later
     step starts from a state as certified as the step before left it,
     equal to its recorded 'before' by the chain check, and a mutation step
     checks only its new member's Gram row and column.  A log read by
@@ -131,9 +131,11 @@ def replay(log: MutationLog) -> bool:
                 f"step {k} ({step.kind}) does not start where step {k - 1} ended"
             )
         computed = _recompute(step, step.before if k == 0 else state)
-        state = recorded_state(computed, step.after)
-        if state is None:
+        if computed != step.after:
             raise InvalidInputError(
                 f"step {k} ({step.kind}) does not replay to its recorded state"
             )
+        state = step.after
+        if isinstance(state, Collection):
+            carry_certificate(computed, state)
     return True

@@ -15,13 +15,15 @@ An ordered collection is numerically exceptional when its Gram matrix
 chi(E_i, E_j) has unit diagonal and zeros below.  One walker names the
 first failing entry in row-major order, over all n(n+1)/2 entries or over
 one member's row and column, the n that a change of that member alone can
-break.  A collection that passes the full scan is certified once.  A
-mutation of a certified collection evaluates chi(E,F) alone and walks the
-new member's row and column: 1 + n chi and one class built per move.  The
-new class is built once, from the integer coordinates of chi*E - F with
-the canonical sign already chosen.  ``mutate_pair`` checks its input pair
-first (4 chi).  A mutation never classifies its pair.
-Rotation and global twist certify the full matrix.  Nothing caches chi.
+break.  The certificate has one rule and three ways in.  An input is
+certified in full once (``require_numerically_exceptional``).  A
+mutation of a certified collection evaluates chi(E,F) alone and walks
+the new member's row and column: 1 + n chi and one class built per move,
+from the integer coordinates of chi*E - F with the canonical sign
+already chosen.  A twist, a rotation with its twist by -K, or a recorded
+state equal to a certified collection carries its certificate with no
+scan (``carry_certificate``).  ``mutate_pair`` checks its input pair
+first (4 chi).  A mutation never classifies its pair.  Nothing caches chi.
 Braid words act letter by letter.  A foundation of length n extends to
 a helix by the twist periodicity  E_{i+sn} = E_i(-sK),  and the helix
 axiom L^(n-1) A_s = A_{s-n} is checked by explicit iterated mutation on
@@ -54,7 +56,7 @@ Step kinds:
     descend  drop the e_d coordinate      params: e_index, surface
 
 ``logs.replay`` recomputes the steps and goes on from each recorded
-state it matches, which takes over the certificate by ``recorded_state``.
+state it matches, which carries the certificate of the state it equals.
 """
 
 from __future__ import annotations
@@ -96,8 +98,8 @@ class Direction(enum.Enum):
 class Collection(Value):
     """Ordered list of K-classes on a fixed surface.
 
-    ``_certified`` records that the collection passed the full
-    exceptionality certificate.  It takes no part in construction,
+    ``_certified`` records that the collection is numerically exceptional,
+    as only this module decides.  It takes no part in construction,
     equality, hashing or JSON; a frozen collection of frozen classes
     cannot go stale.
     """
@@ -205,30 +207,15 @@ def require_numerically_exceptional(c: Collection) -> None:
     object.__setattr__(c, "_certified", True)
 
 
-def certify(c: Collection, operation: str, q: int | None = None) -> Collection:
-    """Return the output c of ``operation`` once its certificate holds;
-    otherwise raise, naming the first failing Gram entry.  The full matrix
-    is scanned unless q names the one member the operation changed, whose
-    row and column are then all that can fail."""
-    violation = is_numerically_exceptional(c)[1] if q is None else _violation(c, q)
-    if violation is not None:
-        raise InvariantViolationError(
-            f"{operation} broke the exceptionality certificate at "
-            f"chi(E_{violation.i}, E_{violation.j}) = {violation.value}"
-        )
-    object.__setattr__(c, "_certified", True)
-    return c
-
-
-def recorded_state(computed: State, recorded: State) -> State | None:
-    """``recorded`` if it equals ``computed``, else None.  An equal
-    collection has the same Gram matrix, so a recorded collection takes
-    over the certificate of the computed one."""
-    if computed != recorded:
-        return None
-    if isinstance(computed, Collection) and computed._certified:
-        object.__setattr__(recorded, "_certified", True)
-    return recorded
+def carry_certificate(c: Collection, out: Collection) -> Collection:
+    """Return ``out``, certified because c is: ``out`` is c twisted (every
+    chi is kept), c rotated with its rotated members twisted by -K (Serre
+    duality, chi(E, F(K)) = chi(F, E)), or a collection equal to c.  c
+    must be numerically exceptional, as ``require_numerically_exceptional``
+    decides; ``out`` is never scanned."""
+    require_numerically_exceptional(c)
+    object.__setattr__(out, "_certified", True)
+    return out
 
 
 def _is_canonical(r: int, hc1: int, coeffs: tuple[int, ...], two_ch2: int) -> bool:
@@ -310,7 +297,14 @@ def mutate_collection(c: Collection, i: int, direction: Direction) -> Collection
     S, E, F = c.surface, c.members[i - 1], c.members[i]
     new_pair = _reflect(S, E, F, euler_form(S, E, F), direction)
     out = Collection(S, c.members[: i - 1] + new_pair + c.members[i + 1 :])
-    return certify(out, "mutation", i - 1 if direction is Direction.LEFT else i)
+    violation = _violation(out, i - 1 if direction is Direction.LEFT else i)
+    if violation is not None:
+        raise InvariantViolationError(
+            "mutation broke the exceptionality certificate at "
+            f"chi(E_{violation.i}, E_{violation.j}) = {violation.value}"
+        )
+    object.__setattr__(out, "_certified", True)
+    return out
 
 
 class BraidWord(Value):

@@ -15,9 +15,11 @@ replayable ``LogStep``.  Multiplicities of the accumulated class are
 caller-supplied (they are not determined by K-theory data) and are
 carried positionally through the pipeline.
 
-Each stage reads a collection's members once, through ``_slopes``: it
-checks every member and gives the member that carries an anticanonical
-slope, None for a torsion member, and runs again only after a move.
+Each public call checks its collection's member shapes once, through
+``_check_members``, and reads a member of positive rank as one with an
+anticanonical slope.  No move of the pipeline changes a torsion member
+or gives one: the left mutation of a descent gives |chi|E + F, and a
+rotation runs only when no member is torsion.
 Slopes are ordered by ``chern.compare_mu``, and the window is measured
 against K^2, by integer cross-multiplication on (H.c1, r); no Fraction
 is built.  Rank-0 members are accepted when they are multiples
@@ -51,7 +53,7 @@ from .mutation import (
     Direction,
     LogStep,
     MutationLog,
-    certify,
+    carry_certificate,
     mutate_collection,
     require_numerically_exceptional,
 )
@@ -79,25 +81,14 @@ def _torsion_multiplicity(E: KClass) -> tuple[int, int]:
     )
 
 
-def _slopes(c: Collection) -> list[KClass | None]:
-    """Each member that has an anticanonical slope, None for a torsion
-    member, after checking that every rank is non-negative and every
-    torsion member is a multiple k*[O_{e_i}(-1)] of a blow-up curve class.
-    The slopes are compared with ``compare_mu``, never built."""
-    slopes: list[KClass | None] = []
+def _check_members(c: Collection) -> None:
+    """Check that every rank is non-negative and every torsion member is a
+    multiple k*[O_{e_i}(-1)] of a blow-up curve class."""
     for m in c.members:
         if m.r < 0:
             raise InvalidInputError("pipeline members need non-negative rank")
         if m.r == 0:
             _torsion_multiplicity(m)
-            slopes.append(None)
-        else:
-            slopes.append(m)
-    return slopes
-
-
-def _bundle_slopes(slopes: list[KClass | None]) -> list[KClass]:
-    return [m for m in slopes if m is not None]
 
 
 def _descending(S: Surface, mus: list[KClass]) -> bool:
@@ -110,16 +101,17 @@ def order_hom(c: Collection) -> tuple[Collection, MutationLog]:
     |chi|*E + F lies strictly between: the window never widens.  Torsion
     members are held fixed; a descent split by one is refused."""
     require_numerically_exceptional(c)
+    _check_members(c)
     S = c.surface
-    slopes = _slopes(c)
     guard = len(c.members) ** 2 + len(c.members) + 1
     steps: list[LogStep] = []
     current = c
     while True:
+        members = current.members
         descents = [
             p
-            for p, (a, b) in enumerate(zip(slopes, slopes[1:]))
-            if a is not None and b is not None and compare_mu(S, a, b) > 0
+            for p, (a, b) in enumerate(zip(members, members[1:]))
+            if a.r > 0 and b.r > 0 and compare_mu(S, a, b) > 0
         ]
         if not descents:
             break
@@ -130,8 +122,7 @@ def order_hom(c: Collection) -> tuple[Collection, MutationLog]:
         new = mutate_collection(current, descents[0] + 1, Direction.LEFT)
         steps.append(LogStep("mutate", params, current, new))
         current = new
-        slopes = _slopes(current)
-    if _descending(S, _bundle_slopes(slopes)):
+    if _descending(S, [m for m in current.members if m.r > 0]):
         raise DomainError(
             "descending slopes around a fixed torsion member cannot be "
             "hom-ordered by adjacent mutations"
@@ -149,8 +140,9 @@ def _ordered(c: Collection, steps: list[LogStep]) -> Collection:
 
 
 def rotate_twist(c: Collection, j: int) -> Collection:
-    """(E_j, ..., E_k, E_1(-K), ..., E_{j-1}(-K)); the exceptionality
-    certificate is re-verified."""
+    """(E_j, ..., E_k, E_1(-K), ..., E_{j-1}(-K)).  It carries the input's
+    certificate: by Serre duality chi(E_b(-K), E_a) = chi(E_a, E_b), so
+    every entry below the diagonal stays 0."""
     if not 1 <= j <= len(c.members):
         raise InvalidInputError(f"rotation index {j} out of range")
     S = c.surface
@@ -158,14 +150,15 @@ def rotate_twist(c: Collection, j: int) -> Collection:
     members = c.members[j - 1 :] + tuple(
         twist(S, m, H) for m in c.members[: j - 1]
     )
-    return certify(Collection(S, members), "rotation")
+    return carry_certificate(c, Collection(S, members))
 
 
 def global_twist(c: Collection, D: DivisorClass) -> Collection:
-    """Twist every member by O(D); chi values are unchanged."""
+    """Twist every member by O(D); chi values are unchanged, so it carries
+    the input's certificate."""
     S = c.surface
     members = tuple(twist(S, m, D) for m in c.members)
-    return certify(Collection(S, members), "global twist")
+    return carry_certificate(c, Collection(S, members))
 
 
 def reduce_spread(c: Collection) -> tuple[Collection, MutationLog]:
@@ -176,8 +169,9 @@ def reduce_spread(c: Collection) -> tuple[Collection, MutationLog]:
     hy rx - hx ry with K^2 rx ry, h = H.c1; the input is hom-ordered, so
     the window runs from the first member's slope to the last one's."""
     require_numerically_exceptional(c)
+    _check_members(c)
     S = c.surface
-    mus = _bundle_slopes(_slopes(c))
+    mus = [m for m in c.members if m.r > 0]
     if not mus:
         return c, MutationLog(())
     if _descending(S, mus):
@@ -212,7 +206,7 @@ def reduce_spread(c: Collection) -> tuple[Collection, MutationLog]:
         rotated = rotate_twist(current, j)
         steps.append(LogStep("rotate", {"j": j}, current, rotated))
         current = _ordered(rotated, steps)
-        mus = _bundle_slopes(_slopes(current))
+        mus = current.members
     raise PipelineError(
         "spread",
         f"window reduction did not terminate within {cap} rounds "
@@ -273,7 +267,7 @@ def peel_curve(
     chi(L, G) = -r(G) and chi(L, F) = alpha - r(F): G is descent-ready.
     """
     require_numerically_exceptional(c)
-    _slopes(c)
+    _check_members(c)
     _check_mults(c, mults)
     S = c.surface
     _forbidden_pair_guard(c, e_index)
@@ -290,13 +284,13 @@ def peel_curve(
     return G, alpha, MutationLog((LogStep("peel", params, c, G),))
 
 
-def _slope_groups(S: Surface, slopes: list[KClass | None]) -> list[list[int]]:
+def _slope_groups(S: Surface, members: tuple[KClass, ...]) -> list[list[int]]:
     """Contiguous runs of equal slope among the positive-rank members."""
     groups: list[list[int]] = []
-    for p, mu in enumerate(slopes):
-        if mu is None:
+    for p, m in enumerate(members):
+        if m.r <= 0:
             continue
-        if groups and compare_mu(S, slopes[groups[-1][-1]], mu) == 0:
+        if groups and compare_mu(S, members[groups[-1][-1]], m) == 0:
             groups[-1].append(p)
         else:
             groups.append([p])
@@ -322,7 +316,8 @@ def _group_start(groups: list[list[int]], i: int) -> int:
 def rotation_start(c: Collection, group_index: int) -> int:
     """The j that the rotate stage passes to ``rotate_twist`` when it picks
     slope group ``group_index`` of c."""
-    groups = _slope_groups(c.surface, _slopes(c))
+    _check_members(c)
+    groups = _slope_groups(c.surface, c.members)
     if not 1 <= group_index <= len(groups):
         raise InvalidInputError(
             f"group index {group_index} is not one of the {len(groups)} slope groups"
@@ -331,7 +326,7 @@ def rotation_start(c: Collection, group_index: int) -> int:
 
 
 def _rotate_stage(S: Surface, c: Collection, mults: list[int]):
-    groups = _slope_groups(S, _slopes(c))
+    groups = _slope_groups(S, c.members)
     if not groups:
         raise DomainError("the pipeline needs at least one positive-rank member")
     group_classes = [weighted_sum((c.members[p], mults[p]) for p in g) for g in groups]

@@ -12,9 +12,11 @@ from _helpers import oracle_slope, p2_basic, random_kclass, surface
 
 from delpezzo import (
     DomainError,
+    LogStep,
     MutationLog,
     anticanonical_divisor,
     basic_collection,
+    basic_collection_torsion_last,
     default_ample,
     intersect,
     markov_max_uniqueness,
@@ -642,6 +644,16 @@ class TestMarkov:
         assert d["is_markov_triple"] is True
         assert sorted(d["ranks"]) == d["triple"]
 
+    @pytest.mark.parametrize(
+        "argv",
+        [["--braid", ""], ["--braid", " "], ["--limit", "3", "--braid", ""]],
+        ids=["empty", "space", "with-limit"],
+    )
+    def test_empty_braid_is_the_identity_word(self, capsys, argv):
+        code, out, err = invoke(capsys, "markov", *argv)
+        assert (code, err) == (0, "")
+        assert doc(out) == {"ranks": [1, 1, 1], "is_markov_triple": True, "triple": [1, 1, 1]}
+
 
 class TestOrbit:
     def test_h2_orbit(self, capsys):
@@ -761,6 +773,22 @@ class TestReplayCommand:
         code, out, err = invoke(capsys, "replay", "--log", str(log_path))
         assert (code, out) == (1, "")
         assert err == f"invalid input: {message}\n"
+
+
+    @pytest.mark.parametrize(
+        "kind, params", [("rotate", {"j": 2}), ("twist", {"k_multiple": 1})]
+    )
+    def test_non_exceptional_before_exits_one(self, capsys, tmp_path, kind, params):
+        # A rotation or twist carries its input's certificate, so an input
+        # without one is malformed, as it is for a mutate step.
+        before = basic_collection_torsion_last(surface(1))
+        path = tmp_path / f"{kind}.jsonl"
+        path.write_text(MutationLog((LogStep(kind, params, before, before),)).to_jsonl())
+        code, out, err = invoke(capsys, "replay", "--log", str(path))
+        assert (code, out) == (1, "")
+        assert err == (
+            "invalid input: collection is not numerically exceptional: chi(E_3, E_0) = -1\n"
+        )
 
 
 # Forms int() would read but JSON does not write: underscores, a plus sign,

@@ -109,6 +109,17 @@ def test_import_graph_is_acyclic():
         visit(name, [])
 
 
+def test_only_mutation_names_the_certificate_flag():
+    """``mutation`` owns the exceptionality certificate: no other module
+    reads or sets ``_certified``."""
+    found = [
+        path.name
+        for path in MODULES
+        if path.name != "mutation.py" and "_certified" in path.read_text(encoding="utf-8")
+    ]
+    assert found == []
+
+
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_no_private_names_imported_from_siblings(path):
     private = [

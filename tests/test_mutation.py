@@ -31,20 +31,22 @@ from delpezzo import (
     check_helix_period,
     curve_class,
     euler_form,
+    global_twist,
     gram_matrix,
     helix_extend,
     is_numerically_exceptional,
     mutate_collection,
     mutate_pair,
+    rotate_twist,
     structure_class,
     twist,
 )
 from delpezzo import mutation as mutation_module
 from delpezzo import pairs as pairs_module
+from delpezzo import pipeline as pipeline_module
 from delpezzo.mutation import (
     HelixWitness,
-    certify,
-    recorded_state,
+    carry_certificate,
     require_numerically_exceptional,
 )
 from delpezzo.pairs import require_exceptional_pair
@@ -229,14 +231,11 @@ class TestIncrementalCertificate:
             out = broken(S, c.members[i - 1], c.members[i], None, direction)
             members = c.members[: i - 1] + out + c.members[i + 1 :]
             # The incremental check names the entry the full scan names.
-            with pytest.raises(InvariantViolationError) as full:
-                certify(Collection(S, members), "mutation")
+            ok, full = is_numerically_exceptional(Collection(S, members))
+            assert not ok
             with pytest.raises(InvariantViolationError) as incremental:
                 mutate_collection(c, i, direction)
-            assert str(incremental.value) == str(full.value)
-            assert "mutation broke the exceptionality certificate at chi(E_" in str(
-                incremental.value
-            )
+            assert str(incremental.value) == broke("mutation", full.i, full.j, full.value)
 
     @pytest.mark.parametrize("d, n", [(0, 3), (3, 6), (8, 11)])
     def test_one_plus_n_chi_per_mutation(self, monkeypatch, d, n):
@@ -301,21 +300,21 @@ class TestIncrementalCertificate:
         assert is_numerically_exceptional(c)[0]
         assert not c._certified
         assert Collection.from_json(c.to_json())._certified is False
-        assert certify(c, "test")._certified
+        require_numerically_exceptional(c)
+        assert c._certified
         assert mutate_collection(p2_basic(), 1, Direction.LEFT)._certified
 
     def test_a_recorded_state_takes_over_the_certificate(self):
-        computed, recorded, other = p2_basic(), p2_basic(), basic_collection(surface(1))
-        assert recorded_state(computed, recorded) is recorded
-        assert not recorded._certified
-        certify(computed, "test")
-        assert recorded_state(computed, other) is None
-        assert not other._certified
-        assert recorded_state(computed, recorded) is recorded
-        assert recorded._certified
-        O = structure_class(surface(0))
-        assert recorded_state(O, structure_class(surface(0))) == O
-        assert recorded_state(O, computed) is None
+        computed, recorded = p2_basic(), p2_basic()
+        assert carry_certificate(computed, recorded) is recorded
+        assert computed._certified and recorded._certified
+        S = surface(0)
+        broken, untouched = Collection(S, (structure_class(S),) * 2), p2_basic()
+        with pytest.raises(
+            InvalidInputError, match=r"not numerically exceptional: chi\(E_1, E_0\) = 1"
+        ):
+            carry_certificate(broken, untouched)
+        assert not broken._certified and not untouched._certified
 
     def test_failed_certification_leaves_the_flag_unset(self):
         S = surface(0)
@@ -441,11 +440,14 @@ def broken_collections(d: int, seed: int):
             yield Collection(S, tuple(broken))
 
 
-def broke(operation: str, entry) -> str:
-    i, j, value = entry
+def broke(operation: str, i: int, j: int, value: int) -> str:
     return (
         f"{operation} broke the exceptionality certificate at chi(E_{i}, E_{j}) = {value}"
     )
+
+
+def not_exceptional(i: int, j: int, value: int) -> str:
+    return f"collection is not numerically exceptional: chi(E_{i}, E_{j}) = {value}"
 
 
 def entry_kind(entry, q=None) -> str:
@@ -466,32 +468,25 @@ class TestGramWalkOracle:
                 expected = oracle_gram_violation(c)
                 ok, violation = is_numerically_exceptional(c)
                 assert ok is (expected is None)
+                fresh = Collection(c.surface, c.members)
                 if expected is None:
                     assert violation is None
-                    assert certify(Collection(c.surface, c.members), "rotation")._certified
+                    require_numerically_exceptional(fresh)
+                    assert fresh._certified
                 else:
                     kinds["full"].add(entry_kind(expected))
                     assert (violation.i, violation.j, violation.value) == expected
                     with pytest.raises(InvalidInputError) as refused:
-                        require_numerically_exceptional(Collection(c.surface, c.members))
-                    i, j, value = expected
-                    assert str(refused.value) == (
-                        f"collection is not numerically exceptional: chi(E_{i}, E_{j}) = {value}"
-                    )
-                    with pytest.raises(InvariantViolationError) as broken:
-                        certify(Collection(c.surface, c.members), "rotation")
-                    assert str(broken.value) == broke("rotation", expected)
+                        require_numerically_exceptional(fresh)
+                    assert str(refused.value) == not_exceptional(*expected)
                 for q in range(len(c.members)):
                     expected = oracle_gram_violation(c, q)
-                    fresh = Collection(c.surface, c.members)
+                    walked = mutation_module._violation(c, q)
                     if expected is None:
-                        assert certify(fresh, "mutation", q) is fresh
+                        assert walked is None
                         continue
                     kinds["row-column"].add(entry_kind(expected, q))
-                    with pytest.raises(InvariantViolationError) as broken:
-                        certify(fresh, "mutation", q)
-                    assert str(broken.value) == broke("mutation", expected)
-                    assert not fresh._certified
+                    assert (walked.i, walked.j, walked.value) == expected
         assert kinds == {
             "full": {"diagonal", "below"},
             "row-column": {"diagonal", "below", "after q"},
@@ -535,9 +530,82 @@ class TestGramWalkOracle:
                             kinds.add(entry_kind(expected, q))
                             with pytest.raises(InvariantViolationError) as broken:
                                 mutate_collection(c, i, direction)
-                            assert str(broken.value) == broke("mutation", expected)
+                            assert str(broken.value) == broke("mutation", *expected)
                         monkeypatch.undo()
         assert kinds == {"diagonal", "below", "after q"}
+
+
+def carried_inputs(d: int):
+    """The basic collection on d blow-ups and braid-scrambled copies, each a
+    fresh, uncertified object."""
+    inputs = [basic_collection(surface(d)), *scrambled_collections(d, 3, seed=1000 + d)]
+    return [Collection(c.surface, c.members) for c in inputs]
+
+
+def carrying_moves(rng: random.Random, c: Collection):
+    """Every rotation of c, global twists by seeded divisors and by t*K."""
+    d = c.surface.d
+    K = canonical_divisor(d)
+    divisors = [random_divisor(rng, d) for _ in range(3)] + [t * K for t in (-2, -1, 1, 3)]
+    rotations = [lambda x, j=j: rotate_twist(x, j) for j in range(1, len(c) + 1)]
+    return rotations + [lambda x, D=D: global_twist(x, D) for D in divisors]
+
+
+class TestCarriedCertificate:
+    """A twist keeps every chi, and a rotation with its twist by -K keeps
+    the certificate by Serre duality, chi(E, F(K)) = chi(F, E).  So
+    rotate_twist and global_twist carry their input's certificate and never
+    scan their output; these are the identities that replace the scan."""
+
+    @pytest.mark.parametrize("d", range(9))
+    def test_every_rotation_and_twist_is_exceptional(self, d):
+        rng = random.Random(1100 + d)
+        for c in carried_inputs(d):
+            for move in carrying_moves(rng, c):
+                out = move(c)
+                assert out._certified
+                assert is_numerically_exceptional(out) == (True, None)
+
+    @pytest.mark.parametrize("d", range(9))
+    def test_chi_is_evaluated_only_to_certify_the_input(self, monkeypatch, d):
+        calls = []
+
+        def counted(S, E, F):
+            calls.append((E, F))
+            return euler_form(S, E, F)
+
+        for module in (mutation_module, pipeline_module):
+            monkeypatch.setattr(module, "euler_form", counted)
+        rng = random.Random(1200 + d)
+        for c in carried_inputs(d):
+            n = len(c)
+            for move in carrying_moves(rng, c):
+                fresh = Collection(c.surface, c.members)
+                calls.clear()
+                move(fresh)
+                assert len(calls) == n * (n + 1) // 2
+                assert fresh._certified
+                calls.clear()
+                move(fresh)
+                assert calls == []
+
+    @pytest.mark.parametrize("d", range(9))
+    def test_non_exceptional_input_names_its_first_failing_entry(self, d):
+        rng = random.Random(1300 + d)
+        inputs = list(broken_collections(d, seed=1400 + d))
+        if d:
+            inputs.append(basic_collection_torsion_last(surface(d)))
+        refused = 0
+        for c in inputs:
+            expected = oracle_gram_violation(c)
+            if expected is None:
+                continue
+            for move in carrying_moves(rng, c):
+                with pytest.raises(InvalidInputError) as raised:
+                    move(c)
+                assert str(raised.value) == not_exceptional(*expected)
+                refused += 1
+        assert refused
 
 
 class TestBraid:
