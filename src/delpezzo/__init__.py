@@ -62,7 +62,6 @@ from .picard import (
     enumerate_roots,
     exceptional_divisor,
     intersect,
-    is_connected_effective_root,
     line_divisor,
     zero_divisor,
 )

@@ -11,8 +11,8 @@ chi(E,F) is the slope order and no slope need be computed:
 
     chi(E,F) > 0   hom   (mu(E) < mu(F), dim chi(E,F))
     chi(E,F) < 0   ext   (mu(E) > mu(F), dim -chi(E,F))
-    chi(E,F) = 0   singular if C = c1(F) - c1(E) is a positive root
-                   of the declared configuration, else zero
+    chi(E,F) = 0   singular if C = c1(F) - c1(E) is a non-negative
+                   combination of the declared roots, else zero
                    (mu(E) = mu(F))
 
 The classification trusts the chi-level preconditions as certifying
@@ -33,12 +33,7 @@ import enum
 
 from .chern import KClass, compare_mu, euler_form
 from .errors import DomainError, InvalidInputError, InvariantViolationError
-from .picard import (
-    Surface,
-    anticanonical_degree,
-    dot,
-    is_connected_effective_root,
-)
+from .picard import Surface, anticanonical_degree, dot, effective_root_decomposition
 from .values import Value
 
 
@@ -132,7 +127,7 @@ def classify_pair(S: Surface, E: KClass, F: KClass) -> PairType:
         return PairType.hom(chi_ef)
     if chi_ef < 0:
         return PairType.ext(-chi_ef)
-    if is_connected_effective_root(S, require_equal_slope_pair(S, E, F)):
+    if effective_root_decomposition(S, require_equal_slope_pair(S, E, F)) is not None:
         return PairType.singular()
     return PairType.zero()
 

@@ -11,19 +11,21 @@ The lattice's integer functionals live here, read off the coefficients:
 the form ``dot`` and ``anticanonical_degree`` H.D = 3a - sum b (H = -K),
 which every slope and chi reads.  No other module builds H or K to take
 one product: ``canonical_divisor`` and ``anticanonical_divisor`` name the
-classes K and H = -K for twisting.  On top of them come enumeration of
-the -2-root system {C : C^2 = -2, C.K = 0}, the decomposition of a root
-over the declared simple roots (the irreducible -2-curves), and the
-surface with the last exceptional curve blown down
+classes K and H = -K for twisting.  On top of them come the -2-root
+system {C : C^2 = -2, C.K = 0} of E_d, listed by its four shapes, the
+decomposition of a root over the declared simple roots (the irreducible
+-2-curves), and the surface with the last exceptional curve blown down
 (``chern.descend_class`` deletes the matching coordinate of a class).
+
+A declared -2-curve is a positive root: the first nonzero entry of
+(a, -b_1, ..., -b_d) is positive, so h.C > 0 or C = e_i - e_j with i < j
+(Demazure, LNM 777; Dolgachev, Classical Algebraic Geometry 8.2).
 """
 
 from __future__ import annotations
 
-import math
-from collections.abc import Iterator
 from functools import lru_cache
-from itertools import repeat
+from itertools import combinations, permutations, repeat
 from operator import mul
 
 from .errors import DomainError, InvalidInputError
@@ -133,7 +135,7 @@ class Surface(Value):
     are the simple roots of a negative-definite root system, so the
     constructor refuses (``InvalidInputError``) a list of more than d
     classes, or of classes that are not -2-classes orthogonal to K, not
-    pairwise distinct, meet negatively, or are linearly dependent.
+    pairwise distinct, meet negatively, or are not positive roots.
     """
 
     __slots__ = _fields = ("d", "effective_simple_roots")
@@ -183,8 +185,15 @@ def _check_size(d: int, count: int) -> None:
 
 
 def _check_configuration(d: int, roots: tuple[DivisorClass, ...]) -> None:
-    """Refuse roots that cannot be the simple roots of a root system in the
-    negative-definite lattice K^perp (K^2 > 0)."""
+    """Refuse roots that cannot be the irreducible -2-curves of a marked
+    blow-up: each a -2-class orthogonal to K, pairwise distinct, meeting
+    non-negatively, and positive.
+
+    No independence check is needed.  Positive roots lie on one side of a
+    hyperplane, and roots that meet pairwise non-negatively are pairwise
+    obtuse in the definite form -(.) on K^perp (K^2 > 0), so they are
+    linearly independent, as a base of a root system is (Humphreys,
+    GTM 9, 10.1)."""
     for i, C in enumerate(roots):
         if C.d != d:
             raise InvalidInputError(f"declared root {i} has wrong dimension")
@@ -192,30 +201,23 @@ def _check_configuration(d: int, roots: tuple[DivisorClass, ...]) -> None:
             raise InvalidInputError(
                 f"declared root {i} {C.coeffs} is not a -2-class orthogonal to K"
             )
-    gram = [[dot(C, D) for D in roots] for C in roots]
     for j, D in enumerate(roots):
         for i in range(j):
             if roots[i] == D:
                 raise InvalidInputError(f"declared roots {i} and {j} are equal")
-            if gram[i][j] < 0:
+            meet = dot(roots[i], D)
+            if meet < 0:
                 raise InvalidInputError(
-                    f"declared roots {i} and {j} meet negatively ({gram[i][j]})"
+                    f"declared roots {i} and {j} meet negatively ({meet})"
                 )
-    # Fraction-free (Bareiss) elimination: the pivot gram[k][k] is the
-    # leading minor of size k + 1, and in a definite lattice it vanishes
-    # exactly when roots 0..k are dependent.
-    previous = 1
-    for k in range(len(roots)):
-        pivot = gram[k][k]
-        if pivot == 0:
+    for i, C in enumerate(roots):
+        a, *b = C.coeffs
+        # A root with a = 0 is e_i - e_j, so some b is nonzero.
+        if a < 0 or a == 0 and next(filter(None, b)) > 0:
             raise InvalidInputError(
-                f"declared roots 0..{k} are linearly dependent: "
-                f"root {k} lies in the span of the roots before it"
+                f"declared root {i} {C.coeffs} is not positive: "
+                "need h.C > 0, or C = e_i - e_j with i < j"
             )
-        for i in range(k + 1, len(roots)):
-            for j in range(k + 1, len(roots)):
-                gram[i][j] = (gram[i][j] * pivot - gram[i][k] * gram[k][j]) // previous
-        previous = pivot
 
 
 def intersect(S: Surface, C: DivisorClass, D: DivisorClass) -> int:
@@ -225,34 +227,19 @@ def intersect(S: Surface, C: DivisorClass, D: DivisorClass) -> int:
     return dot(C, D)
 
 
-def _b_vectors(length: int, total: int, sq_total: int) -> Iterator[tuple[int, ...]]:
-    """Integer vectors with given sum and sum of squares, lex order."""
-    if length == 0:
-        if total == 0 and sq_total == 0:
-            yield ()
-        return
-    if sq_total < 0:
-        return
-    # Cauchy-Schwarz prune: total^2 <= length * sq_total on the remaining block.
-    if total * total > length * sq_total:
-        return
-    bound = math.isqrt(sq_total)
-    for b in range(-bound, bound + 1):
-        yield from (
-            (b,) + rest
-            for rest in _b_vectors(length - 1, total - b, sq_total - b * b)
-        )
-
-
 @lru_cache(maxsize=None)
 def _roots_for_d(d: int) -> tuple[DivisorClass, ...]:
-    # C.K = 0 forces sum(b) = 3a and C^2 = -2 forces sum(b^2) = a^2 + 2;
-    # Cauchy-Schwarz then bounds |a| by 4 on at most 8 coordinates.
-    found = []
-    for a in range(-4, 5):
-        for b in _b_vectors(d, 3 * a, a * a + 2):
-            found.append(DivisorClass((a,) + b))
-    return tuple(sorted(found, key=lambda c: c.coeffs))
+    """The roots by shape: e_i - e_j for i != j, +-(h - e_i - e_j - e_k),
+    +-(2h - six e) and, at d = 8, +-(3h - 2e_i - the other seven)."""
+    points = range(1, d + 1)
+    shapes = [(0, {i: -1, j: 1}) for i, j in permutations(points, 2)]
+    for a, n in ((1, 3), (2, 6)):
+        shapes += [(a, dict.fromkeys(s, 1)) for s in combinations(points, n)]
+    if d == 8:
+        shapes += [(3, {**dict.fromkeys(points, 1), i: 2}) for i in points]
+    found = [(a,) + tuple(b.get(k, 0) for k in points) for a, b in shapes]
+    found += [tuple(-x for x in c) for c in found if c[0]]
+    return tuple(DivisorClass(c) for c in sorted(found))
 
 
 def enumerate_roots(S: Surface) -> list[DivisorClass]:
@@ -269,9 +256,10 @@ def effective_root_decomposition(
     Descent: while C != 0, subtract a root beta with C.beta < 0.  A
     non-negative combination C != 0 has C^2 < 0, so some beta has
     C.beta < 0, and beta occurs in C because distinct simple roots meet
-    non-negatively; the roots being independent, the multiplicities are
-    the unique ones.  A root C stays a root along the way and takes at
-    most 29 steps, the height of E8's highest root.
+    non-negatively; the roots being independent (positive roots that
+    meet pairwise non-negatively are, see ``_check_configuration``), the
+    multiplicities are the unique ones.  A root C stays a root along the
+    way and takes at most 29 steps, the height of E8's highest root.
     """
     roots = S.effective_simple_roots
     counts = [0] * len(roots)
@@ -286,18 +274,11 @@ def effective_root_decomposition(
     return tuple(counts)
 
 
-def is_connected_effective_root(S: Surface, C: DivisorClass) -> bool:
-    """Whether the root C is a positive root of the declared configuration:
-    a non-negative combination of the simple roots.  The support of a
-    positive root in a simply-laced system is connected."""
-    if intersect(S, C, C) != -2 or anticanonical_degree(C) != 0:
-        raise DomainError(f"{C.coeffs} is not a -2-class orthogonal to K")
-    return effective_root_decomposition(S, C) is not None
-
-
 def blow_down_surface(S: Surface) -> Surface:
     """The surface with one fewer blow-up.  Declared roots that do not touch
-    e_d descend with the lattice; the others have no image and are dropped."""
+    e_d descend with the lattice; the others have no image and are dropped.
+    e_d is irreducible: a positive root C has C.e_d = b_d >= 0, so no
+    declared root meets it negatively."""
     if S.d == 0:
         raise DomainError("P^2 has nothing left to blow down")
     kept = tuple(

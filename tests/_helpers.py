@@ -225,15 +225,24 @@ def _rank(vectors: list[tuple[int, ...]]) -> int:
     return rank
 
 
+def oracle_is_positive(p: tuple[int, ...]) -> bool:
+    """Whether the first nonzero entry of (a, -b_1, ..., -b_d) is positive."""
+    signed = [p[0]] + [-x for x in p[1:]]
+    return next((x for x in signed if x != 0), 0) > 0
+
+
 def oracle_valid_configuration(d: int, simple: list[tuple[int, ...]]) -> bool:
     """Whether ``simple`` can be the irreducible -2-curves of a surface with
     -K nef: at most d classes, each C^2 = -2 with C.K = 0 (sum b = 3a),
-    pairwise distinct, meeting non-negatively, and of full rank over Q."""
+    pairwise distinct, meeting non-negatively, positive, and of full rank
+    over Q."""
     if len(simple) > d or len(set(simple)) != len(simple):
         return False
     if any(_form(p, p) != -2 or sum(p[1:]) != 3 * p[0] for p in simple):
         return False
     if any(_form(p, q) < 0 for i, p in enumerate(simple) for q in simple[i + 1:]):
+        return False
+    if not all(map(oracle_is_positive, simple)):
         return False
     return _rank(simple) == len(simple)
 

@@ -61,7 +61,7 @@ from delpezzo import (
 from delpezzo import cli
 from delpezzo.chern import weighted_sum
 
-from _helpers import E8_SIMPLE_ROOTS, ext_seed
+from _helpers import E8_SIMPLE_ROOTS, ext_seed, oracle_roots
 
 DIRECTIONS = (Direction.LEFT, Direction.RIGHT)
 
@@ -223,6 +223,33 @@ def sweep_special(full: bool) -> None:
         call(f"{tag} check_helix_period", check_helix_period, Collection(S, (E, F)))
 
 
+def sweep_configurations(full: bool) -> None:
+    """Surface construction on seeded subsets of the roots of d = 2..8,
+    each as drawn and with every root negated, and classify_pair of O
+    against O(C) on each accepted configuration, for C its roots and one
+    drawn root, with both signs.  The subsets come from the oracle's root
+    list, not from a validity oracle, so both trees see the same inputs."""
+    for d in range(2, 9):
+        rng = random.Random(300 + d)
+        roots = sorted(oracle_roots(d))
+        for k in range(40 if full else 2):
+            drawn = rng.sample(roots, rng.randint(1, d))
+            negated = [tuple(-x for x in r) for r in drawn]
+            probes = drawn + [rng.choice(roots)]
+            for sign, simple in ((1, drawn), (-1, negated)):
+                tag = f"config d{d}-{k} {sign:+d}"
+                classes = tuple(DivisorClass(r) for r in simple)
+                S = call(f"{tag} Surface {[list(r) for r in simple]}", Surface, d, classes)
+                if S is None:
+                    continue
+                O = structure_class(S)
+                for r in probes:
+                    for s in (1, -1):
+                        C = DivisorClass(tuple(s * x for x in r))
+                        label = f"{tag} classify_pair {list(C.coeffs)}"
+                        call(label, classify_pair, S, O, line_class(S, C))
+
+
 def sweep_weighted(full: bool) -> None:
     """pair_orbit for h = 2..10 and its refusals; twist and weighted_sum
     refusals (wrong surface, no terms, non-integer multiplicities)."""
@@ -313,6 +340,7 @@ def main() -> None:
             if full or d in (1, 2):
                 sweep_cli(d, rng, out_dir)
     sweep_special(full)
+    sweep_configurations(full)
     sweep_weighted(full)
 
 

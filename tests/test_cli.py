@@ -181,11 +181,11 @@ class TestClassifyPair:
 # Declared configurations no surface with -K nef has, with the words each
 # refusal prints (see tests/test_picard.py for the library side).
 REFUSED_SURFACES = {
-    "opposite": ([[0, -1, 1, 0], [0, 1, -1, 0]], "roots 0..1 are linearly dependent"),
+    "opposite": ([[0, -1, 1, 0], [0, 1, -1, 0]], "root 1 (0, 1, -1, 0) is not positive"),
     "repeated": ([[0, -1, 1, 0], [0, -1, 1, 0]], "roots 0 and 1 are equal"),
     "negative-pairing": ([[0, -1, 1, 0], [0, -1, 0, 1]], "roots 0 and 1 meet negatively"),
     "dependent-cycle": (
-        [[0, -1, 1, 0], [0, 0, -1, 1], [0, 1, 0, -1]], "roots 0..2 are linearly dependent"
+        [[0, -1, 1, 0], [0, 0, -1, 1], [0, 1, 0, -1]], "root 2 (0, 1, 0, -1) is not positive"
     ),
     "d-plus-one": (
         [[0, -1, 1, 0], [0, 0, -1, 1], [1, 1, 1, 1], [0, 1, -1, 0]], "declared 4 roots"
@@ -220,7 +220,18 @@ class TestRefusedConfiguration:
                 "classify-pair", "--surface", surface_json, "--e", e, "--f", f
             )
             assert (code, out) == (1, "")
-            assert "linearly dependent" in err and "Traceback" not in err
+            assert "is not positive" in err and "Traceback" not in err
+
+    @pytest.mark.parametrize("command", ["descend", "roots"])
+    def test_a_non_positive_root_exits_one(self, command):
+        # e2 - e1 on d = 2: with it declared, e2 would be reducible.
+        argv = [command, "--surface", '{"blowups":2,"effective_roots":[[0,1,-1]]}']
+        if command == "descend":
+            argv += ["--e", '{"r":1,"c1":[0,0,0],"ch2":"0/1"}']
+        code, out, err = invoke_process(*argv)
+        assert (code, out) == (1, "")
+        assert "declared root 0 (0, 1, -1) is not positive" in err
+        assert "Traceback" not in err
 
     def test_valid_configuration_gives_a_zero_pair(self, capsys):
         # e2 - e3 is outside the span of e1 - e2.

@@ -380,7 +380,7 @@ class TestMutationReadsOneChi:
         def refused(*args):
             raise AssertionError("a mutation ran the root search")
 
-        monkeypatch.setattr(pairs_module, "is_connected_effective_root", refused)
+        monkeypatch.setattr(pairs_module, "effective_root_decomposition", refused)
         assert not hasattr(mutation_module, "classify_pair")
         S = surface(2, [(0, -1, 1)])
         O, G = structure_class(S), line_bundle(S, 0, -1, 1)

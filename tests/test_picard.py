@@ -1,3 +1,4 @@
+import itertools
 import random
 import re
 import time
@@ -5,7 +6,10 @@ import time
 import pytest
 from _helpers import (
     E8_SIMPLE_ROOTS,
+    _form,
+    _rank,
     divisor,
+    oracle_is_positive,
     oracle_monomial_count,
     oracle_positive_roots,
     oracle_roots,
@@ -28,7 +32,6 @@ from delpezzo import (
     euler_form,
     exceptional_divisor,
     intersect,
-    is_connected_effective_root,
     line_class,
     line_divisor,
     structure_class,
@@ -133,35 +136,30 @@ class TestEnumerateRoots:
 class TestEffectiveRoots:
     def test_declared_root_itself(self):
         S = surface(2, roots=[(0, -1, 1)])
-        assert is_connected_effective_root(S, divisor(0, -1, 1)) is True
+        assert effective_root_decomposition(S, divisor(0, -1, 1)) == (1,)
 
     def test_negative_of_declared_root(self):
         S = surface(2, roots=[(0, -1, 1)])
-        assert is_connected_effective_root(S, divisor(0, 1, -1)) is False
+        assert effective_root_decomposition(S, divisor(0, 1, -1)) is None
 
     def test_difference_of_zuev_roots_is_not_effective(self):
         # e1 - e2 and e1 - e3 meet at -1, so they are not both declared;
         # with e1 - e2 alone their difference e2 - e3 is not effective.
         S = surface(3, roots=[(0, -1, 1, 0)])
-        assert is_connected_effective_root(S, divisor(0, 0, -1, 1)) is False
+        assert effective_root_decomposition(S, divisor(0, 0, -1, 1)) is None
 
     def test_chain_sum_is_connected(self):
         S = surface(3, roots=[(0, -1, 1, 0), (0, 0, -1, 1)])
-        assert is_connected_effective_root(S, divisor(0, -1, 0, 1)) is True
+        assert effective_root_decomposition(S, divisor(0, -1, 0, 1)) is not None
 
     def test_root_outside_declared_span(self):
         S = surface(3, roots=[(0, -1, 1, 0)])
         # h - e1 - e2 - e3 is a root but not a combination of e1 - e2.
-        assert is_connected_effective_root(S, divisor(1, 1, 1, 1)) is False
-
-    def test_precondition_violation(self):
-        S = surface(2, roots=[(0, -1, 1)])
-        with pytest.raises(DomainError):
-            is_connected_effective_root(S, line_divisor(2))
+        assert effective_root_decomposition(S, divisor(1, 1, 1, 1)) is None
 
     def test_no_declared_roots_means_nothing_effective(self):
         S = surface(2)
-        assert is_connected_effective_root(S, divisor(0, -1, 1)) is False
+        assert effective_root_decomposition(S, divisor(0, -1, 1)) is None
 
     def test_decomposition_reported(self):
         S = surface(3, roots=[(0, -1, 1, 0), (0, 0, -1, 1)])
@@ -174,13 +172,14 @@ class TestEffectiveRoots:
 
 # Configurations no surface with -K nef has, each with the words its
 # refusal names.  In the cycle e1 - e2, e2 - e3, e3 - e1 every two roots
-# meet at 1, so only the independence check refuses it.
+# meet at 1, so only the positivity check refuses it: e3 - e1 is not
+# positive.
 REFUSED = {
-    "opposite": (3, [(0, -1, 1, 0), (0, 1, -1, 0)], "roots 0..1 are linearly dependent"),
+    "opposite": (3, [(0, -1, 1, 0), (0, 1, -1, 0)], "root 1 (0, 1, -1, 0) is not positive"),
     "repeated": (3, [(0, -1, 1, 0), (0, 0, -1, 1), (0, -1, 1, 0)], "roots 0 and 2 are equal"),
     "negative-pairing": (3, [(0, -1, 1, 0), (0, -1, 0, 1)], "roots 0 and 1 meet negatively (-1)"),
     "dependent-cycle": (
-        3, [(0, -1, 1, 0), (0, 0, -1, 1), (0, 1, 0, -1)], "roots 0..2 are linearly dependent"
+        3, [(0, -1, 1, 0), (0, 0, -1, 1), (0, 1, 0, -1)], "root 2 (0, 1, 0, -1) is not positive"
     ),
     "d-plus-one": (
         3, [(0, -1, 1, 0), (0, 0, -1, 1), (1, 1, 1, 1), (0, 1, -1, 0)], "declared 4 roots"
@@ -241,6 +240,86 @@ class TestConfigurationRefused:
         assert sizes == [7, 6, 5, 4, 3, 1, 0, 0]
 
 
+def _pairwise_non_negative(simple) -> bool:
+    return all(_form(p, q) >= 0 for p, q in itertools.combinations(simple, 2))
+
+
+class TestPositivityGivesIndependence:
+    """Positive roots that meet pairwise non-negatively are linearly
+    independent, so ``Surface`` needs no rank check: these are the facts
+    that stand in for one."""
+
+    @pytest.mark.parametrize("d", range(2, 9))
+    def test_drawn_configurations_and_their_extensions_have_full_rank(self, d):
+        # Each drawn configuration, and each configuration one positive
+        # root longer that still meets pairwise non-negatively.
+        positive = [p for p in sorted(oracle_roots(d)) if oracle_is_positive(p)]
+        for simple in random_valid_configurations(d, 6, seed=200 + d):
+            assert _rank(simple) == len(simple)
+            for p in positive:
+                longer = simple + [p]
+                if p not in simple and _pairwise_non_negative(longer):
+                    assert _rank(longer) == len(longer), longer
+
+    def test_every_subset_of_e8_has_full_rank(self):
+        for mask in range(1 << len(E8_SIMPLE_ROOTS)):
+            subset = [p for i, p in enumerate(E8_SIMPLE_ROOTS) if mask >> i & 1]
+            assert _rank(subset) == len(subset)
+
+    @pytest.mark.parametrize("d", range(5))
+    def test_every_pairwise_non_negative_set_of_positive_roots(self, d):
+        positive = [p for p in sorted(oracle_roots(d)) if oracle_is_positive(p)]
+        assert len(positive) == [0, 0, 1, 4, 10][d]
+        independent = 0
+        for mask in range(1 << len(positive)):
+            subset = [p for i, p in enumerate(positive) if mask >> i & 1]
+            if _pairwise_non_negative(subset):
+                assert _rank(subset) == len(subset), subset
+                independent += 1
+        assert independent > len(positive)
+
+    @pytest.mark.parametrize("d", range(9))
+    def test_half_the_roots_are_positive_and_none_meets_h_or_e_d_negatively(self, d):
+        S = surface(d)
+        roots = enumerate_roots(S)
+        positive = []
+        for C in roots:
+            try:
+                Surface(d, (C,))
+            except InvalidInputError as exc:
+                assert "is not positive" in str(exc)
+                assert oracle_is_positive(C.coeffs) is False
+            else:
+                assert oracle_is_positive(C.coeffs) is True
+                positive.append(C)
+        assert 2 * len(positive) == len(roots)
+        for C in positive:
+            assert intersect(S, line_divisor(d), C) >= 0
+            assert intersect(S, C, exceptional_divisor(d, d)) >= 0
+
+
+class TestNonPositiveRootsRefused:
+    """A root with h.C < 0, and e_j - e_i with i < j, which would make e_d
+    reducible."""
+
+    @pytest.mark.parametrize(
+        "d, root",
+        [(3, (-1, -1, -1, -1)), (2, (0, 1, -1))],
+        ids=["h-negative", "e2-minus-e1"],
+    )
+    def test_refused_naming_root_zero(self, d, root):
+        assert not oracle_valid_configuration(d, [root])
+        words = f"declared root 0 {root} is not positive"
+        with pytest.raises(InvalidInputError, match=re.escape(words)):
+            Surface(d, (divisor(*root),))
+
+    def test_blow_down_drops_a_root_through_e_d(self):
+        # e1 - e2 meets e2 at 1, so it has no image on the blow-down.
+        S = surface(2, [(0, -1, 1)])
+        assert intersect(S, S.effective_simple_roots[0], exceptional_divisor(2, 2)) == 1
+        assert blow_down_surface(S) == Surface(1)
+
+
 def valid_configurations():
     for d in range(2, 9):
         for k, simple in enumerate(random_valid_configurations(d, 6, seed=d)):
@@ -257,7 +336,6 @@ class TestDescentMatchesTheClosureOracle:
         for C in enumerate_roots(S):
             expected = positive.get(C.coeffs)
             assert effective_root_decomposition(S, C) == expected
-            assert is_connected_effective_root(S, C) is (expected is not None)
             kind = classify_pair(S, O, line_class(S, C)).kind
             assert kind is (PairKind.ZERO if expected is None else PairKind.SINGULAR)
 
@@ -375,5 +453,5 @@ class TestSurfaceValidation:
             Surface.from_json({"blowups": 2, "effective_roots": roots})
         with pytest.raises(InvalidInputError, match=r"^bad divisor class \[0, 'x', 1\]"):
             Surface.from_json({"blowups": 2, "effective_roots": roots[:2]})
-        with pytest.raises(InvalidInputError, match=r"^declared roots 0\.\.1 are linearly"):
+        with pytest.raises(InvalidInputError, match=r"^declared root 1 \(0, 1, -1\) is not pos"):
             Surface.from_json({"blowups": 2, "effective_roots": roots[::2]})

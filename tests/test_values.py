@@ -39,8 +39,8 @@ CASES = [
     (
         Surface,
         ("d", "effective_simple_roots"),
-        (2, (DivisorClass((0, 1, -1)),)),
-        "Surface(d=2, effective_simple_roots=(DivisorClass(coeffs=(0, 1, -1)),))",
+        (2, (DivisorClass((0, -1, 1)),)),
+        "Surface(d=2, effective_simple_roots=(DivisorClass(coeffs=(0, -1, 1)),))",
     ),
     (KClass, ("r", "c1", "two_ch2"), (1, D0, 0), O_TEXT),
     (
