@@ -44,7 +44,7 @@ from .picard import (
     exceptional_divisor,
     zero_divisor,
 )
-from .values import Value
+from .values import Value, slot_setters
 
 _CH2_TEXT = re.compile(r"([+-]?[0-9]+)(?:/([0-9]+))?")
 
@@ -65,16 +65,16 @@ class KClass(Value):
     _fields = ("r", "c1", "two_ch2")
 
     def __init__(self, r: int, c1: DivisorClass, two_ch2: int):
-        object.__setattr__(self, "r", r)
-        object.__setattr__(self, "c1", c1)
-        object.__setattr__(self, "two_ch2", two_ch2)
+        _set_r(self, r)
+        _set_c1(self, c1)
+        _set_two_ch2(self, two_ch2)
         self.__post_init__()
 
     def __post_init__(self):
         if not isinstance(self.r, int) or not isinstance(self.two_ch2, int):
             raise InvalidInputError("rank and 2*ch2 must be integers")
         hc1 = anticanonical_degree(self.c1)
-        object.__setattr__(self, "_hc1", hc1)
+        _set_hc1(self, hc1)
         # c1^2 = H.c1 (mod 2), so this is the parity of c1^2 - 2*ch2.
         if (hc1 - self.two_ch2) % 2 != 0:
             raise InvalidInputError(
@@ -167,6 +167,9 @@ class KClass(Value):
         if rest != 0:
             raise InvalidInputError(f"2*ch2 must be an integer, got ch2={Fraction(p, q)}")
         return KClass(r, DivisorClass.from_json(data["c1"]), two_ch2)
+
+
+_set_r, _set_c1, _set_two_ch2, _set_hc1 = slot_setters(KClass)
 
 
 @functools.lru_cache(maxsize=None)

@@ -25,6 +25,9 @@ from .pipeline import global_twist, order_hom, peel_curve, rotate_twist, rotatio
 
 __all__ = ["LogStep", "MutationLog", "State", "replay"]
 
+# A recorded direction is the JSON string of a Direction's value.
+_DIRECTIONS = {d.value: d for d in Direction}
+
 
 def _param(step: LogStep, key: str):
     if key not in step.params:
@@ -71,11 +74,12 @@ def _check_rotation_record(step: LogStep, c: Collection, j: int) -> None:
 def _recompute(step: LogStep, before: State) -> State:
     kind = step.kind
     if kind == "mutate":
-        direction = _param(step, "direction")
-        if direction not in ("left", "right"):
-            raise InvalidInputError(f"unknown direction {direction!r}")
+        name = _param(step, "direction")
+        direction = _DIRECTIONS.get(name) if isinstance(name, str) else None
+        if direction is None:
+            raise InvalidInputError(f"unknown direction {name!r}")
         position = _int_param(step, "position")
-        return mutate_collection(_collection(step, before), position, Direction(direction))
+        return mutate_collection(_collection(step, before), position, direction)
     if kind == "order":
         ordered, _ = order_hom(_collection(step, before))
         return ordered

@@ -24,7 +24,7 @@ from .chern import KClass, weighted_sum
 from .errors import DomainError, InvalidInputError
 from .pairs import require_exceptional_pair
 from .picard import Surface
-from .values import Value
+from .values import Value, slot_setters
 
 
 class MarkovTriple(Value):
@@ -36,9 +36,9 @@ class MarkovTriple(Value):
                 raise DomainError("Markov coordinates must be positive integers")
         if x**2 + y**2 + z**2 != 3 * x * y * z:
             raise DomainError(f"({x}, {y}, {z}) is not a Markov triple")
-        object.__setattr__(self, "x", x)
-        object.__setattr__(self, "y", y)
-        object.__setattr__(self, "z", z)
+        _set_x(self, x)
+        _set_y(self, y)
+        _set_z(self, z)
 
     def as_tuple(self) -> tuple[int, int, int]:
         return (self.x, self.y, self.z)
@@ -50,6 +50,9 @@ class MarkovTriple(Value):
     @property
     def max_coordinate(self) -> int:
         return max(self.x, self.y, self.z)
+
+
+_set_x, _set_y, _set_z = slot_setters(MarkovTriple)
 
 
 def markov_step(t: MarkovTriple, position: int) -> MarkovTriple:
@@ -110,12 +113,15 @@ class PairOrbit(Value):
     __slots__ = _fields = ("classes", "x", "h")
 
     def __init__(self, classes: dict[int, KClass], x: tuple[int, ...], h: int):
-        object.__setattr__(self, "classes", classes)
-        object.__setattr__(self, "x", x)
-        object.__setattr__(self, "h", h)
+        _set_classes(self, classes)
+        _set_orbit_x(self, x)
+        _set_h(self, h)
 
     def __getitem__(self, n: int) -> KClass:
         return self.classes[n]
+
+
+_set_classes, _set_orbit_x, _set_h = slot_setters(PairOrbit)
 
 
 def pair_orbit(S: Surface, E0: KClass, E1: KClass, n: int) -> PairOrbit:

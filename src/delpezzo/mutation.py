@@ -19,11 +19,12 @@ break.  The certificate has one rule and three ways in.  An input is
 certified in full once (``require_numerically_exceptional``).  A
 mutation of a certified collection evaluates chi(E,F) alone and walks
 the new member's row and column: 1 + n chi and one class built per move,
-from the integer coordinates of chi*E - F with the canonical sign
-already chosen.  A twist, a rotation with its twist by -K, or a recorded
-state equal to a certified collection carries its certificate with no
-scan (``carry_certificate``).  ``mutate_pair`` checks its input pair
-first (4 chi).  A mutation never classifies its pair.  Nothing caches chi.
+from the integer coordinates of +-(chi*E - F), with the canonical sign
+read off the rank or H.c1 before c1 is built.  A twist, a rotation with
+its twist by -K, or a recorded state equal to a certified collection
+carries its certificate with no scan (``carry_certificate``).
+``mutate_pair`` checks its input pair first (4 chi).  A mutation never
+classifies its pair.  Nothing caches chi.
 Braid words act letter by letter.  A foundation of length n extends to
 a helix by the twist periodicity  E_{i+sn} = E_i(-sK),  and the helix
 axiom L^(n-1) A_s = A_{s-n} is checked by explicit iterated mutation on
@@ -83,7 +84,7 @@ from .picard import (
     canonical_divisor,
     line_divisor,
 )
-from .values import Value
+from .values import Value, slot_setters
 
 
 class Direction(enum.Enum):
@@ -113,9 +114,9 @@ class Collection(Value):
         for m in members:
             if len(m.c1.coeffs) != n:
                 raise InvalidInputError("member does not belong to the surface")
-        object.__setattr__(self, "surface", surface)
-        object.__setattr__(self, "members", members)
-        object.__setattr__(self, "_certified", False)
+        _set_surface(self, surface)
+        _set_members(self, members)
+        _set_certified(self, False)
 
     def __len__(self) -> int:
         return len(self.members)
@@ -136,6 +137,9 @@ class Collection(Value):
         )
 
 
+_set_surface, _set_members, _set_certified = slot_setters(Collection)
+
+
 def _write_members(write, members: tuple[KClass, ...]) -> list:
     """[write(m) for m in members]; a DomainError names the member E_k."""
     out = []
@@ -154,12 +158,15 @@ class GramViolation(Value):
     __slots__ = _fields = ("i", "j", "value")
 
     def __init__(self, i: int, j: int, value: int):
-        object.__setattr__(self, "i", i)
-        object.__setattr__(self, "j", j)
-        object.__setattr__(self, "value", value)
+        _set_i(self, i)
+        _set_j(self, j)
+        _set_value(self, value)
 
     def to_json(self) -> dict:
         return {"i": self.i, "j": self.j, "chi": self.value}
+
+
+_set_i, _set_j, _set_value = slot_setters(GramViolation)
 
 
 def gram_matrix(c: Collection) -> list[list[int]]:
@@ -204,7 +211,7 @@ def require_numerically_exceptional(c: Collection) -> None:
             "collection is not numerically exceptional: "
             f"chi(E_{violation.i}, E_{violation.j}) = {violation.value}"
         )
-    object.__setattr__(c, "_certified", True)
+    _set_certified(c, True)
 
 
 def carry_certificate(c: Collection, out: Collection) -> Collection:
@@ -214,7 +221,7 @@ def carry_certificate(c: Collection, out: Collection) -> Collection:
     must be numerically exceptional, as ``require_numerically_exceptional``
     decides; ``out`` is never scanned."""
     require_numerically_exceptional(c)
-    object.__setattr__(out, "_certified", True)
+    _set_certified(out, True)
     return out
 
 
@@ -243,14 +250,21 @@ def _canonical_class(r: int, two_ch2: int, hc1: int, coeffs: tuple[int, ...]) ->
 
 def _reflection(a: int, X: KClass, Y: KClass) -> KClass:
     """The canonical representative of +-(a*X - Y), built once from its
-    integer coordinates.  A mutation never gives zero: chi(E,F)E = F would
-    make chi(F,E) = +-1, which its pair check or certificate rules out."""
-    return _canonical_class(
-        a * X.r - Y.r,
-        a * X.two_ch2 - Y.two_ch2,
-        a * X._hc1 - Y._hc1,
-        tuple([a * x - y for x, y in zip(X.c1.coeffs, Y.c1.coeffs)]),
-    )
+    integer coordinates.  The sign is read off the rank, else off H.c1,
+    before c1 is built, so a move builds one coordinate tuple; only a class
+    of rank 0 with H.c1 = 0 goes to ``_canonical_class``, which decides by
+    c1 and ch2.  A mutation never gives zero: chi(E,F)E = F would make
+    chi(F,E) = +-1, which its pair check or certificate rules out."""
+    r = a * X.r - Y.r
+    sign = r or a * X._hc1 - Y._hc1
+    pairs = zip(X.c1.coeffs, Y.c1.coeffs)
+    if sign > 0:
+        c1 = DivisorClass(tuple([a * x - y for x, y in pairs]))
+        return KClass(r, c1, a * X.two_ch2 - Y.two_ch2)
+    if sign < 0:
+        c1 = DivisorClass(tuple([y - a * x for x, y in pairs]))
+        return KClass(-r, c1, Y.two_ch2 - a * X.two_ch2)
+    return _canonical_class(0, a * X.two_ch2 - Y.two_ch2, 0, tuple([a * x - y for x, y in pairs]))
 
 
 def _reflect(S: Surface, E: KClass, F: KClass, chi_ef: int, direction: Direction):
@@ -303,7 +317,7 @@ def mutate_collection(c: Collection, i: int, direction: Direction) -> Collection
             "mutation broke the exceptionality certificate at "
             f"chi(E_{violation.i}, E_{violation.j}) = {violation.value}"
         )
-    object.__setattr__(out, "_certified", True)
+    _set_certified(out, True)
     return out
 
 
@@ -320,7 +334,7 @@ class BraidWord(Value):
                 raise InvalidInputError(f"braid position {pos} must be >= 1")
             if not isinstance(direction, Direction):
                 raise InvalidInputError("braid letter needs a Direction")
-        object.__setattr__(self, "letters", letters)
+        _set_letters(self, letters)
 
     def __str__(self) -> str:
         return " ".join(f"{d.letter}{p}" for p, d in self.letters)
@@ -345,6 +359,9 @@ class BraidWord(Value):
             direction = Direction.LEFT if m.group(1) in "Ll" else Direction.RIGHT
             letters.append((position, direction))
         return BraidWord(tuple(letters))
+
+
+(_set_letters,) = slot_setters(BraidWord)
 
 
 State = Collection | KClass
@@ -386,10 +403,10 @@ class LogStep(Value):
     __slots__ = _fields = ("kind", "params", "before", "after")
 
     def __init__(self, kind: str, params: dict, before: State, after: State):
-        object.__setattr__(self, "kind", kind)
-        object.__setattr__(self, "params", params)
-        object.__setattr__(self, "before", before)
-        object.__setattr__(self, "after", after)
+        _set_kind(self, kind)
+        _set_params(self, params)
+        _set_before(self, before)
+        _set_after(self, after)
 
     def to_json(self) -> dict:
         return {
@@ -414,11 +431,14 @@ class LogStep(Value):
         )
 
 
+_set_kind, _set_params, _set_before, _set_after = slot_setters(LogStep)
+
+
 class MutationLog(Value):
     __slots__ = _fields = ("steps",)
 
     def __init__(self, steps: tuple[LogStep, ...]):
-        object.__setattr__(self, "steps", tuple(steps))
+        _set_steps(self, tuple(steps))
 
     def __len__(self) -> int:
         return len(self.steps)
@@ -487,6 +507,9 @@ class MutationLog(Value):
                     step = _read_plain(line)
                 steps.append(step)
         return MutationLog(tuple(steps))
+
+
+(_set_steps,) = slot_setters(MutationLog)
 
 
 def _read_plain(line: str) -> LogStep:
@@ -623,10 +646,13 @@ class HelixWitness(Value):
     def __init__(
         self, index: int, reason: str, computed: KClass | None, expected: KClass | None
     ):
-        object.__setattr__(self, "index", index)
-        object.__setattr__(self, "reason", reason)
-        object.__setattr__(self, "computed", computed)
-        object.__setattr__(self, "expected", expected)
+        _set_index(self, index)
+        _set_reason(self, reason)
+        _set_computed(self, computed)
+        _set_expected(self, expected)
+
+
+_set_index, _set_reason, _set_computed, _set_expected = slot_setters(HelixWitness)
 
 
 def check_helix_period(foundation: Collection) -> tuple[bool, HelixWitness | None]:

@@ -34,7 +34,7 @@ import enum
 from .chern import KClass, compare_mu, euler_form
 from .errors import DomainError, InvalidInputError, InvariantViolationError
 from .picard import Surface, anticanonical_degree, dot, effective_root_decomposition
-from .values import Value
+from .values import Value, slot_setters
 
 
 class PairKind(enum.Enum):
@@ -59,8 +59,8 @@ class PairType(Value):
                 raise InvalidInputError("zero pair carries no dims")
         elif dims != (1, 1):
             raise InvalidInputError("singular pair dims are pinned to (1, 1)")
-        object.__setattr__(self, "kind", kind)
-        object.__setattr__(self, "dims", dims)
+        _set_kind(self, kind)
+        _set_dims(self, dims)
 
     @staticmethod
     def hom(dim: int) -> "PairType":
@@ -84,6 +84,9 @@ class PairType(Value):
         if self.kind in (PairKind.ZERO, PairKind.SINGULAR):
             return 0
         return self.dims[0] if self.kind is PairKind.HOM else -self.dims[0]
+
+
+_set_kind, _set_dims = slot_setters(PairType)
 
 
 def require_exceptional_pair(S: Surface, E: KClass, F: KClass) -> int:

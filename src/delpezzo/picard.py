@@ -29,7 +29,7 @@ from itertools import combinations, permutations, repeat
 from operator import mul
 
 from .errors import DomainError, InvalidInputError
-from .values import Value
+from .values import Value, slot_setters
 
 MAX_BLOWUPS = 8
 
@@ -40,7 +40,7 @@ class DivisorClass(Value):
     __slots__ = _fields = ("coeffs",)
 
     def __init__(self, coeffs: tuple[int, ...]):
-        object.__setattr__(self, "coeffs", coeffs)
+        _set_coeffs(self, coeffs)
         self.__post_init__()
 
     def __post_init__(self):
@@ -82,6 +82,9 @@ class DivisorClass(Value):
         if not isinstance(data, list) or any(type(x) is not int for x in data):
             raise InvalidInputError(f"bad divisor class {data!r}: need a list of integers")
         return DivisorClass(tuple(data))
+
+
+(_set_coeffs,) = slot_setters(DivisorClass)
 
 
 def zero_divisor(d: int) -> DivisorClass:
@@ -148,8 +151,8 @@ class Surface(Value):
                 if not isinstance(C, DivisorClass):
                     raise InvalidInputError(f"declared root {i} is not a divisor class")
             _check_configuration(d, roots)
-        object.__setattr__(self, "d", d)
-        object.__setattr__(self, "effective_simple_roots", roots)
+        _set_d(self, d)
+        _set_effective_simple_roots(self, roots)
 
     @property
     def k_squared(self) -> int:
@@ -172,6 +175,9 @@ class Surface(Value):
             raise InvalidInputError("effective_roots must be a list of divisor classes")
         _check_size(d, len(roots))  # before any root is built
         return Surface(d, tuple(DivisorClass.from_json(r) for r in roots))
+
+
+_set_d, _set_effective_simple_roots = slot_setters(Surface)
 
 
 def _check_size(d: int, count: int) -> None:

@@ -23,7 +23,7 @@ from fractions import Fraction
 from .chern import KClass, default_ample, weighted_sum
 from .errors import DomainError, InvalidInputError
 from .picard import DivisorClass, Surface, dot
-from .values import Value
+from .values import Value, slot_setters
 
 
 class SlopeVector(Value):
@@ -44,8 +44,8 @@ class SlopeVector(Value):
                 raise InvalidInputError(
                     f"slope numerators must be integers or Fractions, got {x!r}"
                 )
-        object.__setattr__(self, "rank", rank)
-        object.__setattr__(self, "numerators", numerators)
+        _set_rank(self, rank)
+        _set_numerators(self, numerators)
 
     def __add__(self, other: "SlopeVector") -> "SlopeVector":
         if len(self.numerators) != len(other.numerators):
@@ -64,6 +64,9 @@ class SlopeVector(Value):
     def components(self) -> tuple[Fraction, ...]:
         """The slope's components as the Fractions a user is shown."""
         return tuple(Fraction(x, self.rank) for x in self.numerators)
+
+
+_set_rank, _set_numerators = slot_setters(SlopeVector)
 
 
 def vector_slope(
@@ -110,7 +113,7 @@ class GradedObject(Value):
                 raise DomainError("graded quotients must have positive rank")
             if not isinstance(m, int) or m < 1:
                 raise InvalidInputError("multiplicities must be positive integers")
-        object.__setattr__(self, "quotients", quotients)
+        _set_quotients(self, quotients)
 
     def to_json(self) -> dict:
         return {
@@ -133,6 +136,9 @@ class GradedObject(Value):
                 raise InvalidInputError(f"mult must be a JSON integer, got {item['mult']!r}")
             quotients.append((KClass.from_json(item["class"]), item["mult"]))
         return GradedObject(tuple(quotients))
+
+
+(_set_quotients,) = slot_setters(GradedObject)
 
 
 def hn_coarsen(g: GradedObject, A: DivisorClass) -> GradedObject:

@@ -3,8 +3,13 @@
 A value type declares its ``__slots__``, the tuple ``_fields`` of the
 fields that take part in ``==``, the hash and the repr, and an
 ``__init__`` that does three things: normalise, check, then set each
-field once with ``object.__setattr__``.  ``KClass`` and ``DivisorClass``
-alone set their fields first and then check them in
+slot once through the class's setters.  The module that defines a class
+binds them once, at import, as ``_set_x, ... = slot_setters(Cls)``:
+``_set_x(obj, value)`` is the slot descriptor's own ``__set__``, which
+``Value.__setattr__`` cannot refuse, and it costs about half of
+``object.__setattr__(obj, "x", value)``, because the slot is found once,
+at import, not by its name on every call.  ``KClass`` and
+``DivisorClass`` alone set their fields first and then check them in
 ``self.__post_init__()``, because the benchmark's tracer counts their
 builds through that method.  A slot left out of ``_fields`` (a cache or
 a certificate flag) takes part in none of them.  Equality holds between
@@ -52,3 +57,8 @@ class Value:
 
     def __delattr__(self, name):
         raise AttributeError(f"cannot delete field {name!r}")
+
+
+def slot_setters(cls: type) -> tuple:
+    """The ``__set__`` of each of cls's own ``__slots__``, in their order."""
+    return tuple(vars(cls)[name].__set__ for name in cls.__slots__)

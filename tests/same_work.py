@@ -275,6 +275,22 @@ def sweep_weighted(full: bool) -> None:
     call("weighted_sum bool", weighted_sum, ((O1, True), (O1, 2)))
 
 
+def replay_text(text: str) -> bool:
+    return replay(MutationLog.from_jsonl(text))
+
+
+def sweep_directions() -> None:
+    """replay of a one-step mutate log whose recorded direction is each of
+    these JSON values: the two a log writes, and values it refuses."""
+    c = basic_collection(Surface(1))
+    _, log = apply_braid(c, BraidWord(((1, Direction.LEFT),)))
+    step = json.loads(log.to_jsonl())
+    for direction in ("left", "right", "LEFT", "l", 1, None, ["left"], {"left": 1}):
+        step["params"]["direction"] = direction
+        text = json.dumps(step) + "\n"
+        call(f"replay direction {json.dumps(direction)}", replay_text, text)
+
+
 def run_cli(label: str, argv: list[str], out_dir: str) -> None:
     """cli.run in process: exit code, stdout, stderr and the --out file."""
     log_path = os.path.join(out_dir, "log.jsonl")
@@ -342,6 +358,7 @@ def main() -> None:
     sweep_special(full)
     sweep_configurations(full)
     sweep_weighted(full)
+    sweep_directions()
 
 
 if __name__ == "__main__":

@@ -786,6 +786,20 @@ class TestReplayCommand:
         assert err == f"invalid input: {message}\n"
 
 
+    def test_non_string_direction_exits_one(self, capsys, tmp_path):
+        # A JSON list cannot key a dict: the direction lookup must refuse it,
+        # not raise TypeError.
+        collection = json.dumps(p2_basic().to_json())
+        log_path, _ = self.write_log(
+            capsys, tmp_path, "braid", "--collection", collection, "--word", "L1"
+        )
+        step = json.loads(log_path.read_text())
+        step["params"]["direction"] = ["left"]
+        log_path.write_text(json.dumps(step) + "\n")
+        code, out, err = invoke_process("replay", "--log", str(log_path))
+        assert (code, out) == (1, "")
+        assert err == "invalid input: unknown direction ['left']\n"
+
     @pytest.mark.parametrize(
         "kind, params", [("rotate", {"j": 2}), ("twist", {"k_multiple": 1})]
     )

@@ -120,6 +120,39 @@ def test_only_mutation_names_the_certificate_flag():
     assert found == []
 
 
+def object_setattr_calls(tree):
+    """Lines of object.__setattr__(...) calls."""
+    return [
+        node.lineno
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Call)
+        and isinstance(node.func, ast.Attribute)
+        and node.func.attr == "__setattr__"
+        and isinstance(node.func.value, ast.Name)
+        and node.func.value.id == "object"
+    ]
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_slots_are_set_through_their_setters(path):
+    """A value's slots are set through the setters ``values.slot_setters``
+    binds at import, not by name through ``object.__setattr__``; tests may
+    still forge a slot that way."""
+    lines = object_setattr_calls(parse(path))
+    assert lines == [], f"object.__setattr__ calls on lines {lines}"
+
+
+def test_object_setattr_lint_catches_a_call_not_a_mention():
+    tree = ast.parse(
+        'def f(x):\n'
+        '    """object.__setattr__(x, "a", 1) is not a call."""\n'
+        '    object.__setattr__(x, "a", 1)\n'
+        '    super().__setattr__("a", 1)\n'
+        '    setattr(x, "a", 1)\n'
+    )
+    assert object_setattr_calls(tree) == [3]
+
+
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_no_private_names_imported_from_siblings(path):
     private = [

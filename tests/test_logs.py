@@ -652,9 +652,12 @@ class TestStrictDecoding:
         with pytest.raises(InvalidInputError, match=key):
             replay(MutationLog((LogStep(kind, params, step.before, step.after),)))
 
-    @pytest.mark.parametrize("direction", ["l", "LEFT", "up", 1, None])
+    @pytest.mark.parametrize(
+        "direction", ["l", "LEFT", "up", 1, None, ["left"], {"left": 1}, True]
+    )
     def test_unknown_direction_rejected(self, direction):
-        with pytest.raises(InvalidInputError, match="direction"):
+        message = f"unknown direction {direction!r}"
+        with pytest.raises(InvalidInputError, match=f"^{re.escape(message)}$"):
             replay(MutationLog((edited("mutate", direction=direction),)))
 
     @pytest.mark.parametrize("kind", ["mutate", "order", "rotate", "twist", "peel"])

@@ -92,6 +92,10 @@ def test_value_type(cls, names, values, text):
     x = cls(*values)
     assert cls._fields == names
     assert tuple(getattr(x, n) for n in names) == values
+    # Every slot is set, the private ones too: a constructor that leaves a
+    # setter out raises AttributeError here.
+    for name in cls.__slots__:
+        getattr(x, name)
     assert repr(x) == text
     assert cls(**dict(zip(names, values))) == x
     try:
