@@ -27,7 +27,6 @@ from .markov import (
     MarkovTriple,
     PairOrbit,
     markov_form,
-    markov_max_uniqueness,
     markov_step,
     markov_tree,
     pair_orbit,

@@ -4,7 +4,7 @@ A class is the integer triple (r, c1, 2*ch2): rank, a Picard-lattice c1
 and twice the second Chern character.  The second Chern character is the
 stored coordinate (rather than c2) because it is additive in K-theory,
 which makes every mutation formula linear; storing it doubled keeps every
-coordinate an integer.  ch2 = (2*ch2)/2 and c2 are derived accessors.
+coordinate an integer.  ch2 = (2*ch2)/2 is a derived accessor.
 
 The Euler form is the surface Riemann-Roch bilinear expansion
 
@@ -89,10 +89,6 @@ class KClass(Value):
     @property
     def ch2(self) -> Fraction:
         return Fraction(self.two_ch2, 2)
-
-    @property
-    def c2(self) -> int:
-        return (dot(self.c1, self.c1) - self.two_ch2) // 2
 
     @property
     def d(self) -> int:

@@ -2,8 +2,11 @@
 
 Positive solutions of  x^2 + y^2 + z^2 = 3xyz  are generated from
 (1, 1, 1) by Vieta jumps: replacing one coordinate c by
-3*(product of the others) - c.  The ranks of helix foundations on the
-plane realize exactly these triples.
+3*(product of the others) - c.  Sorted, they form Markov's binary tree:
+(a, b, c) with a <= b <= c has the two children (a, c, 3ac - b) and
+(b, c, 3bc - a), each sorted with a larger maximum, and every solution
+but (1, 1, 1) has one parent, found by lowering its maximum.  The ranks
+of helix foundations on the plane realize exactly these triples.
 
 The orbit of a numerically exceptional ext-pair (E_0, E_1) with pairing
 chi(E_0, E_1) = -h <= -2 under one-sided mutation obeys the two-sided
@@ -43,14 +46,6 @@ class MarkovTriple(Value):
     def as_tuple(self) -> tuple[int, int, int]:
         return (self.x, self.y, self.z)
 
-    def sorted(self) -> "MarkovTriple":
-        a, b, c = sorted((self.x, self.y, self.z))
-        return MarkovTriple(a, b, c)
-
-    @property
-    def max_coordinate(self) -> int:
-        return max(self.x, self.y, self.z)
-
 
 _set_x, _set_y, _set_z = slot_setters(MarkovTriple)
 
@@ -68,36 +63,24 @@ def markov_step(t: MarkovTriple, position: int) -> MarkovTriple:
 
 
 def markov_tree(limit: int) -> Iterator[MarkovTriple]:
-    """Yield each solution with max coordinate <= limit once, sorted, as
-    Vieta jumps from (1,1,1) reach it; a caller that stops early stops the
-    walk.  The limit is checked when iteration starts."""
+    """Yield each solution with max coordinate <= limit once, sorted, down
+    Markov's tree from (1, 1, 1); a caller that stops early stops the walk.
+    The limit is checked when iteration starts.
+
+    A sorted (a, b, c) has the two children (a, c, 3ac - b) and
+    (b, c, 3bc - a), each sorted with maximum above c, so a child past the
+    limit ends its branch.  Every solution but the root has one parent, so
+    the walk meets it once; the two children coincide only at (1, 1, 1)
+    and (1, 1, 2), where a set of them drops the repeat."""
     if not isinstance(limit, int) or limit < 1:
         raise InvalidInputError("limit must be a positive integer")
-    seen: set[MarkovTriple] = set()
-    # Only sorted triples within the limit are ever pushed.
-    frontier = [MarkovTriple(1, 1, 1)]
+    frontier = [(1, 1, 1)]
     while frontier:
-        t = frontier.pop()
-        if t in seen:
-            continue
-        seen.add(t)
-        yield t
-        for pos in (1, 2, 3):
-            child = markov_step(t, pos)
-            if child.max_coordinate <= limit:
-                frontier.append(child.sorted())
-
-
-def markov_max_uniqueness(limit: int) -> bool:
-    """Whether every solution with max coordinate <= limit is determined by
-    its maximal element.  This verifies the uniqueness hypothesis up to the
-    enumeration bound only; it never asserts the general conjecture."""
-    by_max: dict[int, MarkovTriple] = {}
-    for t in markov_tree(limit):
-        other = by_max.setdefault(t.max_coordinate, t)
-        if other != t:
-            return False
-    return True
+        a, b, c = frontier.pop()
+        yield MarkovTriple(a, b, c)
+        for child in {(a, c, 3 * a * c - b), (b, c, 3 * b * c - a)}:
+            if child[2] <= limit:
+                frontier.append(child)
 
 
 def markov_form(p: int, q: int, h: int) -> int:

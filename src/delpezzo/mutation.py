@@ -267,11 +267,11 @@ def _reflection(a: int, X: KClass, Y: KClass) -> KClass:
     return _canonical_class(0, a * X.two_ch2 - Y.two_ch2, 0, tuple([a * x - y for x, y in pairs]))
 
 
-def _reflect(S: Surface, E: KClass, F: KClass, chi_ef: int, direction: Direction):
+def _reflect(E: KClass, F: KClass, chi_ef: int, direction: Direction):
     """The mutation of an exceptional pair (E, F), given chi(E,F); at equal
     slopes only the forced -2-class equations are checked."""
     if chi_ef == 0 and E.r > 0 and F.r > 0:
-        require_equal_slope_pair(S, E, F)
+        require_equal_slope_pair(E, F)
     if direction is Direction.LEFT:
         return _reflection(chi_ef, E, F), E
     return F, _reflection(chi_ef, F, E)
@@ -288,7 +288,7 @@ def mutate_pair(
     forced -2-class equations, and is not classified.  Rank-0 members are
     mutated alike; the output pair is exceptional again by bilinearity.
     """
-    return _reflect(S, E, F, require_exceptional_pair(S, E, F), direction)
+    return _reflect(E, F, require_exceptional_pair(S, E, F), direction)
 
 
 def mutate_collection(c: Collection, i: int, direction: Direction) -> Collection:
@@ -309,7 +309,7 @@ def mutate_collection(c: Collection, i: int, direction: Direction) -> Collection
         )
     require_numerically_exceptional(c)
     S, E, F = c.surface, c.members[i - 1], c.members[i]
-    new_pair = _reflect(S, E, F, euler_form(S, E, F), direction)
+    new_pair = _reflect(E, F, euler_form(S, E, F), direction)
     out = Collection(S, c.members[: i - 1] + new_pair + c.members[i + 1 :])
     violation = _violation(out, i - 1 if direction is Direction.LEFT else i)
     if violation is not None:
@@ -330,7 +330,7 @@ class BraidWord(Value):
     def __init__(self, letters: tuple[tuple[int, Direction], ...]):
         letters = tuple(letters)
         for pos, direction in letters:
-            if not isinstance(pos, int) or pos < 1:
+            if type(pos) is not int or pos < 1:
                 raise InvalidInputError(f"braid position {pos} must be >= 1")
             if not isinstance(direction, Direction):
                 raise InvalidInputError("braid letter needs a Direction")
@@ -442,9 +442,6 @@ class MutationLog(Value):
 
     def __len__(self) -> int:
         return len(self.steps)
-
-    def __iter__(self):
-        return iter(self.steps)
 
     def to_jsonl(self) -> str:
         """One line per step, json.dumps(step.to_json()) byte for byte.
@@ -693,7 +690,7 @@ def check_helix_period(foundation: Collection) -> tuple[bool, HelixWitness | Non
                 x = helix[s] if t == 1 else _canonical_class(y[0], y[1], y[2], y[3:])
                 if x.r > 0:
                     try:
-                        require_equal_slope_pair(S, helix[m], x)
+                        require_equal_slope_pair(helix[m], x)
                     except (InvalidInputError, InvariantViolationError) as exc:
                         return False, HelixWitness(s, f"step {t}: {exc}", None, None)
             y = tuple([chi * a - b for a, b in zip(coords[m], y)])

@@ -100,7 +100,7 @@ def require_exceptional_pair(S: Surface, E: KClass, F: KClass) -> int:
     return euler_form(S, E, F)
 
 
-def require_equal_slope_pair(S: Surface, E: KClass, F: KClass):
+def require_equal_slope_pair(E: KClass, F: KClass):
     """The equal-slope refusal for an exceptional pair of positive ranks:
     C = c1(F) - c1(E) must be a nonzero -2-class orthogonal to K and the
     ranks equal.  Returns C."""
@@ -130,7 +130,7 @@ def classify_pair(S: Surface, E: KClass, F: KClass) -> PairType:
         return PairType.hom(chi_ef)
     if chi_ef < 0:
         return PairType.ext(-chi_ef)
-    if effective_root_decomposition(S, require_equal_slope_pair(S, E, F)) is not None:
+    if effective_root_decomposition(S, require_equal_slope_pair(E, F)) is not None:
         return PairType.singular()
     return PairType.zero()
 

@@ -67,28 +67,21 @@ from .picard import (
 )
 
 
-def _torsion_multiplicity(E: KClass) -> tuple[int, int]:
-    """(i, k) for the rank-0 class E = k * [O_{e_i}(-1)], k >= 1: c1 is -k
-    at coordinate i and zero elsewhere, and 2*ch2 = -k.  Raises for rank-0
-    classes of any other shape."""
-    coeffs, k = E.c1.coeffs, -E.two_ch2
-    support = [i for i, x in enumerate(coeffs) if x]
-    if k >= 1 and len(support) == 1 and support[0] >= 1 and coeffs[support[0]] == -k:
-        return support[0], k
-    raise DomainError(
-        f"rank-0 member ({E.r}, {E.c1.coeffs}, {E.ch2}) is not a multiple of a "
-        "curve class O_e(-1); the pipeline cannot place it"
-    )
-
-
 def _check_members(c: Collection) -> None:
     """Check that every rank is non-negative and every torsion member is a
-    multiple k*[O_{e_i}(-1)] of a blow-up curve class."""
+    multiple k*[O_{e_i}(-1)], k >= 1, of a blow-up curve class: c1 is -k at
+    one coordinate i >= 1 and zero elsewhere, and 2*ch2 = -k."""
     for m in c.members:
+        if m.r > 0:
+            continue
         if m.r < 0:
             raise InvalidInputError("pipeline members need non-negative rank")
-        if m.r == 0:
-            _torsion_multiplicity(m)
+        coeffs = m.c1.coeffs
+        if m.two_ch2 >= 0 or coeffs[0] or [x for x in coeffs if x] != [m.two_ch2]:
+            raise DomainError(
+                f"rank-0 member ({m.r}, {coeffs}, {m.ch2}) is not a multiple of a "
+                "curve class O_e(-1); the pipeline cannot place it"
+            )
 
 
 def _descending(S: Surface, mus: list[KClass]) -> bool:
@@ -236,14 +229,16 @@ def _forbidden_pair_guard(c: Collection, e_index: int) -> None:
 
 
 def _member_degrees(c: Collection, e_index: int) -> set[int]:
-    """Union of splitting degrees of all members on e_{e_index}.  Torsion
-    members on the peel curve contribute their own degree -1; torsion on a
-    different blow-up curve restricts trivially and contributes nothing."""
+    """Union of splitting degrees of all members on e_{e_index}, once
+    ``_check_members`` has passed.  Torsion members on the peel curve
+    contribute their own degree -1; torsion on a different blow-up curve
+    restricts trivially and contributes nothing."""
     degrees: set[int] = set()
     for m in c.members:
+        deg = restriction_degree(c.surface, m, e_index)
         if m.r > 0:
-            degrees |= splitting_degrees(m.r, restriction_degree(c.surface, m, e_index))
-        elif _torsion_multiplicity(m)[0] == e_index:
+            degrees |= splitting_degrees(m.r, deg)
+        elif deg:
             degrees.add(-1)
     return degrees
 
@@ -252,7 +247,7 @@ def _check_mults(c: Collection, mults: list[int]) -> None:
     """One positive integer multiplicity per member."""
     if len(mults) != len(c.members):
         raise InvalidInputError("one multiplicity per member is required")
-    if any(not isinstance(m, int) or m < 1 for m in mults):
+    if any(type(m) is not int or m < 1 for m in mults):
         raise InvalidInputError("multiplicities must be positive integers")
 
 
@@ -269,6 +264,8 @@ def peel_curve(
     require_numerically_exceptional(c)
     _check_members(c)
     _check_mults(c, mults)
+    if type(e_index) is not int:
+        raise InvalidInputError(f"peel curve index {e_index!r} is not an integer")
     S = c.surface
     _forbidden_pair_guard(c, e_index)
     degrees = _member_degrees(c, e_index)

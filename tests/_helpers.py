@@ -319,6 +319,24 @@ def oracle_markov_solutions(limit: int) -> set[tuple[int, int, int]]:
     return out
 
 
+def oracle_markov_closure(limit: int) -> set[tuple[int, int, int]]:
+    """The sorted solutions with max <= limit, closed under all three Vieta
+    jumps from (1, 1, 1): a graph search that assumes no tree shape."""
+    found: set[tuple[int, int, int]] = set()
+    stack = [(1, 1, 1)]
+    while stack:
+        t = stack.pop()
+        if t in found:
+            continue
+        found.add(t)
+        x, y, z = t
+        for jump in ((3 * y * z - x, y, z), (x, 3 * x * z - y, z), (x, y, 3 * x * y - z)):
+            s = tuple(sorted(jump))
+            if s[2] <= limit:
+                stack.append(s)
+    return found
+
+
 def oracle_gram_violation(c: Collection, q: int | None = None):
     """The first failing Gram entry (i, j, chi) or None, by two separate
     loops.  Without q, the row-major scan: chi(E_i, E_i) = 1, then

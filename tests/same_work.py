@@ -52,6 +52,7 @@ from delpezzo import (
     mutate_pair,
     normalize_and_descend,
     pair_orbit,
+    peel_curve,
     replay,
     rotate_twist,
     structure_class,
@@ -275,6 +276,25 @@ def sweep_weighted(full: bool) -> None:
     call("weighted_sum bool", weighted_sum, ((O1, True), (O1, 2)))
 
 
+def braid_letter_and_replay(c: Collection, position):
+    return braid_and_replay(c, BraidWord(((position, Direction.LEFT),)))
+
+
+def peel_and_replay(c: Collection, mults, e_index):
+    G, alpha, log = peel_curve(c, mults, e_index)
+    return G, alpha, log, replay(MutationLog.from_jsonl(log.to_jsonl()))
+
+
+def sweep_bools() -> None:
+    """The entries that write an integer into a log, given True and 1: a
+    step must record a JSON integer, or replay refuses it."""
+    c = basic_collection(Surface(1))
+    for v in (True, 1):
+        call(f"normalize_and_descend mult {v!r}", descend_and_replay, c, [v, 1, 1, 1])
+        call(f"apply_braid position {v!r}", braid_letter_and_replay, c, v)
+        call(f"peel_curve e_index {v!r}", peel_and_replay, c, [1, 1, 1, 1], v)
+
+
 def replay_text(text: str) -> bool:
     return replay(MutationLog.from_jsonl(text))
 
@@ -359,6 +379,7 @@ def main() -> None:
     sweep_configurations(full)
     sweep_weighted(full)
     sweep_directions()
+    sweep_bools()
 
 
 if __name__ == "__main__":

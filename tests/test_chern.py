@@ -50,10 +50,10 @@ class TestKClass:
             # c1^2 - 2 ch2 = 1 - 1 = 0 is fine; 1 - 2 = -1 is odd.
             KClass(1, divisor(1), 2)
 
-    def test_c2_accessor(self):
+    def test_ch2_accessors(self):
         T = KClass(2, divisor(3), 3)
-        assert T.c2 == 3
         assert T.two_ch2 == 3
+        assert T.ch2 == Fraction(3, 2)
 
     def test_rational_third_argument_rejected(self):
         # The third coordinate is 2*ch2; an old-style rational ch2 fails loudly.

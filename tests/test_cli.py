@@ -8,7 +8,7 @@ import time
 from fractions import Fraction
 
 import pytest
-from _helpers import oracle_slope, p2_basic, random_kclass, surface
+from _helpers import oracle_markov_closure, oracle_slope, p2_basic, random_kclass, surface
 
 from delpezzo import (
     DomainError,
@@ -19,13 +19,12 @@ from delpezzo import (
     basic_collection_torsion_last,
     default_ample,
     intersect,
-    markov_max_uniqueness,
-    markov_tree,
     normalize_and_descend,
     peel_curve,
     replay,
     slope_mu,
 )
+from delpezzo import cli as cli_module
 from delpezzo.cli import run
 
 
@@ -578,7 +577,7 @@ class TestRefusals:
         assert elapsed < 1.0
 
     def test_markov_budget_is_inclusive(self, capsys):
-        maxima = sorted(t.max_coordinate for t in markov_tree(10**40))
+        maxima = sorted(t[2] for t in oracle_markov_closure(10**40))
         edge = maxima[1000]  # the largest coordinate of the 1001st triple
         code, out, _ = invoke(capsys, "markov", "--limit", str(edge - 1))
         assert code == 0
@@ -629,17 +628,32 @@ class TestMarkov:
             "unique_max_verified_up_to": 5,
         }
 
-    def test_answer_is_the_sorted_markov_tree(self, capsys):
+    def test_answer_is_the_sorted_vieta_closure(self, capsys):
         limit = 10**6
-        triples = sorted(t.as_tuple() for t in markov_tree(limit))
+        triples = sorted(oracle_markov_closure(limit))
+        maxima = {t[2] for t in triples}
         expected = {
             "triples": [list(t) for t in triples],
-            "unique_max_verified_up_to": limit if markov_max_uniqueness(limit) else None,
+            "unique_max_verified_up_to": limit if len(maxima) == len(triples) else None,
         }
         code, out, _ = invoke(capsys, "markov", "--limit", str(limit))
         assert code == 0
         assert out == json.dumps(expected) + "\n"
-        assert len(triples) == 40
+        assert len(triples) == 40 and expected["unique_max_verified_up_to"] == limit
+
+    @pytest.mark.parametrize("limit", ["1", "200", str(10**12)])
+    def test_one_tree_walk_per_call(self, capsys, monkeypatch, limit):
+        walks = []
+        tree = cli_module.markov_tree
+
+        def recorded(n):
+            walks.append(n)
+            return tree(n)
+
+        monkeypatch.setattr(cli_module, "markov_tree", recorded)
+        code, _, _ = invoke(capsys, "markov", "--limit", limit)
+        assert code == 0
+        assert walks == [int(limit)]
 
     @pytest.mark.parametrize("limit", ["0", "-1"])
     def test_non_positive_limit_exits_one(self, capsys, limit):
@@ -1003,6 +1017,18 @@ class TestPipelineCommands:
         assert code == 0
         d = doc(out)
         assert d == {"class": {"r": 1, "c1": [0, 0], "ch2": "0/1"}, "alpha": 1}
+
+    @pytest.mark.parametrize("e_index", ["0", "3", "-1"])
+    def test_peel_curve_past_the_surface_exits_one(self, capsys, e_index):
+        # The first two members of the d = 2 basic collection are torsion,
+        # so the index is read off a torsion member before any bundle.
+        c = basic_collection(surface(2))
+        assert [m.r for m in c.members[:2]] == [0, 0]
+        argv = ["peel", "--collection", json.dumps(c.to_json()), "--e-index", e_index]
+        code, out, err = invoke(capsys, *argv)
+        assert code == 1, out
+        assert out == ""
+        assert err == f"invalid input: e_{e_index} does not exist with 2 blow-ups\n"
 
     @pytest.mark.parametrize("command", ["normalize", "peel"])
     @pytest.mark.parametrize(

@@ -1,7 +1,8 @@
 """Structure of the package: exact-only source, module-level imports that
 form a layered (acyclic) graph (the shared test helpers import at module
-level too), one lattice kernel, no public name that only tests call, and
-demos that run."""
+level too), one lattice kernel, no public name or method that only tests
+call, no public parameter that its function never reads, and demos that
+run."""
 
 import ast
 import json
@@ -261,6 +262,128 @@ def test_every_exported_name_has_a_caller_outside_the_tests():
     users = [path for path in MODULES if path != INIT] + DEMOS + BENCH
     unused = exported - set().union(*map(referenced_names, users))
     assert sorted(unused) == []
+
+
+def attribute_reads(tree, skip=()):
+    """Attribute names a tree reads, outside the subtrees in ``skip``."""
+    skipped = {id(node) for top in skip for node in ast.walk(top)}
+    return [
+        node.attr
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute) and id(node) not in skipped
+    ]
+
+
+def public_methods(tree):
+    """(class, method) for each public method or property of each class
+    defined at the top level of a module."""
+    return [
+        (cls, fn)
+        for cls in tree.body
+        if isinstance(cls, ast.ClassDef)
+        for fn in cls.body
+        if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef))
+        and not fn.name.startswith("_")
+    ]
+
+
+def unread_methods(package, others):
+    """Class.method names that no tree in ``package`` reads as an attribute
+    outside the method's own definition, and no tree in ``others`` reads."""
+    outside = set().union(*(attribute_reads(t) for t in others))
+    unread = []
+    for tree in package:
+        for cls, fn in public_methods(tree):
+            if fn.name in outside:
+                continue
+            if not any(
+                fn.name in attribute_reads(t, skip=[fn] if t is tree else [])
+                for t in package
+            ):
+                unread.append(f"{cls.name}.{fn.name}")
+    return sorted(unread)
+
+
+def test_unread_method_lint_catches_a_method_read_only_by_itself():
+    package = [
+        ast.parse(
+            "class A:\n"
+            "    def used(self):\n"
+            "        return self.own()\n"
+            "    def own(self):\n"
+            "        return self.own()\n"
+            "    @property\n"
+            "    def shown(self):\n"
+            "        return 1\n"
+            "    def _private(self):\n"
+            "        return 2\n"
+            "def f(a):\n"
+            "    return a.used()\n"
+        )
+    ]
+    assert unread_methods(package, []) == ["A.shown"]
+    assert unread_methods(package, [ast.parse("A().shown")]) == []
+
+
+def test_every_public_method_has_a_reader_outside_the_tests():
+    """Each public method or property of a package class is read by the
+    package outside its own definition, by a demo or by the benchmark."""
+    package = [parse(path) for path in MODULES]
+    others = [parse(path) for path in DEMOS + BENCH]
+    assert unread_methods(package, others) == []
+
+
+def unread_parameters(tree):
+    """function(parameter) for each parameter that a public function or
+    method of the tree never reads in its body; ``self`` and ``cls`` are
+    left out, and so are dunders and underscore functions."""
+    found = []
+    for fn in ast.walk(tree):
+        if not isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            continue
+        if fn.name.startswith("_"):
+            continue
+        args = fn.args
+        params = args.posonlyargs + args.args + args.kwonlyargs
+        params += [a for a in (args.vararg, args.kwarg) if a is not None]
+        read = {
+            node.id
+            for stmt in fn.body
+            for node in ast.walk(stmt)
+            if isinstance(node, ast.Name)
+        }
+        found += [
+            f"{fn.name}({a.arg})"
+            for a in params
+            if a.arg not in read and a.arg not in ("self", "cls")
+        ]
+    return found
+
+
+def test_unread_parameter_lint_catches_each_form():
+    tree = ast.parse(
+        "def f(S, E, *rest, key=None, **options):\n"
+        "    return E\n"
+        "def g(S, E):\n"
+        "    def inner():\n"
+        "        return S\n"
+        "    return inner, E\n"
+        "def _stage(S, c):\n"
+        "    return c\n"
+        "class A:\n"
+        "    def m(self, x):\n"
+        "        return self\n"
+        "    def __eq__(self, other):\n"
+        "        return True\n"
+    )
+    assert unread_parameters(tree) == [
+        "f(S)", "f(key)", "f(rest)", "f(options)", "m(x)"
+    ]
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_every_public_parameter_is_read(path):
+    assert unread_parameters(parse(path)) == []
 
 
 def run_script(path, *argv):

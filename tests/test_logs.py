@@ -28,6 +28,7 @@ from delpezzo import (
     basic_collection,
     is_numerically_exceptional,
     normalize_and_descend,
+    peel_curve,
     replay,
     structure_class,
 )
@@ -835,3 +836,32 @@ class TestChaining:
         log = scrambled_log()
         with pytest.raises(InvalidInputError, match="does not start where"):
             replay(MutationLog(log.steps[:1] + log.steps[2:]))
+
+
+class TestABoolIsNotALoggedInteger:
+    """A log writes an integer parameter as a JSON integer, and replay
+    refuses ``true`` there; each entry that records an integer refuses a
+    bool before it writes a step, and the same call with 1 replays."""
+
+    def test_descend_multiplicity(self):
+        c = basic_collection(surface(1))
+        message = "multiplicities must be positive integers"
+        with pytest.raises(PipelineError, match=re.escape(message)):
+            normalize_and_descend(c, [True, 1, 1, 1])
+        _, log = normalize_and_descend(c, [1, 1, 1, 1])
+        assert replay(log) and replay(MutationLog.from_jsonl(log.to_jsonl()))
+
+    def test_braid_position(self):
+        with pytest.raises(InvalidInputError, match="^braid position True must be >= 1$"):
+            BraidWord(((True, Direction.LEFT),))
+        _, log = apply_braid(basic_collection(surface(1)), BraidWord(((1, Direction.LEFT),)))
+        assert replay(log) and replay(MutationLog.from_jsonl(log.to_jsonl()))
+
+    @pytest.mark.parametrize("e_index", [True, False, "1", 1.0, None])
+    def test_peel_curve_index(self, e_index):
+        c = basic_collection(surface(1))
+        message = f"peel curve index {e_index!r} is not an integer"
+        with pytest.raises(InvalidInputError, match=f"^{re.escape(message)}$"):
+            peel_curve(c, [1, 1, 1, 1], e_index)
+        _, _, log = peel_curve(c, [1, 1, 1, 1], 1)
+        assert replay(log) and replay(MutationLog.from_jsonl(log.to_jsonl()))

@@ -1,5 +1,11 @@
 import pytest
-from _helpers import ext_seed, line_bundle, oracle_markov_solutions, surface
+from _helpers import (
+    ext_seed,
+    line_bundle,
+    oracle_markov_closure,
+    oracle_markov_solutions,
+    surface,
+)
 
 from delpezzo import (
     DomainError,
@@ -57,7 +63,33 @@ class TestMarkovTree:
         assert got == oracle_markov_solutions(30)
 
     def test_exhaustive_match_at_200(self):
-        assert {t.as_tuple() for t in markov_tree(200)} == oracle_markov_solutions(200)
+        got = [t.as_tuple() for t in markov_tree(200)]
+        assert len(got) == len(set(got))
+        assert set(got) == oracle_markov_solutions(200)
+
+    @pytest.mark.parametrize("limit", [1, 2, 5, 30, 200, 10**6, 10**12, 10**40])
+    def test_each_solution_once_as_the_vieta_closure(self, limit):
+        got = [t.as_tuple() for t in markov_tree(limit)]
+        assert len(got) == len(set(got))
+        assert set(got) == oracle_markov_closure(limit)
+        assert all(a <= b <= c for a, b, c in got)
+
+    def test_one_triple_built_per_solution(self, monkeypatch):
+        built = []
+        init = MarkovTriple.__init__
+
+        def recorded(self, x, y, z):
+            built.append((x, y, z))
+            init(self, x, y, z)
+
+        monkeypatch.setattr(MarkovTriple, "__init__", recorded)
+        got = [t.as_tuple() for t in markov_tree(10**12)]
+        assert built == got
+
+    def test_limit_checked_when_iteration_starts(self):
+        walk = markov_tree(0)
+        with pytest.raises(InvalidInputError, match="limit must be a positive integer"):
+            next(walk)
 
 
 class TestMarkovForm:
@@ -117,22 +149,6 @@ class TestPairOrbit:
         assert euler_form(S, E, F) == -1
         with pytest.raises(InvalidInputError):
             pair_orbit(S, E, F, 3)
-
-
-class TestMaxUniqueness:
-    def test_verified_up_to_500(self):
-        from delpezzo import markov_max_uniqueness
-
-        assert markov_max_uniqueness(500)
-
-    def test_groups_by_maximum(self):
-        from delpezzo import markov_max_uniqueness, markov_tree
-
-        maxima = [t.max_coordinate for t in markov_tree(200)]
-        assert len(maxima) == len(set(maxima)) == sum(
-            1 for _ in markov_tree(200)
-        )
-        assert markov_max_uniqueness(200)
 
 
 class TestPairOrbitRecurrence:

@@ -224,11 +224,11 @@ class TestIncrementalCertificate:
         c = basic_collection(S)
         O, Oh = structure_class(S), line_bundle(S, 1, 0)
         for wrong in (O, Oh, 2 * O, c.members[0], line_bundle(S, 0, 1)):
-            def broken(S, E, F, chi_ef, direction, wrong=wrong):
+            def broken(E, F, chi_ef, direction, wrong=wrong):
                 return (wrong, E) if direction is Direction.LEFT else (F, wrong)
 
             monkeypatch.setattr(mutation_module, "_reflect", broken)
-            out = broken(S, c.members[i - 1], c.members[i], None, direction)
+            out = broken(c.members[i - 1], c.members[i], None, direction)
             members = c.members[: i - 1] + out + c.members[i + 1 :]
             # The incremental check names the entry the full scan names.
             ok, full = is_numerically_exceptional(Collection(S, members))
@@ -513,12 +513,12 @@ class TestGramWalkOracle:
                             )
                         )
 
-                        def patched(S, E, F, chi_ef, direction, candidate=candidate):
+                        def patched(E, F, chi_ef, direction, candidate=candidate):
                             if direction is Direction.LEFT:
                                 return candidate, E
                             return F, candidate
 
-                        pair = patched(S, E, F, None, direction)
+                        pair = patched(E, F, None, direction)
                         out = Collection(S, c.members[: i - 1] + pair + c.members[i + 1 :])
                         expected = oracle_gram_violation(out, q)
                         # Only the new member's row and column can fail.
@@ -853,9 +853,9 @@ class TestHelixMatchesTheOracle:
         calls = []
         require = mutation_module.require_equal_slope_pair
 
-        def recorded(S, E, F):
+        def recorded(E, F):
             calls.append((E, F))
-            return require(S, E, F)
+            return require(E, F)
 
         monkeypatch.setattr(mutation_module, "require_equal_slope_pair", recorded)
         outcomes, checks = set(), 0
@@ -873,7 +873,7 @@ class TestHelixMatchesTheOracle:
 
     @pytest.mark.parametrize("d", [3, 5, 7, 8])
     def test_a_refused_equal_slope_pair_gives_the_step_witness(self, monkeypatch, d):
-        def refused(S, E, F):
+        def refused(E, F):
             raise InvariantViolationError(f"refused ({E.r}, {F.r})")
 
         monkeypatch.setattr(mutation_module, "require_equal_slope_pair", refused)
@@ -1003,7 +1003,7 @@ class TestReflection:
                     E, F = members[i], members[j]
                     chi_ef = euler_form(S, E, F)
                     for direction in Direction:
-                        got = mutation_module._reflect(S, E, F, chi_ef, direction)
+                        got = mutation_module._reflect(E, F, chi_ef, direction)
                         assert got == operator_reflection(chi_ef, E, F, direction)
                         new = got[0] if direction is Direction.LEFT else got[1]
                         assert new._hc1 == anticanonical_degree(new.c1)
@@ -1023,7 +1023,7 @@ class TestReflection:
                     E, F = curve_class(S, i, deg), curve_class(S, j, -1)
                     chi_ef = euler_form(S, E, F)
                     for direction in Direction:
-                        got = mutation_module._reflect(S, E, F, chi_ef, direction)
+                        got = mutation_module._reflect(E, F, chi_ef, direction)
                         assert got == operator_reflection(chi_ef, E, F, direction)
 
     @pytest.mark.parametrize("sign", [1, -1])
@@ -1036,8 +1036,8 @@ class TestReflection:
         target = sign * KClass(0, divisor(0, -1, 1), t)
         F = O - target
         assert F.r == 1 and target._hc1 == 0
-        left = mutation_module._reflect(S, O, F, 1, Direction.LEFT)
-        right = mutation_module._reflect(S, F, O, 1, Direction.RIGHT)
+        left = mutation_module._reflect(O, F, 1, Direction.LEFT)
+        right = mutation_module._reflect(F, O, 1, Direction.RIGHT)
         assert left == operator_reflection(1, O, F, Direction.LEFT)
         assert right == operator_reflection(1, F, O, Direction.RIGHT)
         assert left[0] == right[1] == KClass(0, divisor(0, 1, -1), -t)
@@ -1047,7 +1047,7 @@ class TestReflection:
         S = surface(1)
         O = structure_class(S)
         F = O - KClass(0, divisor(0, 0), t)
-        left = mutation_module._reflect(S, O, F, 1, Direction.LEFT)
+        left = mutation_module._reflect(O, F, 1, Direction.LEFT)
         assert left == operator_reflection(1, O, F, Direction.LEFT)
         assert left[0] == KClass(0, divisor(0, 0), abs(t))
 

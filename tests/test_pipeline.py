@@ -45,7 +45,12 @@ from delpezzo import (
     twist,
 )
 from delpezzo.cli import run
-from delpezzo.pipeline import _forbidden_pair_guard, _torsion_multiplicity, rotation_start
+from delpezzo.pipeline import (
+    _check_members,
+    _forbidden_pair_guard,
+    _member_degrees,
+    rotation_start,
+)
 
 
 def slopes(c):
@@ -478,8 +483,11 @@ class TestTorsionMembers:
         for i in range(1, d + 1):
             for k in (1, 2, 3):
                 T = k * curve_class(S, i, -1)
-                assert _torsion_multiplicity(T) == (i, k)
-                assert rotation_start(Collection(S, (T, structure_class(S))), 1) == 1
+                c = Collection(S, (T, structure_class(S)))
+                _check_members(c)
+                for j in range(1, d + 1):
+                    assert _member_degrees(c, j) == ({-1, 0} if j == i else {0})
+                assert rotation_start(c, 1) == 1
             single = Collection(S, (curve_class(S, i, -1),))
             out, log = order_hom(single)
             assert out == single and len(log) == 0

@@ -320,7 +320,7 @@ class TestNoFractionOnTheSlopePaths:
             slope_mu(S, E)
             vector_slope(S, E).components()
         assert len(builds) == 4
-        assert all("_torsion_multiplicity" not in b for b in builds)
+        assert all("_check_members" not in b for b in builds)
 
     def test_descent_logs_and_hn_build_none_outside_refusals(self):
         rng = random.Random(196)
@@ -345,6 +345,6 @@ class TestNoFractionOnTheSlopePaths:
                 if quotients:
                     hn_coarsen(GradedObject(quotients), default_ample(c.surface))
         assert min(outcomes.values()) > 0, outcomes
-        # The one source: _torsion_multiplicity's message shows ch2.
-        assert all("_torsion_multiplicity" in b and "ch2" in b for b in builds)
+        # The one source: _check_members's torsion message shows ch2.
+        assert all("_check_members" in b and "ch2" in b for b in builds)
         assert len(builds) == outcomes["torsion refusal"]
