@@ -10,6 +10,7 @@ from .chern import (
     default_ample,
     descend_class,
     euler_form,
+    euler_pairing,
     line_class,
     slope_mu,
     structure_class,

@@ -14,7 +14,10 @@ The Euler form is the surface Riemann-Roch bilinear expansion
 with H the anticanonical class.  It always evaluates to an integer on
 classes satisfying the integrality invariant; twice it is computed in
 plain integer arithmetic, so the pairing is cheap enough to drive large
-mutation searches.
+mutation searches.  ``euler_pairing`` is that formula, for two classes
+known to share a surface (the members of a collection, which its
+constructor checked); ``euler_form`` checks both against the surface
+first.
 
 Every class caches its anticanonical degree H.c1, computed once at
 construction by ``picard.anticanonical_degree``: the pairing reads both
@@ -194,27 +197,33 @@ def curve_class(S: Surface, e_index: int, deg: int) -> KClass:
     return KClass(0, e, 2 * deg + 1)
 
 
-def euler_form(S: Surface, E: KClass, F: KClass) -> int:
-    """chi(E, F), exactly, as an integer."""
-    n = S.d + 1
-    p, q = E.c1, F.c1
-    if len(p.coeffs) != n or len(q.coeffs) != n:
-        raise InvalidInputError("class does not belong to this surface")
+def euler_pairing(E: KClass, F: KClass) -> int:
+    """chi(E, F), exactly, as an integer, for two classes already known to
+    lie on one surface, as the members of a ``Collection`` are: no surface
+    check."""
     er, fr = E.r, F.r
     # 2 chi; even, as c1^2 = 2*ch2 = H.c1 (mod 2) for every class.
-    doubled = (
+    return (
         2 * er * fr
         + er * (F._hc1 + F.two_ch2)
         - fr * (E._hc1 - E.two_ch2)
-        - 2 * dot(p, q)
-    )
-    return doubled // 2
+        - 2 * dot(E.c1, F.c1)
+    ) // 2
+
+
+def euler_form(S: Surface, E: KClass, F: KClass) -> int:
+    """chi(E, F) of two classes on S: the surface checks, then
+    ``euler_pairing``."""
+    n = S.d + 1
+    if len(E.c1.coeffs) != n or len(F.c1.coeffs) != n:
+        raise InvalidInputError("class does not belong to this surface")
+    return euler_pairing(E, F)
 
 
 def euler_weights(S: Surface, E: KClass) -> tuple[int, ...]:
     """The weights w of chi(E, .) on integer coordinates: for every class
     F with coordinates y = (r, 2*ch2, H.c1, *c1), 2 chi(E, F) = sum w*y.
-    They are ``euler_form``'s expansion with F left open: the rank,
+    They are ``euler_pairing``'s expansion with F left open: the rank,
     2*ch2 and cached degree terms, then -2 c1E weighted by ``dot``'s
     diagonal (+1, -1, ..., -1)."""
     p = E.c1.coeffs

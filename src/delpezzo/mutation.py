@@ -15,16 +15,20 @@ An ordered collection is numerically exceptional when its Gram matrix
 chi(E_i, E_j) has unit diagonal and zeros below.  One walker names the
 first failing entry in row-major order, over all n(n+1)/2 entries or over
 one member's row and column, the n that a change of that member alone can
-break.  The certificate has one rule and three ways in.  An input is
-certified in full once (``require_numerically_exceptional``).  A
-mutation of a certified collection evaluates chi(E,F) alone and walks
-the new member's row and column: 1 + n chi and one class built per move,
-from the integer coordinates of +-(chi*E - F), with the canonical sign
-read off the rank or H.c1 before c1 is built.  A twist, a rotation with
+break.  The surface is checked once, by ``Collection``'s constructor, so
+the walk reads each entry through ``chern.euler_pairing``, the chi of two
+classes known to share a surface.  The certificate has one rule and three
+ways in.  An input is certified in full once
+(``require_numerically_exceptional``).  A mutation of a certified
+collection evaluates chi(E,F) alone and walks the new member's row and
+column: 1 + n chi and one class built per move, from the integer
+coordinates of +-(chi*E - F), with the canonical sign read off the rank
+or H.c1 before c1 is built.  A twist, a rotation with
 its twist by -K, or a recorded state equal to a certified collection
 carries its certificate with no scan (``carry_certificate``).
 ``mutate_pair`` checks its input pair first (4 chi).  A mutation never
-classifies its pair.  Nothing caches chi.
+classifies its pair, and refuses a direction that is not a ``Direction``.
+Nothing caches chi.
 Braid words act letter by letter.  A foundation of length n extends to
 a helix by the twist periodicity  E_{i+sn} = E_i(-sK),  and the helix
 axiom L^(n-1) A_s = A_{s-n} is checked by explicit iterated mutation on
@@ -70,7 +74,7 @@ from operator import mul
 from .chern import (
     KClass,
     curve_class,
-    euler_form,
+    euler_pairing,
     euler_weights,
     line_class,
     structure_class,
@@ -171,25 +175,32 @@ _set_i, _set_j, _set_value = slot_setters(GramViolation)
 
 def gram_matrix(c: Collection) -> list[list[int]]:
     """M[i][j] = chi(E_i, E_j)."""
-    S = c.surface
-    return [[euler_form(S, a, b) for b in c.members] for a in c.members]
+    members = c.members
+    return [[euler_pairing(a, b) for b in members] for a in members]
 
 
 def _violation(c: Collection, q: int | None = None) -> GramViolation | None:
     """The first failing Gram entry in row-major order: chi(E_i, E_i) = 1,
     then chi(E_i, E_j) = 0 for j < i.  Given q, only member q's row and
-    column, in the same order: the n entries a change of E_q can break."""
-    S, members = c.surface, c.members
-    for i in range(0 if q is None else q, len(members)):
-        if q is None or i == q:
-            columns = [i, *range(i)]
-        else:
-            columns = [q]
-        for j in columns:
-            value = euler_form(S, members[i], members[j])
-            expected = 1 if j == i else 0
-            if value != expected:
+    column, in the same order: the n entries a change of E_q can break.
+    Every entry is read through ``euler_pairing``: the collection's
+    constructor put every member on its surface."""
+    members = c.members
+    for i in range(len(members)) if q is None else (q,):
+        a = members[i]
+        value = euler_pairing(a, a)
+        if value != 1:
+            return GramViolation(i, i, value)
+        for j in range(i):
+            value = euler_pairing(a, members[j])
+            if value:
                 return GramViolation(i, j, value)
+    if q is not None:
+        b = members[q]
+        for i in range(q + 1, len(members)):
+            value = euler_pairing(members[i], b)
+            if value:
+                return GramViolation(i, q, value)
     return None
 
 
@@ -269,12 +280,15 @@ def _reflection(a: int, X: KClass, Y: KClass) -> KClass:
 
 def _reflect(E: KClass, F: KClass, chi_ef: int, direction: Direction):
     """The mutation of an exceptional pair (E, F), given chi(E,F); at equal
-    slopes only the forced -2-class equations are checked."""
+    slopes only the forced -2-class equations are checked.  Anything but a
+    Direction is refused."""
     if chi_ef == 0 and E.r > 0 and F.r > 0:
         require_equal_slope_pair(E, F)
     if direction is Direction.LEFT:
         return _reflection(chi_ef, E, F), E
-    return F, _reflection(chi_ef, F, E)
+    if direction is Direction.RIGHT:
+        return F, _reflection(chi_ef, F, E)
+    raise InvalidInputError("mutation needs a Direction")
 
 
 def mutate_pair(
@@ -303,13 +317,13 @@ def mutate_collection(c: Collection, i: int, direction: Direction) -> Collection
     holds the rest of the pair check.  So chi(E,F) and N's Gram row and
     column are all that is evaluated: 1 + n chi per move.
     """
-    if not 1 <= i < len(c.members):
+    if type(i) is not int or not 1 <= i < len(c.members):
         raise InvalidInputError(
-            f"mutation position {i} out of range for length {len(c.members)}"
+            f"mutation position {i!r} out of range for length {len(c.members)}"
         )
     require_numerically_exceptional(c)
     S, E, F = c.surface, c.members[i - 1], c.members[i]
-    new_pair = _reflect(E, F, euler_form(S, E, F), direction)
+    new_pair = _reflect(E, F, euler_pairing(E, F), direction)
     out = Collection(S, c.members[: i - 1] + new_pair + c.members[i + 1 :])
     violation = _violation(out, i - 1 if direction is Direction.LEFT else i)
     if violation is not None:
@@ -624,6 +638,8 @@ def helix_extend(foundation: Collection, lo: int, hi: int) -> dict[int, KClass]:
     n = len(foundation.members)
     if n == 0:
         raise InvalidInputError("empty foundation")
+    if type(lo) is not int or type(hi) is not int:
+        raise InvalidInputError(f"helix bounds {lo!r}, {hi!r} must be integers")
     S = foundation.surface
     K = canonical_divisor(S.d)
     out: dict[int, KClass] = {}

@@ -244,7 +244,11 @@ def _member_degrees(c: Collection, e_index: int) -> set[int]:
 
 
 def _check_mults(c: Collection, mults: list[int]) -> None:
-    """One positive integer multiplicity per member."""
+    """One positive integer multiplicity per member, in a list or a tuple."""
+    if not isinstance(mults, (list, tuple)):
+        raise InvalidInputError(
+            f"multiplicities must be a list or a tuple, got {type(mults).__name__}"
+        )
     if len(mults) != len(c.members):
         raise InvalidInputError("one multiplicity per member is required")
     if any(type(m) is not int or m < 1 for m in mults):

@@ -44,6 +44,7 @@ from delpezzo import (
     default_ample,
     global_twist,
     gram_matrix,
+    helix_extend,
     hn_coarsen,
     is_numerically_exceptional,
     line_class,
@@ -295,6 +296,26 @@ def sweep_bools() -> None:
         call(f"peel_curve e_index {v!r}", peel_and_replay, c, [1, 1, 1, 1], v)
 
 
+def sweep_argument_types() -> None:
+    """Arguments of the wrong type: a direction that is not a Direction, a
+    mutation position or helix bound whose type is not int, multiplicities
+    that are not a list or a tuple; and multiplicities in a tuple."""
+    c = basic_collection(Surface(2))
+    S, O, Oh = c.surface, c.members[2], c.members[3]
+    for direction in ("left", "right", None):
+        call(f"mutate_collection direction {direction!r}", mutate_collection, c, 3, direction)
+        call(f"mutate_pair direction {direction!r}", mutate_pair, S, O, Oh, direction)
+    for position in (1.0, True, "1"):
+        label = f"mutate_collection position {position!r}"
+        call(label, mutate_collection, c, position, Direction.LEFT)
+    c = basic_collection(Surface(1))
+    for lo, hi in ((0.5, 2), (0, 2.0), (True, 2), (-1, 2)):
+        call(f"helix_extend {lo!r} {hi!r}", helix_extend, c, lo, hi)
+    for mults in (None, 5, "1111", (1, 2, 1, 3)):
+        call(f"peel_curve mults {mults!r}", peel_and_replay, c, mults, 1)
+        call(f"normalize_and_descend mults {mults!r}", descend_and_replay, c, mults)
+
+
 def replay_text(text: str) -> bool:
     return replay(MutationLog.from_jsonl(text))
 
@@ -380,6 +401,7 @@ def main() -> None:
     sweep_weighted(full)
     sweep_directions()
     sweep_bools()
+    sweep_argument_types()
 
 
 if __name__ == "__main__":

@@ -28,6 +28,7 @@ from delpezzo import (
     compare_slope,
     descend_class,
     euler_form,
+    euler_pairing,
     exceptional_divisor,
     intersect,
     line_class,
@@ -213,6 +214,44 @@ class TestEulerForm:
                 q = Fraction(E.ch2, E.r)
                 c1sq = intersect(S, E.c1, E.c1)
                 assert q == Fraction(Fraction(c1sq + 1, E.r**2) - 1, 2)
+
+
+class TestEulerPairing:
+    """euler_pairing is euler_form less its surface checks: the same chi on
+    every pair of classes of one surface."""
+
+    @pytest.mark.parametrize("d", range(9))
+    def test_equals_euler_form(self, d):
+        rng = random.Random(2000 + d)
+        S = surface(d)
+        classes = [
+            random_kclass(rng, d, max_rank=r, min_rank=r) for _ in range(3) for r in range(-3, 4)
+        ]
+        classes += [KClass(0, divisor(*[0] * (d + 1)), 2)]
+        classes += [curve_class(S, i, rng.randint(-3, 3)) for i in range(1, d + 1)]
+        # Twists by divisors with coordinates near 2**200, as orbit-p2 reaches.
+        for E in classes[:8]:
+            D = divisor(*[rng.choice((1, -1)) * (2**200 + rng.randint(-9, 9))] * (d + 1))
+            classes.append(twist(S, E, D))
+        assert {E.r for E in classes} == set(range(-3, 4))
+        assert max(abs(x).bit_length() for E in classes for x in E.c1.coeffs) > 200
+        for E in classes:
+            for F in classes:
+                chi = euler_pairing(E, F)
+                assert chi == euler_form(S, E, F)
+                assert 2 * chi == oracle_twice_chi(S, E, F)
+
+    def test_euler_form_refuses_classes_of_another_surface(self):
+        S, T = surface(2), surface(1)
+        on, off = structure_class(S), structure_class(T)
+        for E, F in ((off, on), (on, off), (off, off)):
+            with pytest.raises(InvalidInputError) as err:
+                euler_form(S, E, F)
+            assert str(err.value) == "class does not belong to this surface"
+        # Without the surface, the lattice still refuses a mixed pair.
+        with pytest.raises(InvalidInputError) as err:
+            euler_pairing(on, off)
+        assert str(err.value) == "divisor classes live on different surfaces"
 
 
 class TestEulerWeights:

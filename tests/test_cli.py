@@ -551,7 +551,7 @@ class TestRefusals:
     def test_gram_budget_refused_before_any_chi(self, capsys, monkeypatch):
         evaluated = []
         monkeypatch.setattr(
-            "delpezzo.mutation.euler_form", lambda *a: evaluated.append(a) or 0
+            "delpezzo.mutation.euler_pairing", lambda *a: evaluated.append(a) or 0
         )
         many = '{"surface":{"blowups":0},"members":[%s]}' % ",".join([O_P2] * 1001)
         code, out, err = invoke(capsys, "gram", "--collection", many)

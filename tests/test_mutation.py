@@ -31,6 +31,7 @@ from delpezzo import (
     check_helix_period,
     curve_class,
     euler_form,
+    euler_pairing,
     global_twist,
     gram_matrix,
     helix_extend,
@@ -51,6 +52,23 @@ from delpezzo.mutation import (
 )
 from delpezzo.pairs import require_exceptional_pair
 from delpezzo.picard import anticanonical_degree
+
+
+def count_chi(monkeypatch, calls: list, form_modules=(pairs_module,)) -> None:
+    """Append (E, F) to calls for each chi evaluated: through the pairing
+    ``mutation`` reads, and through ``euler_form`` in each of form_modules."""
+
+    def pairing(E, F):
+        calls.append((E, F))
+        return euler_pairing(E, F)
+
+    def form(S, E, F):
+        calls.append((E, F))
+        return euler_form(S, E, F)
+
+    monkeypatch.setattr(mutation_module, "euler_pairing", pairing)
+    for module in form_modules:
+        monkeypatch.setattr(module, "euler_form", form)
 
 
 class TestMutatePair:
@@ -151,13 +169,7 @@ class TestMutatePairOutput:
 
     def test_four_chi_per_mutation(self, monkeypatch):
         calls = []
-
-        def counted(S, E, F):
-            calls.append((E, F))
-            return euler_form(S, E, F)
-
-        for module in (pairs_module, mutation_module):
-            monkeypatch.setattr(module, "euler_form", counted)
+        count_chi(monkeypatch, calls)
         S = surface(3)
         kinds = set()
         for E, F in scrambled_pairs(3, 6, seed=7):
@@ -242,15 +254,9 @@ class TestIncrementalCertificate:
         # The certified input holds the pair's chi(E,E), chi(F,F) and
         # chi(F,E): only chi(E,F) and the new member's n entries are read.
         calls = []
-
-        def counted(S, E, F):
-            calls.append((E, F))
-            return euler_form(S, E, F)
-
         c = basic_collection(surface(d))
         require_numerically_exceptional(c)
-        for module in (pairs_module, mutation_module):
-            monkeypatch.setattr(module, "euler_form", counted)
+        count_chi(monkeypatch, calls)
         rng = random.Random(n)
         for _ in range(20):
             calls.clear()
@@ -569,13 +575,7 @@ class TestCarriedCertificate:
     @pytest.mark.parametrize("d", range(9))
     def test_chi_is_evaluated_only_to_certify_the_input(self, monkeypatch, d):
         calls = []
-
-        def counted(S, E, F):
-            calls.append((E, F))
-            return euler_form(S, E, F)
-
-        for module in (mutation_module, pipeline_module):
-            monkeypatch.setattr(module, "euler_form", counted)
+        count_chi(monkeypatch, calls, (pipeline_module,))
         rng = random.Random(1200 + d)
         for c in carried_inputs(d):
             n = len(c)
@@ -820,10 +820,6 @@ class TestHelixStepsNeedNoPairCheck:
         require_numerically_exceptional(c)
         n, reads, chis, weights = len(c), [], [], []
 
-        def counted(*args):
-            chis.append(args)
-            return euler_form(*args)
-
         def refused(*args):
             raise AssertionError("a helix step checked its pair")
 
@@ -835,7 +831,7 @@ class TestHelixStepsNeedNoPairCheck:
             return built(*args)
 
         monkeypatch.setattr(mutation_module, "euler_weights", counted_weights)
-        monkeypatch.setattr(mutation_module, "euler_form", counted)
+        count_chi(monkeypatch, chis, ())
         monkeypatch.setattr(mutation_module, "require_exceptional_pair", refused)
         assert check_helix_period(c) == (True, None)
         assert len(reads) == n * (n - 1)
@@ -1076,3 +1072,34 @@ class TestReflection:
                 assert built == [new]
                 c = out
         assert "rank" in kinds
+
+
+class TestRefusedArguments:
+    """A direction that is not a Direction, a position whose type is not
+    int, and helix bounds whose type is not int are refused with
+    InvalidInputError, as ``BraidWord`` refuses its letters: a string
+    direction is not read as a right mutation."""
+
+    @pytest.mark.parametrize("direction", ["left", "right", "L", None, 0])
+    def test_direction_that_is_not_a_direction(self, direction):
+        c = basic_collection(surface(2))
+        with pytest.raises(InvalidInputError, match="^mutation needs a Direction$"):
+            mutate_collection(c, 3, direction)
+        S = surface(2)
+        with pytest.raises(InvalidInputError, match="^mutation needs a Direction$"):
+            mutate_pair(S, structure_class(S), line_bundle(S, 1, 0, 0), direction)
+
+    @pytest.mark.parametrize("position", [1.0, True, "1", None])
+    def test_position_whose_type_is_not_int(self, position):
+        c = basic_collection(surface(2))
+        message = f"mutation position {position!r} out of range for length 5"
+        with pytest.raises(InvalidInputError) as err:
+            mutate_collection(c, position, Direction.LEFT)
+        assert str(err.value) == message
+
+    @pytest.mark.parametrize("lo, hi", [(0.5, 2), (0, 2.0), (True, 2), ("0", 2)])
+    def test_helix_bounds_whose_type_is_not_int(self, lo, hi):
+        c = basic_collection(surface(1))
+        with pytest.raises(InvalidInputError) as err:
+            helix_extend(c, lo, hi)
+        assert str(err.value) == f"helix bounds {lo!r}, {hi!r} must be integers"

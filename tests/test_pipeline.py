@@ -584,3 +584,41 @@ class TestNonPositiveMultiplicities:
         G, log = normalize_and_descend(c, [1, 1, 1, 1])
         assert replay(log) is True
         assert log.steps[-1].after == G
+
+
+class TestMultiplicityContainer:
+    """Multiplicities come in a list or a tuple; anything else is refused
+    with InvalidInputError before its length is read, wrapped at [peel] by
+    ``normalize_and_descend`` (where None means one each)."""
+
+    @pytest.mark.parametrize(
+        "mults, name",
+        [
+            (None, "NoneType"),
+            (5, "int"),
+            ("1111", "str"),
+            ({1: 1}, "dict"),
+            (iter([1] * 4), "list_iterator"),
+        ],
+        ids=["none", "int", "str", "dict", "iterator"],
+    )
+    def test_refused(self, mults, name):
+        c = basic_collection(surface(1))
+        message = f"multiplicities must be a list or a tuple, got {name}"
+        with pytest.raises(InvalidInputError) as err:
+            peel_curve(c, mults, 1)
+        assert str(err.value) == message
+        if mults is None:
+            return
+        with pytest.raises(PipelineError) as err:
+            normalize_and_descend(c, mults)
+        assert err.value.stage == "peel"
+        assert str(err.value) == f"[peel] {message}"
+
+    def test_tuple_is_accepted_as_the_list(self):
+        c = braided_basic(1, "L2 R1 R2 R2 L3 L3")
+        G, log = normalize_and_descend(c, (1, 2, 1, 3))
+        assert (G, log) == normalize_and_descend(c, [1, 2, 1, 3])
+        assert replay(log) is True
+        basic = basic_collection(surface(1))
+        assert peel_curve(basic, (1, 1, 1, 1), 1) == peel_curve(basic, [1, 1, 1, 1], 1)
