@@ -614,7 +614,10 @@ def _read_value(text: str, memo: dict, from_json):
 
 def apply_braid(c: Collection, w: BraidWord):
     """Apply the word letter by letter; the log records every step.  A
-    letter whose new member is past the size budget stops the word."""
+    letter whose new member is past the size budget stops the word.  The
+    input must be numerically exceptional, as for ``mutate_collection``,
+    even when the word is empty."""
+    require_numerically_exceptional(c)
     steps = []
     current = c
     for pos, direction in w.letters:

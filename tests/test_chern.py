@@ -241,6 +241,31 @@ class TestEulerPairing:
                 assert chi == euler_form(S, E, F)
                 assert 2 * chi == oracle_twice_chi(S, E, F)
 
+    @pytest.mark.parametrize("d", range(9))
+    def test_coordinates_near_2_to_500(self, d):
+        # orbit-p2 reaches coordinates of about 500 bits at seed 5.  Every
+        # coordinate is drawn near +-2**500, the rank too, and rank 0 is on
+        # either side of some pair; the pairs include each class with itself.
+        rng = random.Random(2100 + d)
+        S = surface(d)
+
+        def big(sign=None):
+            sign = sign or rng.choice((1, -1))
+            return sign * (2**500 + rng.randint(-(2**20), 2**20))
+
+        classes = []
+        for r in (big(1), big(1), big(-1), big(-1), big(), 0, 0):
+            D = divisor(*[big() for _ in range(d + 1)])
+            classes.append(KClass(r, D, 2 * big() + (anticanonical_degree(D) & 1)))
+        assert {(E.r > 0) - (E.r < 0) for E in classes} == {-1, 0, 1}
+        assert min(abs(x).bit_length() for E in classes for x in E.c1.coeffs) >= 500
+        assert min(abs(E.r).bit_length() for E in classes if E.r) >= 500
+        for E in classes:
+            for F in classes:
+                chi = euler_pairing(E, F)
+                assert chi == euler_form(S, E, F)
+                assert 2 * chi == oracle_twice_chi(S, E, F)
+
     def test_euler_form_refuses_classes_of_another_surface(self):
         S, T = surface(2), surface(1)
         on, off = structure_class(S), structure_class(T)

@@ -421,8 +421,10 @@ class TestRefusals:
             ["mutate", "--collection", NOT_EXCEPTIONAL_P2, "--pos", "1", "--dir", "left"],
             ["mutate", "--collection", NOT_EXCEPTIONAL_P2, "--pos", "2", "--dir", "right"],
             ["braid", "--collection", NOT_EXCEPTIONAL_P2, "--word", "R1 L2"],
+            ["braid", "--collection", NOT_EXCEPTIONAL_P2, "--word", ""],
+            ["braid", "--collection", NOT_EXCEPTIONAL_P2, "--word", "   "],
         ],
-        ids=["mutate-left", "mutate-right", "braid"],
+        ids=["mutate-left", "mutate-right", "braid", "braid-empty", "braid-blank"],
     )
     def test_non_exceptional_input_exits_one(self, argv):
         code, out, err = invoke_process(*argv)

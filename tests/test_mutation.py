@@ -615,6 +615,32 @@ class TestBraid:
         assert out == c
         assert len(log) == 0
 
+    @pytest.mark.parametrize("text", ["", "   "])
+    def test_empty_word_refuses_a_non_exceptional_collection(self, text):
+        c = basic_collection_torsion_last(surface(1))
+        with pytest.raises(InvalidInputError) as err:
+            apply_braid(c, BraidWord.parse(text))
+        assert str(err.value) == (
+            "collection is not numerically exceptional: chi(E_3, E_0) = -1"
+        )
+
+    def test_certificate_is_checked_before_any_letter(self):
+        # An out-of-range first letter is not reached: the certificate is
+        # the first thing refused.
+        c = basic_collection_torsion_last(surface(1))
+        with pytest.raises(InvalidInputError) as err:
+            apply_braid(c, BraidWord.parse("R4 L4 R4"))
+        assert "not numerically exceptional" in str(err.value)
+
+    def test_unflagged_input_is_scanned_once(self, monkeypatch):
+        # The full scan happens up front; the first letter reads the flag.
+        c = Collection(surface(0), p2_basic().members)
+        calls = []
+        count_chi(monkeypatch, calls)
+        apply_braid(c, BraidWord.parse("L1 R2"))
+        n = len(c.members)
+        assert len(calls) == n * (n + 1) // 2 + 2 * (1 + n)
+
     def test_inverse_word_is_identity(self):
         c = p2_basic()
         out, log = apply_braid(c, BraidWord.parse("L1 R1"))
