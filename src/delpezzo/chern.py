@@ -38,6 +38,13 @@ check reads the cached degree too, by the congruence c1^2 = H.c1
 (mod 2): for c1 = (a; b), a^2 - sum b^2 = a + sum b = 3a - sum b
 (mod 2).  Sums, twists and weighted sums build each new class once,
 from its integer coordinates.
+
+Every coordinate is an exact int: the constructors of a class and of
+its c1 refuse bool, as ``from_json`` does, since json.dumps writes True
+as true.  So ``to_json_text`` writes a class's log text,
+{"r": int, "c1": [int, ...], "ch2": "p/q"}, straight from the integers
+with ``int.__repr__``, exactly as json.dumps(to_json()) would.  A log
+reads that text back with json's scanner and ``from_json``.
 """
 
 from __future__ import annotations
@@ -83,7 +90,7 @@ class KClass(Value):
         self.__post_init__()
 
     def __post_init__(self):
-        if not isinstance(self.r, int) or not isinstance(self.two_ch2, int):
+        if type(self.r) is not int or type(self.two_ch2) is not int:
             raise InvalidInputError("rank and 2*ch2 must be integers")
         hc1 = anticanonical_degree(self.c1)
         _set_hc1(self, hc1)
@@ -131,6 +138,16 @@ class KClass(Value):
             "c1": self.c1.to_json(),
             "ch2": f"{num}/{den}",
         }
+
+    def to_json_text(self) -> str:
+        """json.dumps(self.to_json()), written from the integers once
+        ``require_writable`` passes: every field is an exact int, which
+        json writes with ``int.__repr__``."""
+        self.require_writable()
+        t = self.two_ch2
+        num, den = (t, 2) if t & 1 else (t >> 1, 1)
+        coeffs = ", ".join(map(int.__repr__, self.c1.coeffs))
+        return f'{{"r": {self.r!r}, "c1": [{coeffs}], "ch2": "{num!r}/{den}"}}'
 
     def require_writable(self) -> None:
         """Raise DomainError when an integer is too long to write: the

@@ -42,9 +42,11 @@ Every move is recorded as a replayable ``LogStep`` {kind, params, before,
 after}; a ``MutationLog`` of steps serializes to JSON-lines, one step per
 line, each with its full states.  The text is what json.dumps of each
 step gives, and a round trip costs what the steps change, not what the
-lines hold.  ``to_jsonl`` runs json.dumps once per distinct member and
-once per distinct surface and joins each distinct state's text once, from
-those texts and the literal pieces of the line layout.  ``from_jsonl``
+lines hold.  ``to_jsonl`` writes each distinct member once, by its
+class text ``KClass.to_json_text`` (json.dumps's text, written from the
+integers), runs json.dumps once per distinct surface and on each step's
+kind and params, and joins each distinct state's text once, from those
+texts and the literal pieces of the line layout.  ``from_jsonl``
 reads a line by the same pieces, by one rule: each distinct state,
 surface and member text is built once per log, by json's C scanner, and
 a text seen again is that object.  So a log builds one collection per
@@ -459,14 +461,20 @@ class MutationLog(Value):
 
     def to_jsonl(self) -> str:
         """One line per step, json.dumps(step.to_json()) byte for byte.
-        json.dumps runs once per distinct member and once per distinct
-        surface, both by identity, and each distinct state's text is joined
-        from those pieces once; a step's ``before`` is usually the previous
-        step's ``after``."""
+        Each distinct member is written once by ``KClass.to_json_text`` and
+        each distinct surface once by json.dumps, both by identity, and
+        each distinct state's text is joined from those pieces once; a
+        step's ``before`` is usually the previous step's ``after``."""
         pieces: dict[int, str] = {}
         states: dict[int, str] = {}
 
-        def dumps(value: KClass | Surface) -> str:
+        def member_text(value: KClass) -> str:
+            text = pieces.get(id(value))
+            if text is None:
+                text = pieces[id(value)] = value.to_json_text()
+            return text
+
+        def surface_text(value: Surface) -> str:
             text = pieces.get(id(value))
             if text is None:
                 text = pieces[id(value)] = json.dumps(value.to_json())
@@ -476,13 +484,13 @@ class MutationLog(Value):
             text = states.get(id(state))
             if text is None:
                 if isinstance(state, Collection):
-                    members = _MEMBER_SEP.join(_write_members(dumps, state.members))
+                    members = _MEMBER_SEP.join(_write_members(member_text, state.members))
                     text = (
-                        f"{_COLLECTION_OPEN}{dumps(state.surface)}"
+                        f"{_COLLECTION_OPEN}{surface_text(state.surface)}"
                         f"{_COLLECTION_MEMBERS}{members}{_COLLECTION_CLOSE}"
                     )
                 else:
-                    text = f"{_CLASS_OPEN}{dumps(state)}{_CLASS_CLOSE}"
+                    text = f"{_CLASS_OPEN}{member_text(state)}{_CLASS_CLOSE}"
                 states[id(state)] = text
             return text
 

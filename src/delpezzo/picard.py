@@ -25,13 +25,18 @@ A declared -2-curve is a positive root: the first nonzero entry of
 from __future__ import annotations
 
 from functools import lru_cache
-from itertools import combinations, permutations, repeat
+from itertools import combinations, permutations
 from operator import mul
 
 from .errors import DomainError, InvalidInputError
 from .values import Value, slot_setters
 
 MAX_BLOWUPS = 8
+
+# The one type of every integer a value holds: bool and other subclasses
+# of int are refused, as the JSON readers refuse them, since json.dumps
+# writes True as true.
+_INT_ONLY = frozenset((int,))
 
 
 class DivisorClass(Value):
@@ -46,7 +51,7 @@ class DivisorClass(Value):
     def __post_init__(self):
         if not self.coeffs:
             raise InvalidInputError("divisor class needs at least the h coordinate")
-        if not all(map(isinstance, self.coeffs, repeat(int))):
+        if not _INT_ONLY.issuperset(map(type, self.coeffs)):
             raise InvalidInputError("divisor coefficients must be integers")
 
     @property
@@ -182,7 +187,7 @@ _set_d, _set_effective_simple_roots = slot_setters(Surface)
 
 def _check_size(d: int, count: int) -> None:
     """Refuse d outside 0..8, or more than d declared roots."""
-    if not isinstance(d, int) or not 0 <= d <= MAX_BLOWUPS:
+    if type(d) is not int or not 0 <= d <= MAX_BLOWUPS:
         raise InvalidInputError(
             f"need 0 <= d <= {MAX_BLOWUPS} blow-ups so that K^2 = 9 - d > 0"
         )

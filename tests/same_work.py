@@ -296,6 +296,19 @@ def sweep_bools() -> None:
         call(f"peel_curve e_index {v!r}", peel_and_replay, c, [1, 1, 1, 1], v)
 
 
+def sweep_value_bools() -> None:
+    """Value constructors given a bool where an integer goes: json.dumps
+    writes a bool as true, which the JSON readers refuse."""
+    O = DivisorClass((0,))
+    call("KClass r True", KClass, True, O, 0)
+    call("KClass two_ch2 False", KClass, 1, O, False)
+    call("DivisorClass coeffs (False,)", DivisorClass, (False,))
+    call("DivisorClass coeffs (3, True)", DivisorClass, (3, True))
+    call("KClass c1 (3, True)", lambda: KClass(1, DivisorClass((3, True)), 0))
+    call("Surface d True", Surface, True)
+    call("Surface d False", Surface, False)
+
+
 def sweep_argument_types() -> None:
     """Arguments of the wrong type: a direction that is not a Direction, a
     mutation position or helix bound whose type is not int, multiplicities
@@ -402,6 +415,7 @@ def main() -> None:
     sweep_directions()
     sweep_bools()
     sweep_argument_types()
+    sweep_value_bools()
 
 
 if __name__ == "__main__":

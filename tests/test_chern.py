@@ -1,5 +1,6 @@
 import copy
 import dataclasses
+import json
 import pickle
 import random
 from fractions import Fraction
@@ -18,6 +19,7 @@ from _helpers import (
 
 from delpezzo import (
     Direction,
+    DivisorClass,
     DomainError,
     InvalidInputError,
     KClass,
@@ -60,6 +62,17 @@ class TestKClass:
         # The third coordinate is 2*ch2; an old-style rational ch2 fails loudly.
         with pytest.raises(InvalidInputError):
             KClass(1, divisor(1), Fraction(1, 2))
+
+    @pytest.mark.parametrize("r, two_ch2", [(True, 0), (1, False), (False, 0), (0, True)])
+    def test_bool_rank_and_two_ch2_refused(self, r, two_ch2):
+        # json.dumps writes a bool as true, which KClass.from_json refuses.
+        with pytest.raises(InvalidInputError, match=r"^rank and 2\*ch2 must be integers$"):
+            KClass(r, divisor(two_ch2 % 2), two_ch2)
+
+    @pytest.mark.parametrize("coeffs", [(False,), (True, 1), (3, 1, False)])
+    def test_bool_c1_coefficient_refused(self, coeffs):
+        with pytest.raises(InvalidInputError, match=r"^divisor coefficients must be integers$"):
+            KClass(1, DivisorClass(coeffs), 0)
 
     def test_json_ch2_must_be_half_integral(self):
         with pytest.raises(InvalidInputError):
@@ -123,8 +136,11 @@ class TestKClass:
         ids=["rank", "negative-rank", "c1", "c1-e", "ch2", "half-ch2"],
     )
     def test_json_refuses_integers_past_the_digit_limit(self, r, c1, two_ch2):
+        E = KClass(r, divisor(*c1), two_ch2)
         with pytest.raises(DomainError, match="more than 4300 digits"):
-            KClass(r, divisor(*c1), two_ch2).to_json()
+            E.to_json()
+        with pytest.raises(DomainError, match="more than 4300 digits"):
+            E.to_json_text()
 
     def test_json_writes_integers_up_to_the_digit_limit(self):
         big = 10**4300 - 1
@@ -132,6 +148,47 @@ class TestKClass:
         E = KClass(-big, divisor(big - 1, 1 - big), 2 * big)
         assert len(E.to_json()["ch2"]) == 4302
         assert KClass.from_json(E.to_json()) == E
+
+
+def seeded_json_classes(seed: int):
+    """Classes on d = 0..8 with ranks of both signs and 0, coordinates
+    small and near +-2**500, and 2*ch2 odd and even."""
+    rng = random.Random(seed)
+    big = 1 << 500
+
+    def pick() -> int:
+        return rng.choice((0, big, -big)) + rng.randint(-9, 9)
+
+    for d in range(9):
+        for r in (0, 1, -1, big + 3, -big - 5):
+            for _ in range(6):
+                c1 = divisor(*(pick() for _ in range(d + 1)))
+                yield KClass(r, c1, anticanonical_degree(c1) + 2 * pick())
+
+
+class TestJsonText:
+    """``to_json_text`` is json.dumps of ``to_json``, written from the
+    integers."""
+
+    def test_seeded_classes_cover_the_cases(self):
+        classes = list(seeded_json_classes(3))
+        assert {E.d for E in classes} == set(range(9))
+        assert {(E.r > 0) - (E.r < 0) for E in classes} == {-1, 0, 1}
+        assert {E.two_ch2 % 2 for E in classes} == {0, 1}
+        assert max(max(map(abs, E.c1.coeffs)).bit_length() for E in classes) == 501
+
+    def test_text_is_json_dumps(self):
+        for E in seeded_json_classes(3):
+            assert E.to_json_text() == json.dumps(E.to_json())
+
+    def test_text_reads_back(self):
+        for E in seeded_json_classes(4):
+            assert KClass.from_json(json.loads(E.to_json_text())) == E
+
+    def test_text_of_the_longest_writable_integers(self):
+        big = 10**4300 - 1
+        E = KClass(-big, divisor(big - 1, 1 - big), 2 * big)
+        assert E.to_json_text() == json.dumps(E.to_json())
 
 
 class TestEulerForm:

@@ -257,20 +257,28 @@ class TestOncePerState:
 
     @pytest.mark.parametrize("make_log", LOGS, ids=LOG_IDS)
     def test_writing_dumps_each_member_and_surface_once(self, monkeypatch, make_log):
+        # Members are written by their class text, surfaces, kinds and
+        # params by json.dumps, each distinct one once.
         log = make_log()
         members, surfaces = state_objects(log)
-        dumped = []
-        dumps = json.dumps
+        dumped, written = [], []
+        dumps, to_json_text = json.dumps, KClass.to_json_text
 
-        def counted(obj, *args, **kwargs):
+        def counted_dumps(obj, *args, **kwargs):
             dumped.append(obj)
             return dumps(obj, *args, **kwargs)
 
-        monkeypatch.setattr(json, "dumps", counted)
+        def counted_text(self):
+            written.append(self)
+            return to_json_text(self)
+
+        monkeypatch.setattr(json, "dumps", counted_dumps)
+        monkeypatch.setattr(KClass, "to_json_text", counted_text)
         text = log.to_jsonl()
         monkeypatch.undo()
         assert text == oracle_jsonl(log)
-        assert len(dumped) == len(members) + len(surfaces) + 2 * len(log)
+        assert sorted(map(id, written)) == sorted(members)
+        assert len(dumped) == len(surfaces) + 2 * len(log)
         states = [x for x in dumped if isinstance(x, dict) and {"collection", "class"} & x.keys()]
         assert states == []
 

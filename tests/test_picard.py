@@ -415,6 +415,12 @@ class TestSurfaceValidation:
         with pytest.raises(InvalidInputError):
             Surface(-1)
 
+    @pytest.mark.parametrize("d", [True, False, 2.0])
+    def test_d_must_be_an_int(self, d):
+        # json.dumps would write a bool as true, which Surface.from_json refuses.
+        with pytest.raises(InvalidInputError, match=r"^need 0 <= d <= 8 blow-ups"):
+            Surface(d)
+
     def test_declared_roots_orthogonal_to_k(self):
         for d in range(1, 9):
             S = surface(d)
