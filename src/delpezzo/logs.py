@@ -2,9 +2,12 @@
 
 The step records (``LogStep``, ``MutationLog``) and their JSON-lines form
 live in ``mutation``, beside the moves that write them, and are
-re-exported here.  ``replay`` recomputes every step's ``after`` from its
-``before`` and ``params`` and checks it is reproduced exactly; after the
-first step, ``before`` is the previous step's verified recorded ``after``.
+re-exported here.  ``replay`` checks that every step's ``after`` is
+reproduced exactly from its ``before`` and ``params``: a mutate step on
+the integers the two recorded collections hold, with no class built
+(``mutation.is_recorded_mutation``), every other kind by recomputing it.
+After the first step, ``before`` is the previous step's verified recorded
+``after``.
 """
 
 from __future__ import annotations
@@ -18,7 +21,7 @@ from .mutation import (
     MutationLog,
     State,
     carry_certificate,
-    mutate_collection,
+    is_recorded_mutation,
 )
 from .picard import Surface, canonical_divisor
 from .pipeline import global_twist, order_hom, peel_curve, rotate_twist, rotation_start
@@ -71,15 +74,31 @@ def _check_rotation_record(step: LogStep, c: Collection, j: int) -> None:
         )
 
 
-def _recompute(step: LogStep, before: State) -> State:
-    kind = step.kind
-    if kind == "mutate":
+def _replay_step(step: LogStep, before: State) -> bool:
+    """Whether the step, started from ``before``, reproduces its recorded
+    'after'; a recorded collection that does takes over the certificate.
+    A mutate step is checked on integers by
+    ``mutation.is_recorded_mutation``, which builds no class; every other
+    kind is recomputed and compared whole."""
+    if step.kind == "mutate":
         name = _param(step, "direction")
         direction = _DIRECTIONS.get(name) if isinstance(name, str) else None
         if direction is None:
             raise InvalidInputError(f"unknown direction {name!r}")
         position = _int_param(step, "position")
-        return mutate_collection(_collection(step, before), position, direction)
+        return is_recorded_mutation(
+            _collection(step, before), position, direction, step.after
+        )
+    computed = _recompute(step, before)
+    if computed != step.after:
+        return False
+    if isinstance(computed, Collection):
+        carry_certificate(computed, step.after)
+    return True
+
+
+def _recompute(step: LogStep, before: State) -> State:
+    kind = step.kind
     if kind == "order":
         ordered, _ = order_hom(_collection(step, before))
         return ordered
@@ -118,28 +137,31 @@ def replay(log: MutationLog) -> bool:
     one before it ended) and every 'after' is reproduced bit-exactly
     (raises on the first mismatch).
 
-    Step 0 is recomputed from its recorded 'before', which every move
-    certifies in full.  Once a step's result equals its recorded 'after',
-    replay goes on from the recorded object, which carries the result's
-    certificate (``mutation.carry_certificate``).  So every later
-    step starts from a state as certified as the step before left it,
-    equal to its recorded 'before' by the chain check, and a mutation step
-    checks only its new member's Gram row and column.  A log read by
-    ``from_jsonl`` shares each state and member by its text, so the chain
-    check and the comparison of the members a step leaves alone meet
-    identical objects."""
+    Step 0 starts from its recorded 'before', which every move certifies
+    in full; every later step starts from the recorded 'after' of the step
+    before it, once the chain check (identity first) finds it equal to
+    its recorded 'before'.  A replayed step's recorded 'after' takes over
+    the certificate: a mutate step is checked on the integers the two
+    recorded collections hold (``mutation.is_recorded_mutation``), with
+    no class or collection built, and certifies 'after' by its new
+    member's Gram row and column, 1 + n chi per step; any other step is
+    recomputed, compared whole and passes its result's certificate on
+    (``mutation.carry_certificate``).  A log read by ``from_jsonl``
+    shares each state and member by its text, so the chain check and the
+    comparison of the members a step leaves alone meet identical
+    objects."""
     state = None
     for k, step in enumerate(log.steps):
-        if k and step.before != state:
-            raise InvalidInputError(
-                f"step {k} ({step.kind}) does not start where step {k - 1} ended"
-            )
-        computed = _recompute(step, step.before if k == 0 else state)
-        if computed != step.after:
+        before = step.before
+        if k:
+            if before is not state and before != state:
+                raise InvalidInputError(
+                    f"step {k} ({step.kind}) does not start where step {k - 1} ended"
+                )
+            before = state
+        if not _replay_step(step, before):
             raise InvalidInputError(
                 f"step {k} ({step.kind}) does not replay to its recorded state"
             )
         state = step.after
-        if isinstance(state, Collection):
-            carry_certificate(computed, state)
     return True

@@ -21,11 +21,15 @@ classes known to share a surface.  The certificate has one rule and three
 ways in.  An input is certified in full once
 (``require_numerically_exceptional``).  A mutation of a certified
 collection evaluates chi(E,F) alone and walks the new member's row and
-column: 1 + n chi and one class built per move, from the integer
-coordinates of +-(chi*E - F), with the canonical sign read off the rank
-or H.c1 before c1 is built.  A twist, a rotation with
-its twist by -K, or a recorded state equal to a certified collection
-carries its certificate with no scan (``carry_certificate``).
+column: 1 + n chi and one class built per move, from the canonical
+integer coordinates of +-(chi*E - F), the sign read off the rank or H.c1
+before c1 is computed.  A recorded mutate step is checked on those
+coordinates and builds no class (``is_recorded_mutation``): the move's
+prelude, the untouched members compared (identity first), the new
+member's coordinates compared, then the same row-and-column walk
+certifies the recorded collection.  A twist, a rotation with its twist
+by -K, or a recorded state of another kind equal to a certified
+collection carries its certificate with no scan (``carry_certificate``).
 ``mutate_pair`` checks its input pair first (4 chi).  A mutation never
 classifies its pair, and refuses a direction that is not a ``Direction``.
 Nothing caches chi.
@@ -33,7 +37,9 @@ Braid words act letter by letter.  A foundation of length n extends to
 a helix by the twist periodicity  E_{i+sn} = E_i(-sK),  and the helix
 axiom L^(n-1) A_s = A_{s-n} is checked by explicit iterated mutation on
 integer coordinates (r, 2*ch2, H.c1, *c1): one chi per step, read off
-the partner's ``chern.euler_weights``, and one class built per s.  The
+the partner's ``chern.euler_weights``, and each period compared with
+A_{s-n} by canonical coordinates.  A passing check builds the n twists
+by K and no other class, unless an equal-slope step needs one.  The
 certified foundation makes every window of the helix, mutated or not,
 exceptional (twist invariance, Serre duality and the isometry of a
 mutation), so no step re-checks its pair.
@@ -62,8 +68,9 @@ Step kinds:
     peel     subtract the O_e(-1) layer   params: mults, e_index, alpha
     descend  drop the e_d coordinate      params: e_index, surface
 
-``logs.replay`` recomputes the steps and goes on from each recorded
-state it matches, which carries the certificate of the state it equals.
+``logs.replay`` checks each mutate step on integers
+(``is_recorded_mutation``) and recomputes every other kind; it goes on
+from each recorded state it matches, which takes over the certificate.
 """
 
 from __future__ import annotations
@@ -261,35 +268,41 @@ def _canonical_class(r: int, two_ch2: int, hc1: int, coeffs: tuple[int, ...]) ->
     return KClass(r, DivisorClass(coeffs), two_ch2)
 
 
-def _reflection(a: int, X: KClass, Y: KClass) -> KClass:
-    """The canonical representative of +-(a*X - Y), built once from its
-    integer coordinates.  The sign is read off the rank, else off H.c1,
-    before c1 is built, so a move builds one coordinate tuple; only a class
-    of rank 0 with H.c1 = 0 goes to ``_canonical_class``, which decides by
-    c1 and ch2.  A mutation never gives zero: chi(E,F)E = F would make
-    chi(F,E) = +-1, which its pair check or certificate rules out."""
+def _reflection(a: int, X: KClass, Y: KClass, build: bool = True):
+    """The canonical representative of +-(a*X - Y): the class, built once
+    from its integer coordinates, or with build=False those coordinates
+    (r, c1 coefficients, 2*ch2) alone.  The sign is read off the rank,
+    else off H.c1, before c1 is computed; only a class of rank 0 with
+    H.c1 = 0 is left to ``_is_canonical``, which decides by c1 and ch2.
+    A mutation never gives zero: chi(E,F)E = F would make chi(F,E) = +-1,
+    which its pair check or certificate rules out."""
     r = a * X.r - Y.r
     sign = r or a * X._hc1 - Y._hc1
     pairs = zip(X.c1.coeffs, Y.c1.coeffs)
     if sign > 0:
-        c1 = DivisorClass(tuple([a * x - y for x, y in pairs]))
-        return KClass(r, c1, a * X.two_ch2 - Y.two_ch2)
-    if sign < 0:
-        c1 = DivisorClass(tuple([y - a * x for x, y in pairs]))
-        return KClass(-r, c1, Y.two_ch2 - a * X.two_ch2)
-    return _canonical_class(0, a * X.two_ch2 - Y.two_ch2, 0, tuple([a * x - y for x, y in pairs]))
+        coeffs, two_ch2 = tuple([a * x - y for x, y in pairs]), a * X.two_ch2 - Y.two_ch2
+    elif sign < 0:
+        r, coeffs, two_ch2 = -r, tuple([y - a * x for x, y in pairs]), Y.two_ch2 - a * X.two_ch2
+    else:
+        coeffs, two_ch2 = tuple([a * x - y for x, y in pairs]), a * X.two_ch2 - Y.two_ch2
+        if not _is_canonical(0, 0, coeffs, two_ch2):
+            coeffs, two_ch2 = tuple([-x for x in coeffs]), -two_ch2
+    if build:
+        return KClass(r, DivisorClass(coeffs), two_ch2)
+    return r, coeffs, two_ch2
 
 
-def _reflect(E: KClass, F: KClass, chi_ef: int, direction: Direction):
-    """The mutation of an exceptional pair (E, F), given chi(E,F); at equal
-    slopes only the forced -2-class equations are checked.  Anything but a
-    Direction is refused."""
+def _reflect(E: KClass, F: KClass, chi_ef: int, direction: Direction, build: bool = True):
+    """The mutation of an exceptional pair (E, F), given chi(E,F), with its
+    new member as ``_reflection`` gives it: the class, or its coordinates.
+    At equal slopes only the forced -2-class equations are checked.
+    Anything but a Direction is refused."""
     if chi_ef == 0 and E.r > 0 and F.r > 0:
         require_equal_slope_pair(E, F)
     if direction is Direction.LEFT:
-        return _reflection(chi_ef, E, F), E
+        return _reflection(chi_ef, E, F, build), E
     if direction is Direction.RIGHT:
-        return F, _reflection(chi_ef, F, E)
+        return F, _reflection(chi_ef, F, E, build)
     raise InvalidInputError("mutation needs a Direction")
 
 
@@ -307,6 +320,27 @@ def mutate_pair(
     return _reflect(E, F, require_exceptional_pair(S, E, F), direction)
 
 
+def _adjacent_pair(c: Collection, i: int) -> tuple[KClass, KClass, int]:
+    """E_i, E_{i+1} and chi(E_i, E_{i+1}) for the move at 1-based position
+    i: the position is checked, then c is certified unless it already
+    is."""
+    if type(i) is not int or not 1 <= i < len(c.members):
+        raise InvalidInputError(
+            f"mutation position {i!r} out of range for length {len(c.members)}"
+        )
+    require_numerically_exceptional(c)
+    E, F = c.members[i - 1], c.members[i]
+    return E, F, euler_pairing(E, F)
+
+
+def _broken_certificate(violation: GramViolation) -> InvariantViolationError:
+    """The error of a move whose new member fails its Gram row or column."""
+    return InvariantViolationError(
+        "mutation broke the exceptionality certificate at "
+        f"chi(E_{violation.i}, E_{violation.j}) = {violation.value}"
+    )
+
+
 def mutate_collection(c: Collection, i: int, direction: Direction) -> Collection:
     """Replace the adjacent pair (E_i, E_{i+1}) by its mutation; 1-based i.
 
@@ -319,22 +353,54 @@ def mutate_collection(c: Collection, i: int, direction: Direction) -> Collection
     holds the rest of the pair check.  So chi(E,F) and N's Gram row and
     column are all that is evaluated: 1 + n chi per move.
     """
-    if type(i) is not int or not 1 <= i < len(c.members):
-        raise InvalidInputError(
-            f"mutation position {i!r} out of range for length {len(c.members)}"
-        )
-    require_numerically_exceptional(c)
-    S, E, F = c.surface, c.members[i - 1], c.members[i]
-    new_pair = _reflect(E, F, euler_pairing(E, F), direction)
-    out = Collection(S, c.members[: i - 1] + new_pair + c.members[i + 1 :])
+    E, F, chi_ef = _adjacent_pair(c, i)
+    new_pair = _reflect(E, F, chi_ef, direction)
+    out = Collection(c.surface, c.members[: i - 1] + new_pair + c.members[i + 1 :])
     violation = _violation(out, i - 1 if direction is Direction.LEFT else i)
     if violation is not None:
-        raise InvariantViolationError(
-            "mutation broke the exceptionality certificate at "
-            f"chi(E_{violation.i}, E_{violation.j}) = {violation.value}"
-        )
+        raise _broken_certificate(violation)
     _set_certified(out, True)
     return out
+
+
+def is_recorded_mutation(
+    before: Collection, i: int, direction: Direction, after: State
+) -> bool:
+    """Whether ``after`` is ``mutate_collection(before, i, direction)``,
+    decided on integers the two collections already hold.
+
+    The move's own prelude runs first, with its refusals: the position,
+    the certificate of ``before``, chi(E,F), the equal-slope check and
+    the direction.  Then ``after`` must be a collection on the same
+    surface whose untouched members, the kept member of the pair among
+    them, equal ``before``'s (identity first), and whose new member has
+    the rank, 2*ch2 and c1 coefficients of the reflection's canonical
+    coordinates; no class is built.  On a match ``after`` is certified by
+    its new member's Gram row and column, as the move certifies its
+    output, and refused with the move's InvariantViolationError if that
+    fails: 1 + n chi in all, as per move."""
+    E, F, chi_ef = _adjacent_pair(before, i)
+    pair = _reflect(E, F, chi_ef, direction, build=False)
+    if not isinstance(after, Collection) or len(after.members) != len(before.members):
+        return False
+    if after.surface is not before.surface and after.surface != before.surface:
+        return False
+    left = direction is Direction.LEFT
+    q, k = (i - 1, i) if left else (i, i - 1)
+    (r, coeffs, two_ch2), kept = pair if left else pair[::-1]
+    old, new = before.members, after.members
+    if new[: i - 1] != old[: i - 1] or new[i + 1 :] != old[i + 1 :]:
+        return False
+    if new[k] is not kept and new[k] != kept:
+        return False
+    N = new[q]
+    if N.r != r or N.two_ch2 != two_ch2 or N.c1.coeffs != coeffs:
+        return False
+    violation = _violation(after, q)
+    if violation is not None:
+        raise _broken_certificate(violation)
+    _set_certified(after, True)
+    return True
 
 
 class BraidWord(Value):
@@ -644,7 +710,8 @@ def apply_braid(c: Collection, w: BraidWord):
 def helix_extend(foundation: Collection, lo: int, hi: int) -> dict[int, KClass]:
     """Classes E_m for m in [lo, hi] of the helix generated by a foundation
     occupying indices 1..n, via E_{i+sn} = E_i(-sK); for s = 0 that is
-    the foundation's own member, not a twist of it."""
+    the foundation's own member, not a twist of it.  -sK is built once
+    per s."""
     require_numerically_exceptional(foundation)
     n = len(foundation.members)
     if n == 0:
@@ -653,12 +720,14 @@ def helix_extend(foundation: Collection, lo: int, hi: int) -> dict[int, KClass]:
         raise InvalidInputError(f"helix bounds {lo!r}, {hi!r} must be integers")
     S = foundation.surface
     K = canonical_divisor(S.d)
+    # E_m has s = (m - 1) // n.
+    shifts = {s: -s * K for s in range((lo - 1) // n, (hi - 1) // n + 1) if s}
     out: dict[int, KClass] = {}
     for m in range(lo, hi + 1):
         i = (m - 1) % n + 1
         s = (m - i) // n
         E = foundation.members[i - 1]
-        out[m] = twist(S, E, -s * K) if s else E
+        out[m] = twist(S, E, shifts[s]) if s else E
     return out
 
 
@@ -689,8 +758,9 @@ def check_helix_period(foundation: Collection) -> tuple[bool, HelixWitness | Non
     all linear: each step reads chi(A_{s-t}, y) off the partner's
     ``euler_weights`` (one set per partner) and sets
     y <- chi(A_{s-t}, y) A_{s-t} - y, which is the mutation up to sign.
-    One class is built per s, with the canonical sign, and compared
-    exactly with A_{s-n} = A_s(K), read off the helix.
+    Each period's y is taken to its canonical sign (``_is_canonical``)
+    and compared with the coordinates of A_{s-n} = A_s(K), read once off
+    the helix; a class is built only for a ``HelixWitness``.
 
     No step re-checks its pair: chi is unchanged by a twist and
     chi(E, F(K)) = chi(F, E) (Serre duality), so every window
@@ -704,26 +774,31 @@ def check_helix_period(foundation: Collection) -> tuple[bool, HelixWitness | Non
     n = len(foundation.members)
     if n < 2:
         raise InvalidInputError("periodicity needs a foundation of length >= 2")
-    helix = helix_extend(foundation, 1 - n, n)
-    coords = {m: (E.r, E.two_ch2, E.hc1, *E.c1.coeffs) for m, E in helix.items()}
-    weights = {m: euler_weights(S, helix[m]) for m in range(2 - n, n)}
+    # A_m sits at index m + n - 1: A_{1-n} at 0, A_s (1 <= s <= n) at s + n - 1.
+    helix = list(helix_extend(foundation, 1 - n, n).values())
+    coords = [(E.r, E.two_ch2, E.hc1, *E.c1.coeffs) for E in helix]
+    # The partners A_{2-n}, ..., A_{n-1}: A_m's weights at index m + n - 2.
+    weights = [euler_weights(S, E) for E in helix[1:-1]]
     for s in range(1, n + 1):
-        y = coords[s]
+        j = s + n - 1
+        y = coords[j]
         for t in range(1, n):
-            m = s - t
-            chi = sum(map(mul, weights[m], y)) // 2
-            if not chi and helix[m].r > 0 and y[0]:
+            p = j - t  # the partner A_{s-t}
+            chi = sum(map(mul, weights[p - 1], y)) // 2
+            if not chi and helix[p].r > 0 and y[0]:
                 # A_s enters step 1 as it is; later classes take the canonical sign.
-                x = helix[s] if t == 1 else _canonical_class(y[0], y[1], y[2], y[3:])
+                x = helix[j] if t == 1 else _canonical_class(y[0], y[1], y[2], y[3:])
                 if x.r > 0:
                     try:
-                        require_equal_slope_pair(helix[m], x)
+                        require_equal_slope_pair(helix[p], x)
                     except (InvalidInputError, InvariantViolationError) as exc:
                         return False, HelixWitness(s, f"step {t}: {exc}", None, None)
-            y = tuple([chi * a - b for a, b in zip(coords[m], y)])
-        x, expected = _canonical_class(y[0], y[1], y[2], y[3:]), helix[s - n]
-        if x != expected:
-            return False, HelixWitness(s, "period mismatch", x, expected)
+            y = tuple([chi * a - b for a, b in zip(coords[p], y)])
+        if not _is_canonical(y[0], y[2], y[3:], y[1]):
+            y = tuple([-v for v in y])
+        if y != coords[s - 1]:
+            x = KClass(y[0], DivisorClass(y[3:]), y[1])
+            return False, HelixWitness(s, "period mismatch", x, helix[s - 1])
     return True, None
 
 

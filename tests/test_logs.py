@@ -783,13 +783,13 @@ class TestReplayContinuesFromTheRecord:
     def test_each_step_starts_from_the_recorded_after(self, monkeypatch, make_log):
         read = MutationLog.from_jsonl(make_log().to_jsonl())
         starts = []
-        recompute = logs_module._recompute
+        replay_step = logs_module._replay_step
 
         def recorded(step, before):
             starts.append(before)
-            return recompute(step, before)
+            return replay_step(step, before)
 
-        monkeypatch.setattr(logs_module, "_recompute", recorded)
+        monkeypatch.setattr(logs_module, "_replay_step", recorded)
         assert replay(read)
         expected = [read.steps[0].before] + [s.after for s in read.steps[:-1]]
         assert len(starts) == len(expected)
@@ -828,6 +828,124 @@ class TestReplayContinuesFromTheRecord:
         read = MutationLog.from_jsonl(log.to_jsonl())
         assert read.steps[-1].after is read.steps[0].before
         assert replay(read)
+
+
+def forged(log: MutationLog, k: int, after) -> MutationLog:
+    """log with step k's recorded after replaced."""
+    step = log.steps[k]
+    return MutationLog(
+        log.steps[:k] + (LogStep(step.kind, step.params, step.before, after),) + log.steps[k + 1 :]
+    )
+
+
+def new_and_kept(step: LogStep) -> tuple[int, int]:
+    """The indices of a mutate step's new member and of the member it keeps."""
+    i = step.params["position"]
+    return (i - 1, i) if step.params["direction"] == "left" else (i, i - 1)
+
+
+def replaced(c: Collection, j: int, member: KClass) -> Collection:
+    return Collection(c.surface, c.members[:j] + (member,) + c.members[j + 1 :])
+
+
+class TestReplayChecksAMutateStepOnIntegers:
+    """A mutate step is checked against its recorded after on the integers
+    the two collections hold; every edit is refused with one message.
+    A negated member, new or untouched, is refused by
+    ``test_a_one_member_edit_is_refused_at_its_step``."""
+
+    @staticmethod
+    def refused(log: MutationLog, k: int) -> None:
+        message = f"step {k} (mutate) does not replay to its recorded state"
+        for variant in (log, MutationLog.from_jsonl(log.to_jsonl())):
+            with pytest.raises(InvalidInputError, match=re.escape(message) + "$"):
+                replay(variant)
+
+    def test_the_kept_member_swapped_for_another_is_refused(self):
+        log = seeded_braid_log(3, 8, seed=3)
+        for k, step in enumerate(log.steps):
+            _, kept = new_and_kept(step)
+            for j, other in enumerate(step.after.members):
+                if j != kept:
+                    self.refused(forged(log, k, replaced(step.after, kept, other)), k)
+
+    def test_an_edited_surface_is_refused(self):
+        log = seeded_braid_log(3, 8, seed=3)
+        with_root = surface(3, [(0, -1, 1, 0)])
+        assert with_root != log.steps[0].after.surface
+        for k, step in enumerate(log.steps):
+            after = Collection(with_root, step.after.members)
+            self.refused(forged(log, k, after), k)
+
+    def test_a_class_for_the_after_is_refused(self):
+        log = seeded_braid_log(3, 8, seed=3)
+        for k, step in enumerate(log.steps):
+            q, _ = new_and_kept(step)
+            self.refused(forged(log, k, step.after.members[q]), k)
+
+    def test_a_shorter_or_longer_after_is_refused(self):
+        log = seeded_braid_log(3, 8, seed=3)
+        for k, step in enumerate(log.steps):
+            members = step.after.members
+            for edited in (members[:-1], members + members[:1]):
+                self.refused(forged(log, k, Collection(step.after.surface, edited)), k)
+
+    def test_an_equal_copy_of_the_after_replays(self):
+        log = seeded_braid_log(3, 8, seed=3)
+        copies = [
+            LogStep(s.kind, s.params, s.before, Collection(s.after.surface, s.after.members))
+            for s in log.steps
+        ]
+        # Each copy must also start the next step: replace the chain too.
+        steps = [copies[0]]
+        for step in copies[1:]:
+            steps.append(LogStep(step.kind, step.params, steps[-1].after, step.after))
+        assert replay(MutationLog(tuple(steps)))
+        assert all(s.after._certified for s in steps)
+
+    def test_a_new_member_of_rank_zero_replays(self):
+        # L1 on (O_e1(-1), O_e2(-1), ...): chi = 0, the new member +-O_e2(-1)
+        # takes its sign from H.c1.
+        c = basic_collection(surface(3))
+        _, log = apply_braid(c, BraidWord.parse("L1 R2 L2"))
+        N = log.steps[0].after.members[0]
+        assert N.r == 0 and N.hc1 and N == c.members[1]
+        assert replay(log) and replay(MutationLog.from_jsonl(log.to_jsonl()))
+
+    def test_the_move_refusals_are_unchanged(self):
+        step = first_step("mutate")
+        n = len(step.before)
+        at_end = LogStep("mutate", {**step.params, "position": n}, step.before, step.after)
+        message = f"mutation position {n} out of range for length {n}"
+        with pytest.raises(InvalidInputError, match=f"^{re.escape(message)}$"):
+            replay(MutationLog((at_end,)))
+
+
+class TestReplayBuildsNoClass:
+    """A replayed mutate step compares integers: no class is built, and
+    chi stays 1 + n per step after the first state's full scan."""
+
+    @pytest.mark.parametrize("d", [0, 3, 8])
+    def test_replaying_a_read_back_braid_log(self, monkeypatch, d):
+        read = MutationLog.from_jsonl(seeded_braid_log(d, 24, seed=40 + d).to_jsonl())
+        built, chi = [], []
+        post_init, pairing = KClass.__post_init__, mutation_module.euler_pairing
+
+        def counted_build(self):
+            built.append(self)
+            post_init(self)
+
+        def counted_chi(E, F):
+            chi.append((E, F))
+            return pairing(E, F)
+
+        monkeypatch.setattr(KClass, "__post_init__", counted_build)
+        monkeypatch.setattr(mutation_module, "euler_pairing", counted_chi)
+        assert replay(read)
+        monkeypatch.undo()
+        n, steps = d + 3, len(read.steps)
+        assert built == []
+        assert len(chi) == n * (n + 1) // 2 + steps * (1 + n)
 
 
 class TestChaining:

@@ -18,6 +18,7 @@ from delpezzo import (
     BraidWord,
     Collection,
     Direction,
+    DivisorClass,
     DomainError,
     InvalidInputError,
     InvariantViolationError,
@@ -421,6 +422,46 @@ class TestSignNormalize:
         assert library_sign_rule(x) == library_sign_rule(-x) == positive
 
 
+class TestReflectionCoordinates:
+    """A replayed move compares the reflection's coordinates, not its
+    class: both come from one sign rule, also where rank and H.c1 are 0."""
+
+    @pytest.mark.parametrize(
+        "x",
+        [
+            KClass(0, divisor(0, -1, 1), 2),
+            KClass(0, divisor(0, 1, -1), -4),
+            KClass(0, divisor(0, 0, 0), -6),
+            KClass(0, divisor(0, 0, 0), 0),
+            KClass(0, divisor(0, 1, 0), 1),
+            KClass(-2, divisor(1, 0, 1), 0),
+        ],
+    )
+    def test_coordinates_are_those_of_the_class(self, x):
+        zero = KClass(0, divisor(0, 0, 0), 0)
+        for y in (x, -x):
+            N = mutation_module._reflection(1, y, zero)
+            coords = mutation_module._reflection(1, y, zero, build=False)
+            assert coords == (N.r, N.c1.coeffs, N.two_ch2)
+            assert N == oracle_sign_normalize(y)
+
+    @pytest.mark.parametrize("d", [0, 3, 8])
+    def test_every_move_of_a_scrambled_collection(self, d):
+        for c in scrambled_collections(d, 3, seed=70 + d):
+            for i in range(1, len(c)):
+                for direction in Direction:
+                    out = mutate_collection(c, i, direction)
+                    E, F = c.members[i - 1], c.members[i]
+                    chi = euler_pairing(E, F)
+                    built = mutation_module._reflect(E, F, chi, direction)
+                    coords = mutation_module._reflect(E, F, chi, direction, build=False)
+                    q = 0 if direction is Direction.LEFT else 1
+                    N = built[q]
+                    assert coords[q] == (N.r, N.c1.coeffs, N.two_ch2)
+                    assert coords[1 - q] is built[1 - q]
+                    assert mutation_module.is_recorded_mutation(c, i, direction, out)
+
+
 def random_divisor(rng: random.Random, d: int):
     return divisor(*(rng.randint(-2, 2) for _ in range(d + 1)))
 
@@ -732,6 +773,32 @@ class TestHelix:
         monkeypatch.setattr(mutation_module, "twist", counted)
         assert check_helix_period(c) == (True, None)
         assert calls == [(c.surface, E, K) for E in c.members]
+
+    @pytest.mark.parametrize("d", range(9))
+    def test_a_passing_check_builds_the_n_twists_alone(self, monkeypatch, d):
+        # Each period is compared by coordinates: the twists by K are the
+        # only classes built, and -K is built once for all of them.
+        c = basic_collection(surface(d))
+        require_numerically_exceptional(c)
+        built, divisors = [], []
+        post_init, divisor_post_init = KClass.__post_init__, DivisorClass.__post_init__
+
+        def counted(self):
+            built.append(self)
+            post_init(self)
+
+        def counted_divisor(self):
+            divisors.append(self)
+            divisor_post_init(self)
+
+        monkeypatch.setattr(KClass, "__post_init__", counted)
+        monkeypatch.setattr(DivisorClass, "__post_init__", counted_divisor)
+        assert check_helix_period(c) == (True, None)
+        monkeypatch.undo()
+        K = canonical_divisor(d)
+        assert built == [twist(c.surface, E, K) for E in c.members]
+        # K itself, -K once, and one c1 per twist.
+        assert len(divisors) == 2 + len(c)
 
     def test_the_foundation_is_its_own_period_zero(self, monkeypatch):
         c = basic_collection(surface(3))
