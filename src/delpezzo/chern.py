@@ -123,7 +123,7 @@ class KClass(Value):
         return KClass(-self.r, -self.c1, -self.two_ch2)
 
     def __rmul__(self, n: int) -> "KClass":
-        if not isinstance(n, int):
+        if type(n) is not int:
             return NotImplemented
         return KClass(n * self.r, n * self.c1, n * self.two_ch2)
 
@@ -318,7 +318,7 @@ def weighted_sum(terms: Iterable[tuple[KClass, int]]) -> KClass:
     r = two_ch2 = 0
     coeffs: list[int] | None = None
     for E, m in terms:
-        if not isinstance(m, int):
+        if type(m) is not int:
             raise InvalidInputError(f"multiplicities must be integers, got {m!r}")
         c = E.c1.coeffs
         if coeffs is None:

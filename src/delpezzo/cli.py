@@ -125,6 +125,10 @@ def _emit(doc: dict) -> None:
     sys.stdout.write(text + "\n")
 
 
+def _indexed_classes(classes: dict[int, KClass]) -> list[dict]:
+    return [{"index": i, "class": classes[i].to_json()} for i in sorted(classes)]
+
+
 def _write_log(log: MutationLog, out: str | None) -> None:
     if out:
         text = log.to_jsonl()
@@ -197,15 +201,7 @@ def _cmd_braid(args) -> None:
 def _cmd_helix(args) -> None:
     c = _collection(args)
     _check_class_budget(f"helix range [{args.lo}, {args.hi}]", args.hi - args.lo + 1)
-    classes = helix_extend(c, args.lo, args.hi)
-    _emit(
-        {
-            "classes": [
-                {"index": i, "class": classes[i].to_json()}
-                for i in sorted(classes)
-            ]
-        }
-    )
+    _emit({"classes": _indexed_classes(helix_extend(c, args.lo, args.hi))})
 
 
 def _cmd_gram(args) -> None:
@@ -271,16 +267,7 @@ def _cmd_orbit(args) -> None:
     E, F, n = _kclass(args.e), _kclass(args.f), args.limit
     _check_class_budget(f"orbit limit {n}", 2 * n + 2)
     orbit = pair_orbit(S, E, F, n)
-    _emit(
-        {
-            "h": orbit.h,
-            "x": list(orbit.x),
-            "classes": [
-                {"index": i, "class": orbit.classes[i].to_json()}
-                for i in sorted(orbit.classes)
-            ],
-        }
-    )
+    _emit({"h": orbit.h, "x": list(orbit.x), "classes": _indexed_classes(orbit.classes)})
 
 
 def _parse_mults(text: str | None, n: int) -> list[int] | None:

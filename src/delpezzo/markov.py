@@ -35,7 +35,7 @@ class MarkovTriple(Value):
 
     def __init__(self, x: int, y: int, z: int):
         for v in (x, y, z):
-            if not isinstance(v, int) or v < 1:
+            if type(v) is not int or v < 1:
                 raise DomainError("Markov coordinates must be positive integers")
         if x**2 + y**2 + z**2 != 3 * x * y * z:
             raise DomainError(f"({x}, {y}, {z}) is not a Markov triple")
@@ -72,7 +72,7 @@ def markov_tree(limit: int) -> Iterator[MarkovTriple]:
     limit ends its branch.  Every solution but the root has one parent, so
     the walk meets it once; the two children coincide only at (1, 1, 1)
     and (1, 1, 2), where a set of them drops the repeat."""
-    if not isinstance(limit, int) or limit < 1:
+    if type(limit) is not int or limit < 1:
         raise InvalidInputError("limit must be a positive integer")
     frontier = [(1, 1, 1)]
     while frontier:
@@ -118,7 +118,7 @@ def pair_orbit(S: Surface, E0: KClass, E1: KClass, n: int) -> PairOrbit:
     Requires chi(E0,E0) = chi(E1,E1) = 1, chi(E1,E0) = 0 and
     h = -chi(E0,E1) >= 2.
     """
-    if not isinstance(n, int) or n < 1:
+    if type(n) is not int or n < 1:
         raise InvalidInputError("orbit length must be a positive integer")
     h = -require_exceptional_pair(S, E0, E1)
     if h < 2:

@@ -817,7 +817,7 @@ def basic_collection(S: Surface) -> Collection:
 
 
 def basic_collection_torsion_last(S: Surface) -> Collection:
-    """The same members with the torsion classes last,
+    """The basic collection reordered with the torsion classes last,
 
         (O, O(h), O(2h), O_{e_1}(-1), ..., O_{e_d}(-1)).
 
@@ -825,7 +825,5 @@ def basic_collection_torsion_last(S: Surface) -> Collection:
     pair nontrivially backwards onto O (chi = -1).  Kept as the documented
     counterexample ordering.
     """
-    h = line_divisor(S.d)
-    members = [structure_class(S), line_class(S, h), line_class(S, 2 * h)]
-    members += [curve_class(S, i, -1) for i in range(1, S.d + 1)]
-    return Collection(S, tuple(members))
+    members = basic_collection(S).members
+    return Collection(S, members[S.d :] + members[: S.d])

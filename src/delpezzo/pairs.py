@@ -62,22 +62,6 @@ class PairType(Value):
         _set_kind(self, kind)
         _set_dims(self, dims)
 
-    @staticmethod
-    def hom(dim: int) -> "PairType":
-        return PairType(PairKind.HOM, (dim,))
-
-    @staticmethod
-    def ext(dim: int) -> "PairType":
-        return PairType(PairKind.EXT, (dim,))
-
-    @staticmethod
-    def zero() -> "PairType":
-        return PairType(PairKind.ZERO, ())
-
-    @staticmethod
-    def singular() -> "PairType":
-        return PairType(PairKind.SINGULAR, (1, 1))
-
     @property
     def chi(self) -> int:
         """chi(E,F): dim for hom, -dim for ext, 0 at equal slopes."""
@@ -127,18 +111,18 @@ def classify_pair(S: Surface, E: KClass, F: KClass) -> PairType:
         raise InvalidInputError("not a numerically exceptional pair: rank <= 0")
     chi_ef = require_exceptional_pair(S, E, F)
     if chi_ef > 0:
-        return PairType.hom(chi_ef)
+        return PairType(PairKind.HOM, (chi_ef,))
     if chi_ef < 0:
-        return PairType.ext(-chi_ef)
+        return PairType(PairKind.EXT, (-chi_ef,))
     if effective_root_decomposition(S, require_equal_slope_pair(E, F)) is not None:
-        return PairType.singular()
-    return PairType.zero()
+        return PairType(PairKind.SINGULAR, (1, 1))
+    return PairType(PairKind.ZERO, ())
 
 
 def splitting_type(r: int, deg: int) -> tuple[int, int]:
     """The unique (alpha, s) with alpha*(s-1) + (r-alpha)*s = deg and
     0 <= alpha < r, encoding a restriction alpha*O(s-1) + beta*O(s)."""
-    if not isinstance(r, int) or r < 1:
+    if type(r) is not int or r < 1:
         raise InvalidInputError("splitting type needs rank >= 1")
     s = -((-deg) // r)  # ceil(deg / r)
     alpha = r * s - deg

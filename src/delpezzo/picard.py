@@ -72,7 +72,7 @@ class DivisorClass(Value):
         return DivisorClass(tuple(-x for x in self.coeffs))
 
     def __rmul__(self, n: int) -> "DivisorClass":
-        if not isinstance(n, int):
+        if type(n) is not int:
             return NotImplemented
         return DivisorClass(tuple(n * x for x in self.coeffs))
 

@@ -5,8 +5,8 @@ cross-multiplication (no division and no floats ever decide a tie) and
 so that merging two slopes is just adding both parts -- the mediant,
 which is the arithmetic engine behind the see-saw axiom: the slope of an
 extension sits weakly between the slopes of its pieces.  The numerators
-of a class's slope are integers, so ordering, scaling and merging are
-plain integer arithmetic; a Fraction is built only to show a slope
+are integers, as a class's slope has, so ordering, scaling and merging
+are plain integer arithmetic; a Fraction is built only to show a slope
 (``SlopeVector.components``).
 
 The HN machinery acts on formal graded objects: ordered lists of
@@ -29,21 +29,18 @@ from .values import Value, slot_setters
 class SlopeVector(Value):
     """Lexicographic slope (d_H/r, d_A/r, d_Delta/r) kept as exact numerators.
 
-    Each numerator is kept as given, an int or a Fraction: a class's slope
-    has integer numerators, and nothing converts them.  A float, a string
-    or a bool is refused rather than read as a number."""
+    Each numerator is an int, as a class's slope has; a Fraction, a float,
+    a string or a bool is refused rather than read as a number."""
 
     __slots__ = _fields = ("rank", "numerators")
 
-    def __init__(self, rank: int, numerators: tuple[int | Fraction, ...]):
+    def __init__(self, rank: int, numerators: tuple[int, ...]):
         if type(rank) is not int or rank <= 0:
             raise InvalidInputError("slope rank must be a positive integer")
         numerators = tuple(numerators)
         for x in numerators:
-            if type(x) is not int and type(x) is not Fraction:
-                raise InvalidInputError(
-                    f"slope numerators must be integers or Fractions, got {x!r}"
-                )
+            if type(x) is not int:
+                raise InvalidInputError(f"slope numerators must be integers, got {x!r}")
         _set_rank(self, rank)
         _set_numerators(self, numerators)
 
@@ -57,7 +54,7 @@ class SlopeVector(Value):
 
     def scaled(self, m: int) -> "SlopeVector":
         """The slope of m copies: same value, m-fold mediant weight."""
-        if m <= 0:
+        if type(m) is not int or m <= 0:
             raise InvalidInputError("multiplicity must be positive")
         return SlopeVector(m * self.rank, tuple(m * x for x in self.numerators))
 
@@ -111,7 +108,7 @@ class GradedObject(Value):
         for q, m in quotients:
             if q.r <= 0:
                 raise DomainError("graded quotients must have positive rank")
-            if not isinstance(m, int) or m < 1:
+            if type(m) is not int or m < 1:
                 raise InvalidInputError("multiplicities must be positive integers")
         _set_quotients(self, quotients)
 

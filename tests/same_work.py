@@ -33,7 +33,9 @@ from delpezzo import (
     DivisorClass,
     GradedObject,
     KClass,
+    MarkovTriple,
     MutationLog,
+    SlopeVector,
     Surface,
     apply_braid,
     basic_collection,
@@ -49,6 +51,7 @@ from delpezzo import (
     is_numerically_exceptional,
     line_class,
     line_divisor,
+    markov_tree,
     mutate_collection,
     mutate_pair,
     normalize_and_descend,
@@ -56,6 +59,7 @@ from delpezzo import (
     peel_curve,
     replay,
     rotate_twist,
+    splitting_type,
     structure_class,
     twist,
     vector_slope,
@@ -307,6 +311,14 @@ def sweep_value_bools() -> None:
     call("KClass c1 (3, True)", lambda: KClass(1, DivisorClass((3, True)), 0))
     call("Surface d True", Surface, True)
     call("Surface d False", Surface, False)
+    E = KClass(1, O, 0)
+    call("True * KClass", lambda: True * E)
+    call("True * DivisorClass", lambda: True * O)
+    call("GradedObject mult True", GradedObject, ((E, True),))
+    call("MarkovTriple True True True", MarkovTriple, True, True, True)
+    call("markov_tree limit True", lambda: list(markov_tree(True)))
+    call("splitting_type r True", splitting_type, True, 1)
+    call("SlopeVector scaled True", SlopeVector(1, (1,)).scaled, True)
 
 
 def sweep_argument_types() -> None:

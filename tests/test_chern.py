@@ -58,6 +58,13 @@ class TestKClass:
         assert T.two_ch2 == 3
         assert T.ch2 == Fraction(3, 2)
 
+    @pytest.mark.parametrize("n", [True, False, 1.0])
+    def test_scalar_multiple_needs_an_int(self, n):
+        E = KClass(2, divisor(3), 3)
+        assert 2 * E == KClass(4, divisor(6), 6)
+        with pytest.raises(TypeError, match="^unsupported operand type"):
+            n * E
+
     def test_rational_third_argument_rejected(self):
         # The third coordinate is 2*ch2; an old-style rational ch2 fails loudly.
         with pytest.raises(InvalidInputError):
@@ -445,6 +452,14 @@ class TestTwistAndDual:
             line = line_class(S, D)
             assert slope_mu(S, twist(S, E, D)) == slope_mu(S, E) + slope_mu(S, line)
 
+    def test_wrong_surface_refused(self):
+        S, T = surface(1), surface(2)
+        with pytest.raises(InvalidInputError, match="^divisor does not belong to this surface$"):
+            line_class(S, line_divisor(2))
+        for E, D in ((structure_class(T), line_divisor(1)), (structure_class(S), line_divisor(2))):
+            with pytest.raises(InvalidInputError, match="^inputs do not belong to this surface$"):
+                twist(S, E, D)
+
     def test_dual_negates_slope(self):
         # The dual (r, -c1, ch2), built inline.
         rng = random.Random(13)
@@ -496,6 +511,10 @@ class TestDescend:
         S = surface(1)
         with pytest.raises(DomainError):
             descend_class(S, line_bundle(S, 0, -1))
+
+    def test_wrong_surface_refused(self):
+        with pytest.raises(InvalidInputError, match="^class does not belong to this surface$"):
+            descend_class(surface(1), structure_class(surface(2)))
 
     def test_pull_back_inverts(self):
         rng = random.Random(17)
@@ -620,7 +639,8 @@ class TestWeightedSum:
             weighted_sum(())
         with pytest.raises(InvalidInputError, match="^divisor classes live on different surfaces$"):
             weighted_sum(((O1, 1), (O2, 1)))
-        for m in (Fraction(1, 2), Fraction(2, 1), 1.0, "2", None):
+        # A bool is refused too: json.dumps would write it as true.
+        for m in (Fraction(1, 2), Fraction(2, 1), 1.0, "2", None, True, False):
             with pytest.raises(InvalidInputError, match="^multiplicities must be integers, got "):
                 weighted_sum(((O1, 1), (O1, m)))
             with pytest.raises(InvalidInputError, match="^multiplicities must be integers, got "):

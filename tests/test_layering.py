@@ -154,6 +154,47 @@ def test_object_setattr_lint_catches_a_call_not_a_mention():
     assert object_setattr_calls(tree) == [3]
 
 
+def isinstance_int_calls(tree):
+    """Lines of isinstance(x, int) calls, int alone or inside a tuple: a
+    bool passes such a check, and json.dumps writes it as true."""
+
+    def names_int(node):
+        if isinstance(node, ast.Tuple):
+            return any(names_int(e) for e in node.elts)
+        return isinstance(node, ast.Name) and node.id == "int"
+
+    return [
+        node.lineno
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Call)
+        and isinstance(node.func, ast.Name)
+        and node.func.id == "isinstance"
+        and len(node.args) == 2
+        and names_int(node.args[1])
+    ]
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_integers_are_checked_by_exact_type(path):
+    """An integer argument is checked with ``type(x) is int``."""
+    lines = isinstance_int_calls(parse(path))
+    assert lines == [], f"isinstance(..., int) calls on lines {lines}"
+
+
+def test_isinstance_int_lint_catches_each_form():
+    tree = ast.parse(
+        "def f(x):\n"
+        '    """isinstance(x, int) is not a call."""\n'
+        "    isinstance(x, int)\n"
+        "    isinstance(x.n, (str, int))\n"
+        "    isinstance(x, ((int, str), float))\n"
+        "    isinstance(x, float)\n"
+        "    isinstance(x, Interval)\n"
+        "    type(x) is int\n"
+    )
+    assert isinstance_int_calls(tree) == [3, 4, 5]
+
+
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_no_private_names_imported_from_siblings(path):
     private = [

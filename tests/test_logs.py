@@ -614,6 +614,13 @@ class TestStrictDecoding:
         with pytest.raises(InvalidInputError):
             LogStep.from_json(data)
 
+    def test_list_params_in_the_writers_layout_end_at_the_plain_reader(self):
+        step = sample_log().steps[0]
+        text = MutationLog((LogStep(step.kind, [1], step.before, step.after),)).to_jsonl()
+        assert '"params": [1], "before": ' in text
+        with pytest.raises(InvalidInputError, match="^log step params must be a JSON object$"):
+            MutationLog.from_jsonl(text)
+
     @pytest.mark.parametrize("value", [2.9, 2.0, True, "2", None, [2]])
     @pytest.mark.parametrize(
         "kind, key",

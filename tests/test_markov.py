@@ -30,6 +30,11 @@ class TestMarkovTriple:
         with pytest.raises(DomainError):
             MarkovTriple(0, 0, 0)
 
+    def test_bool_coordinates_refused(self):
+        # as_tuple would dump as [true, true, true].
+        with pytest.raises(DomainError, match="^Markov coordinates must be positive integers$"):
+            MarkovTriple(True, True, True)
+
 
 class TestMarkovStep:
     def test_examples(self):
@@ -91,6 +96,10 @@ class TestMarkovTree:
         with pytest.raises(InvalidInputError, match="limit must be a positive integer"):
             next(walk)
 
+    def test_bool_limit_refused(self):
+        with pytest.raises(InvalidInputError, match="^limit must be a positive integer$"):
+            next(markov_tree(True))
+
 
 class TestMarkovForm:
     def test_basis_vector(self):
@@ -110,6 +119,11 @@ class TestMarkovForm:
 
 
 class TestPairOrbit:
+    def test_bool_length_refused(self):
+        S, E0, E1 = ext_seed(3)
+        with pytest.raises(InvalidInputError, match="^orbit length must be a positive integer$"):
+            pair_orbit(S, E0, E1, True)
+
     def test_x_sequence_h3(self):
         S, E0, E1 = ext_seed(3)
         orbit = pair_orbit(S, E0, E1, 3)

@@ -1007,6 +1007,12 @@ class TestGramAndCertificate:
         # the violating entry pairs the first torsion class against O
         assert violation.j == 0
 
+    @pytest.mark.parametrize("d", range(9))
+    def test_torsion_last_is_the_basic_collection_reordered(self, d):
+        S = surface(d)
+        basic = basic_collection(S).members
+        assert basic_collection_torsion_last(S) == Collection(S, basic[d:] + basic[:d])
+
     def test_repeated_member_fails(self):
         S = surface(0)
         O = structure_class(S)
@@ -1189,6 +1195,18 @@ class TestRefusedArguments:
         with pytest.raises(InvalidInputError) as err:
             mutate_collection(c, position, Direction.LEFT)
         assert str(err.value) == message
+
+    def test_braid_letter_whose_direction_is_not_a_direction(self):
+        with pytest.raises(InvalidInputError, match="^braid letter needs a Direction$"):
+            BraidWord(((1, "left"),))
+
+    def test_braid_position_past_the_digit_limit(self):
+        with pytest.raises(InvalidInputError, match="^braid position of 5000 digits is too long$"):
+            BraidWord.parse("L" + "1" * 5000)
+
+    def test_helix_of_an_empty_foundation(self):
+        with pytest.raises(InvalidInputError, match="^empty foundation$"):
+            helix_extend(Collection(surface(1), ()), 0, 0)
 
     @pytest.mark.parametrize("lo, hi", [(0.5, 2), (0, 2.0), (True, 2), ("0", 2)])
     def test_helix_bounds_whose_type_is_not_int(self, lo, hi):

@@ -18,6 +18,7 @@ from delpezzo import (
     InvariantViolationError,
     KClass,
     PairKind,
+    PairType,
     apply_braid,
     basic_collection,
     classify_pair,
@@ -29,7 +30,12 @@ from delpezzo import (
     splitting_type,
     structure_class,
 )
-from delpezzo.pairs import restriction_degree, splitting_degrees
+from delpezzo.pairs import (
+    require_equal_slope_pair,
+    require_exceptional_pair,
+    restriction_degree,
+    splitting_degrees,
+)
 
 
 class TestClassifyPair:
@@ -115,6 +121,36 @@ class TestClassifyPair:
             assert t.kind is PairKind.HOM
             assert t.dims == (euler_form(S, O, F),)
 
+    @pytest.mark.parametrize(
+        "kind, dims, message",
+        [
+            (PairKind.HOM, (0,), "hom pair needs a positive dim"),
+            (PairKind.EXT, (1, 2), "ext pair needs a positive dim"),
+            (PairKind.ZERO, (1,), "zero pair carries no dims"),
+            (PairKind.SINGULAR, (1, 2), "singular pair dims are pinned to (1, 1)"),
+        ],
+    )
+    def test_pair_type_dims_are_pinned(self, kind, dims, message):
+        with pytest.raises(InvalidInputError) as err:
+            PairType(kind, dims)
+        assert str(err.value) == message
+
+    def test_pair_type_defines_no_second_constructor(self):
+        public = {k: v for k, v in vars(PairType).items() if not k.startswith("_")}
+        assert not any(isinstance(v, staticmethod) for v in public.values())
+
+    def test_self_pairing_other_than_one_refused(self):
+        S = surface(1)
+        O = structure_class(S)
+        message = r"^not a numerically exceptional pair: chi\(X,X\) != 1$"
+        with pytest.raises(InvalidInputError, match=message):
+            require_exceptional_pair(S, 2 * O, O)
+
+    def test_identical_numerics_refused(self):
+        O = structure_class(surface(1))
+        with pytest.raises(InvalidInputError, match="identical numerics"):
+            require_equal_slope_pair(O, O)
+
 
 class TestSplittingType:
     @pytest.mark.parametrize(
@@ -134,6 +170,10 @@ class TestSplittingType:
     def test_rank_zero_rejected(self):
         with pytest.raises(InvalidInputError):
             splitting_type(0, 1)
+
+    def test_bool_rank_refused(self):
+        with pytest.raises(InvalidInputError, match="^splitting type needs rank >= 1$"):
+            splitting_type(True, 1)
 
     def test_degrees(self):
         assert splitting_degrees(2, -1) == {-1, 0}
@@ -162,6 +202,10 @@ class TestRotationIndex:
         classes = [line_bundle(S, 1, 0), line_bundle(S, 0, -1)]
         with pytest.raises(DomainError):
             rotation_index(S, classes, 1)
+
+    def test_empty_list_refused(self):
+        with pytest.raises(InvalidInputError, match="^rotation index needs a nonempty list$"):
+            rotation_index(surface(1), [], 0)
 
     def test_degree_computation(self):
         S = surface(2)

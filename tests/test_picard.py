@@ -19,6 +19,7 @@ from _helpers import (
 )
 
 from delpezzo import (
+    DivisorClass,
     DomainError,
     InvalidInputError,
     KClass,
@@ -73,6 +74,18 @@ class TestIntersect:
         S = surface(2)
         with pytest.raises(InvalidInputError):
             intersect(S, line_divisor(1), line_divisor(2))
+
+    def test_sum_and_difference_across_surfaces_refused(self):
+        D1, D2 = line_divisor(1), line_divisor(2)
+        for f in (lambda: D1 + D2, lambda: D1 - D2, lambda: D2 - D1):
+            with pytest.raises(InvalidInputError, match="^divisor classes live on different surfaces$"):
+                f()
+
+    @pytest.mark.parametrize("n", [True, False, 1.0])
+    def test_scalar_multiple_needs_an_int(self, n):
+        assert 2 * line_divisor(1) == DivisorClass((2, 0))
+        with pytest.raises(TypeError, match="^unsupported operand type"):
+            n * line_divisor(1)
 
     def test_symmetric_and_bilinear(self):
         rng = random.Random(7)

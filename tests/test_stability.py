@@ -18,7 +18,7 @@ from delpezzo import (
 
 
 def sv(rank, *nums):
-    return SlopeVector(rank, tuple(Fraction(x) for x in nums))
+    return SlopeVector(rank, nums)
 
 
 class TestCompareSlope:
@@ -50,25 +50,43 @@ class TestCompareSlope:
 
     def test_rank_must_be_positive(self):
         with pytest.raises(InvalidInputError):
-            SlopeVector(0, (Fraction(1),))
+            SlopeVector(0, (1,))
 
 
 class TestSlopeVectorInputs:
-    @pytest.mark.parametrize("bad", [0.1, "1/2", True, False], ids=["float", "str", "True", "False"])
-    def test_refuses_a_numerator_that_is_no_int_or_fraction(self, bad):
-        with pytest.raises(InvalidInputError, match="^slope numerators must be integers or Fractions"):
+    @pytest.mark.parametrize(
+        "bad",
+        [Fraction(1, 2), Fraction(1), 0.1, "1/2", True, False],
+        ids=["Fraction", "whole Fraction", "float", "str", "True", "False"],
+    )
+    def test_refuses_a_numerator_that_is_no_int(self, bad):
+        with pytest.raises(InvalidInputError, match="^slope numerators must be integers, got"):
             SlopeVector(1, (1, bad))
 
     def test_refuses_a_bool_rank(self):
         with pytest.raises(InvalidInputError, match="^slope rank must be a positive integer$"):
             SlopeVector(True, (1,))
 
-    def test_keeps_ints_and_fractions_as_given(self):
-        x = SlopeVector(2, [3, Fraction(1, 2)])
-        assert x.numerators == (3, Fraction(1, 2))
-        assert [type(v) for v in x.numerators] == [int, Fraction]
-        assert x.components() == (Fraction(3, 2), Fraction(1, 4))
+    def test_components_show_fractions_of_int_numerators(self):
+        x = SlopeVector(2, [3, 1])
+        assert x.numerators == (3, 1)
+        assert x.components() == (Fraction(3, 2), Fraction(1, 2))
         assert {type(v) for v in x.components()} == {Fraction}
+
+    @pytest.mark.parametrize("m", [True, False, 0, -1, 1.0, Fraction(2)], ids=repr)
+    def test_scaled_refuses_a_multiplicity_that_is_no_positive_int(self, m):
+        with pytest.raises(InvalidInputError, match="^multiplicity must be positive$"):
+            SlopeVector(1, (1,)).scaled(m)
+
+    def test_different_lengths_are_refused(self):
+        a, b = SlopeVector(1, (1,)), SlopeVector(1, (1, 2))
+        for f in (lambda: a + b, lambda: compare_slope(a, b)):
+            with pytest.raises(InvalidInputError, match="^slope vectors have different lengths$"):
+                f()
+
+    def test_vector_slope_refuses_a_class_of_another_surface(self):
+        with pytest.raises(InvalidInputError, match="^class does not belong to this surface$"):
+            vector_slope(surface(2), structure_class(surface(1)))
 
     def test_integer_arithmetic_stays_integer(self):
         S = surface(3)
@@ -187,6 +205,21 @@ class TestHNCoarsen:
     def test_json_round_trip(self):
         g = graded((self.q0, 2), (self.q2, 1))
         assert GradedObject.from_json(g.to_json()) == g
+
+    def test_empty_object_refused(self):
+        with pytest.raises(InvalidInputError, match="^graded object needs at least one quotient$"):
+            graded()
+
+    @pytest.mark.parametrize("m", [0, -1, True, False, 1.0])
+    def test_multiplicity_that_is_no_positive_int_refused(self, m):
+        # A bool would be written as "mult": true, which from_json refuses.
+        with pytest.raises(InvalidInputError, match="^multiplicities must be positive integers$"):
+            graded((self.q0, m))
+
+    def test_polarization_of_another_surface_refused(self):
+        g = graded((self.q0, 1))
+        with pytest.raises(InvalidInputError, match="^graded object and polarization disagree on d$"):
+            hn_coarsen(g, default_ample(surface(2)))
 
     def _random_graded(self, rng) -> GradedObject:
         n = rng.randint(1, 6)
