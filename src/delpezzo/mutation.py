@@ -23,9 +23,12 @@ ways in.  An input is certified in full once
 collection evaluates chi(E,F) alone and walks the new member's row and
 column: 1 + n chi and one class built per move, from the canonical
 integer coordinates of +-(chi*E - F), the sign read off the rank or H.c1
-before c1 is computed.  A recorded mutate step is checked on those
-coordinates and builds no class (``is_recorded_mutation``): the move's
-prelude, the untouched members compared (identity first), the new
+before c1 is computed.  Each output records the move that undoes it and
+the input's members; that move evaluates no chi, builds no class and
+returns the recorded members when the member it would build is
+canonical (R_i L_i = L_i R_i = id).  A recorded mutate step is checked
+on those coordinates and builds no class (``is_recorded_mutation``): the
+move's prelude, the untouched members compared (identity first), the new
 member's coordinates compared, then the same row-and-column walk
 certifies the recorded collection.  A twist, a rotation with its twist
 by -K, or a recorded state of another kind equal to a certified
@@ -113,12 +116,13 @@ class Collection(Value):
     """Ordered list of K-classes on a fixed surface.
 
     ``_certified`` records that the collection is numerically exceptional,
-    as only this module decides.  It takes no part in construction,
-    equality, hashing or JSON; a frozen collection of frozen classes
-    cannot go stale.
+    as only this module decides, and ``_undo``, on an output of
+    ``mutate_collection``, the move that undoes it and the input's member
+    tuple.  Neither takes part in construction, equality, hashing, the
+    repr or JSON; a frozen collection of frozen classes cannot go stale.
     """
 
-    __slots__ = ("surface", "members", "_certified")
+    __slots__ = ("surface", "members", "_certified", "_undo")
     _fields = ("surface", "members")
 
     def __init__(self, surface: Surface, members: tuple[KClass, ...]):
@@ -130,6 +134,7 @@ class Collection(Value):
         _set_surface(self, surface)
         _set_members(self, members)
         _set_certified(self, False)
+        _set_undo(self, None)
 
     def __len__(self) -> int:
         return len(self.members)
@@ -150,7 +155,7 @@ class Collection(Value):
         )
 
 
-_set_surface, _set_members, _set_certified = slot_setters(Collection)
+_set_surface, _set_members, _set_certified, _set_undo = slot_setters(Collection)
 
 
 def _write_members(write, members: tuple[KClass, ...]) -> list:
@@ -352,14 +357,36 @@ def mutate_collection(c: Collection, i: int, direction: Direction) -> Collection
     other member and its order among them, and the input's certificate
     holds the rest of the pair check.  So chi(E,F) and N's Gram row and
     column are all that is evaluated: 1 + n chi per move.
+
+    The output records the move that undoes it (the same position, the
+    other direction) and the input's members.  That move, named by an int
+    position and a Direction, evaluates no chi, builds no class and returns
+    a certified collection of the recorded members, with its own record,
+    when the member it would rebuild is canonical.  This is exact: left
+    takes (E, F) to (L, E), L = s(aE - F), a = chi(E,F), s = +-1, and
+    chi(L, E) = sa, so right then gives (E, canonical(F)); right then left
+    gives E back alike.  The recorded members were certified as the input,
+    and the equal-slope check is symmetric in the pair, so the inverse
+    cannot fail it.  Every other call takes the path above.
     """
+    undo = c._undo
+    if undo is not None and undo[0] == i and undo[1] is direction and type(i) is int:
+        left, members = direction is Direction.LEFT, undo[2]
+        m = members[i - 1 if left else i]
+        if _is_canonical(m.r, m._hc1, m.c1.coeffs, m.two_ch2):
+            out = Collection(c.surface, members)
+            _set_certified(out, True)
+            _set_undo(out, (i, Direction.RIGHT if left else Direction.LEFT, c.members))
+            return out
     E, F, chi_ef = _adjacent_pair(c, i)
     new_pair = _reflect(E, F, chi_ef, direction)
     out = Collection(c.surface, c.members[: i - 1] + new_pair + c.members[i + 1 :])
-    violation = _violation(out, i - 1 if direction is Direction.LEFT else i)
+    left = direction is Direction.LEFT
+    violation = _violation(out, i - 1 if left else i)
     if violation is not None:
         raise _broken_certificate(violation)
     _set_certified(out, True)
+    _set_undo(out, (i, Direction.RIGHT if left else Direction.LEFT, c.members))
     return out
 
 
@@ -690,7 +717,9 @@ def apply_braid(c: Collection, w: BraidWord):
     """Apply the word letter by letter; the log records every step.  A
     letter whose new member is past the size budget stops the word.  The
     input must be numerically exceptional, as for ``mutate_collection``,
-    even when the word is empty."""
+    even when the word is empty.  A letter that undoes the letter before
+    it, as L1 R1, evaluates no chi and gives the earlier state's members
+    (see ``mutate_collection``)."""
     require_numerically_exceptional(c)
     steps = []
     current = c

@@ -121,6 +121,17 @@ def test_only_mutation_names_the_certificate_flag():
     assert found == []
 
 
+def test_only_mutation_names_the_undo_record():
+    """``mutation`` owns the record of the move that undoes a mutation's
+    output: no other module reads or sets ``_undo``."""
+    found = [
+        path.name
+        for path in MODULES
+        if path.name != "mutation.py" and "_undo" in path.read_text(encoding="utf-8")
+    ]
+    assert found == []
+
+
 def object_setattr_calls(tree):
     """Lines of object.__setattr__(...) calls."""
     return [

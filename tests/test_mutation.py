@@ -1,3 +1,4 @@
+import gc
 import random
 import re
 
@@ -254,16 +255,26 @@ class TestIncrementalCertificate:
     def test_one_plus_n_chi_per_mutation(self, monkeypatch, d, n):
         # The certified input holds the pair's chi(E,E), chi(F,F) and
         # chi(F,E): only chi(E,F) and the new member's n entries are read.
+        # A move that undoes the move before it reads none.
         calls = []
         c = basic_collection(surface(d))
         require_numerically_exceptional(c)
         count_chi(monkeypatch, calls)
         rng = random.Random(n)
-        for _ in range(20):
+        kinds = set()
+        previous = grandparent = None
+        for _ in range(40):
+            i, direction = random_or_undoing_letter(rng, n, previous)
+            undoes = inverse_letter(previous) == (i, direction)
             calls.clear()
-            c = mutate_collection(c, rng.randint(1, n - 1), rng.choice(list(Direction)))
+            before, c = c, mutate_collection(c, i, direction)
             assert len(c.members) == n
-            assert len(calls) == 1 + n, calls
+            assert len(calls) == (0 if undoes else 1 + n), calls
+            if undoes:
+                assert c == grandparent
+            kinds.add(undoes)
+            grandparent, previous = before, (i, direction)
+        assert kinds == {True, False}
 
     def test_uncertified_input_is_scanned_once(self, monkeypatch):
         scans = []
@@ -301,6 +312,12 @@ class TestIncrementalCertificate:
         assert len({plain, certified}) == 1
         with pytest.raises(TypeError):
             Collection(plain.surface, plain.members, True)
+        # Nor is the record of the move that undoes a mutation's output.
+        recorded = mutate_collection(p2_basic(), 1, Direction.LEFT)
+        copy = record_free(recorded)
+        assert recorded._undo is not None and copy._undo is None
+        assert recorded == copy and hash(recorded) == hash(copy)
+        assert repr(recorded) == repr(copy) and recorded.to_json() == copy.to_json()
 
     def test_only_certification_sets_the_flag(self):
         c = p2_basic()
@@ -335,6 +352,31 @@ INCONSISTENT = (
     "equal-slope pair fails the forced -2-class equations "
     "(r 1 vs 3, C^2 = -10, C.K = 0)"
 )
+
+
+def other(direction: Direction) -> Direction:
+    return Direction.RIGHT if direction is Direction.LEFT else Direction.LEFT
+
+
+def inverse_letter(letter):
+    """The letter that undoes ``letter``, or None for None."""
+    if letter is None:
+        return None
+    i, direction = letter
+    return i, other(direction)
+
+
+def record_free(c: Collection) -> Collection:
+    """A copy of c with no record of the move that built it."""
+    return Collection(c.surface, c.members)
+
+
+def random_or_undoing_letter(rng: random.Random, n: int, previous):
+    """A seeded letter on n members: one time in three the letter that
+    undoes ``previous``, else a random one."""
+    if previous is not None and rng.random() < 1 / 3:
+        return inverse_letter(previous)
+    return rng.randint(1, n - 1), rng.choice(list(Direction))
 
 
 def inconsistent_pair():
@@ -545,6 +587,8 @@ class TestGramWalkOracle:
             rng = random.Random(800 + d)
             S = surface(d)
             for c in scrambled_collections(d, 3, seed=900 + d):
+                # A record-free copy: every move takes the patched path.
+                c = record_free(c)
                 for i in range(1, len(c.members)):
                     for direction in Direction:
                         E, F = c.members[i - 1], c.members[i]
@@ -1157,20 +1201,29 @@ class TestReflection:
 
         rng = random.Random(70 + d)
         kinds = set()
+        undone = set()
         for c in scrambled_collections(d, 4, seed=600 + d):
+            # A record-free copy: the first move undoes no move.
+            c = record_free(c)
             require_numerically_exceptional(c)
+            previous = None
             for _ in range(10):
-                i = rng.randint(1, len(c.members) - 1)
-                direction = rng.choice(list(Direction))
+                i, direction = random_or_undoing_letter(rng, len(c.members), previous)
+                undoes = inverse_letter(previous) == (i, direction)
                 monkeypatch.setattr(KClass, "__post_init__", counted)
                 built.clear()
                 out = mutate_collection(c, i, direction)
                 monkeypatch.undo()
                 new = out.members[i - 1 if direction is Direction.LEFT else i]
-                kinds.add(result_kind(new))
-                assert built == [new]
-                c = out
+                undone.add(undoes)
+                if undoes:
+                    assert built == []
+                else:
+                    kinds.add(result_kind(new))
+                    assert built == [new]
+                c, previous = out, (i, direction)
         assert "rank" in kinds
+        assert undone == {True, False}
 
 
 class TestRefusedArguments:
@@ -1214,3 +1267,118 @@ class TestRefusedArguments:
         with pytest.raises(InvalidInputError) as err:
             helix_extend(c, lo, hi)
         assert str(err.value) == f"helix bounds {lo!r}, {hi!r} must be integers"
+
+
+def same_move(recorded: Collection, i: int, direction: Direction) -> Collection:
+    """The move on ``recorded`` and on a record-free copy, which must agree
+    on the value and the certificate."""
+    out = mutate_collection(recorded, i, direction)
+    plain = mutate_collection(record_free(recorded), i, direction)
+    assert out == plain
+    assert out._certified is plain._certified is True
+    return out
+
+
+def negated(c: Collection, q: int) -> Collection:
+    members = list(c.members)
+    members[q] = -members[q]
+    return Collection(c.surface, tuple(members))
+
+
+class TestUndoRecord:
+    """A move that undoes the move that built its input (R_i L_i = L_i R_i =
+    id) returns the recorded members, evaluates no chi and builds no class;
+    it gives what the full move gives."""
+
+    @pytest.mark.parametrize("d", range(9))
+    def test_every_move_of_a_recorded_output_matches_the_full_move(self, d):
+        for c in scrambled_collections(d, 2, seed=1300 + d):
+            n = len(c.members)
+            for j in range(1, n):
+                for first in Direction:
+                    recorded = mutate_collection(c, j, first)
+                    for i in range(1, n):
+                        for direction in Direction:
+                            same_move(recorded, i, direction)
+
+    @pytest.mark.parametrize("d", [0, 1, 4, 8])
+    def test_ping_pong(self, monkeypatch, d):
+        calls = []
+        count_chi(monkeypatch, calls)
+        for c in scrambled_collections(d, 3, seed=1400 + d):
+            require_numerically_exceptional(c)
+            for i in range(1, len(c.members)):
+                for first in Direction:
+                    x = c
+                    letters = [first, other(first)] * 2
+                    for k, direction in enumerate(letters):
+                        calls.clear()
+                        x = mutate_collection(x, i, direction)
+                        # The first letter may undo the braid word's last.
+                        if k:
+                            assert calls == []
+                        monkeypatch.undo()
+                        same_move(x, i, other(direction))
+                        count_chi(monkeypatch, calls)
+                    assert x == c
+
+    @pytest.mark.parametrize("d", [0, 2, 8])
+    def test_a_negated_member_is_not_returned(self, d):
+        # chi(-E, -E) = chi(E, E) and -E keeps every zero: still exceptional.
+        basic = basic_collection(surface(d))
+        n = len(basic.members)
+        for q in range(n):
+            c = negated(basic, q)
+            assert is_numerically_exceptional(c) == (True, None)
+            # The move at i that replaces member q: F = E_q by a left move,
+            # E = E_q by a right one.
+            moves = [(q, Direction.LEFT)] if q else []
+            moves += [(q + 1, Direction.RIGHT)] if q + 1 < n else []
+            for i, direction in moves:
+                out = mutate_collection(c, i, direction)
+                back = same_move(out, i, other(direction))
+                assert back.members[q] == basic.members[q] != c.members[q]
+                assert back == basic
+
+    def test_refusals_on_a_recorded_collection(self):
+        c = basic_collection(surface(2))
+        for direction in Direction:
+            # The record undoes a move at position 1 (== True) in the other
+            # direction.
+            out = mutate_collection(c, 1, direction)
+            undo = other(direction)
+            for position in (True, 0, 5):
+                message = f"mutation position {position!r} out of range for length 5"
+                with pytest.raises(InvalidInputError) as err:
+                    mutate_collection(out, position, undo)
+                assert str(err.value) == message
+            for wrong in ("left", "right"):
+                with pytest.raises(InvalidInputError, match="^mutation needs a Direction$"):
+                    mutate_collection(out, 1, wrong)
+
+    def test_a_long_walk_keeps_a_bounded_number_of_collections(self):
+        def live() -> int:
+            gc.collect()
+            return sum(type(x) is Collection for x in gc.get_objects())
+
+        # A seeded walk within 6 letters of its start, so that its integers
+        # stay small: past 6 letters, or one time in three, it undoes the
+        # last letter it has not undone yet.
+        rng = random.Random(1500)
+        c = basic_collection(surface(3))
+        n = len(c.members)
+        start = live()
+        path = []
+        undone = 0
+        for _ in range(2000):
+            if path and (len(path) >= 6 or rng.random() < 1 / 3):
+                letter = inverse_letter(path.pop())
+                undone += 1
+            else:
+                letter = rng.randint(1, n - 1), rng.choice(list(Direction))
+                path.append(letter)
+            c = mutate_collection(c, *letter)
+        assert undone > 500
+        # The current collection alone: a record holds a member tuple, not
+        # the collection it was read from.
+        assert live() - start <= 1
