@@ -6,12 +6,14 @@ to ``--out`` as JSON-lines, and ``replay --log`` reads one back and
 replays it.  All numbers cross the interface exactly: integers as JSON
 numbers, rationals as reduced "p/q" strings.
 
-Exit codes: 0 success, 1 malformed input, 2 domain error.
+Exit codes: 0 success, 1 malformed input or an answer that cannot be
+written, 2 domain error.
 """
 
 from __future__ import annotations
 
 import argparse
+import gc
 import json
 import os
 import re
@@ -122,7 +124,16 @@ def _emit(doc: dict) -> None:
         text = json.dumps(doc)
     except ValueError as exc:  # an integer past the int-to-string digit limit
         raise DomainError(f"answer too large to write: {exc}") from exc
-    sys.stdout.write(text + "\n")
+    try:  # a full device, or a pipe its reader has closed
+        sys.stdout.write(text + "\n")
+        sys.stdout.flush()
+    except OSError as exc:
+        # The interpreter flushes stdout again at exit; what is left of the
+        # answer goes to the null device, so that flush cannot fail too.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        raise InvalidInputError(f"cannot write the answer: {exc}") from exc
 
 
 def _indexed_classes(classes: dict[int, KClass]) -> list[dict]:
@@ -439,6 +450,17 @@ def run(argv: list[str]) -> int:
 
 
 def main() -> None:
+    """The process entry: ``python -m delpezzo.cli`` and the ``delpezzo``
+    script.
+
+    The heap is frozen first.  Every import has finished by then, and the
+    modules, functions, code constants and parser internals it built live
+    until the process exits, so each collection that walks them, a gen-2
+    one during the command and the interpreter's own at exit, is wasted
+    work: about 7 ms of a cold call.  ``run`` does not freeze, nor does
+    any library module: a test or a program that calls them keeps its
+    own collector as it was."""
+    gc.freeze()
     sys.exit(run(sys.argv[1:]))
 
 

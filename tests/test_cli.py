@@ -1,3 +1,4 @@
+import gc
 import json
 import os
 import pathlib
@@ -38,15 +39,29 @@ def doc(out: str):
     return json.loads(out)
 
 
+ROOT = pathlib.Path(__file__).resolve().parent.parent
+
+
+def process_env(**overrides):
+    """The environment of a fresh interpreter that imports this checkout's
+    package; a value of None removes that variable."""
+    env = dict(os.environ)
+    src = str(ROOT / "src")
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+    for name, value in overrides.items():
+        if value is None:
+            env.pop(name, None)
+        else:
+            env[name] = value
+    return env
+
+
 def invoke_process(*argv):
     """Run the CLI in a fresh interpreter, so an escaping exception shows as
     a traceback on stderr."""
-    src = str(pathlib.Path(__file__).resolve().parent.parent / "src")
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
     proc = subprocess.run(
         [sys.executable, "-m", "delpezzo.cli", *argv],
-        env=env,
+        env=process_env(),
         capture_output=True,
         text=True,
         timeout=60,
@@ -1075,3 +1090,92 @@ class TestPipelineCommands:
         d = doc(out)
         assert d["class"] == {"r": 2, "c1": [3], "ch2": "3/2"}
         assert d["surface"] == {"blowups": 0}
+
+
+CHI_ARGV = ("chi", "--surface", '{"blowups":0}', "--e", O_P2, "--f", OH_P2)
+
+
+class TestUnwritableStdout:
+    """An answer that cannot be written is one line on stderr and exit 1,
+    with no traceback and no complaint from the interpreter's final flush."""
+
+    @staticmethod
+    def assert_one_line(code, err, reason):
+        assert code == 1, err
+        assert err == f"invalid input: cannot write the answer: {reason}\n"
+
+    @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full")
+    @pytest.mark.parametrize("unbuffered", ["1", None], ids=["unbuffered", "buffered"])
+    def test_full_device(self, unbuffered):
+        with open("/dev/full", "w") as full:
+            proc = subprocess.run(
+                [sys.executable, "-m", "delpezzo.cli", *CHI_ARGV],
+                env=process_env(PYTHONUNBUFFERED=unbuffered),
+                stdout=full,
+                stderr=subprocess.PIPE,
+                text=True,
+                timeout=60,
+            )
+        self.assert_one_line(proc.returncode, proc.stderr, "[Errno 28] No space left on device")
+
+    @pytest.mark.parametrize("unbuffered", ["1", None], ids=["unbuffered", "buffered"])
+    def test_closed_pipe(self, unbuffered):
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "delpezzo.cli", "roots", "--surface", '{"blowups":8}'],
+            env=process_env(PYTHONUNBUFFERED=unbuffered),
+            stdout=subprocess.PIPE,
+            stderr=subprocess.PIPE,
+            text=True,
+        )
+        proc.stdout.close()  # long before the interpreter has started
+        _, err = proc.communicate(timeout=60)
+        self.assert_one_line(proc.returncode, err, "[Errno 32] Broken pipe")
+
+
+# Runs the process entry with a probe that reports, on stderr after the
+# command's own output, the number of objects frozen out of collection.
+ENTRY_PROBE = """
+import atexit, gc, sys
+atexit.register(lambda: print("frozen", gc.get_freeze_count(), file=sys.stderr))
+sys.argv = ["delpezzo", *sys.argv[1:]]
+"""
+ENTRIES = {
+    "main": "from delpezzo.cli import main; main()",
+    "module": "import runpy; runpy.run_module('delpezzo.cli', run_name='__main__')",
+}
+
+
+class TestProcessEntry:
+    """``main`` freezes the import-time heap; ``run`` leaves the caller's
+    collector alone."""
+
+    ARGV = ("markov", "--limit", "100")
+
+    def test_run_freezes_nothing(self, capsys):
+        before = gc.get_freeze_count()
+        assert invoke(capsys, *self.ARGV)[0] == 0
+        assert gc.get_freeze_count() == before
+
+    @pytest.mark.parametrize("entry", sorted(ENTRIES))
+    @pytest.mark.parametrize(
+        "argv", [ARGV, CHI_ARGV, ("markov",)], ids=["markov", "chi", "markov-no-limit"]
+    )
+    def test_entry_freezes_and_answers_as_run_does(self, capsys, entry, argv):
+        proc = subprocess.run(
+            [sys.executable, "-c", ENTRY_PROBE + ENTRIES[entry], *argv],
+            env=process_env(),
+            capture_output=True,
+            text=True,
+            timeout=60,
+        )
+        *_, probe = proc.stderr.splitlines()
+        assert probe.startswith("frozen ")
+        assert int(probe.split()[1]) > 1000  # the import alone tracks thousands
+        code, out, _ = invoke(capsys, *argv)
+        assert (proc.returncode, proc.stdout) == (code, out)
+
+    def test_installed_script_is_main(self):
+        tomllib = pytest.importorskip("tomllib")
+        with open(ROOT / "pyproject.toml", "rb") as fh:
+            scripts = tomllib.load(fh)["project"]["scripts"]
+        assert scripts == {"delpezzo": "delpezzo.cli:main"}

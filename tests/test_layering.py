@@ -132,6 +132,67 @@ def test_only_mutation_names_the_undo_record():
     assert found == []
 
 
+def collector_reach(tree):
+    """(imports, reads): the lines that import ``gc``, and the lines that
+    read ``gc.<name>`` outside the top-level function ``main``.  A
+    ``from gc import`` or an ``import gc as`` hides the name, so it counts
+    as both."""
+    inside_main = {
+        id(inner)
+        for node in tree.body
+        if isinstance(node, ast.FunctionDef) and node.name == "main"
+        for inner in ast.walk(node)
+    }
+    imports, reads = [], []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            aliases = [a for a in node.names if a.name == "gc"]
+            if aliases:
+                imports.append(node.lineno)
+            if any(a.asname for a in aliases):
+                reads.append(node.lineno)
+        elif isinstance(node, ast.ImportFrom) and node.module == "gc":
+            imports.append(node.lineno)
+            reads.append(node.lineno)
+        elif (
+            isinstance(node, ast.Attribute)
+            and isinstance(node.value, ast.Name)
+            and node.value.id == "gc"
+            and id(node) not in inside_main
+        ):
+            reads.append(node.lineno)
+    return sorted(imports), sorted(reads)
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_only_the_process_entry_touches_the_collector(path):
+    """``cli.main`` alone may freeze or collect: a program that imports the
+    library, or calls ``cli.run``, keeps its own collector as it was."""
+    imports, reads = collector_reach(parse(path))
+    if path.name != "cli.py":
+        assert imports == [], f"gc imported on lines {imports}"
+    assert reads == [], f"gc reached outside main on lines {reads}"
+
+
+def test_collector_lint_catches_each_form():
+    tree = ast.parse(
+        "import gc\n"
+        "gc.freeze()\n"
+        "def run(argv):\n"
+        '    """gc.collect() is not a call."""\n'
+        "    gc.collect()\n"
+        "def main():\n"
+        "    gc.freeze()\n"
+        "    run([])\n"
+        "class C:\n"
+        "    def main(self):\n"
+        "        gc.disable()\n"
+        "from gc import freeze\n"
+        "import os, gc as g\n"
+    )
+    assert collector_reach(tree) == ([1, 12, 13], [2, 5, 11, 12, 13])
+
+
 def object_setattr_calls(tree):
     """Lines of object.__setattr__(...) calls."""
     return [
