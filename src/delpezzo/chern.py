@@ -28,6 +28,15 @@ difference.  ``euler_pairing`` is that formula, for two classes known to
 share a surface (the members of a collection, which its constructor
 checked); ``euler_form`` checks both against the surface first.
 
+Its antisymmetric part is the skew form
+
+    chi(E, F) - chi(F, E) = rE H.c1F - rF H.c1E,
+
+two products of cached integers (``skew_form``).  Where a certificate
+has fixed chi(F, E) = 0, as for every adjacent pair of a numerically
+exceptional collection, it is chi(E, F), and a mutation reads it there:
+n chi per move, all of them the new member's Gram row and column.
+
 Every class caches its anticanonical degree H.c1, computed once at
 construction by ``picard.anticanonical_degree``: the pairing reads both
 cached degrees and takes one product c1E.c1F.  The anticanonical slope
@@ -235,6 +244,14 @@ def euler_pairing(E: KClass, F: KClass) -> int:
     ) - dot(E.c1, F.c1)
 
 
+def skew_form(E: KClass, F: KClass) -> int:
+    """chi(E, F) - chi(F, E) = rE H.c1F - rF H.c1E, read off the cached
+    degrees: the antisymmetric part of Riemann-Roch, two products.  Where
+    chi(F, E) = 0 is known, as for an adjacent pair of a numerically
+    exceptional collection, it is chi(E, F)."""
+    return E.r * F._hc1 - F.r * E._hc1
+
+
 def euler_form(S: Surface, E: KClass, F: KClass) -> int:
     """chi(E, F) of two classes on S: the surface checks, then
     ``euler_pairing``."""
@@ -242,19 +259,6 @@ def euler_form(S: Surface, E: KClass, F: KClass) -> int:
     if len(E.c1.coeffs) != n or len(F.c1.coeffs) != n:
         raise InvalidInputError("class does not belong to this surface")
     return euler_pairing(E, F)
-
-
-def euler_weights(S: Surface, E: KClass) -> tuple[int, ...]:
-    """The weights w of chi(E, .) on integer coordinates: for every class
-    F with coordinates y = (r, 2*ch2, H.c1, *c1), 2 chi(E, F) = sum w*y.
-    They are ``euler_pairing``'s expansion with F left open: the rank,
-    2*ch2 and cached degree terms, then -2 c1E weighted by ``dot``'s
-    diagonal (+1, -1, ..., -1)."""
-    p = E.c1.coeffs
-    if len(p) != S.d + 1:
-        raise InvalidInputError("class does not belong to this surface")
-    er = E.r
-    return (2 * er - E._hc1 + E.two_ch2, er, er, -2 * p[0], *[2 * x for x in p[1:]])
 
 
 def _require_slope(S: Surface, E: KClass) -> None:

@@ -4,8 +4,9 @@ The step records (``LogStep``, ``MutationLog``) and their JSON-lines form
 live in ``mutation``, beside the moves that write them, and are
 re-exported here.  ``replay`` checks that every step's ``after`` is
 reproduced exactly from its ``before`` and ``params``: a mutate step on
-the integers the two recorded collections hold, with no class built
-(``mutation.is_recorded_mutation``), every other kind by recomputing it.
+the integers the two recorded collections hold, with no class built and
+n chi, chi(E,F) read off the skew form (``mutation.is_recorded_mutation``),
+every other kind by recomputing it.
 After the first step, ``before`` is the previous step's verified recorded
 ``after``.
 """
@@ -143,8 +144,9 @@ def replay(log: MutationLog) -> bool:
     its recorded 'before'.  A replayed step's recorded 'after' takes over
     the certificate: a mutate step is checked on the integers the two
     recorded collections hold (``mutation.is_recorded_mutation``), with
-    no class or collection built, and certifies 'after' by its new
-    member's Gram row and column, 1 + n chi per step; any other step is
+    no class or collection built, reads chi(E,F) off the skew form
+    (``chern.skew_form``) of the certified pair, and certifies 'after' by
+    its new member's Gram row and column, n chi per step; any other step is
     recomputed, compared whole and passes its result's certificate on
     (``mutation.carry_certificate``).  A log read by ``from_jsonl``
     shares each state and member by its text, so the chain check and the

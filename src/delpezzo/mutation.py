@@ -20,10 +20,11 @@ the walk reads each entry through ``chern.euler_pairing``, the chi of two
 classes known to share a surface.  The certificate has one rule and three
 ways in.  An input is certified in full once
 (``require_numerically_exceptional``).  A mutation of a certified
-collection evaluates chi(E,F) alone and walks the new member's row and
-column: 1 + n chi and one class built per move, from the canonical
-integer coordinates of +-(chi*E - F), the sign read off the rank or H.c1
-before c1 is computed.  Each output records the move that undoes it and
+collection reads chi(E,F) off the skew form (``chern.skew_form``), as
+the certificate fixes chi(F,E) = 0, and walks the new member's row and
+column: n chi and one class built per move, from the canonical integer
+coordinates of +-(chi*E - F), the sign read off the rank or H.c1 before
+c1 is computed.  Each output records the move that undoes it and
 the input's members; that move evaluates no chi, builds no class and
 returns the recorded members when the member it would build is
 canonical (R_i L_i = L_i R_i = id).  A recorded mutate step is checked
@@ -33,19 +34,20 @@ member's coordinates compared, then the same row-and-column walk
 certifies the recorded collection.  A twist, a rotation with its twist
 by -K, or a recorded state of another kind equal to a certified
 collection carries its certificate with no scan (``carry_certificate``).
-``mutate_pair`` checks its input pair first (4 chi).  A mutation never
+``mutate_pair`` checks its input pair first (3 chi).  A mutation never
 classifies its pair, and refuses a direction that is not a ``Direction``.
 Nothing caches chi.
 Braid words act letter by letter.  A foundation of length n extends to
 a helix by the twist periodicity  E_{i+sn} = E_i(-sK),  and the helix
 axiom L^(n-1) A_s = A_{s-n} is checked by explicit iterated mutation on
-integer coordinates (r, 2*ch2, H.c1, *c1): one chi per step, read off
-the partner's ``chern.euler_weights``, and each period compared with
-A_{s-n} by canonical coordinates.  A passing check builds the n twists
-by K and no other class, unless an equal-slope step needs one.  The
-certified foundation makes every window of the helix, mutated or not,
-exceptional (twist invariance, Serre duality and the isometry of a
-mutation), so no step re-checks its pair.
+integer coordinates (r, 2*ch2, H.c1, *c1): each step reads chi off the
+skew form of its pair, two products and no pairing, and each period is
+compared with A_{s-n} by canonical coordinates.  A passing check builds
+the n twists by K and no other class, unless an equal-slope step needs
+one.  The certified foundation makes every window of the helix, mutated
+or not, exceptional (twist invariance, Serre duality and the isometry of
+a mutation), so no step re-checks its pair, and chi(y, A) = 0 makes
+chi(A, y) the skew form.
 
 Every move is recorded as a replayable ``LogStep`` {kind, params, before,
 after}; a ``MutationLog`` of steps serializes to JSON-lines, one step per
@@ -81,14 +83,13 @@ from __future__ import annotations
 import enum
 import json
 import re
-from operator import mul
 
 from .chern import (
     KClass,
     curve_class,
     euler_pairing,
-    euler_weights,
     line_class,
+    skew_form,
     structure_class,
     twist,
 )
@@ -318,9 +319,10 @@ def mutate_pair(
     Right: (E, F) -> (F, R) with [R] = +-(chi(E,F)[F] - [E]).
 
     Pair check in: the pair must be numerically exceptional, which yields
-    chi(E,F) (4 chi); an equal-slope pair of positive ranks must pass the
-    forced -2-class equations, and is not classified.  Rank-0 members are
-    mutated alike; the output pair is exceptional again by bilinearity.
+    chi(E,F) off the skew form (3 chi); an equal-slope pair of positive
+    ranks must pass the forced -2-class equations, and is not classified.
+    Rank-0 members are mutated alike; the output pair is exceptional again
+    by bilinearity.
     """
     return _reflect(E, F, require_exceptional_pair(S, E, F), direction)
 
@@ -328,14 +330,15 @@ def mutate_pair(
 def _adjacent_pair(c: Collection, i: int) -> tuple[KClass, KClass, int]:
     """E_i, E_{i+1} and chi(E_i, E_{i+1}) for the move at 1-based position
     i: the position is checked, then c is certified unless it already
-    is."""
+    is.  The certificate fixes chi(E_{i+1}, E_i) = 0, so chi(E_i, E_{i+1})
+    is the skew form, and no pairing is evaluated."""
     if type(i) is not int or not 1 <= i < len(c.members):
         raise InvalidInputError(
             f"mutation position {i!r} out of range for length {len(c.members)}"
         )
     require_numerically_exceptional(c)
     E, F = c.members[i - 1], c.members[i]
-    return E, F, euler_pairing(E, F)
+    return E, F, skew_form(E, F)
 
 
 def _broken_certificate(violation: GramViolation) -> InvariantViolationError:
@@ -355,8 +358,9 @@ def mutate_collection(c: Collection, i: int, direction: Direction) -> Collection
     new class N (L at position i for a left mutation, R at i+1 for a
     right one); the other member of the new pair keeps its chi with every
     other member and its order among them, and the input's certificate
-    holds the rest of the pair check.  So chi(E,F) and N's Gram row and
-    column are all that is evaluated: 1 + n chi per move.
+    holds the rest of the pair check, chi(F,E) = 0 among it, so chi(E,F)
+    is the skew form (``chern.skew_form``).  N's Gram row and column are
+    all the chi evaluated: n chi per move.
 
     The output records the move that undoes it (the same position, the
     other direction) and the input's members.  That move, named by an int
@@ -405,7 +409,7 @@ def is_recorded_mutation(
     coordinates; no class is built.  On a match ``after`` is certified by
     its new member's Gram row and column, as the move certifies its
     output, and refused with the move's InvariantViolationError if that
-    fails: 1 + n chi in all, as per move."""
+    fails: n chi in all, as per move."""
     E, F, chi_ef = _adjacent_pair(before, i)
     pair = _reflect(E, F, chi_ef, direction, build=False)
     if not isinstance(after, Collection) or len(after.members) != len(before.members):
@@ -784,8 +788,8 @@ def check_helix_period(foundation: Collection) -> tuple[bool, HelixWitness | Non
     ``helix_extend``.
 
     The chain runs on integer coordinates y = (r, 2*ch2, H.c1, *c1),
-    all linear: each step reads chi(A_{s-t}, y) off the partner's
-    ``euler_weights`` (one set per partner) and sets
+    all linear: each step reads chi(A_{s-t}, y) off the skew form of the
+    partner p and y, p_r y_hc1 - y_r p_hc1, and sets
     y <- chi(A_{s-t}, y) A_{s-t} - y, which is the mutation up to sign.
     Each period's y is taken to its canonical sign (``_is_canonical``)
     and compared with the coordinates of A_{s-n} = A_s(K), read once off
@@ -795,25 +799,25 @@ def check_helix_period(foundation: Collection) -> tuple[bool, HelixWitness | Non
     chi(E, F(K)) = chi(F, E) (Serre duality), so every window
     A_{s-n+1}, ..., A_s of the helix of a certified foundation is
     numerically exceptional, and a mutation is an isometry, so every
-    partly mutated window is too.  Only an equal-slope pair's forced
-    -2-class equations are checked, as in every mutation: at a step with
-    chi = 0 whose partner and class (A_s itself at step 1, the canonical
-    sign later) have positive ranks, that class is built and checked."""
-    S = foundation.surface
+    partly mutated window is too: chi(y, A_{s-t}) = 0 makes chi(A_{s-t}, y)
+    the skew form, and no step evaluates a pairing.  Only an equal-slope
+    pair's forced -2-class equations are checked, as in every mutation: at
+    a step with chi = 0 whose partner and class (A_s itself at step 1, the
+    canonical sign later) have positive ranks, that class is built and
+    checked."""
     n = len(foundation.members)
     if n < 2:
         raise InvalidInputError("periodicity needs a foundation of length >= 2")
     # A_m sits at index m + n - 1: A_{1-n} at 0, A_s (1 <= s <= n) at s + n - 1.
     helix = list(helix_extend(foundation, 1 - n, n).values())
     coords = [(E.r, E.two_ch2, E.hc1, *E.c1.coeffs) for E in helix]
-    # The partners A_{2-n}, ..., A_{n-1}: A_m's weights at index m + n - 2.
-    weights = [euler_weights(S, E) for E in helix[1:-1]]
     for s in range(1, n + 1):
         j = s + n - 1
         y = coords[j]
         for t in range(1, n):
             p = j - t  # the partner A_{s-t}
-            chi = sum(map(mul, weights[p - 1], y)) // 2
+            a = coords[p]
+            chi = a[0] * y[2] - y[0] * a[2]
             if not chi and helix[p].r > 0 and y[0]:
                 # A_s enters step 1 as it is; later classes take the canonical sign.
                 x = helix[j] if t == 1 else _canonical_class(y[0], y[1], y[2], y[3:])
@@ -822,7 +826,7 @@ def check_helix_period(foundation: Collection) -> tuple[bool, HelixWitness | Non
                         require_equal_slope_pair(helix[p], x)
                     except (InvalidInputError, InvariantViolationError) as exc:
                         return False, HelixWitness(s, f"step {t}: {exc}", None, None)
-            y = tuple([chi * a - b for a, b in zip(coords[p], y)])
+            y = tuple([chi * u - v for u, v in zip(a, y)])
         if not _is_canonical(y[0], y[2], y[3:], y[1]):
             y = tuple([-v for v in y])
         if y != coords[s - 1]:

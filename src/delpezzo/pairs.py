@@ -2,12 +2,13 @@
 
 A pair (E, F) of positive-rank classes with chi(E,E) = chi(F,F) = 1 and
 chi(F,E) = 0 falls into exactly one of four types.  The antisymmetric
-part of Riemann-Roch is
+part of Riemann-Roch is the skew form (``chern.skew_form``)
 
-    chi(E,F) - chi(F,E) = rE*rF*(mu(F) - mu(E)),   mu = H.c1/r,
+    chi(E,F) - chi(F,E) = rE H.c1F - rF H.c1E = rE*rF*(mu(F) - mu(E)),
 
-with H the anticanonical class, so with chi(F,E) = 0 the sign of
-chi(E,F) is the slope order and no slope need be computed:
+mu = H.c1/r, with H the anticanonical class.  So once chi(F,E) = 0 has
+passed, the pair check reads chi(E,F) off the skew form, and its sign
+is the slope order, with no slope computed:
 
     chi(E,F) > 0   hom   (mu(E) < mu(F), dim chi(E,F))
     chi(E,F) < 0   ext   (mu(E) > mu(F), dim -chi(E,F))
@@ -31,7 +32,7 @@ from __future__ import annotations
 
 import enum
 
-from .chern import KClass, compare_mu, euler_form
+from .chern import KClass, compare_mu, euler_form, skew_form
 from .errors import DomainError, InvalidInputError, InvariantViolationError
 from .picard import Surface, anticanonical_degree, dot, effective_root_decomposition
 from .values import Value, slot_setters
@@ -76,12 +77,13 @@ _set_kind, _set_dims = slot_setters(PairType)
 def require_exceptional_pair(S: Surface, E: KClass, F: KClass) -> int:
     """The pair check every mutation runs on its input: chi(E,E) = chi(F,F)
     = 1 and chi(F,E) = 0, the numerical shadow of an exceptional pair.
-    Returns chi(E,F)."""
+    Returns chi(E,F), which chi(F,E) = 0 makes the skew form
+    ``chern.skew_form``: 3 chi in all."""
     if euler_form(S, E, E) != 1 or euler_form(S, F, F) != 1:
         raise InvalidInputError("not a numerically exceptional pair: chi(X,X) != 1")
     if euler_form(S, F, E) != 0:
         raise InvalidInputError("not a numerically exceptional pair: chi(F,E) != 0")
-    return euler_form(S, E, F)
+    return skew_form(E, F)
 
 
 def require_equal_slope_pair(E: KClass, F: KClass):

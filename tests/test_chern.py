@@ -41,7 +41,7 @@ from delpezzo import (
     twist,
     vector_slope,
 )
-from delpezzo.chern import euler_weights, weighted_sum
+from delpezzo.chern import skew_form, weighted_sum
 from delpezzo.picard import anticanonical_degree, dot
 
 
@@ -343,33 +343,33 @@ class TestEulerPairing:
         assert str(err.value) == "divisor classes live on different surfaces"
 
 
-class TestEulerWeights:
-    """2 chi(E, F) is the sum of euler_weights(E) times F's coordinates
-    (r, 2*ch2, H.c1, *c1)."""
+def skew_classes(rng: random.Random, d: int) -> list[KClass]:
+    """Seeded classes on d blow-ups: ranks -6..6, every one of them, torsion
+    curve classes, and classes of about 1,000 bits built from them."""
+    S = surface(d)
+    classes = [random_kclass(rng, d, max_rank=6, min_rank=-6) for _ in range(26)]
+    classes += [random_kclass(rng, d, max_rank=r, min_rank=r) for r in range(-6, 7)]
+    classes += [curve_class(S, i, rng.randint(-3, 3)) for i in range(1, d + 1)]
+    big = rng.getrandbits(1000) | 1 << 999
+    classes += [big * E for E in classes[:6]]
+    classes += [E - big * F for E, F in zip(classes[6:12], classes[12:18])]
+    return classes
+
+
+class TestSkewForm:
+    """skew_form(E, F) = rE H.c1F - rF H.c1E is the antisymmetric part of
+    the Euler pairing."""
 
     @pytest.mark.parametrize("d", range(9))
-    def test_weights_give_twice_chi(self, d):
-        rng = random.Random(1900 + d)
-        S = surface(d)
-        big = rng.getrandbits(300) | 1 << 299
-        classes = [random_kclass(rng, d, max_rank=4, min_rank=-4) for _ in range(30)]
-        classes += [KClass(0, divisor(*[0] * (d + 1)), 2)]
-        classes += [curve_class(S, i, rng.randint(-3, 3)) for i in range(1, d + 1)]
-        classes += [big * E for E in classes[:10]]
-        classes += [E - big * F for E, F in zip(classes[10:20], classes[20:30])]
-        assert {(E.r > 0) - (E.r < 0) for E in classes} == {-1, 0, 1}
-        assert max(abs(E.r).bit_length() for E in classes) >= 300
+    def test_skew_form_is_chi_minus_its_transpose(self, d):
+        classes = skew_classes(random.Random(3200 + d), d)
+        assert {E.r for E in classes} >= set(range(-6, 7))
+        assert max(abs(E.r).bit_length() for E in classes) >= 1000
         for E in classes:
-            w = euler_weights(S, E)
             for F in classes:
-                y = (F.r, F.two_ch2, F.hc1, *F.c1.coeffs)
-                assert sum(a * b for a, b in zip(w, y, strict=True)) == 2 * euler_form(
-                    S, E, F
-                )
-
-    def test_class_of_another_surface_refused(self):
-        with pytest.raises(InvalidInputError, match="does not belong"):
-            euler_weights(surface(2), structure_class(surface(1)))
+                skew = skew_form(E, F)
+                assert skew == euler_pairing(E, F) - euler_pairing(F, E)
+                assert skew == -skew_form(F, E)
 
 
 class TestSlopes:

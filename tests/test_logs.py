@@ -930,7 +930,8 @@ class TestReplayChecksAMutateStepOnIntegers:
 
 class TestReplayBuildsNoClass:
     """A replayed mutate step compares integers: no class is built, and
-    chi stays 1 + n per step after the first state's full scan."""
+    chi stays n per step after the first state's full scan: chi(E,F) is
+    the skew form of the certified pair."""
 
     @pytest.mark.parametrize("d", [0, 3, 8])
     def test_replaying_a_read_back_braid_log(self, monkeypatch, d):
@@ -952,7 +953,7 @@ class TestReplayBuildsNoClass:
         monkeypatch.undo()
         n, steps = d + 3, len(read.steps)
         assert built == []
-        assert len(chi) == n * (n + 1) // 2 + steps * (1 + n)
+        assert len(chi) == n * (n + 1) // 2 + steps * n
 
 
 class TestChaining:

@@ -6,6 +6,7 @@ import pytest
 from _helpers import (
     braid_orbit_states,
     divisor,
+    ext_seed,
     line_bundle,
     oracle_gram_violation,
     oracle_sign_normalize,
@@ -40,6 +41,7 @@ from delpezzo import (
     is_numerically_exceptional,
     mutate_collection,
     mutate_pair,
+    replay,
     rotate_twist,
     structure_class,
     twist,
@@ -52,7 +54,8 @@ from delpezzo.mutation import (
     carry_certificate,
     require_numerically_exceptional,
 )
-from delpezzo.pairs import require_exceptional_pair
+from delpezzo.chern import skew_form
+from delpezzo.pairs import require_equal_slope_pair, require_exceptional_pair
 from delpezzo.picard import anticanonical_degree
 
 
@@ -169,7 +172,8 @@ class TestMutatePairOutput:
                 require_exceptional_pair(S, first, second)
         assert seen == ({"positive"} if d == 0 else {"positive", "torsion"})
 
-    def test_four_chi_per_mutation(self, monkeypatch):
+    def test_three_chi_per_mutation(self, monkeypatch):
+        # chi(E,E), chi(F,F) and chi(F,E) = 0; chi(E,F) is the skew form.
         calls = []
         count_chi(monkeypatch, calls)
         S = surface(3)
@@ -179,8 +183,7 @@ class TestMutatePairOutput:
             for direction in Direction:
                 calls.clear()
                 mutate_pair(S, E, F, direction)
-                assert len(calls) == 4, calls
-                assert len(set(calls)) == 4
+                assert calls == [(E, E), (F, F), (F, E)]
         assert kinds == {True, False}
 
 
@@ -252,10 +255,11 @@ class TestIncrementalCertificate:
             assert str(incremental.value) == broke("mutation", full.i, full.j, full.value)
 
     @pytest.mark.parametrize("d, n", [(0, 3), (3, 6), (8, 11)])
-    def test_one_plus_n_chi_per_mutation(self, monkeypatch, d, n):
+    def test_n_chi_per_mutation(self, monkeypatch, d, n):
         # The certified input holds the pair's chi(E,E), chi(F,F) and
-        # chi(F,E): only chi(E,F) and the new member's n entries are read.
-        # A move that undoes the move before it reads none.
+        # chi(F,E) = 0, so chi(E,F) is the skew form: only the new
+        # member's n entries are read.  A move that undoes the move before
+        # it reads none.
         calls = []
         c = basic_collection(surface(d))
         require_numerically_exceptional(c)
@@ -269,7 +273,7 @@ class TestIncrementalCertificate:
             calls.clear()
             before, c = c, mutate_collection(c, i, direction)
             assert len(c.members) == n
-            assert len(calls) == (0 if undoes else 1 + n), calls
+            assert len(calls) == (0 if undoes else n), calls
             if undoes:
                 assert c == grandparent
             kinds.add(undoes)
@@ -439,6 +443,126 @@ class TestMutationReadsOneChi:
             for i in range(1, len(c.members)):
                 for direction in Direction:
                     mutate_collection(c, i, direction)
+
+
+def partly_mutated_windows(c: Collection):
+    """Each window A_{s-n+1}, ..., A_s of c's helix, 1 <= s <= n, and each
+    stage of its left mutation L^(n-1) A_s, as ``mutate_collection``
+    gives it; a window that is not numerically exceptional is refused."""
+    n = len(c)
+    helix = helix_extend(c, 2 - n, n)
+    for s in range(1, n + 1):
+        window = Collection(c.surface, tuple(helix[m] for m in range(s - n + 1, s + 1)))
+        yield window
+        for position in range(n - 1, 0, -1):
+            window = mutate_collection(window, position, Direction.LEFT)
+            yield window
+
+
+def wrong_skew_on_call(monkeypatch, k: int) -> None:
+    """Make the skew form ``mutation`` reads give chi(E,F) + 1 on its k-th
+    call (from 0) and the true value on every other."""
+    calls = iter(range(k + 1))
+
+    def wrong(E, F):
+        return skew_form(E, F) + (next(calls, None) == k)
+
+    monkeypatch.setattr(mutation_module, "skew_form", wrong)
+
+
+def wrong_move(c: Collection, i: int, direction: Direction):
+    """The output of the move (i, direction) on c made with chi(E,F) + 1
+    in place of chi(E,F), and the error a move must raise on it: the
+    equal-slope refusal when chi(E,F) + 1 = 0 on a pair of positive ranks,
+    else the first failing Gram entry the full scan names."""
+    E, F = c.members[i - 1], c.members[i]
+    chi = skew_form(E, F) + 1
+    if chi == 0 and E.r > 0 and F.r > 0:
+        with pytest.raises(InvariantViolationError) as refusal:
+            require_equal_slope_pair(E, F)
+        return None, str(refusal.value)
+    pair = mutation_module._reflect(E, F, chi, direction)
+    out = Collection(c.surface, c.members[: i - 1] + pair + c.members[i + 1 :])
+    ok, full = is_numerically_exceptional(out)
+    assert not ok
+    return out, broke("mutation", full.i, full.j, full.value)
+
+
+class TestSkewFormReadsChi:
+    """On a certified collection chi(E_j, E_i) = 0 for i < j, so chi(E_i, E_j)
+    is the skew form; a mutation reads chi(E,F) there, and the checks it
+    keeps refuse a wrong reading."""
+
+    @pytest.mark.parametrize("d", range(9))
+    def test_skew_form_is_chi_on_certified_collections_and_helix_windows(self, d):
+        windows = 0
+        for c in scrambled_collections(d, 3, seed=3300 + d):
+            for window in (c, *partly_mutated_windows(c)):
+                require_numerically_exceptional(window)
+                m = window.members
+                for j in range(len(m)):
+                    for i in range(j):
+                        assert skew_form(m[i], m[j]) == euler_pairing(m[i], m[j])
+                windows += 1
+        n = d + 3
+        assert windows == 3 * (1 + n * n)
+
+    @staticmethod
+    def assert_wrong_chi_refused(monkeypatch, c: Collection) -> set:
+        """Each move on c, read with chi(E,F) + 1, raises the error
+        ``wrong_move`` names; returns whether each output was built."""
+        built = set()
+        for i in range(1, len(c)):
+            for direction in Direction:
+                out, expected = wrong_move(c, i, direction)
+                wrong_skew_on_call(monkeypatch, 0)
+                with pytest.raises(InvariantViolationError) as err:
+                    mutate_collection(c, i, direction)
+                monkeypatch.undo()
+                assert str(err.value) == expected
+                built.add(out is not None)
+        return built
+
+    @pytest.mark.parametrize("d", [0, 2, 5, 8])
+    def test_a_wrong_chi_is_caught_at_the_first_failing_entry(self, monkeypatch, d):
+        for c in scrambled_collections(d, 3, seed=3400 + d):
+            built = self.assert_wrong_chi_refused(monkeypatch, record_free(c))
+            assert built == {True}
+
+    def test_a_wrong_chi_of_zero_meets_the_equal_slope_check(self, monkeypatch):
+        # chi(E0, E1) = -1 on line bundles: read as 0, the pair must pass
+        # the forced -2-class equations, and fails them.
+        S, E0, E1 = ext_seed(1)
+        built = self.assert_wrong_chi_refused(monkeypatch, Collection(S, (E0, E1)))
+        assert built == {False}
+
+    @pytest.mark.parametrize("d", [0, 2, 5, 8])
+    def test_replay_refuses_a_log_carrying_a_wrong_step(self, monkeypatch, d):
+        rng = random.Random(3500 + d)
+        word = BraidWord.parse("L1 R2 L1 R1 R2")
+        current, log = apply_braid(basic_collection(surface(d)), word)
+        checked = 0
+        for i in range(1, len(current)):
+            for direction in Direction:
+                after, expected = wrong_move(current, i, direction)
+                if after is None:
+                    continue
+                params = {"position": i, "direction": direction.value}
+                steps = log.steps + (LogStep("mutate", params, current, after),)
+                wrong = MutationLog(steps[rng.randrange(len(log.steps)) :])
+                # Read with chi(E,F) + 1, the step's new member matches, and
+                # its Gram row and column refuse it, as the move would.
+                wrong_skew_on_call(monkeypatch, len(wrong.steps) - 1)
+                with pytest.raises(InvariantViolationError) as err:
+                    replay(wrong)
+                monkeypatch.undo()
+                assert str(err.value) == expected
+                # Read with the true chi, its new member does not match.
+                message = f"step {len(wrong.steps) - 1} (mutate) does not replay"
+                with pytest.raises(InvalidInputError, match=re.escape(message)):
+                    replay(wrong)
+                checked += 1
+        assert checked
 
 
 def library_sign_rule(x: KClass) -> KClass:
@@ -724,7 +848,7 @@ class TestBraid:
         count_chi(monkeypatch, calls)
         apply_braid(c, BraidWord.parse("L1 R2"))
         n = len(c.members)
-        assert len(calls) == n * (n + 1) // 2 + 2 * (1 + n)
+        assert len(calls) == n * (n + 1) // 2 + 2 * n
 
     def test_inverse_word_is_identity(self):
         c = p2_basic()
@@ -898,83 +1022,55 @@ def all_helix_foundations(d: int):
     return foundations + list(with_one_member_negated(foundations))
 
 
-def recorded_weights(monkeypatch, reads: list):
-    """Make each partner's ``euler_weights`` append the partner to reads
-    whenever a chi is read off them."""
-    weights = mutation_module.euler_weights
-
-    class Recorded(tuple):
-        def __iter__(self):
-            reads.append(self.partner)
-            return super().__iter__()
-
-    def recorded(S, E):
-        w = Recorded(weights(S, E))
-        w.partner = E
-        return w
-
-    monkeypatch.setattr(mutation_module, "euler_weights", recorded)
-
-
 class TestHelixStepsNeedNoPairCheck:
-    """A helix step reads chi(A_{s-t}, y) off the partner's weights alone:
-    the certified foundation makes every window, mutated or not,
-    exceptional."""
+    """A helix step reads chi(A_{s-t}, y) off the skew form alone: the
+    certified foundation makes every window, mutated or not, exceptional,
+    so no step checks its pair or evaluates a pairing."""
 
     @pytest.mark.parametrize("d", range(9))
     def test_every_step_pair_is_exceptional(self, monkeypatch, d):
-        checked, fired = [], []
+        fired = []
         require = mutation_module.require_exceptional_pair
 
         def recorded(S, E, F):
-            checked.append(E)
             try:
-                return require(S, E, F)
+                chi = require(S, E, F)
             except (InvalidInputError, InvariantViolationError) as exc:
                 fired.append((E, F, str(exc)))
                 raise
+            # The skew form the chain reads is chi(E, F) on every step pair.
+            assert chi == euler_form(S, E, F)
+            return chi
 
         outcomes = set()
         for c in helix_foundations(d, 6, seed=40 + d):
-            checked.clear()
             monkeypatch.setattr(mutation_module, "require_exceptional_pair", recorded)
-            expected = pair_checked_helix_period(c)
+            expected = pair_checked_helix_period(c)  # certifies c
             monkeypatch.undo()
-            reads = []
-            recorded_weights(monkeypatch, reads)
+            chis = []
+            count_chi(monkeypatch, chis, ())
             got = check_helix_period(c)
             monkeypatch.undo()
             assert got == expected
-            # One chi per step, off the partner of the pair the oracle checks.
-            assert reads == checked
+            assert chis == []
             outcomes.add(got[0])
         assert fired == []
         assert outcomes == {True, False}
 
     @pytest.mark.parametrize("d", [0, 3, 8])
-    def test_one_chi_per_step_and_no_pair_check(self, monkeypatch, d):
+    def test_no_pairing_and_no_pair_check(self, monkeypatch, d):
         c = basic_collection(surface(d))
         require_numerically_exceptional(c)
-        n, reads, chis, weights = len(c), [], [], []
+        chis = []
 
         def refused(*args):
             raise AssertionError("a helix step checked its pair")
 
-        recorded_weights(monkeypatch, reads)
-        built = mutation_module.euler_weights
-
-        def counted_weights(*args):
-            weights.append(args[1])
-            return built(*args)
-
-        monkeypatch.setattr(mutation_module, "euler_weights", counted_weights)
-        count_chi(monkeypatch, chis, ())
+        count_chi(monkeypatch, chis)
         monkeypatch.setattr(mutation_module, "require_exceptional_pair", refused)
         assert check_helix_period(c) == (True, None)
-        assert len(reads) == n * (n - 1)
-        # One set of weights per partner A_{2-n}, ..., A_{n-1}.
-        assert weights == list(helix_extend(c, 2 - n, n - 1).values())
         assert chis == []
+        assert not hasattr(mutation_module, "euler_weights")
 
 
 class TestHelixMatchesTheOracle:
