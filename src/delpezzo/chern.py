@@ -45,8 +45,8 @@ integers (H.c1, r); ``slope_mu`` builds the Fraction only to show one.
 Other modules read the cached degree as ``KClass.hc1``.  The integrality
 check reads the cached degree too, by the congruence c1^2 = H.c1
 (mod 2): for c1 = (a; b), a^2 - sum b^2 = a + sum b = 3a - sum b
-(mod 2).  Sums, twists and weighted sums build each new class once,
-from its integer coordinates.
+(mod 2).  Twists and weighted sums build each new class once, from its
+integer coordinates.
 
 Every coordinate is an exact int: the constructors of a class and of
 its c1 refuse bool, as ``from_json`` does, since json.dumps writes True
@@ -87,6 +87,9 @@ class KClass(Value):
     ``_hc1`` caches the anticanonical degree H.c1, read as ``hc1``.  It
     takes no part in construction, equality, hashing, the repr or JSON; a
     frozen class cannot go stale.
+
+    Classes combine by ``weighted_sum``; ``-E`` stays only for the
+    benchmark's ``check_pair_orbit``, which negates a class (ROADMAP item 7).
     """
 
     __slots__ = ("r", "c1", "two_ch2", "_hc1")
@@ -122,19 +125,8 @@ class KClass(Value):
     def d(self) -> int:
         return self.c1.d
 
-    def __add__(self, other: "KClass") -> "KClass":
-        return KClass(self.r + other.r, self.c1 + other.c1, self.two_ch2 + other.two_ch2)
-
-    def __sub__(self, other: "KClass") -> "KClass":
-        return KClass(self.r - other.r, self.c1 - other.c1, self.two_ch2 - other.two_ch2)
-
     def __neg__(self) -> "KClass":
         return KClass(-self.r, -self.c1, -self.two_ch2)
-
-    def __rmul__(self, n: int) -> "KClass":
-        if type(n) is not int:
-            return NotImplemented
-        return KClass(n * self.r, n * self.c1, n * self.two_ch2)
 
     def to_json(self) -> dict:
         """{"r": int, "c1": [int, ...], "ch2": "p/q"} in lowest terms, once

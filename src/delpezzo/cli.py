@@ -241,6 +241,8 @@ def _cmd_hn(args) -> None:
 
 
 def _cmd_markov(args) -> None:
+    if args.braid is not None and args.limit is not None:
+        raise InvalidInputError("markov takes --limit or --braid, not both")
     if args.braid is not None:
         foundation = basic_collection(Surface(0))
         result, _ = apply_braid(foundation, BraidWord.parse(args.braid))

@@ -52,7 +52,7 @@ _set_x, _set_y, _set_z = slot_setters(MarkovTriple)
 
 def markov_step(t: MarkovTriple, position: int) -> MarkovTriple:
     """Vieta jump at the given coordinate (1, 2 or 3).  An involution."""
-    if position not in (1, 2, 3):
+    if type(position) is not int or position not in (1, 2, 3):
         raise InvalidInputError("position must be 1, 2 or 3")
     x, y, z = t.as_tuple()
     if position == 1:

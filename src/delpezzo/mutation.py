@@ -108,10 +108,6 @@ class Direction(enum.Enum):
     LEFT = "left"
     RIGHT = "right"
 
-    @property
-    def letter(self) -> str:
-        return "L" if self is Direction.LEFT else "R"
-
 
 class Collection(Value):
     """Ordered list of K-classes on a fixed surface.
@@ -436,7 +432,7 @@ def is_recorded_mutation(
 
 class BraidWord(Value):
     """Sequence of (position, direction) letters, applied left to right.
-    Text form: letters like 'L1 R2' separated by spaces."""
+    Text form: letters like 'L1 R2' separated by spaces, read by ``parse``."""
 
     __slots__ = _fields = ("letters",)
 
@@ -448,9 +444,6 @@ class BraidWord(Value):
             if not isinstance(direction, Direction):
                 raise InvalidInputError("braid letter needs a Direction")
         _set_letters(self, letters)
-
-    def __str__(self) -> str:
-        return " ".join(f"{d.letter}{p}" for p, d in self.letters)
 
     @staticmethod
     def parse(text: str) -> "BraidWord":

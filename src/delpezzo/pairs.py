@@ -126,6 +126,8 @@ def splitting_type(r: int, deg: int) -> tuple[int, int]:
     0 <= alpha < r, encoding a restriction alpha*O(s-1) + beta*O(s)."""
     if type(r) is not int or r < 1:
         raise InvalidInputError("splitting type needs rank >= 1")
+    if type(deg) is not int:
+        raise InvalidInputError("splitting type needs an integer degree")
     s = -((-deg) // r)  # ceil(deg / r)
     alpha = r * s - deg
     return alpha, s
@@ -142,7 +144,7 @@ def splitting_degrees(r: int, deg: int) -> set[int]:
 
 def restriction_degree(S: Surface, E: KClass, e_index: int) -> int:
     """deg of E restricted to e_i, i.e. c1(E).e_i: the coefficient b_i."""
-    if not 1 <= e_index <= S.d:
+    if type(e_index) is not int or not 1 <= e_index <= S.d:
         raise InvalidInputError(f"e_{e_index} does not exist with {S.d} blow-ups")
     if E.c1.d != S.d:
         raise InvalidInputError("divisor class does not belong to this surface")

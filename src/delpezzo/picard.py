@@ -103,7 +103,7 @@ def line_divisor(d: int) -> DivisorClass:
 
 def exceptional_divisor(d: int, i: int) -> DivisorClass:
     """The class e_i of the i-th blown-up point, 1-based."""
-    if not 1 <= i <= d:
+    if type(i) is not int or not 1 <= i <= d:
         raise InvalidInputError(f"e_{i} does not exist with {d} blow-ups")
     coeffs = [0] * (d + 1)
     coeffs[i] = -1
@@ -173,6 +173,9 @@ class Surface(Value):
     def from_json(data: dict) -> "Surface":
         if not isinstance(data, dict) or "blowups" not in data:
             raise InvalidInputError("surface JSON needs a 'blowups' key")
+        unknown = [key for key in data if key not in ("blowups", "effective_roots")]
+        if unknown:
+            raise InvalidInputError(f"unknown surface key {unknown[0]!r}")
         d, roots = data["blowups"], data.get("effective_roots", [])
         if type(d) is not int:
             raise InvalidInputError(f"blowups must be a JSON integer, got {d!r}")

@@ -136,7 +136,7 @@ def rotate_twist(c: Collection, j: int) -> Collection:
     """(E_j, ..., E_k, E_1(-K), ..., E_{j-1}(-K)).  It carries the input's
     certificate: by Serre duality chi(E_b(-K), E_a) = chi(E_a, E_b), so
     every entry below the diagonal stays 0."""
-    if not 1 <= j <= len(c.members):
+    if type(j) is not int or not 1 <= j <= len(c.members):
         raise InvalidInputError(f"rotation index {j} out of range")
     S = c.surface
     H = anticanonical_divisor(S.d)

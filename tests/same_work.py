@@ -114,6 +114,11 @@ def random_word(rng: random.Random, n: int, letters: int) -> BraidWord:
     )
 
 
+def word_text(w: BraidWord) -> str:
+    """The letters as ``BraidWord.parse`` reads them: 'L1 R2'."""
+    return " ".join(f"{'L' if d is Direction.LEFT else 'R'}{p}" for p, d in w.letters)
+
+
 def braid_and_replay(c: Collection, word: BraidWord):
     result, log = apply_braid(c, word)
     text = log.to_jsonl()
@@ -152,7 +157,7 @@ def sweep_collection(tag: str, c: Collection, rng: random.Random, full: bool) ->
     call(f"{tag} global_twist h", global_twist, c, line_divisor(S.d))
     for letters in (0, 3, 8) if full else (4,):
         word = random_word(rng, max(n, 1), letters)
-        call(f"{tag} apply_braid {word}", braid_and_replay, c, word)
+        call(f"{tag} apply_braid {word_text(word)}", braid_and_replay, c, word)
     mult_choices = [None, [rng.randint(1, 3) for _ in members], [1] * (n + 1)]
     if full:
         mult_choices += [[0] + [1] * (n - 1), [rng.randint(1, 9) for _ in members]]
@@ -181,7 +186,7 @@ def collections(d: int, rng: random.Random, full: bool):
     n = len(basic.members)
     for k in range(12 if full else 1):
         word = random_word(rng, max(n - 1, 1), rng.randint(1, 8))
-        yield f"scrambled-{k} {word}", apply_braid(basic, word)[0]
+        yield f"scrambled-{k} {word_text(word)}", apply_braid(basic, word)[0]
     if full and d >= 1:
         # Torsion only: exceptional for d >= 2, one member twice at d = 1.
         torsion = (curve_class(S, 1, -1), curve_class(S, d, -1))
@@ -268,7 +273,7 @@ def sweep_weighted(full: bool) -> None:
         call(f"pair_orbit n {n!r}", pair_orbit, S, E0, E1, n)
     call("pair_orbit hom", pair_orbit, S, E0, twist(S, E0, line_divisor(8)), 3)
     call("pair_orbit reversed", pair_orbit, S, E1, E0, 3)
-    call("pair_orbit not exceptional", pair_orbit, S, 2 * E0, E1, 3)
+    call("pair_orbit not exceptional", pair_orbit, S, weighted_sum(((E0, 2),)), E1, 3)
     T = Surface(1)
     call("pair_orbit small", pair_orbit, T, line_class(T, DivisorClass((1, 1))),
          line_class(T, DivisorClass((0, -1))), 3)
@@ -381,7 +386,7 @@ def sweep_cli(d: int, rng: random.Random, out_dir: str) -> None:
     surface, coll = json.dumps(S.to_json()), json.dumps(c.to_json())
     E, F, T = (json.dumps(c.members[i].to_json()) for i in (0, 1, -1))
     broken = json.dumps(basic_collection_torsion_last(S).to_json())
-    word = str(random_word(rng, max(n - 1, 1), 4))
+    word = word_text(random_word(rng, max(n - 1, 1), 4))
     quotients = [{"class": m.to_json(), "mult": 2} for m in c.members if m.r > 0]
     graded = json.dumps({"quotients": quotients})
     mults = ",".join(str(rng.randint(1, 3)) for _ in range(n))

@@ -53,6 +53,7 @@ from delpezzo import (
     vector_slope,
     hn_coarsen,
 )
+from delpezzo.chern import weighted_sum
 from delpezzo.mutation import mutate_collection
 
 
@@ -226,12 +227,7 @@ def test_criterion_8_hn_coarsening():
                 if hi - lo == 1:
                     assert (q, m) == g.quotients[lo]
                 else:
-                    total = None
-                    for i in range(lo, hi):
-                        qi, mi = g.quotients[i]
-                        piece = mi * qi
-                        total = piece if total is None else total + piece
-                    assert m == 1 and q == total
+                    assert m == 1 and q == weighted_sum(g.quotients[lo:hi])
 
 
 def test_criterion_9_pair_classification():

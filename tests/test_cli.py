@@ -191,6 +191,21 @@ class TestClassifyPair:
         assert d["C"] == [0, -1, 1]
         assert d["evidence"]["root_decomposition"] == [1]
 
+    def test_misspelled_surface_key_exits_one(self, capsys):
+        # Read as no declared root, the pair would answer "zero".
+        code, out, err = invoke(
+            capsys,
+            "classify-pair",
+            "--surface",
+            '{"blowups":2,"effective_root":[[0,-1,1]]}',
+            "--e",
+            '{"r":1,"c1":[0,0,0],"ch2":"0/1"}',
+            "--f",
+            '{"r":1,"c1":[0,-1,1],"ch2":"-1/1"}',
+        )
+        assert (code, out) == (1, "")
+        assert err == "invalid input: unknown surface key 'effective_root'\n"
+
 
 # Declared configurations no surface with -K nef has, with the words each
 # refusal prints (see tests/test_picard.py for the library side).
@@ -686,15 +701,26 @@ class TestMarkov:
         assert d["is_markov_triple"] is True
         assert sorted(d["ranks"]) == d["triple"]
 
-    @pytest.mark.parametrize(
-        "argv",
-        [["--braid", ""], ["--braid", " "], ["--limit", "3", "--braid", ""]],
-        ids=["empty", "space", "with-limit"],
-    )
+    @pytest.mark.parametrize("argv", [["--braid", ""], ["--braid", " "]], ids=["empty", "space"])
     def test_empty_braid_is_the_identity_word(self, capsys, argv):
         code, out, err = invoke(capsys, "markov", *argv)
         assert (code, err) == (0, "")
         assert doc(out) == {"ranks": [1, 1, 1], "is_markov_triple": True, "triple": [1, 1, 1]}
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["--limit", "0", "--braid", "L1"],
+            ["--limit", "3", "--braid", ""],
+            ["--braid", "L1 R2", "--limit", "-5"],
+            ["--braid", "L1", "--limit", "5"],
+        ],
+        ids=["limit-first", "limit-first-empty-word", "braid-first", "braid-first-valid-limit"],
+    )
+    def test_limit_and_braid_together_exit_one(self, capsys, argv):
+        code, out, err = invoke(capsys, "markov", *argv)
+        assert (code, out) == (1, "")
+        assert err == "invalid input: markov takes --limit or --braid, not both\n"
 
 
 class TestOrbit:

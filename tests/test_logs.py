@@ -314,7 +314,10 @@ def layout_variants(lines: list[str], k: int, rng: random.Random):
     last ones: two members of after swapped, a before member's ch2 "p/1"
     respelled p, the surface respelled with an empty effective_roots, a
     member of after replaced by before's member at another index, a stray
-    character after a member's text, and the delimiter variants."""
+    character after a member's text, the delimiter variants, and a surface
+    with an extra key "members" holding a list, so that ', "members": ['
+    occurs in it: a surface takes no other key, so both readers refuse
+    it."""
     data = json.loads(lines[k])
     before, after = state_members(data["before"]), state_members(data["after"])
     if len(after) >= 2:
@@ -346,23 +349,22 @@ def layout_variants(lines: list[str], k: int, rng: random.Random):
     for char in " x]}":
         yield lines[k][:end] + char + lines[k][end:]
     yield from delimiter_variants(lines, k)
+    for key in ("before", "after"):
+        if "collection" in data[key]:
+            edit = json.loads(lines[k])
+            edit[key]["collection"]["surface"]["members"] = state_members(data[key])[:1]
+            yield json.dumps(edit)
 
 
 def delimiter_variants(lines: list[str], k: int):
     """Edits of line k, in json.dumps' spelling, whose values hold the
     pieces the layout reader cuts at: a member with an extra key holding
-    "}, {", "]}}" or "}}" or a nested object, and a surface with an extra
-    key "members" holding a list, so that ', "members": [' occurs in it.
-    The plain reader ignores extra keys, so every edit is readable."""
-    data = json.loads(lines[k])
+    "}, {", "]}}" or "}}" or a nested object.  The plain reader ignores a
+    member's extra keys, so every edit is readable."""
     for key in ("before", "after"):
         for extra in ["}, {", "]}}", "}}", {"a": {"b": 1}}]:
             edit = json.loads(lines[k])
             state_members(edit[key])[0]["x"] = extra
-            yield json.dumps(edit)
-        if "collection" in data[key]:
-            edit = json.loads(lines[k])
-            edit[key]["collection"]["surface"]["members"] = state_members(data[key])[:1]
             yield json.dumps(edit)
 
 

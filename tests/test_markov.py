@@ -18,6 +18,7 @@ from delpezzo import (
     pair_orbit,
     structure_class,
 )
+from delpezzo.chern import weighted_sum
 
 
 class TestMarkovTriple:
@@ -50,6 +51,11 @@ class TestMarkovStep:
     def test_bad_position(self):
         with pytest.raises(InvalidInputError):
             markov_step(MarkovTriple(1, 1, 1), 4)
+
+    @pytest.mark.parametrize("position", [True, 1.0])
+    def test_position_must_be_an_int(self, position):
+        with pytest.raises(InvalidInputError, match="^position must be 1, 2 or 3$"):
+            markov_step(MarkovTriple(1, 1, 1), position)
 
 
 class TestMarkovTree:
@@ -171,9 +177,14 @@ class TestPairOrbitRecurrence:
         S, E0, E1 = ext_seed(h)
         n = 12
         orbit = pair_orbit(S, E0, E1, n)
-        expected = {0: E0, 1: E1, -1: E1 + h * E0, 2: h * E1 + E0}
+        expected = {
+            0: E0,
+            1: E1,
+            -1: weighted_sum(((E1, 1), (E0, h))),
+            2: weighted_sum(((E1, h), (E0, 1))),
+        }
         for m in range(3, n + 2):
-            expected[m] = h * expected[m - 1] - expected[m - 2]
+            expected[m] = weighted_sum(((expected[m - 1], h), (expected[m - 2], -1)))
         for m in range(2, n + 1):
-            expected[-m] = h * expected[1 - m] - expected[2 - m]
+            expected[-m] = weighted_sum(((expected[1 - m], h), (expected[2 - m], -1)))
         assert orbit.classes == expected

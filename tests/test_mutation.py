@@ -54,7 +54,7 @@ from delpezzo.mutation import (
     carry_certificate,
     require_numerically_exceptional,
 )
-from delpezzo.chern import skew_form
+from delpezzo.chern import skew_form, weighted_sum
 from delpezzo.pairs import require_equal_slope_pair, require_exceptional_pair
 from delpezzo.picard import anticanonical_degree
 
@@ -128,7 +128,7 @@ class TestMutatePair:
         L, _ = mutate_pair(S, O, Oh, Direction.LEFT)
         chi = euler_form(S, O, Oh)
         # F is recovered as an integer combination of the mutated pair.
-        assert Oh in (chi * O - L, chi * O + L)
+        assert Oh in (weighted_sum(((O, chi), (L, s))) for s in (-1, 1))
 
     def test_triangle_equation(self):
         rng = random.Random(42)
@@ -240,7 +240,7 @@ class TestIncrementalCertificate:
         S = surface(1)
         c = basic_collection(S)
         O, Oh = structure_class(S), line_bundle(S, 1, 0)
-        for wrong in (O, Oh, 2 * O, c.members[0], line_bundle(S, 0, 1)):
+        for wrong in (O, Oh, weighted_sum(((O, 2),)), c.members[0], line_bundle(S, 0, 1)):
             def broken(E, F, chi_ef, direction, wrong=wrong):
                 return (wrong, E) if direction is Direction.LEFT else (F, wrong)
 
@@ -642,7 +642,7 @@ def broken_collections(d: int, seed: int):
         q = rng.randrange(n)
         replaced = list(members)
         replaced[q] = rng.choice(
-            (random_kclass(rng, d), 2 * members[q], members[rng.randrange(n)])
+            (random_kclass(rng, d), weighted_sum(((members[q], 2),)), members[rng.randrange(n)])
         )
         a, b = rng.sample(range(n), 2)
         swapped = list(members)
@@ -722,7 +722,7 @@ class TestGramWalkOracle:
                         candidate = rng.choice(
                             (
                                 random_kclass(rng, d),
-                                2 * E,
+                                weighted_sum(((E, 2),)),
                                 twist(S, F, random_divisor(rng, d)),
                                 true_pair[0] if left else true_pair[1],
                             )
@@ -858,7 +858,8 @@ class TestBraid:
 
     def test_word_parsing_round_trip(self):
         w = BraidWord.parse("L1 R2 L1")
-        assert str(w) == "L1 R2 L1"
+        L, R = Direction.LEFT, Direction.RIGHT
+        assert w.letters == ((1, L), (2, R), (1, L))
         with pytest.raises(InvalidInputError):
             BraidWord.parse("X3")
 
@@ -901,7 +902,7 @@ class TestHelix:
 
     def test_short_foundation_reports_its_length_first(self):
         S = surface(0)
-        not_exceptional = Collection(S, (2 * structure_class(S),))
+        not_exceptional = Collection(S, (KClass(2, divisor(0), 0),))
         with pytest.raises(InvalidInputError, match="length >= 2"):
             check_helix_period(not_exceptional)
 
@@ -1208,11 +1209,11 @@ class TestSizeBudget:
 
 
 def operator_reflection(chi_ef, E, F, direction):
-    """The mutation's new pair through the KClass operators: one class per
-    operation, then the sign rule."""
+    """The mutation's new pair through ``weighted_sum``, then the sign
+    rule."""
     if direction is Direction.LEFT:
-        return oracle_sign_normalize(chi_ef * E - F), E
-    return F, oracle_sign_normalize(chi_ef * F - E)
+        return oracle_sign_normalize(weighted_sum(((E, chi_ef), (F, -1)))), E
+    return F, oracle_sign_normalize(weighted_sum(((F, chi_ef), (E, -1))))
 
 
 def result_kind(x: KClass) -> str:
@@ -1223,7 +1224,7 @@ def result_kind(x: KClass) -> str:
 
 class TestReflection:
     """_reflect builds the new class once from its coordinates; it must
-    give what the operator path gives."""
+    give what ``weighted_sum`` and the sign rule give."""
 
     @pytest.mark.parametrize("d", range(9))
     def test_matches_the_operator_path(self, d):
@@ -1268,8 +1269,8 @@ class TestReflection:
         # is read off c1 = (0; -1, 1), whose first nonzero is negative.
         S = surface(2)
         O = structure_class(S)
-        target = sign * KClass(0, divisor(0, -1, 1), t)
-        F = O - target
+        target = KClass(0, divisor(0, -sign, sign), sign * t)
+        F = weighted_sum(((O, 1), (target, -1)))
         assert F.r == 1 and target._hc1 == 0
         left = mutation_module._reflect(O, F, 1, Direction.LEFT)
         right = mutation_module._reflect(F, O, 1, Direction.RIGHT)
@@ -1281,7 +1282,7 @@ class TestReflection:
     def test_zero_c1_results(self, t):
         S = surface(1)
         O = structure_class(S)
-        F = O - KClass(0, divisor(0, 0), t)
+        F = weighted_sum(((O, 1), (KClass(0, divisor(0, 0), t), -1)))
         left = mutation_module._reflect(O, F, 1, Direction.LEFT)
         assert left == operator_reflection(1, O, F, Direction.LEFT)
         assert left[0] == KClass(0, divisor(0, 0), abs(t))

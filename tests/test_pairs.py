@@ -144,7 +144,7 @@ class TestClassifyPair:
         O = structure_class(S)
         message = r"^not a numerically exceptional pair: chi\(X,X\) != 1$"
         with pytest.raises(InvalidInputError, match=message):
-            require_exceptional_pair(S, 2 * O, O)
+            require_exceptional_pair(S, KClass(2, O.c1, 0), O)
 
     def test_identical_numerics_refused(self):
         O = structure_class(surface(1))
@@ -174,6 +174,11 @@ class TestSplittingType:
     def test_bool_rank_refused(self):
         with pytest.raises(InvalidInputError, match="^splitting type needs rank >= 1$"):
             splitting_type(True, 1)
+
+    @pytest.mark.parametrize("deg", [True, 1.0])
+    def test_degree_must_be_an_int(self, deg):
+        with pytest.raises(InvalidInputError, match="^splitting type needs an integer degree$"):
+            splitting_type(2, deg)
 
     def test_degrees(self):
         assert splitting_degrees(2, -1) == {-1, 0}
@@ -231,6 +236,16 @@ class TestRotationIndex:
             InvalidInputError, match=r"^divisor class does not belong to this surface$"
         ):
             restriction_degree(S, E1, 1)
+
+    @pytest.mark.parametrize("e_index", [True, 1.0])
+    def test_e_index_must_be_an_int(self, e_index):
+        S = surface(2)
+        E = line_bundle(S, 0, -1, 0)
+        message = f"^e_{e_index} does not exist with 2 blow-ups$"
+        with pytest.raises(InvalidInputError, match=message):
+            restriction_degree(S, E, e_index)
+        with pytest.raises(InvalidInputError, match=message):
+            rotation_index(S, [E], e_index)
 
 
 def outcome(fn):

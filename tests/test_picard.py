@@ -434,6 +434,11 @@ class TestSurfaceValidation:
         with pytest.raises(InvalidInputError, match=r"^need 0 <= d <= 8 blow-ups"):
             Surface(d)
 
+    @pytest.mark.parametrize("i", [True, 1.0])
+    def test_exceptional_divisor_index_must_be_an_int(self, i):
+        with pytest.raises(InvalidInputError, match=f"^e_{i} does not exist with 2 blow-ups$"):
+            exceptional_divisor(2, i)
+
     def test_declared_roots_orthogonal_to_k(self):
         for d in range(1, 9):
             S = surface(d)
@@ -462,6 +467,19 @@ class TestSurfaceValidation:
         with pytest.raises(InvalidInputError, match=re.escape(words)):
             Surface.from_json(data)
         assert built == []
+
+    @pytest.mark.parametrize(
+        "data, key",
+        [
+            ({"blowups": 2, "effective_root": [[0, -1, 1]]}, "effective_root"),
+            ({"blowups": 0, "d": 0}, "d"),
+            ({"Blowups": 1, "blowups": 1, "roots": []}, "Blowups"),
+        ],
+        ids=["misspelled-roots", "extra", "first-of-two"],
+    )
+    def test_json_unknown_key_refused(self, data, key):
+        with pytest.raises(InvalidInputError, match=f"^unknown surface key {key!r}$"):
+            Surface.from_json(data)
 
     def test_json_refusal_order_of_a_long_malformed_list(self):
         # Three roots on d = 2, the second malformed: the count is refused

@@ -44,6 +44,7 @@ from delpezzo import (
     structure_class,
     twist,
 )
+from delpezzo.chern import weighted_sum
 from delpezzo.cli import run
 from delpezzo.pipeline import (
     _check_members,
@@ -196,6 +197,11 @@ class TestRotateTwist:
         with pytest.raises(InvalidInputError):
             rotate_twist(p2_basic(), 4)
 
+    @pytest.mark.parametrize("j", [True, 1.0])
+    def test_index_must_be_an_int(self, j):
+        with pytest.raises(InvalidInputError, match=f"^rotation index {j} out of range$"):
+            rotate_twist(p2_basic(), j)
+
 
 class TestPeelCurve:
     def test_single_exceptional_line_bundle(self):
@@ -211,7 +217,7 @@ class TestPeelCurve:
         c = Collection(S, (structure_class(S), line_bundle(S, 1, 0)))
         G, alpha, _ = peel_curve(c, [1, 1], 1)
         assert alpha == 0
-        assert G == c.members[0] + c.members[1]
+        assert G == weighted_sum(((c.members[0], 1), (c.members[1], 1)))
 
     def test_post_identities_on_random_valid_input(self):
         rng = random.Random(53)
@@ -244,7 +250,7 @@ class TestPeelCurve:
                 L = curve_class(S, i, -1)
                 e = exceptional_divisor(d, i)
                 alpha = euler_form(S, F, L)
-                G = F - alpha * L
+                G = weighted_sum(((F, 1), (L, -alpha)))
                 assert alpha == -intersect(S, F.c1, e)
                 assert intersect(S, G.c1, e) == 0
                 assert euler_form(S, G, L) == 0
@@ -308,9 +314,10 @@ class TestNormalizeAndDescend:
         c = basic_collection(S)
         G, log = normalize_and_descend(c)
         # peeling the torsion layer leaves the pullback of O + O(h) + O(2h)
-        assert G == KClass(1, divisor(0), 0) + line_bundle(
-            surface(0), 1
-        ) + line_bundle(surface(0), 2)
+        P2 = surface(0)
+        assert G == weighted_sum(
+            (E, 1) for E in (structure_class(P2), line_bundle(P2, 1), line_bundle(P2, 2))
+        )
         assert G.r == 3
         peels = [s for s in log.steps if s.kind == "peel"]
         assert len(peels) == 1 and peels[0].params["alpha"] == 1
@@ -482,7 +489,7 @@ class TestTorsionMembers:
         S = surface(d)
         for i in range(1, d + 1):
             for k in (1, 2, 3):
-                T = k * curve_class(S, i, -1)
+                T = weighted_sum(((curve_class(S, i, -1), k),))
                 c = Collection(S, (T, structure_class(S)))
                 _check_members(c)
                 for j in range(1, d + 1):

@@ -49,6 +49,7 @@ from delpezzo import (
     twist,
     vector_slope,
 )
+from delpezzo.chern import weighted_sum
 from delpezzo.pipeline import _slope_groups
 
 OTHER_SURFACE = (InvalidInputError, "inputs do not belong to this surface")
@@ -77,7 +78,7 @@ def seeded_classes(rng: random.Random, d: int, count: int) -> list:
     out = []
     for _ in range(count):
         E = random_kclass(rng, d, max_rank=4, min_rank=-3)
-        out += [E, 2 * E, -E]
+        out += [E, weighted_sum(((E, 2),)), -E]
         if d >= 2:
             out.append(twist(S, E, divisor(0, 1, -1, *[0] * (d - 2))))
     return out
@@ -145,7 +146,7 @@ class TestRotationIndex:
                 classes = [by_slope[mu] for mu in sorted(by_slope)]
                 fault = rng.choice(("none", "rank 0", "other surface", "swap", "tie"))
                 if fault == "rank 0":
-                    classes.insert(rng.randint(0, len(classes)), 0 * classes[0])
+                    classes.insert(rng.randint(0, len(classes)), weighted_sum(((classes[0], 0),)))
                 elif fault == "other surface":
                     other = random_kclass(rng, rng.choice([x for x in range(9) if x != d]))
                     classes.insert(rng.randint(0, len(classes)), other)
@@ -154,7 +155,7 @@ class TestRotationIndex:
                     classes[p], classes[p + 1] = classes[p + 1], classes[p]
                 elif fault == "tie":
                     p = rng.randrange(len(classes))
-                    classes.insert(p + 1, 2 * classes[p])
+                    classes.insert(p + 1, weighted_sum(((classes[p], 2),)))
                 if fault in ("rank 0", "other surface") and rng.random() < 0.5:
                     classes.reverse()  # a slope-order fault before the bad class
                 e_index = rng.randint(1, d)
@@ -174,7 +175,7 @@ class TestRotationIndex:
     def test_non_increasing_message(self):
         S = surface(1)
         E = line_bundle(S, 1, 0)
-        for classes in ([E, E], [E, structure_class(S)], [E, 2 * E]):
+        for classes in ([E, E], [E, structure_class(S)], [E, weighted_sum(((E, 2),))]):
             assert outcome(lambda: rotation_index(S, classes, 1)) == NOT_INCREASING
 
 
@@ -189,7 +190,7 @@ class TestSlopeGroups:
             for _ in range(40):
                 members = [rng.choice(pool + [torsion]) for _ in range(rng.randint(0, 7))]
                 if members and members[0].r and rng.random() < 0.5:
-                    members.insert(1, 3 * members[0])
+                    members.insert(1, weighted_sum(((members[0], 3),)))
                 expected: list[list[int]] = []
                 for p, E in enumerate(members):
                     if E.r == 0:

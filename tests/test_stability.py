@@ -15,6 +15,7 @@ from delpezzo import (
     structure_class,
     vector_slope,
 )
+from delpezzo.chern import weighted_sum
 
 
 def sv(rank, *nums):
@@ -157,7 +158,7 @@ class TestHNCoarsen:
         assert len(out.quotients) == 1
         merged, mult = out.quotients[0]
         assert mult == 1
-        assert merged == self.q2 + self.q0
+        assert merged == weighted_sum(((self.q2, 1), (self.q0, 1)))
 
     def test_equal_slopes_merge(self):
         g = graded((self.q0, 1), (self.q0, 2))
@@ -187,12 +188,7 @@ class TestHNCoarsen:
                 if hi - lo == 1:
                     rebuilt.append(g.quotients[lo])
                 else:
-                    total = None
-                    for i in range(lo, hi):
-                        q, m = g.quotients[i]
-                        piece = m * q
-                        total = piece if total is None else total + piece
-                    rebuilt.append((total, 1))
+                    rebuilt.append((weighted_sum(g.quotients[lo:hi]), 1))
             assert out == GradedObject(tuple(rebuilt))
 
     def test_rank_zero_quotient_rejected(self):
