@@ -38,7 +38,6 @@ from .mutation import (
     Direction,
     apply_braid,
     basic_collection,
-    basic_collection_torsion_last,
     check_helix_period,
     gram_matrix,
     helix_extend,

@@ -221,6 +221,8 @@ def curve_class(S: Surface, e_index: int, deg: int) -> KClass:
     with ch2 = deg + 1/2, i.e. (0, e, 2 deg + 1), pinned by
     chi(O, .) = deg + 1."""
     e = exceptional_divisor(S.d, e_index)
+    if type(deg) is not int:
+        raise InvalidInputError("curve class needs an integer degree")
     return KClass(0, e, 2 * deg + 1)
 
 

@@ -87,6 +87,8 @@ def markov_form(p: int, q: int, h: int) -> int:
     """p^2 - h p q + q^2.  Its sign tells whether p/q lies inside the closed
     interval bounded by the roots of l^2 - h l + 1 (negative inside,
     positive outside, zero on the boundary)."""
+    if type(p) is not int or type(q) is not int or type(h) is not int:
+        raise InvalidInputError("markov form needs integers p, q and h")
     return p * p - h * p * q + q * q
 
 

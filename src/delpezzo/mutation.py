@@ -21,19 +21,21 @@ classes known to share a surface.  The certificate has one rule and three
 ways in.  An input is certified in full once
 (``require_numerically_exceptional``).  A mutation of a certified
 collection reads chi(E,F) off the skew form (``chern.skew_form``), as
-the certificate fixes chi(F,E) = 0, and walks the new member's row and
-column: n chi and one class built per move, from the canonical integer
-coordinates of +-(chi*E - F), the sign read off the rank or H.c1 before
-c1 is computed.  Each output records the move that undoes it and
-the input's members; that move evaluates no chi, builds no class and
-returns the recorded members when the member it would build is
-canonical (R_i L_i = L_i R_i = id).  A recorded mutate step is checked
-on those coordinates and builds no class (``is_recorded_mutation``): the
-move's prelude, the untouched members compared (identity first), the new
-member's coordinates compared, then the same row-and-column walk
-certifies the recorded collection.  A twist, a rotation with its twist
-by -K, or a recorded state of another kind equal to a certified
-collection carries its certificate with no scan (``carry_certificate``).
+the certificate fixes chi(F,E) = 0.  The reflection yields coordinates
+only, the canonical integers of +-(chi*E - F) with the sign read off the
+rank or H.c1 before c1 is computed; a move builds its one new class from
+them.  One step certifies a move's output (``_certify_move``): the new
+member's row and column, n chi per move.  Each output records the move
+that undoes it and the input's members; that move evaluates no chi,
+builds no class and returns the recorded members when the member it
+would build is canonical (R_i L_i = L_i R_i = id).  A recorded mutate
+step is checked on those coordinates and builds no class
+(``is_recorded_mutation``): the move's prelude, the untouched members
+compared (identity first), the new member's coordinates compared, then
+the same step certifies the recorded collection.  A twist, a rotation
+with its twist by -K, or a recorded state of another kind equal to a
+certified collection carries its certificate with no scan
+(``carry_certificate``).
 ``mutate_pair`` checks its input pair first (3 chi).  A mutation never
 classifies its pair, and refuses a direction that is not a ``Direction``.
 Nothing caches chi.
@@ -270,41 +272,35 @@ def _canonical_class(r: int, two_ch2: int, hc1: int, coeffs: tuple[int, ...]) ->
     return KClass(r, DivisorClass(coeffs), two_ch2)
 
 
-def _reflection(a: int, X: KClass, Y: KClass, build: bool = True):
-    """The canonical representative of +-(a*X - Y): the class, built once
-    from its integer coordinates, or with build=False those coordinates
-    (r, c1 coefficients, 2*ch2) alone.  The sign is read off the rank,
-    else off H.c1, before c1 is computed; only a class of rank 0 with
-    H.c1 = 0 is left to ``_is_canonical``, which decides by c1 and ch2.
-    A mutation never gives zero: chi(E,F)E = F would make chi(F,E) = +-1,
-    which its pair check or certificate rules out."""
+def _reflection(a: int, X: KClass, Y: KClass) -> tuple[int, tuple[int, ...], int]:
+    """The canonical coordinates (r, c1 coefficients, 2*ch2) of +-(a*X - Y).
+    The sign is read off the rank, else off H.c1, before c1 is computed;
+    only a class of rank 0 with H.c1 = 0 is left to ``_is_canonical``,
+    which decides by c1 and ch2.  A mutation never gives zero:
+    chi(E,F)E = F would make chi(F,E) = +-1, which its pair check or
+    certificate rules out."""
     r = a * X.r - Y.r
     sign = r or a * X._hc1 - Y._hc1
     pairs = zip(X.c1.coeffs, Y.c1.coeffs)
-    if sign > 0:
-        coeffs, two_ch2 = tuple([a * x - y for x, y in pairs]), a * X.two_ch2 - Y.two_ch2
-    elif sign < 0:
-        r, coeffs, two_ch2 = -r, tuple([y - a * x for x, y in pairs]), Y.two_ch2 - a * X.two_ch2
-    else:
-        coeffs, two_ch2 = tuple([a * x - y for x, y in pairs]), a * X.two_ch2 - Y.two_ch2
-        if not _is_canonical(0, 0, coeffs, two_ch2):
-            coeffs, two_ch2 = tuple([-x for x in coeffs]), -two_ch2
-    if build:
-        return KClass(r, DivisorClass(coeffs), two_ch2)
+    if sign < 0:
+        return -r, tuple([y - a * x for x, y in pairs]), Y.two_ch2 - a * X.two_ch2
+    coeffs, two_ch2 = tuple([a * x - y for x, y in pairs]), a * X.two_ch2 - Y.two_ch2
+    if not sign and not _is_canonical(0, 0, coeffs, two_ch2):
+        coeffs, two_ch2 = tuple([-x for x in coeffs]), -two_ch2
     return r, coeffs, two_ch2
 
 
-def _reflect(E: KClass, F: KClass, chi_ef: int, direction: Direction, build: bool = True):
-    """The mutation of an exceptional pair (E, F), given chi(E,F), with its
-    new member as ``_reflection`` gives it: the class, or its coordinates.
-    At equal slopes only the forced -2-class equations are checked.
-    Anything but a Direction is refused."""
+def _reflect(E: KClass, F: KClass, chi_ef: int, direction: Direction) -> tuple[bool, tuple]:
+    """The mutation of an exceptional pair (E, F), given chi(E,F): whether
+    it is a left one, and its new member's coordinates as ``_reflection``
+    gives them.  At equal slopes only the forced -2-class equations are
+    checked.  Anything but a Direction is refused."""
     if chi_ef == 0 and E.r > 0 and F.r > 0:
         require_equal_slope_pair(E, F)
     if direction is Direction.LEFT:
-        return _reflection(chi_ef, E, F, build), E
+        return True, _reflection(chi_ef, E, F)
     if direction is Direction.RIGHT:
-        return F, _reflection(chi_ef, F, E, build)
+        return False, _reflection(chi_ef, F, E)
     raise InvalidInputError("mutation needs a Direction")
 
 
@@ -320,7 +316,10 @@ def mutate_pair(
     Rank-0 members are mutated alike; the output pair is exceptional again
     by bilinearity.
     """
-    return _reflect(E, F, require_exceptional_pair(S, E, F), direction)
+    chi_ef = require_exceptional_pair(S, E, F)
+    left, (r, coeffs, two_ch2) = _reflect(E, F, chi_ef, direction)
+    N = KClass(r, DivisorClass(coeffs), two_ch2)
+    return (N, E) if left else (F, N)
 
 
 def _adjacent_pair(c: Collection, i: int) -> tuple[KClass, KClass, int]:
@@ -337,12 +336,17 @@ def _adjacent_pair(c: Collection, i: int) -> tuple[KClass, KClass, int]:
     return E, F, skew_form(E, F)
 
 
-def _broken_certificate(violation: GramViolation) -> InvariantViolationError:
-    """The error of a move whose new member fails its Gram row or column."""
-    return InvariantViolationError(
-        "mutation broke the exceptionality certificate at "
-        f"chi(E_{violation.i}, E_{violation.j}) = {violation.value}"
-    )
+def _certify_move(out: Collection, q: int) -> None:
+    """Certify ``out``, a move's output whose other members are certified,
+    by its new member E_q's Gram row and column (n chi); raise
+    InvariantViolationError naming the first failing entry otherwise."""
+    violation = _violation(out, q)
+    if violation is not None:
+        raise InvariantViolationError(
+            "mutation broke the exceptionality certificate at "
+            f"chi(E_{violation.i}, E_{violation.j}) = {violation.value}"
+        )
+    _set_certified(out, True)
 
 
 def mutate_collection(c: Collection, i: int, direction: Direction) -> Collection:
@@ -379,13 +383,11 @@ def mutate_collection(c: Collection, i: int, direction: Direction) -> Collection
             _set_undo(out, (i, Direction.RIGHT if left else Direction.LEFT, c.members))
             return out
     E, F, chi_ef = _adjacent_pair(c, i)
-    new_pair = _reflect(E, F, chi_ef, direction)
+    left, (r, coeffs, two_ch2) = _reflect(E, F, chi_ef, direction)
+    N = KClass(r, DivisorClass(coeffs), two_ch2)
+    new_pair = (N, E) if left else (F, N)
     out = Collection(c.surface, c.members[: i - 1] + new_pair + c.members[i + 1 :])
-    left = direction is Direction.LEFT
-    violation = _violation(out, i - 1 if left else i)
-    if violation is not None:
-        raise _broken_certificate(violation)
-    _set_certified(out, True)
+    _certify_move(out, i - 1 if left else i)
     _set_undo(out, (i, Direction.RIGHT if left else Direction.LEFT, c.members))
     return out
 
@@ -407,14 +409,12 @@ def is_recorded_mutation(
     output, and refused with the move's InvariantViolationError if that
     fails: n chi in all, as per move."""
     E, F, chi_ef = _adjacent_pair(before, i)
-    pair = _reflect(E, F, chi_ef, direction, build=False)
+    left, (r, coeffs, two_ch2) = _reflect(E, F, chi_ef, direction)
     if not isinstance(after, Collection) or len(after.members) != len(before.members):
         return False
     if after.surface is not before.surface and after.surface != before.surface:
         return False
-    left = direction is Direction.LEFT
-    q, k = (i - 1, i) if left else (i, i - 1)
-    (r, coeffs, two_ch2), kept = pair if left else pair[::-1]
+    q, k, kept = (i - 1, i, E) if left else (i, i - 1, F)
     old, new = before.members, after.members
     if new[: i - 1] != old[: i - 1] or new[i + 1 :] != old[i + 1 :]:
         return False
@@ -423,10 +423,7 @@ def is_recorded_mutation(
     N = new[q]
     if N.r != r or N.two_ch2 != two_ch2 or N.c1.coeffs != coeffs:
         return False
-    violation = _violation(after, q)
-    if violation is not None:
-        raise _broken_certificate(violation)
-    _set_certified(after, True)
+    _certify_move(after, q)
     return True
 
 
@@ -840,16 +837,3 @@ def basic_collection(S: Surface) -> Collection:
     members = [curve_class(S, i, -1) for i in range(1, S.d + 1)]
     members += [structure_class(S), line_class(S, h), line_class(S, 2 * h)]
     return Collection(S, tuple(members))
-
-
-def basic_collection_torsion_last(S: Surface) -> Collection:
-    """The basic collection reordered with the torsion classes last,
-
-        (O, O(h), O(2h), O_{e_1}(-1), ..., O_{e_d}(-1)).
-
-    For d >= 1 this ordering fails the certificate: the torsion classes
-    pair nontrivially backwards onto O (chi = -1).  Kept as the documented
-    counterexample ordering.
-    """
-    members = basic_collection(S).members
-    return Collection(S, members[S.d :] + members[: S.d])

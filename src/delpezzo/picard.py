@@ -93,16 +93,19 @@ class DivisorClass(Value):
 
 
 def zero_divisor(d: int) -> DivisorClass:
+    _check_size(d, 0)
     return DivisorClass((0,) * (d + 1))
 
 
 def line_divisor(d: int) -> DivisorClass:
     """The class h, the pullback of a line."""
+    _check_size(d, 0)
     return DivisorClass((1,) + (0,) * d)
 
 
 def exceptional_divisor(d: int, i: int) -> DivisorClass:
     """The class e_i of the i-th blown-up point, 1-based."""
+    _check_size(d, 0)
     if type(i) is not int or not 1 <= i <= d:
         raise InvalidInputError(f"e_{i} does not exist with {d} blow-ups")
     coeffs = [0] * (d + 1)
@@ -126,6 +129,7 @@ def anticanonical_degree(D: DivisorClass) -> int:
 
 def canonical_divisor(d: int) -> DivisorClass:
     """K = -3h + sum e_i, i.e. (-3; -1, ..., -1) in (a; b) coordinates."""
+    _check_size(d, 0)
     return DivisorClass((-3,) + (-1,) * d)
 
 

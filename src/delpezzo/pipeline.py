@@ -319,7 +319,7 @@ def rotation_start(c: Collection, group_index: int) -> int:
     slope group ``group_index`` of c."""
     _check_members(c)
     groups = _slope_groups(c.surface, c.members)
-    if not 1 <= group_index <= len(groups):
+    if type(group_index) is not int or not 1 <= group_index <= len(groups):
         raise InvalidInputError(
             f"group index {group_index} is not one of the {len(groups)} slope groups"
         )

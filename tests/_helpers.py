@@ -416,6 +416,14 @@ def p2_basic() -> Collection:
     return basic_collection(Surface(0))
 
 
+def torsion_last(S: Surface) -> Collection:
+    """The basic collection with its d torsion classes moved last,
+    (O, O(h), O(2h), O_{e_1}(-1), ..., O_{e_d}(-1)).  For d >= 1 it fails
+    the certificate: the torsion classes pair backwards onto O (chi = -1)."""
+    members = basic_collection(S).members
+    return Collection(S, members[S.d :] + members[: S.d])
+
+
 def ext_seed(h: int):
     """A line-bundle ext seed ([O], [O(D)]) on the 8-fold blow-up with
     chi(E1, E0) = 0 and chi(E0, E1) = -h, found by bounded search over

@@ -39,7 +39,6 @@ from delpezzo import (
     Surface,
     apply_braid,
     basic_collection,
-    basic_collection_torsion_last,
     check_helix_period,
     classify_pair,
     curve_class,
@@ -67,7 +66,7 @@ from delpezzo import (
 from delpezzo import cli
 from delpezzo.chern import weighted_sum
 
-from _helpers import E8_SIMPLE_ROOTS, ext_seed, oracle_roots
+from _helpers import E8_SIMPLE_ROOTS, ext_seed, oracle_roots, torsion_last
 
 DIRECTIONS = (Direction.LEFT, Direction.RIGHT)
 
@@ -182,7 +181,7 @@ def collections(d: int, rng: random.Random, full: bool):
     S = Surface(d)
     basic = basic_collection(S)
     yield "basic", basic
-    yield "torsion-last", basic_collection_torsion_last(S)
+    yield "torsion-last", torsion_last(S)
     n = len(basic.members)
     for k in range(12 if full else 1):
         word = random_word(rng, max(n - 1, 1), rng.randint(1, 8))
@@ -385,7 +384,7 @@ def sweep_cli(d: int, rng: random.Random, out_dir: str) -> None:
     n = len(c.members)
     surface, coll = json.dumps(S.to_json()), json.dumps(c.to_json())
     E, F, T = (json.dumps(c.members[i].to_json()) for i in (0, 1, -1))
-    broken = json.dumps(basic_collection_torsion_last(S).to_json())
+    broken = json.dumps(torsion_last(S).to_json())
     word = word_text(random_word(rng, max(n - 1, 1), 4))
     quotients = [{"class": m.to_json(), "mult": 2} for m in c.members if m.r > 0]
     graded = json.dumps({"quotients": quotients})

@@ -29,7 +29,6 @@ from delpezzo import (
     KClass,
     PairKind,
     basic_collection,
-    basic_collection_torsion_last,
     canonical_divisor,
     check_helix_period,
     classify_pair,
@@ -86,12 +85,12 @@ def test_criterion_2_basic_collection_certificate():
         start = time.monotonic()
         for d in range(9):
             S = surface(d)
-            ok, violation = is_numerically_exceptional(basic_collection(S))
+            basic = basic_collection(S)
+            ok, violation = is_numerically_exceptional(basic)
             assert ok and violation is None
             if d >= 1:
-                ok, violation = is_numerically_exceptional(
-                    basic_collection_torsion_last(S)
-                )
+                torsion_last = Collection(S, basic.members[d:] + basic.members[:d])
+                ok, violation = is_numerically_exceptional(torsion_last)
                 assert not ok
                 assert violation is not None and violation.value == -1
         elapsed = time.monotonic() - start

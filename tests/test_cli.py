@@ -9,7 +9,14 @@ import time
 from fractions import Fraction
 
 import pytest
-from _helpers import oracle_markov_closure, oracle_slope, p2_basic, random_kclass, surface
+from _helpers import (
+    oracle_markov_closure,
+    oracle_slope,
+    p2_basic,
+    random_kclass,
+    surface,
+    torsion_last,
+)
 
 from delpezzo import (
     DomainError,
@@ -17,7 +24,6 @@ from delpezzo import (
     MutationLog,
     anticanonical_divisor,
     basic_collection,
-    basic_collection_torsion_last,
     default_ample,
     intersect,
     normalize_and_descend,
@@ -359,12 +365,8 @@ class TestCollectionCommands:
         assert doc(out) == {"exceptional": True}
 
     def test_check_failing_collection(self, capsys, tmp_path):
-        from delpezzo import basic_collection_torsion_last
-
         path = tmp_path / "bad.json"
-        path.write_text(
-            json.dumps(basic_collection_torsion_last(surface(1)).to_json())
-        )
+        path.write_text(json.dumps(torsion_last(surface(1)).to_json()))
         code, out, _ = invoke(capsys, "check", "--collection", str(path))
         assert code == 0
         d = doc(out)
@@ -863,7 +865,7 @@ class TestReplayCommand:
     def test_non_exceptional_before_exits_one(self, capsys, tmp_path, kind, params):
         # A rotation or twist carries its input's certificate, so an input
         # without one is malformed, as it is for a mutate step.
-        before = basic_collection_torsion_last(surface(1))
+        before = torsion_last(surface(1))
         path = tmp_path / f"{kind}.jsonl"
         path.write_text(MutationLog((LogStep(kind, params, before, before),)).to_jsonl())
         code, out, err = invoke(capsys, "replay", "--log", str(path))

@@ -1,8 +1,8 @@
 """Structure of the package: exact-only source, module-level imports that
 form a layered (acyclic) graph (the shared test helpers import at module
 level too), one lattice kernel, no public name, method or operator that
-only tests call, no public parameter that its function never reads, and
-demos that run."""
+only tests call, no public parameter that its function never reads, no
+flag parameter, and demos that run."""
 
 import ast
 import json
@@ -595,6 +595,47 @@ def test_unread_parameter_lint_catches_each_form():
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_every_public_parameter_is_read(path):
     assert unread_parameters(parse(path)) == []
+
+
+def flag_parameters(tree):
+    """function(parameter) for each parameter annotated ``bool`` or with a
+    default of True or False: a flag that picks one of two behaviours."""
+
+    def is_bool(annotation):
+        if isinstance(annotation, ast.Constant):  # a string annotation
+            return annotation.value == "bool"
+        return isinstance(annotation, ast.Name) and annotation.id == "bool"
+
+    found = []
+    for fn in ast.walk(tree):
+        if not isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            continue
+        args = fn.args
+        positional = args.posonlyargs + args.args
+        defaults = [None] * (len(positional) - len(args.defaults)) + args.defaults
+        for a, default in zip(positional + args.kwonlyargs, defaults + args.kw_defaults):
+            flag_default = isinstance(default, ast.Constant) and type(default.value) is bool
+            if is_bool(a.annotation) or flag_default:
+                found.append(f"{fn.name}({a.arg})")
+    return found
+
+
+def test_flag_parameter_lint_catches_each_form():
+    tree = ast.parse(
+        "def _reflection(a: int, X, Y, build: bool = True):\n"
+        "    return build\n"
+        "def f(x, *, strict=False, name: str = 'bool', count=1):\n"
+        "    return x\n"
+        "def g(x: 'bool', y=None):\n"
+        "    return x\n"
+    )
+    assert flag_parameters(tree) == ["_reflection(build)", "f(strict)", "g(x)"]
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_no_flag_parameters(path):
+    """One way per job: a function that does two jobs by a flag is two."""
+    assert flag_parameters(parse(path)) == []
 
 
 def run_script(path, *argv):

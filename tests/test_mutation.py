@@ -14,6 +14,7 @@ from _helpers import (
     random_kclass,
     scrambled_collections,
     surface,
+    torsion_last,
 )
 
 from delpezzo import (
@@ -29,7 +30,6 @@ from delpezzo import (
     MutationLog,
     apply_braid,
     basic_collection,
-    basic_collection_torsion_last,
     canonical_divisor,
     check_helix_period,
     curve_class,
@@ -240,12 +240,10 @@ class TestIncrementalCertificate:
         S = surface(1)
         c = basic_collection(S)
         O, Oh = structure_class(S), line_bundle(S, 1, 0)
+        E, F = c.members[i - 1], c.members[i]
         for wrong in (O, Oh, weighted_sum(((O, 2),)), c.members[0], line_bundle(S, 0, 1)):
-            def broken(E, F, chi_ef, direction, wrong=wrong):
-                return (wrong, E) if direction is Direction.LEFT else (F, wrong)
-
-            monkeypatch.setattr(mutation_module, "_reflect", broken)
-            out = broken(c.members[i - 1], c.members[i], None, direction)
+            monkeypatch.setattr(mutation_module, "_reflect", injected(wrong))
+            out = (wrong, E) if direction is Direction.LEFT else (F, wrong)
             members = c.members[: i - 1] + out + c.members[i + 1 :]
             # The incremental check names the entry the full scan names.
             ok, full = is_numerically_exceptional(Collection(S, members))
@@ -470,6 +468,24 @@ def wrong_skew_on_call(monkeypatch, k: int) -> None:
     monkeypatch.setattr(mutation_module, "skew_form", wrong)
 
 
+def coordinates(x: KClass) -> tuple:
+    """(r, c1 coefficients, 2*ch2), the coordinates ``_reflection`` returns."""
+    return x.r, x.c1.coeffs, x.two_ch2
+
+
+def reflected_pair(E: KClass, F: KClass, chi_ef: int, direction: Direction):
+    """The new pair of the move on (E, F) given chi(E,F) = chi_ef, its new
+    member built from the coordinates ``_reflect`` returns."""
+    left, (r, coeffs, two_ch2) = mutation_module._reflect(E, F, chi_ef, direction)
+    N = KClass(r, DivisorClass(coeffs), two_ch2)
+    return (N, E) if left else (F, N)
+
+
+def injected(N: KClass):
+    """A stand-in for ``_reflect`` whose move gives the new member N."""
+    return lambda E, F, chi_ef, direction: (direction is Direction.LEFT, coordinates(N))
+
+
 def wrong_move(c: Collection, i: int, direction: Direction):
     """The output of the move (i, direction) on c made with chi(E,F) + 1
     in place of chi(E,F), and the error a move must raise on it: the
@@ -481,7 +497,7 @@ def wrong_move(c: Collection, i: int, direction: Direction):
         with pytest.raises(InvariantViolationError) as refusal:
             require_equal_slope_pair(E, F)
         return None, str(refusal.value)
-    pair = mutation_module._reflect(E, F, chi, direction)
+    pair = reflected_pair(E, F, chi, direction)
     out = Collection(c.surface, c.members[: i - 1] + pair + c.members[i + 1 :])
     ok, full = is_numerically_exceptional(out)
     assert not ok
@@ -566,8 +582,10 @@ class TestSkewFormReadsChi:
 
 
 def library_sign_rule(x: KClass) -> KClass:
-    """The library's representative of {x, -x}: the reflection 1*x - 0."""
-    return mutation_module._reflection(1, x, KClass(0, divisor(0, 0, 0), 0))
+    """The library's representative of {x, -x}: the reflection 1*x - 0,
+    built from its coordinates."""
+    r, coeffs, two_ch2 = mutation_module._reflection(1, x, KClass(0, divisor(0, 0, 0), 0))
+    return KClass(r, DivisorClass(coeffs), two_ch2)
 
 
 class TestSignNormalize:
@@ -589,8 +607,9 @@ class TestSignNormalize:
 
 
 class TestReflectionCoordinates:
-    """A replayed move compares the reflection's coordinates, not its
-    class: both come from one sign rule, also where rank and H.c1 are 0."""
+    """A move builds its new member from the reflection's coordinates and a
+    replayed move compares them: they follow the sign rule, also where
+    rank and H.c1 are 0."""
 
     @pytest.mark.parametrize(
         "x",
@@ -606,10 +625,8 @@ class TestReflectionCoordinates:
     def test_coordinates_are_those_of_the_class(self, x):
         zero = KClass(0, divisor(0, 0, 0), 0)
         for y in (x, -x):
-            N = mutation_module._reflection(1, y, zero)
-            coords = mutation_module._reflection(1, y, zero, build=False)
-            assert coords == (N.r, N.c1.coeffs, N.two_ch2)
-            assert N == oracle_sign_normalize(y)
+            coords = mutation_module._reflection(1, y, zero)
+            assert coords == coordinates(oracle_sign_normalize(y))
 
     @pytest.mark.parametrize("d", [0, 3, 8])
     def test_every_move_of_a_scrambled_collection(self, d):
@@ -619,12 +636,13 @@ class TestReflectionCoordinates:
                     out = mutate_collection(c, i, direction)
                     E, F = c.members[i - 1], c.members[i]
                     chi = euler_pairing(E, F)
-                    built = mutation_module._reflect(E, F, chi, direction)
-                    coords = mutation_module._reflect(E, F, chi, direction, build=False)
-                    q = 0 if direction is Direction.LEFT else 1
-                    N = built[q]
-                    assert coords[q] == (N.r, N.c1.coeffs, N.two_ch2)
-                    assert coords[1 - q] is built[1 - q]
+                    left, coords = mutation_module._reflect(E, F, chi, direction)
+                    assert left is (direction is Direction.LEFT)
+                    # The move builds its new member from these coordinates
+                    # and keeps the other member of the pair as it is.
+                    q, k, kept = (i - 1, i, E) if left else (i, i - 1, F)
+                    assert coords == coordinates(out.members[q])
+                    assert out.members[k] is kept
                     assert mutation_module.is_recorded_mutation(c, i, direction, out)
 
 
@@ -727,17 +745,12 @@ class TestGramWalkOracle:
                                 true_pair[0] if left else true_pair[1],
                             )
                         )
-
-                        def patched(E, F, chi_ef, direction, candidate=candidate):
-                            if direction is Direction.LEFT:
-                                return candidate, E
-                            return F, candidate
-
-                        pair = patched(E, F, None, direction)
+                        pair = (candidate, E) if left else (F, candidate)
                         out = Collection(S, c.members[: i - 1] + pair + c.members[i + 1 :])
                         expected = oracle_gram_violation(out, q)
                         # Only the new member's row and column can fail.
                         assert oracle_gram_violation(out) == expected
+                        patched = injected(candidate)
                         monkeypatch.setattr(mutation_module, "_reflect", patched)
                         if expected is None:
                             assert mutate_collection(c, i, direction) == out
@@ -803,7 +816,7 @@ class TestCarriedCertificate:
         rng = random.Random(1300 + d)
         inputs = list(broken_collections(d, seed=1400 + d))
         if d:
-            inputs.append(basic_collection_torsion_last(surface(d)))
+            inputs.append(torsion_last(surface(d)))
         refused = 0
         for c in inputs:
             expected = oracle_gram_violation(c)
@@ -826,7 +839,7 @@ class TestBraid:
 
     @pytest.mark.parametrize("text", ["", "   "])
     def test_empty_word_refuses_a_non_exceptional_collection(self, text):
-        c = basic_collection_torsion_last(surface(1))
+        c = torsion_last(surface(1))
         with pytest.raises(InvalidInputError) as err:
             apply_braid(c, BraidWord.parse(text))
         assert str(err.value) == (
@@ -836,7 +849,7 @@ class TestBraid:
     def test_certificate_is_checked_before_any_letter(self):
         # An out-of-range first letter is not reached: the certificate is
         # the first thing refused.
-        c = basic_collection_torsion_last(surface(1))
+        c = torsion_last(surface(1))
         with pytest.raises(InvalidInputError) as err:
             apply_braid(c, BraidWord.parse("R4 L4 R4"))
         assert "not numerically exceptional" in str(err.value)
@@ -1139,20 +1152,12 @@ class TestGramAndCertificate:
                 assert m[i][j] == 0
 
     def test_torsion_last_ordering_fails(self):
-        ok, violation = is_numerically_exceptional(
-            basic_collection_torsion_last(surface(2))
-        )
+        ok, violation = is_numerically_exceptional(torsion_last(surface(2)))
         assert not ok
         assert violation is not None
         assert violation.value == -1
         # the violating entry pairs the first torsion class against O
         assert violation.j == 0
-
-    @pytest.mark.parametrize("d", range(9))
-    def test_torsion_last_is_the_basic_collection_reordered(self, d):
-        S = surface(d)
-        basic = basic_collection(S).members
-        assert basic_collection_torsion_last(S) == Collection(S, basic[d:] + basic[:d])
 
     def test_repeated_member_fails(self):
         S = surface(0)
@@ -1208,12 +1213,19 @@ class TestSizeBudget:
                 write()
 
 
-def operator_reflection(chi_ef, E, F, direction):
+def operator_pair(chi_ef, E, F, direction):
     """The mutation's new pair through ``weighted_sum``, then the sign
     rule."""
     if direction is Direction.LEFT:
         return oracle_sign_normalize(weighted_sum(((E, chi_ef), (F, -1)))), E
     return F, oracle_sign_normalize(weighted_sum(((F, chi_ef), (E, -1))))
+
+
+def operator_reflection(chi_ef, E, F, direction):
+    """What ``_reflect`` must return: whether the move is a left one, and
+    the coordinates of ``operator_pair``'s new member."""
+    left = direction is Direction.LEFT
+    return left, coordinates(operator_pair(chi_ef, E, F, direction)[0 if left else 1])
 
 
 def result_kind(x: KClass) -> str:
@@ -1223,8 +1235,9 @@ def result_kind(x: KClass) -> str:
 
 
 class TestReflection:
-    """_reflect builds the new class once from its coordinates; it must
-    give what ``weighted_sum`` and the sign rule give."""
+    """_reflect gives the new member's coordinates and a move builds the
+    class once from them; both must give what ``weighted_sum`` and the sign
+    rule give."""
 
     @pytest.mark.parametrize("d", range(9))
     def test_matches_the_operator_path(self, d):
@@ -1241,7 +1254,9 @@ class TestReflection:
                     for direction in Direction:
                         got = mutation_module._reflect(E, F, chi_ef, direction)
                         assert got == operator_reflection(chi_ef, E, F, direction)
-                        new = got[0] if direction is Direction.LEFT else got[1]
+                        pair = mutate_pair(S, E, F, direction)
+                        assert pair == operator_pair(chi_ef, E, F, direction)
+                        new = pair[0] if direction is Direction.LEFT else pair[1]
                         assert new._hc1 == anticanonical_degree(new.c1)
                         kinds.add(result_kind(new))
         assert "rank" in kinds
@@ -1276,7 +1291,8 @@ class TestReflection:
         right = mutation_module._reflect(F, O, 1, Direction.RIGHT)
         assert left == operator_reflection(1, O, F, Direction.LEFT)
         assert right == operator_reflection(1, F, O, Direction.RIGHT)
-        assert left[0] == right[1] == KClass(0, divisor(0, 1, -1), -t)
+        assert left == (True, coordinates(KClass(0, divisor(0, 1, -1), -t)))
+        assert right == (False, left[1])
 
     @pytest.mark.parametrize("t", [-6, 0, 4])
     def test_zero_c1_results(self, t):
@@ -1285,7 +1301,7 @@ class TestReflection:
         F = weighted_sum(((O, 1), (KClass(0, divisor(0, 0), t), -1)))
         left = mutation_module._reflect(O, F, 1, Direction.LEFT)
         assert left == operator_reflection(1, O, F, Direction.LEFT)
-        assert left[0] == KClass(0, divisor(0, 0), abs(t))
+        assert left == (True, coordinates(KClass(0, divisor(0, 0), abs(t))))
 
     @pytest.mark.parametrize("d", [0, 2, 5, 8])
     def test_one_class_built_per_mutation(self, monkeypatch, d):

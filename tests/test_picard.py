@@ -36,6 +36,7 @@ from delpezzo import (
     line_class,
     line_divisor,
     structure_class,
+    zero_divisor,
 )
 from delpezzo import picard as picard_module
 from delpezzo.picard import (
@@ -433,6 +434,22 @@ class TestSurfaceValidation:
         # json.dumps would write a bool as true, which Surface.from_json refuses.
         with pytest.raises(InvalidInputError, match=r"^need 0 <= d <= 8 blow-ups"):
             Surface(d)
+
+    @pytest.mark.parametrize("d", [-1, 9, True, False, 2.0])
+    @pytest.mark.parametrize(
+        "build",
+        [
+            zero_divisor,
+            line_divisor,
+            canonical_divisor,
+            anticanonical_divisor,
+            lambda d: exceptional_divisor(d, 1),
+        ],
+        ids=["zero", "line", "canonical", "anticanonical", "exceptional"],
+    )
+    def test_divisor_constructors_refuse_a_bad_d_as_surface_does(self, build, d):
+        with pytest.raises(InvalidInputError, match=r"^need 0 <= d <= 8 blow-ups"):
+            build(d)
 
     @pytest.mark.parametrize("i", [True, 1.0])
     def test_exceptional_divisor_index_must_be_an_int(self, i):

@@ -2,16 +2,23 @@
 immutability and construction, pinned as literal values."""
 
 import copy
+import importlib
+import inspect
 import pickle
+import pkgutil
 
 import pytest
+from _helpers import ext_seed
 
+import delpezzo
 from delpezzo import (
     BraidWord,
     Collection,
     Direction,
     DivisorClass,
+    DomainError,
     GradedObject,
+    InvalidInputError,
     KClass,
     LogStep,
     MarkovTriple,
@@ -21,8 +28,27 @@ from delpezzo import (
     PairType,
     SlopeVector,
     Surface,
+    anticanonical_divisor,
+    basic_collection,
+    canonical_divisor,
+    curve_class,
+    exceptional_divisor,
+    helix_extend,
+    line_divisor,
+    markov_form,
+    markov_step,
+    markov_tree,
+    mutate_collection,
+    pair_orbit,
+    peel_curve,
+    rotate_twist,
+    rotation_index,
+    splitting_type,
+    zero_divisor,
 )
-from delpezzo.mutation import GramViolation, HelixWitness
+from delpezzo.mutation import GramViolation, HelixWitness, is_recorded_mutation
+from delpezzo.pairs import restriction_degree, splitting_degrees
+from delpezzo.pipeline import rotation_start
 
 D0 = DivisorClass((0,))
 O = KClass(1, D0, 0)
@@ -150,3 +176,98 @@ def test_private_slots_stay_out_of_the_constructor():
     with pytest.raises(TypeError):
         Collection(P2, (O,), _certified=True)
     assert Collection(P2, (O,))._certified is False
+
+
+# Every public int parameter of the package, with valid sample arguments
+# for the call that takes it.  A generator is drained, as markov_tree
+# checks its limit when iteration starts.
+S1 = Surface(1)
+BASIC1 = basic_collection(S1)
+AFTER1 = mutate_collection(BASIC1, 1, Direction.LEFT)
+S8, E0, E1 = ext_seed(3)
+INT_CALLS = {
+    "chern.KClass.__init__": (KClass, {"r": 1, "c1": D0, "two_ch2": 0}),
+    "chern.curve_class": (curve_class, {"S": S1, "e_index": 1, "deg": -1}),
+    "markov.MarkovTriple.__init__": (MarkovTriple, {"x": 1, "y": 2, "z": 5}),
+    "markov.markov_step": (markov_step, {"t": MarkovTriple(1, 2, 5), "position": 1}),
+    "markov.markov_tree": (lambda limit: list(markov_tree(limit)), {"limit": 5}),
+    "markov.markov_form": (markov_form, {"p": 1, "q": 1, "h": 3}),
+    "markov.pair_orbit": (pair_orbit, {"S": S8, "E0": E0, "E1": E1, "n": 1}),
+    "mutation.mutate_collection": (
+        mutate_collection,
+        {"c": BASIC1, "i": 1, "direction": Direction.LEFT},
+    ),
+    "mutation.is_recorded_mutation": (
+        is_recorded_mutation,
+        {"before": BASIC1, "i": 1, "direction": Direction.LEFT, "after": AFTER1},
+    ),
+    "mutation.helix_extend": (helix_extend, {"foundation": BASIC1, "lo": -1, "hi": 5}),
+    "pairs.splitting_type": (splitting_type, {"r": 2, "deg": 3}),
+    "pairs.splitting_degrees": (splitting_degrees, {"r": 2, "deg": 3}),
+    "pairs.restriction_degree": (
+        restriction_degree,
+        {"S": S1, "E": BASIC1.members[1], "e_index": 1},
+    ),
+    "pairs.rotation_index": (
+        rotation_index,
+        {"S": S1, "classes": list(BASIC1.members[1:]), "e_index": 1},
+    ),
+    "picard.zero_divisor": (zero_divisor, {"d": 1}),
+    "picard.line_divisor": (line_divisor, {"d": 1}),
+    "picard.exceptional_divisor": (exceptional_divisor, {"d": 1, "i": 1}),
+    "picard.canonical_divisor": (canonical_divisor, {"d": 1}),
+    "picard.anticanonical_divisor": (anticanonical_divisor, {"d": 1}),
+    "picard.Surface.__init__": (Surface, {"d": 1}),
+    "pipeline.rotate_twist": (rotate_twist, {"c": BASIC1, "j": 2}),
+    "pipeline.peel_curve": (peel_curve, {"c": BASIC1, "mults": [1, 1, 1, 1], "e_index": 1}),
+    "pipeline.rotation_start": (rotation_start, {"c": BASIC1, "group_index": 1}),
+    "stability.SlopeVector.__init__": (SlopeVector, {"rank": 2, "numerators": (1, -1)}),
+    "stability.SlopeVector.scaled": (SlopeVector(2, (1, -1)).scaled, {"m": 2}),
+}
+# MarkovTriple refuses every coordinate that is not a positive int alike,
+# as outside the domain of the Markov equation.
+REFUSAL = {"markov.MarkovTriple.__init__": DomainError}
+# Result records: the package builds them from integers it computed, and a
+# caller reads them, so they check nothing.
+RECORDS = {"mutation.GramViolation", "mutation.HelixWitness", "markov.PairOrbit"}
+
+
+def public_int_parameters():
+    """(callable name, parameter) for every parameter annotated int of a
+    public function, constructor or method of the package."""
+    found = []
+    for info in pkgutil.iter_modules(delpezzo.__path__):
+        module = importlib.import_module(f"delpezzo.{info.name}")
+        for name, obj in vars(module).items():
+            if name.startswith("_") or getattr(obj, "__module__", None) != module.__name__:
+                continue
+            if inspect.isfunction(obj):
+                targets = [(f"{info.name}.{name}", obj)]
+            elif inspect.isclass(obj) and f"{info.name}.{name}" not in RECORDS:
+                targets = [
+                    (f"{info.name}.{name}.{attr}", getattr(obj, attr))
+                    for attr in vars(obj)
+                    if attr == "__init__" or not attr.startswith("_")
+                ]
+            else:
+                continue
+            for qualname, f in targets:
+                if not inspect.isfunction(f):
+                    continue
+                for p in inspect.signature(f).parameters.values():
+                    if p.annotation in (int, "int"):
+                        found.append((qualname, p.name))
+    return found
+
+
+def test_every_public_int_parameter_is_in_the_table():
+    assert {name for name, _ in public_int_parameters()} == set(INT_CALLS)
+
+
+@pytest.mark.parametrize("bad", [True, 1.0], ids=["bool", "float"])
+@pytest.mark.parametrize("name, parameter", public_int_parameters())
+def test_an_int_parameter_refuses_a_bool_and_a_float(name, parameter, bad):
+    call, kwargs = INT_CALLS[name]
+    call(**kwargs)
+    with pytest.raises(REFUSAL.get(name, InvalidInputError)):
+        call(**{**kwargs, parameter: bad})
