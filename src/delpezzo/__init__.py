@@ -39,11 +39,13 @@ from .mutation import (
     apply_braid,
     basic_collection,
     check_helix_period,
+    global_twist,
     gram_matrix,
     helix_extend,
     is_numerically_exceptional,
     mutate_collection,
     mutate_pair,
+    rotate_twist,
 )
 from .pairs import (
     PairKind,
@@ -57,21 +59,13 @@ from .picard import (
     Surface,
     blow_down_surface,
     canonical_divisor,
-    anticanonical_divisor,
     enumerate_roots,
     exceptional_divisor,
     intersect,
     line_divisor,
     zero_divisor,
 )
-from .pipeline import (
-    global_twist,
-    normalize_and_descend,
-    order_hom,
-    peel_curve,
-    reduce_spread,
-    rotate_twist,
-)
+from .pipeline import normalize_and_descend, order_hom, peel_curve, reduce_spread
 from .stability import GradedObject, SlopeVector, compare_slope, hn_coarsen, vector_slope
 
 __version__ = "0.1.0"

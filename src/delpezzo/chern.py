@@ -52,13 +52,15 @@ Every coordinate is an exact int: the constructors of a class and of
 its c1 refuse bool, as ``from_json`` does, since json.dumps writes True
 as true.  So ``to_json_text`` writes a class's log text,
 {"r": int, "c1": [int, ...], "ch2": "p/q"}, straight from the integers
-with ``int.__repr__``, exactly as json.dumps(to_json()) would.  A log
-reads that text back with json's scanner and ``from_json``.
+with ``int.__repr__``, exactly as json.dumps would, and ``to_json`` is
+that text read back.  A log reads it with json's scanner and
+``from_json``.
 """
 
 from __future__ import annotations
 
 import functools
+import json
 import re
 import sys
 from collections.abc import Iterable
@@ -129,21 +131,14 @@ class KClass(Value):
         return KClass(-self.r, -self.c1, -self.two_ch2)
 
     def to_json(self) -> dict:
-        """{"r": int, "c1": [int, ...], "ch2": "p/q"} in lowest terms, once
-        ``require_writable`` passes."""
-        self.require_writable()
-        t = self.two_ch2
-        num, den = (t, 2) if t & 1 else (t >> 1, 1)
-        return {
-            "r": self.r,
-            "c1": self.c1.to_json(),
-            "ch2": f"{num}/{den}",
-        }
+        """{"r": int, "c1": [int, ...], "ch2": "p/q"} in lowest terms, read
+        off ``to_json_text``, the one writer of a class."""
+        return json.loads(self.to_json_text())
 
     def to_json_text(self) -> str:
-        """json.dumps(self.to_json()), written from the integers once
-        ``require_writable`` passes: every field is an exact int, which
-        json writes with ``int.__repr__``."""
+        """The class's JSON text, as json.dumps writes it, written from the
+        integers once ``require_writable`` passes: every field is an exact
+        int, which json writes with ``int.__repr__``."""
         self.require_writable()
         t = self.two_ch2
         num, den = (t, 2) if t & 1 else (t >> 1, 1)

@@ -6,9 +6,9 @@ re-exported here.  ``replay`` checks that every step's ``after`` is
 reproduced exactly from its ``before`` and ``params``: a mutate step on
 the integers the two recorded collections hold, with no class built and
 n chi, chi(E,F) read off the skew form (``mutation.is_recorded_mutation``),
-every other kind by recomputing it.
-After the first step, ``before`` is the previous step's verified recorded
-``after``.
+every other kind by recomputing it and comparing the result whole
+(``mutation.is_recorded_state``).  After the first step, ``before`` is
+the previous step's verified recorded ``after``.
 """
 
 from __future__ import annotations
@@ -21,11 +21,13 @@ from .mutation import (
     LogStep,
     MutationLog,
     State,
-    carry_certificate,
+    global_twist,
     is_recorded_mutation,
+    is_recorded_state,
+    rotate_twist,
 )
 from .picard import Surface, canonical_divisor
-from .pipeline import global_twist, order_hom, peel_curve, rotate_twist, rotation_start
+from .pipeline import order_hom, peel_curve, rotation_start
 
 __all__ = ["LogStep", "MutationLog", "State", "replay"]
 
@@ -80,7 +82,8 @@ def _replay_step(step: LogStep, before: State) -> bool:
     'after'; a recorded collection that does takes over the certificate.
     A mutate step is checked on integers by
     ``mutation.is_recorded_mutation``, which builds no class; every other
-    kind is recomputed and compared whole."""
+    kind is recomputed and compared whole by
+    ``mutation.is_recorded_state``."""
     if step.kind == "mutate":
         name = _param(step, "direction")
         direction = _DIRECTIONS.get(name) if isinstance(name, str) else None
@@ -90,12 +93,7 @@ def _replay_step(step: LogStep, before: State) -> bool:
         return is_recorded_mutation(
             _collection(step, before), position, direction, step.after
         )
-    computed = _recompute(step, before)
-    if computed != step.after:
-        return False
-    if isinstance(computed, Collection):
-        carry_certificate(computed, step.after)
-    return True
+    return is_recorded_state(_recompute(step, before), step.after)
 
 
 def _recompute(step: LogStep, before: State) -> State:
@@ -147,11 +145,11 @@ def replay(log: MutationLog) -> bool:
     no class or collection built, reads chi(E,F) off the skew form
     (``chern.skew_form``) of the certified pair, and certifies 'after' by
     its new member's Gram row and column, n chi per step; any other step is
-    recomputed, compared whole and passes its result's certificate on
-    (``mutation.carry_certificate``).  A log read by ``from_jsonl``
-    shares each state and member by its text, so the chain check and the
-    comparison of the members a step leaves alone meet identical
-    objects."""
+    recomputed and compared whole, and only then passes its result's
+    certificate on (``mutation.is_recorded_state``).  A log read by
+    ``from_jsonl`` shares each state and member by its text, so the chain
+    check and the comparison of the members a step leaves alone meet
+    identical objects."""
     state = None
     for k, step in enumerate(log.steps):
         before = step.before

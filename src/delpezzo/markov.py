@@ -34,9 +34,10 @@ class MarkovTriple(Value):
     __slots__ = _fields = ("x", "y", "z")
 
     def __init__(self, x: int, y: int, z: int):
-        for v in (x, y, z):
-            if type(v) is not int or v < 1:
-                raise DomainError("Markov coordinates must be positive integers")
+        if any(type(v) is not int for v in (x, y, z)):
+            raise InvalidInputError("Markov coordinates must be integers")
+        if min(x, y, z) < 1:
+            raise DomainError("Markov coordinates must be positive integers")
         if x**2 + y**2 + z**2 != 3 * x * y * z:
             raise DomainError(f"({x}, {y}, {z}) is not a Markov triple")
         _set_x(self, x)

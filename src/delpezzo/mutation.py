@@ -17,9 +17,10 @@ first failing entry in row-major order, over all n(n+1)/2 entries or over
 one member's row and column, the n that a change of that member alone can
 break.  The surface is checked once, by ``Collection``'s constructor, so
 the walk reads each entry through ``chern.euler_pairing``, the chi of two
-classes known to share a surface.  The certificate has one rule and three
-ways in.  An input is certified in full once
-(``require_numerically_exceptional``).  A mutation of a certified
+classes known to share a surface.  The certificate has one rule, and
+only this module grants it: to an input it scanned, a collection a move
+built or a recorded state it compared.  An input is certified in full
+once (``require_numerically_exceptional``).  A mutation of a certified
 collection reads chi(E,F) off the skew form (``chern.skew_form``), as
 the certificate fixes chi(F,E) = 0.  The reflection yields coordinates
 only, the canonical integers of +-(chi*E - F) with the sign read off the
@@ -32,10 +33,12 @@ would build is canonical (R_i L_i = L_i R_i = id).  A recorded mutate
 step is checked on those coordinates and builds no class
 (``is_recorded_mutation``): the move's prelude, the untouched members
 compared (identity first), the new member's coordinates compared, then
-the same step certifies the recorded collection.  A twist, a rotation
-with its twist by -K, or a recorded state of another kind equal to a
-certified collection carries its certificate with no scan
-(``carry_certificate``).
+the same step certifies the recorded collection.  A twist
+(``global_twist``) keeps every chi and a rotation with its twist by -K
+(``rotate_twist``) is a window of the helix, so each certifies its
+output off its input's certificate, with no scan.  Any other recorded
+state takes over the certificate of the state its move computed once
+the two compare equal (``is_recorded_state``).
 ``mutate_pair`` checks its input pair first (3 chi).  A mutation never
 classifies its pair, and refuses a direction that is not a ``Direction``.
 Nothing caches chi.
@@ -76,8 +79,9 @@ Step kinds:
     descend  drop the e_d coordinate      params: e_index, surface
 
 ``logs.replay`` checks each mutate step on integers
-(``is_recorded_mutation``) and recomputes every other kind; it goes on
-from each recorded state it matches, which takes over the certificate.
+(``is_recorded_mutation``) and recomputes every other kind, compared by
+``is_recorded_state``; it goes on from each recorded state it matches,
+which takes over the certificate.
 """
 
 from __future__ import annotations
@@ -236,17 +240,6 @@ def require_numerically_exceptional(c: Collection) -> None:
             f"chi(E_{violation.i}, E_{violation.j}) = {violation.value}"
         )
     _set_certified(c, True)
-
-
-def carry_certificate(c: Collection, out: Collection) -> Collection:
-    """Return ``out``, certified because c is: ``out`` is c twisted (every
-    chi is kept), c rotated with its rotated members twisted by -K (Serre
-    duality, chi(E, F(K)) = chi(F, E)), or a collection equal to c.  c
-    must be numerically exceptional, as ``require_numerically_exceptional``
-    decides; ``out`` is never scanned."""
-    require_numerically_exceptional(c)
-    _set_certified(out, True)
-    return out
 
 
 def _is_canonical(r: int, hc1: int, coeffs: tuple[int, ...], two_ch2: int) -> bool:
@@ -424,6 +417,19 @@ def is_recorded_mutation(
     if N.r != r or N.two_ch2 != two_ch2 or N.c1.coeffs != coeffs:
         return False
     _certify_move(after, q)
+    return True
+
+
+def is_recorded_state(computed: State, recorded: State) -> bool:
+    """Whether ``recorded`` equals ``computed``, a state a move built.  Only
+    once the two compare equal does a recorded collection take over the
+    certificate of ``computed``, which must be numerically exceptional, as
+    ``require_numerically_exceptional`` decides; a class has none."""
+    if computed != recorded:
+        return False
+    if isinstance(computed, Collection):
+        require_numerically_exceptional(computed)
+        _set_certified(recorded, True)
     return True
 
 
@@ -751,6 +757,30 @@ def helix_extend(foundation: Collection, lo: int, hi: int) -> dict[int, KClass]:
         s = (m - i) // n
         E = foundation.members[i - 1]
         out[m] = twist(S, E, shifts[s]) if s else E
+    return out
+
+
+def rotate_twist(c: Collection, j: int) -> Collection:
+    """The helix window A_j, ..., A_{j+n-1} of the foundation c, that is
+    (E_j, ..., E_n, E_1(-K), ..., E_{j-1}(-K)): j - 1 twists by -K.  It is
+    certified because c is: by Serre duality chi(E_b(-K), E_a) =
+    chi(E_a, E_b), so every entry below the diagonal stays 0."""
+    if type(j) is not int or not 1 <= j <= len(c.members):
+        raise InvalidInputError(f"rotation index {j} out of range")
+    window = helix_extend(c, j, j + len(c.members) - 1)
+    out = Collection(c.surface, tuple(window.values()))
+    _set_certified(out, True)
+    return out
+
+
+def global_twist(c: Collection, D: DivisorClass) -> Collection:
+    """Twist every member by O(D).  Every chi is unchanged, so the output
+    is certified once the input is: it twists every member, then certifies
+    c unless it already is."""
+    S = c.surface
+    out = Collection(S, tuple(twist(S, m, D) for m in c.members))
+    require_numerically_exceptional(c)
+    _set_certified(out, True)
     return out
 
 

@@ -10,12 +10,13 @@ is stored as the integer vector (a; b_1, ..., b_d) meaning
 The lattice's integer functionals live here, read off the coefficients:
 the form ``dot`` and ``anticanonical_degree`` H.D = 3a - sum b (H = -K),
 which every slope and chi reads.  No other module builds H or K to take
-one product: ``canonical_divisor`` and ``anticanonical_divisor`` name the
-classes K and H = -K for twisting.  On top of them come the -2-root
-system {C : C^2 = -2, C.K = 0} of E_d, listed by its four shapes, the
-decomposition of a root over the declared simple roots (the irreducible
--2-curves), and the surface with the last exceptional curve blown down
-(``chern.descend_class`` deletes the matching coordinate of a class).
+one product: ``canonical_divisor`` names the class K for twisting, and
+a rotation's twist by H = -K twists by its negative.  On top of them
+come the -2-root system {C : C^2 = -2, C.K = 0} of E_d, listed by its
+four shapes, the decomposition of a root over the declared simple roots
+(the irreducible -2-curves), and the surface with the last exceptional
+curve blown down (``chern.descend_class`` deletes the matching
+coordinate of a class).
 
 A declared -2-curve is a positive root: the first nonzero entry of
 (a, -b_1, ..., -b_d) is positive, so h.C > 0 or C = e_i - e_j with i < j
@@ -131,10 +132,6 @@ def canonical_divisor(d: int) -> DivisorClass:
     """K = -3h + sum e_i, i.e. (-3; -1, ..., -1) in (a; b) coordinates."""
     _check_size(d, 0)
     return DivisorClass((-3,) + (-1,) * d)
-
-
-def anticanonical_divisor(d: int) -> DivisorClass:
-    return -canonical_divisor(d)
 
 
 class Surface(Value):

@@ -11,9 +11,11 @@ associated class as a pullback from the surface with one fewer blow-up:
 ``normalize_and_descend`` runs the stages order, spread, rotate, twist,
 peel and descend from one table; a stage's refusal is re-raised as a
 ``PipelineError`` tagged with the stage.  Every move is recorded as a
-replayable ``LogStep``.  Multiplicities of the accumulated class are
-caller-supplied (they are not determined by K-theory data) and are
-carried positionally through the pipeline.
+replayable ``LogStep``.  The moves are ``mutation``'s (``rotate_twist``
+and ``global_twist`` among them), which certify their own outputs.
+Multiplicities of the accumulated class are caller-supplied (they are
+not determined by K-theory data) and are carried positionally through
+the pipeline.
 
 Each public call checks its collection's member shapes once, through
 ``_check_members``, and reads a member of positive rank as one with an
@@ -53,18 +55,13 @@ from .mutation import (
     Direction,
     LogStep,
     MutationLog,
-    carry_certificate,
+    global_twist,
     mutate_collection,
     require_numerically_exceptional,
+    rotate_twist,
 )
 from .pairs import restriction_degree, rotation_index, splitting_degrees
-from .picard import (
-    DivisorClass,
-    Surface,
-    anticanonical_divisor,
-    canonical_divisor,
-    exceptional_divisor,
-)
+from .picard import Surface, canonical_divisor, exceptional_divisor
 
 
 def _check_members(c: Collection) -> None:
@@ -130,28 +127,6 @@ def _ordered(c: Collection, steps: list[LogStep]) -> Collection:
     if len(sub):
         steps.append(LogStep("order", {}, c, ordered))
     return ordered
-
-
-def rotate_twist(c: Collection, j: int) -> Collection:
-    """(E_j, ..., E_k, E_1(-K), ..., E_{j-1}(-K)).  It carries the input's
-    certificate: by Serre duality chi(E_b(-K), E_a) = chi(E_a, E_b), so
-    every entry below the diagonal stays 0."""
-    if type(j) is not int or not 1 <= j <= len(c.members):
-        raise InvalidInputError(f"rotation index {j} out of range")
-    S = c.surface
-    H = anticanonical_divisor(S.d)
-    members = c.members[j - 1 :] + tuple(
-        twist(S, m, H) for m in c.members[: j - 1]
-    )
-    return carry_certificate(c, Collection(S, members))
-
-
-def global_twist(c: Collection, D: DivisorClass) -> Collection:
-    """Twist every member by O(D); chi values are unchanged, so it carries
-    the input's certificate."""
-    S = c.surface
-    members = tuple(twist(S, m, D) for m in c.members)
-    return carry_certificate(c, Collection(S, members))
 
 
 def reduce_spread(c: Collection) -> tuple[Collection, MutationLog]:

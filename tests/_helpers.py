@@ -25,7 +25,6 @@ from delpezzo import (
     MutationLog,
     PairKind,
     Surface,
-    anticanonical_divisor,
     apply_braid,
     basic_collection,
     canonical_divisor,
@@ -85,7 +84,7 @@ def oracle_from_jsonl(text: str) -> MutationLog:
 def oracle_slope(S: Surface, E: KClass) -> Fraction:
     """The anticanonical slope H.c1/r, with H built and paired through the
     intersection form.  Needs nonzero rank."""
-    return Fraction(intersect(S, anticanonical_divisor(S.d), E.c1), E.r)
+    return Fraction(intersect(S, -canonical_divisor(S.d), E.c1), E.r)
 
 
 def oracle_chi_product_form(S: Surface, E: KClass, F: KClass) -> Fraction:
@@ -103,7 +102,7 @@ def oracle_twice_chi(S: Surface, E: KClass, F: KClass) -> Fraction:
     """2*chi(E, F) from Riemann-Roch in rational arithmetic, with ch2 as a
     fraction and H.c1 through the intersection form:
     2 rE rF + H.(rE c1F - rF c1E) + 2 rE ch2F + 2 rF ch2E - 2 c1E.c1F."""
-    H = anticanonical_divisor(S.d)
+    H = -canonical_divisor(S.d)
     return (
         2 * E.r * F.r
         + intersect(S, H, E.r * F.c1 - F.r * E.c1)
@@ -149,7 +148,7 @@ def oracle_sign_normalize(x: KClass) -> KClass:
     rank, anticanonical degree through the intersection form, the c1
     coordinates in order, ch2."""
     S = Surface(x.d)
-    keys = [x.r, intersect(S, anticanonical_divisor(x.d), x.c1), *x.c1.coeffs, x.ch2]
+    keys = [x.r, intersect(S, -canonical_divisor(x.d), x.c1), *x.c1.coeffs, x.ch2]
     first = next((k for k in keys if k), 0)
     return -x if first < 0 else x
 

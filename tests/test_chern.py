@@ -25,7 +25,6 @@ from delpezzo import (
     KClass,
     basic_collection,
     curve_class,
-    anticanonical_divisor,
     canonical_divisor,
     compare_slope,
     descend_class,
@@ -252,7 +251,7 @@ class TestEulerForm:
         rng = random.Random(5)
         for d in (0, 2, 5):
             S = surface(d)
-            H = anticanonical_divisor(d)
+            H = -canonical_divisor(d)
             for _ in range(50):
                 E = random_kclass(rng, d)
                 F = random_kclass(rng, d)

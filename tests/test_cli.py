@@ -22,8 +22,8 @@ from delpezzo import (
     DomainError,
     LogStep,
     MutationLog,
-    anticanonical_divisor,
     basic_collection,
+    canonical_divisor,
     default_ample,
     intersect,
     normalize_and_descend,
@@ -164,7 +164,7 @@ class TestSlope:
                     ranks["positive"] += 1
                     mu_a = Fraction(intersect(S, A, E.c1), E.r)
                     assert answer["mu_a"] == f"{mu_a.numerator}/{mu_a.denominator}"
-                    h = intersect(S, anticanonical_divisor(d), E.c1)
+                    h = intersect(S, -canonical_divisor(d), E.c1)
                     numerators = [h, intersect(S, A, E.c1), E.two_ch2]
                     assert answer["vector"] == {
                         "rank": E.r,

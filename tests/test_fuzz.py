@@ -31,8 +31,8 @@ from delpezzo import (
     LogStep,
     MutationLog,
     Surface,
-    anticanonical_divisor,
     basic_collection,
+    canonical_divisor,
     enumerate_roots,
     replay,
     structure_class,
@@ -102,7 +102,7 @@ VALID = {
     "collection": [basic_collection(S2).to_json(), p2_basic().to_json()],
     "graded": [
         GradedObject(
-            ((structure_class(S2), 2), (KClass(2, anticanonical_divisor(2), 3), 1))
+            ((structure_class(S2), 2), (KClass(2, -canonical_divisor(2), 3), 1))
         ).to_json()
     ],
     "step": [s.to_json() for log in (scrambled_log(), braid_log()) for s in log.steps],

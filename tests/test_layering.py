@@ -121,6 +121,79 @@ def test_only_mutation_names_the_certificate_flag():
     assert found == []
 
 
+# Each function that grants the exceptionality certificate, with why its
+# output is exceptional.  A grant is a call _set_certified(x, flag) whose
+# flag is not the constant False.
+CERTIFICATE_GRANTS = {
+    "mutation.require_numerically_exceptional": "a full scan passed",
+    "mutation._certify_move": "a move's new row and column passed",
+    "mutation.mutate_collection": "the undo record's members were certified",
+    "mutation.rotate_twist": "a helix window of a certified foundation",
+    "mutation.global_twist": "a twist keeps every chi",
+    "mutation.is_recorded_state": "equal to a certified collection",
+}
+
+
+def certificate_grants(tree, module):
+    """module.function (module.Class.method for a method) for each
+    top-level function or method whose body, nested functions included,
+    may set the certificate."""
+    functions = (ast.FunctionDef, ast.AsyncFunctionDef)
+    defs = [(fn.name, fn) for fn in tree.body if isinstance(fn, functions)]
+    defs += [
+        (f"{cls.name}.{fn.name}", fn)
+        for cls in tree.body
+        if isinstance(cls, ast.ClassDef)
+        for fn in cls.body
+        if isinstance(fn, functions)
+    ]
+    return sorted(
+        f"{module}.{name}"
+        for name, fn in defs
+        if any(
+            call_name(node) == "_set_certified"
+            and not (
+                len(node.args) == 2
+                and isinstance(node.args[1], ast.Constant)
+                and node.args[1].value is False
+            )
+            for node in ast.walk(fn)
+        )
+    )
+
+
+def test_certificate_grant_lint_names_a_planted_grant():
+    tree = ast.parse(
+        "def reflect(c):\n"
+        '    """_set_certified(out, True) is not a call."""\n'
+        "    out = Collection(c.surface, c.members[::-1])\n"
+        "    _set_certified(out, True)\n"
+        "    return out\n"
+        "def fresh(c):\n"
+        "    _set_certified(c, False)\n"
+        "def relay(c, out):\n"
+        "    def inner():\n"
+        "        _set_certified(out, c._certified)\n"
+        "    inner()\n"
+        "class Collection:\n"
+        "    def certify(self):\n"
+        "        _set_certified(self, True)\n"
+    )
+    assert certificate_grants(tree, "mutation") == [
+        "mutation.Collection.certify", "mutation.reflect", "mutation.relay"
+    ]
+
+
+def test_every_certificate_grant_is_listed():
+    """Only the listed functions grant the certificate: no unlisted site in
+    any module, and no listed entry that grants nothing."""
+    found = {
+        site for path in MODULES for site in certificate_grants(parse(path), path.stem)
+    }
+    assert sorted(found - CERTIFICATE_GRANTS.keys()) == [], "unlisted grants"
+    assert sorted(CERTIFICATE_GRANTS.keys() - found) == [], "stale entries"
+
+
 def test_only_mutation_names_the_undo_record():
     """``mutation`` owns the record of the move that undoes a mutation's
     output: no other module reads or sets ``_undo``."""
@@ -467,7 +540,7 @@ DUNDER_READERS = {
     "KClass.__neg__": ["bench/workloads.py"],
     "DivisorClass.__add__": ["src/delpezzo/pipeline.py"],
     "DivisorClass.__sub__": ["src/delpezzo/pairs.py", "src/delpezzo/picard.py", "src/delpezzo/cli.py"],
-    "DivisorClass.__neg__": ["src/delpezzo/picard.py"],
+    "DivisorClass.__neg__": ["src/delpezzo/chern.py"],  # KClass.__neg__
     "DivisorClass.__rmul__": [
         "src/delpezzo/mutation.py",
         "src/delpezzo/pipeline.py",

@@ -33,7 +33,7 @@ class TestMarkovTriple:
 
     def test_bool_coordinates_refused(self):
         # as_tuple would dump as [true, true, true].
-        with pytest.raises(DomainError, match="^Markov coordinates must be positive integers$"):
+        with pytest.raises(InvalidInputError, match="^Markov coordinates must be integers$"):
             MarkovTriple(True, True, True)
 
 

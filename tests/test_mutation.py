@@ -41,6 +41,7 @@ from delpezzo import (
     is_numerically_exceptional,
     mutate_collection,
     mutate_pair,
+    normalize_and_descend,
     replay,
     rotate_twist,
     structure_class,
@@ -51,7 +52,7 @@ from delpezzo import pairs as pairs_module
 from delpezzo import pipeline as pipeline_module
 from delpezzo.mutation import (
     HelixWitness,
-    carry_certificate,
+    is_recorded_state,
     require_numerically_exceptional,
 )
 from delpezzo.chern import skew_form, weighted_sum
@@ -332,14 +333,15 @@ class TestIncrementalCertificate:
 
     def test_a_recorded_state_takes_over_the_certificate(self):
         computed, recorded = p2_basic(), p2_basic()
-        assert carry_certificate(computed, recorded) is recorded
+        assert is_recorded_state(computed, recorded)
         assert computed._certified and recorded._certified
         S = surface(0)
-        broken, untouched = Collection(S, (structure_class(S),) * 2), p2_basic()
+        broken = Collection(S, (structure_class(S),) * 2)
+        untouched = Collection(S, broken.members)
         with pytest.raises(
             InvalidInputError, match=r"not numerically exceptional: chi\(E_1, E_0\) = 1"
         ):
-            carry_certificate(broken, untouched)
+            is_recorded_state(broken, untouched)
         assert not broken._certified and not untouched._certified
 
     def test_failed_certification_leaves_the_flag_unset(self):
@@ -828,6 +830,87 @@ class TestCarriedCertificate:
                 assert str(raised.value) == not_exceptional(*expected)
                 refused += 1
         assert refused
+
+
+def reversed_basic(S) -> Collection:
+    """The basic collection in reverse order; chi(E_1, E_0) = chi(O(h), O(2h))
+    = 3, so it is not numerically exceptional."""
+    return Collection(S, basic_collection(S).members[::-1])
+
+
+class TestOnlyMutationGrantsTheCertificate:
+    """A collection is certified only by a scan, by the move that built it
+    or by comparison with a certified state: a collection a caller merely
+    names beside a certified one stays uncertified, and is refused."""
+
+    @pytest.mark.parametrize("d", range(9))
+    def test_an_unequal_collection_takes_over_no_certificate(self, d):
+        S = surface(d)
+        certified, foreign = basic_collection(S), reversed_basic(S)
+        require_numerically_exceptional(certified)
+        assert not is_recorded_state(certified, foreign)
+        assert not foreign._certified
+        message = re.escape(not_exceptional(1, 0, 3)) + "$"
+        with pytest.raises(InvalidInputError, match=message):
+            check_helix_period(foreign)
+        with pytest.raises(InvalidInputError, match=message):
+            rotate_twist(foreign, 2)
+        assert not foreign._certified
+
+    @pytest.mark.parametrize("d", range(9))
+    def test_rotate_twist_is_a_helix_window(self, monkeypatch, d):
+        """(E_j, ..., E_n, E_1(-K), ..., E_{j-1}(-K)), the foundation's own
+        members first, with j - 1 classes built."""
+        S = surface(d)
+        H = -canonical_divisor(d)
+        built, post_init = [], KClass.__post_init__
+
+        def counted(self):
+            built.append(self)
+            post_init(self)
+
+        for c in carried_inputs(d):
+            for j in range(1, len(c) + 1):
+                expected = c.members[j - 1 :] + tuple(
+                    twist(S, m, H) for m in c.members[: j - 1]
+                )
+                monkeypatch.setattr(KClass, "__post_init__", counted)
+                built.clear()
+                out = rotate_twist(c, j)
+                monkeypatch.undo()
+                assert len(built) == j - 1
+                assert out.members == expected
+                assert all(a is b for a, b in zip(out.members, c.members[j - 1 :]))
+
+    @pytest.mark.parametrize("word", ["", "R1 R2 R2"])
+    def test_class_states_are_compared_and_no_flag_is_set(self, monkeypatch, word):
+        c, _ = apply_braid(basic_collection(surface(1)), BraidWord.parse(word))
+        _, log = normalize_and_descend(c)
+        steps = [s for s in log.steps if s.kind in ("peel", "descend")]
+        assert [s.kind for s in steps] == ["peel", "descend"]
+        cases = []
+        for step in steps:
+            G = step.after
+            other = basic_collection(surface(G.d))
+            cases += [(G, KClass(G.r, G.c1, G.two_ch2), True), (G, -G, False)]
+            cases += [(G, other, False), (other, G, False)]
+        flags = []
+        monkeypatch.setattr(mutation_module, "_set_certified", lambda c, f: flags.append(f))
+        for computed, recorded, equal in cases:
+            assert is_recorded_state(computed, recorded) is equal
+        assert flags == []
+
+    @pytest.mark.parametrize("d", [0, 3, 8])
+    def test_a_one_member_difference_is_refused_uncertified(self, d):
+        for c in carried_inputs(d):
+            computed = rotate_twist(c, 2)
+            for q in range(len(computed)):
+                members = computed.members
+                edited = Collection(
+                    computed.surface, members[:q] + (-members[q],) + members[q + 1 :]
+                )
+                assert not is_recorded_state(computed, edited)
+                assert not edited._certified and computed._certified
 
 
 class TestBraid:

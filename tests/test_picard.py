@@ -25,7 +25,6 @@ from delpezzo import (
     KClass,
     PairKind,
     Surface,
-    anticanonical_divisor,
     canonical_divisor,
     classify_pair,
     descend_class,
@@ -115,7 +114,7 @@ class TestCanonicalClass:
     def test_anticanonical_square_is_9_minus_d(self):
         for d in range(9):
             S = surface(d)
-            H = anticanonical_divisor(d)
+            H = -canonical_divisor(d)
             assert intersect(S, H, H) == 9 - d == S.k_squared
 
 
@@ -368,7 +367,7 @@ class TestAnticanonicalDegree:
             for _ in range(20):
                 D = divisor(*(rng.randint(-9, 9) for _ in range(d + 1)))
                 h = anticanonical_degree(D)
-                assert h == intersect(surface(d), anticanonical_divisor(d), D)
+                assert h == intersect(surface(d), -canonical_divisor(d), D)
                 assert -h == intersect(surface(d), canonical_divisor(d), D)
 
     def test_surface_without_roots_builds_no_divisor(self, monkeypatch):
@@ -442,10 +441,9 @@ class TestSurfaceValidation:
             zero_divisor,
             line_divisor,
             canonical_divisor,
-            anticanonical_divisor,
             lambda d: exceptional_divisor(d, 1),
         ],
-        ids=["zero", "line", "canonical", "anticanonical", "exceptional"],
+        ids=["zero", "line", "canonical", "exceptional"],
     )
     def test_divisor_constructors_refuse_a_bad_d_as_surface_does(self, build, d):
         with pytest.raises(InvalidInputError, match=r"^need 0 <= d <= 8 blow-ups"):
