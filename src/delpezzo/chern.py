@@ -48,13 +48,9 @@ check reads the cached degree too, by the congruence c1^2 = H.c1
 (mod 2).  Twists and weighted sums build each new class once, from its
 integer coordinates.
 
-Every coordinate is an exact int: the constructors of a class and of
-its c1 refuse bool, as ``from_json`` does, since json.dumps writes True
-as true.  So ``to_json_text`` writes a class's log text,
-{"r": int, "c1": [int, ...], "ch2": "p/q"}, straight from the integers
-with ``int.__repr__``, exactly as json.dumps would, and ``to_json`` is
-that text read back.  A log reads it with json's scanner and
-``from_json``.
+Every coordinate is an exact int, as the constructors of a class and of
+its c1 check (json.dumps writes True as true), so ``to_json_text`` writes
+a class's text straight from the integers, as json.dumps would.
 """
 
 from __future__ import annotations
@@ -72,9 +68,10 @@ from .picard import (
     anticanonical_degree,
     dot,
     exceptional_divisor,
+    require_on_surface,
     zero_divisor,
 )
-from .values import Value, slot_setters
+from .values import ANY, JsonFormat, Value, slot_setters
 
 _CH2_TEXT = re.compile(r"([+-]?[0-9]+)(?:/([0-9]+))?")
 
@@ -105,7 +102,8 @@ class KClass(Value):
 
     def __post_init__(self):
         if type(self.r) is not int or type(self.two_ch2) is not int:
-            raise InvalidInputError("rank and 2*ch2 must be integers")
+            bad = ("rank", self.r) if type(self.r) is not int else ("2*ch2", self.two_ch2)
+            raise InvalidInputError("%s must be an integer, got %r" % bad)
         hc1 = anticanonical_degree(self.c1)
         _set_hc1(self, hc1)
         # c1^2 = H.c1 (mod 2), so this is the parity of c1^2 - 2*ch2.
@@ -169,11 +167,7 @@ class KClass(Value):
     @staticmethod
     def from_json(data: dict) -> "KClass":
         """Read {"r": int, "c1": [int, ...], "ch2": int or "p" or "p/q"}."""
-        if not isinstance(data, dict) or not {"r", "c1", "ch2"} <= set(data):
-            raise InvalidInputError("K-class JSON needs keys r, c1, ch2")
-        r, raw = data["r"], data["ch2"]
-        if type(r) is not int:
-            raise InvalidInputError(f"rank must be a JSON integer, got {r!r}")
+        r, c1, raw = _KCLASS_JSON.read(data)
         text = _CH2_TEXT.fullmatch(raw) if isinstance(raw, str) else None
         if type(raw) is not int and text is None:
             raise InvalidInputError(
@@ -187,10 +181,11 @@ class KClass(Value):
             raise InvalidInputError(f"bad ch2 value {raw!r}") from exc
         if rest != 0:
             raise InvalidInputError(f"2*ch2 must be an integer, got ch2={Fraction(p, q)}")
-        return KClass(r, DivisorClass.from_json(data["c1"]), two_ch2)
+        return KClass(r, DivisorClass.from_json(c1), two_ch2)
 
 
 _set_r, _set_c1, _set_two_ch2, _set_hc1 = slot_setters(KClass)
+_KCLASS_JSON = JsonFormat("K-class", {"r": ANY, "c1": ANY, "ch2": ANY})
 
 
 @functools.lru_cache(maxsize=None)
@@ -206,8 +201,7 @@ def structure_class(S: Surface) -> KClass:
 
 def line_class(S: Surface, D: DivisorClass) -> KClass:
     """[O_S(D)] = (1, D, D^2/2)."""
-    if D.d != S.d:
-        raise InvalidInputError("divisor does not belong to this surface")
+    require_on_surface(S, D)
     return KClass(1, D, dot(D, D))
 
 
@@ -244,15 +238,12 @@ def skew_form(E: KClass, F: KClass) -> int:
 def euler_form(S: Surface, E: KClass, F: KClass) -> int:
     """chi(E, F) of two classes on S: the surface checks, then
     ``euler_pairing``."""
-    n = S.d + 1
-    if len(E.c1.coeffs) != n or len(F.c1.coeffs) != n:
-        raise InvalidInputError("class does not belong to this surface")
+    require_on_surface(S, E.c1, F.c1)
     return euler_pairing(E, F)
 
 
 def _require_slope(S: Surface, E: KClass) -> None:
-    if E.d != S.d:
-        raise InvalidInputError("inputs do not belong to this surface")
+    require_on_surface(S, E.c1)
     if E.r == 0:
         raise DomainError("slope is undefined for rank-0 classes")
 
@@ -297,8 +288,7 @@ def default_ample(S: Surface) -> DivisorClass:
 def twist(S: Surface, E: KClass, D: DivisorClass) -> KClass:
     """E tensored with the line class of D:
     (r, c1 + r D, 2 ch2 + 2 c1.D + r D^2)."""
-    if E.d != S.d or D.d != S.d:
-        raise InvalidInputError("inputs do not belong to this surface")
+    require_on_surface(S, E.c1, D)
     r = E.r
     c1 = DivisorClass(tuple([x + r * y for x, y in zip(E.c1.coeffs, D.coeffs)]))
     return KClass(r, c1, E.two_ch2 + 2 * dot(E.c1, D) + r * dot(D, D))
@@ -333,8 +323,7 @@ def descend_class(S: Surface, E: KClass) -> KClass:
     back (re-inserting a zero coordinate) recovers E exactly."""
     if S.d == 0:
         raise DomainError("P^2 has nothing left to blow down")
-    if E.d != S.d:
-        raise InvalidInputError("class does not belong to this surface")
+    require_on_surface(S, E.c1)
     if E.c1.coeffs[-1] != 0:
         raise DomainError(
             "class has nonzero restriction degree on the contracted curve"

@@ -16,7 +16,6 @@ import argparse
 import gc
 import json
 import os
-import re
 import sys
 from fractions import Fraction
 
@@ -46,6 +45,7 @@ from .picard import (
     enumerate_roots,
 )
 from .stability import GradedObject, hn_coarsen, vector_slope
+from .values import read_int
 
 
 # The most classes or Markov triples one answer may list.  A larger request
@@ -71,20 +71,12 @@ class _Parser(argparse.ArgumentParser):
         raise _ArgumentError(message, self)
 
 
-_JSON_INT = re.compile(r"-?(0|[1-9][0-9]*)")
-
-
 def _json_int(text: str) -> int:
-    """An integer flag value, written as JSON writes one: -?(0|[1-9][0-9]*)
-    in ASCII digits, within the int-from-string digit limit."""
-    if not _JSON_INT.fullmatch(text):
-        raise argparse.ArgumentTypeError(f"not a JSON integer: {text!r}")
+    """An integer flag value, read by ``values.read_int``."""
     try:
-        return int(text)
-    except ValueError as exc:  # past the int-from-string digit limit
-        raise argparse.ArgumentTypeError(
-            f"integer of {len(text)} digits is too long"
-        ) from exc
+        return read_int(text)
+    except InvalidInputError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from exc
 
 
 def _frac(x: int | Fraction) -> str:
@@ -287,8 +279,8 @@ def _parse_mults(text: str | None, n: int) -> list[int] | None:
     if text is None:
         return None
     try:
-        mults = [_json_int(x) for x in text.split(",")]
-    except argparse.ArgumentTypeError as exc:
+        mults = [read_int(x) for x in text.split(",")]
+    except InvalidInputError as exc:
         raise InvalidInputError(f"bad multiplicities {text!r}") from exc
     if len(mults) != n:
         raise InvalidInputError(f"expected {n} multiplicities, got {len(mults)}")

@@ -27,13 +27,8 @@ only, the canonical integers of +-(chi*E - F) with the sign read off the
 rank or H.c1 before c1 is computed; a move builds its one new class from
 them.  One step certifies a move's output (``_certify_move``): the new
 member's row and column, n chi per move.  Each output records the move
-that undoes it and the input's members; that move evaluates no chi,
-builds no class and returns the recorded members when the member it
-would build is canonical (R_i L_i = L_i R_i = id).  A recorded mutate
-step is checked on those coordinates and builds no class
-(``is_recorded_mutation``): the move's prelude, the untouched members
-compared (identity first), the new member's coordinates compared, then
-the same step certifies the recorded collection.  A twist
+that undoes it (``mutate_collection``); a recorded mutate step is checked
+on coordinates and builds no class (``is_recorded_mutation``).  A twist
 (``global_twist``) keeps every chi and a rotation with its twist by -K
 (``rotate_twist``) is a window of the helix, so each certifies its
 output off its input's certificate, with no scan.  Any other recorded
@@ -44,51 +39,22 @@ classifies its pair, and refuses a direction that is not a ``Direction``.
 Nothing caches chi.
 Braid words act letter by letter.  A foundation of length n extends to
 a helix by the twist periodicity  E_{i+sn} = E_i(-sK),  and the helix
-axiom L^(n-1) A_s = A_{s-n} is checked by explicit iterated mutation on
-integer coordinates (r, 2*ch2, H.c1, *c1): each step reads chi off the
-skew form of its pair, two products and no pairing, and each period is
-compared with A_{s-n} by canonical coordinates.  A passing check builds
-the n twists by K and no other class, unless an equal-slope step needs
-one.  The certified foundation makes every window of the helix, mutated
-or not, exceptional (twist invariance, Serre duality and the isometry of
-a mutation), so no step re-checks its pair, and chi(y, A) = 0 makes
-chi(A, y) the skew form.
+axiom L^(n-1) A_s = A_{s-n} is checked by iterated mutation on integer
+coordinates, with no pairing evaluated (``check_helix_period``).
 
 Every move is recorded as a replayable ``LogStep`` {kind, params, before,
 after}; a ``MutationLog`` of steps serializes to JSON-lines, one step per
-line, each with its full states.  The text is what json.dumps of each
-step gives, and a round trip costs what the steps change, not what the
-lines hold.  ``to_jsonl`` writes each distinct member once, by its
-class text ``KClass.to_json_text`` (json.dumps's text, written from the
-integers), runs json.dumps once per distinct surface and on each step's
-kind and params, and joins each distinct state's text once, from those
-texts and the literal pieces of the line layout.  ``from_jsonl``
-reads a line by the same pieces, by one rule: each distinct state,
-surface and member text is built once per log, by json's C scanner, and
-a text seen again is that object.  So a log builds one collection per
-distinct state text and one class per distinct member text, shared by
-every state that holds it.  A line off the layout goes to json.loads and
-``LogStep.from_json`` whole.
-Step kinds:
-
-    mutate   one adjacent mutation        params: position, direction
-    order    a whole hom-ordering stage   params: (none)
-    rotate   rotate-and-twist             params: j (plus proof data)
-    twist    global twist by t*K          params: k_multiple
-    peel     subtract the O_e(-1) layer   params: mults, e_index, alpha
-    descend  drop the e_d coordinate      params: e_index, surface
-
-``logs.replay`` checks each mutate step on integers
-(``is_recorded_mutation``) and recomputes every other kind, compared by
-``is_recorded_state``; it goes on from each recorded state it matches,
-which takes over the certificate.
+line, each with its full states, as json.dumps writes it.  A round trip
+costs what the steps change, not what the lines hold: each distinct
+member, surface and state text is written once and read once
+(``to_jsonl``, ``from_jsonl``).  ``logs`` declares the keys of each step
+kind's params and replays a log.
 """
 
 from __future__ import annotations
 
 import enum
 import json
-import re
 
 from .chern import (
     KClass,
@@ -106,8 +72,9 @@ from .picard import (
     Surface,
     canonical_divisor,
     line_divisor,
+    require_on_surface,
 )
-from .values import Value, slot_setters
+from .values import ANY, JsonFormat, Value, read_int, slot_setters
 
 
 class Direction(enum.Enum):
@@ -132,8 +99,8 @@ class Collection(Value):
         members = tuple(members)
         n = surface.d + 1
         for m in members:
-            if len(m.c1.coeffs) != n:
-                raise InvalidInputError("member does not belong to the surface")
+            if len(m.c1.coeffs) != n:  # tested here, as it runs on every move
+                require_on_surface(surface, m.c1)
         _set_surface(self, surface)
         _set_members(self, members)
         _set_certified(self, False)
@@ -148,17 +115,14 @@ class Collection(Value):
 
     @staticmethod
     def from_json(data: dict) -> "Collection":
-        if not isinstance(data, dict) or not {"surface", "members"} <= set(data):
-            raise InvalidInputError("collection JSON needs keys surface, members")
-        if not isinstance(data["members"], list):
-            raise InvalidInputError("collection members must be a JSON list")
+        surface, members = _COLLECTION_JSON.read(data)
         return Collection(
-            Surface.from_json(data["surface"]),
-            tuple(KClass.from_json(m) for m in data["members"]),
+            Surface.from_json(surface), tuple(map(KClass.from_json, members))
         )
 
 
 _set_surface, _set_members, _set_certified, _set_undo = slot_setters(Collection)
+_COLLECTION_JSON = JsonFormat("collection", {"surface": ANY, "members": list})
 
 
 def _write_members(write, members: tuple[KClass, ...]) -> list:
@@ -452,25 +416,20 @@ class BraidWord(Value):
     def parse(text: str) -> "BraidWord":
         """Read letters L<i> or R<i> (l, r too) separated by ASCII spaces;
         a run of spaces, or spaces at either end, count as one separator.
-        Any other character between letters, a tab or a Unicode space
-        among them, makes a letter bad."""
+        Each position i is read by ``values.read_int``, so any other
+        character between letters, a tab or a Unicode space among them,
+        makes a position bad."""
         letters = []
         for token in filter(None, text.split(" ")):
-            m = re.fullmatch(r"([LlRr])(0|[1-9][0-9]*)", token)
-            if not m:
+            direction = _LETTER_DIRECTIONS.get(token[0])
+            if direction is None:
                 raise InvalidInputError(f"bad braid letter {token!r}")
-            try:
-                position = int(m.group(2))
-            except ValueError as exc:  # past the int-from-string digit limit
-                raise InvalidInputError(
-                    f"braid position of {len(m.group(2))} digits is too long"
-                ) from exc
-            direction = Direction.LEFT if m.group(1) in "Ll" else Direction.RIGHT
-            letters.append((position, direction))
+            letters.append((read_int(token[1:]), direction))
         return BraidWord(tuple(letters))
 
 
 (_set_letters,) = slot_setters(BraidWord)
+_LETTER_DIRECTIONS = dict(zip("LlRr", (Direction.LEFT,) * 2 + (Direction.RIGHT,) * 2))
 
 
 State = Collection | KClass
@@ -499,13 +458,15 @@ def _state_to_json(state: State) -> dict:
 
 
 def _state_from_json(data: dict) -> State:
-    if not isinstance(data, dict):
-        raise InvalidInputError("log state must be a JSON object")
-    if "collection" in data:
-        return Collection.from_json(data["collection"])
-    if "class" in data:
-        return KClass.from_json(data["class"])
-    raise InvalidInputError("log state must be a collection or a class")
+    collection, member = _STATE_JSON.read(data)
+    if (collection is None) is (member is None):
+        raise InvalidInputError("log state must be a collection or a class")
+    if member is None:
+        return Collection.from_json(collection)
+    return KClass.from_json(member)
+
+
+_STATE_JSON = JsonFormat("log state", {}, {"collection": dict, "class": dict})
 
 
 class LogStep(Value):
@@ -527,20 +488,20 @@ class LogStep(Value):
 
     @staticmethod
     def from_json(data: dict) -> "LogStep":
-        if not isinstance(data, dict) or not {"kind", "before", "after"} <= set(data):
-            raise InvalidInputError("log step JSON needs keys kind, before, after")
-        params = data.get("params", {})
-        if not isinstance(params, dict):
-            raise InvalidInputError("log step params must be a JSON object")
+        """Read {"kind", "params" (optional), "before", "after"}."""
+        kind, before, after, params = _STEP_JSON.read(data)
         return LogStep(
-            kind=data["kind"],
-            params=dict(params),
-            before=_state_from_json(data["before"]),
-            after=_state_from_json(data["after"]),
+            kind=kind,
+            params={} if params is None else dict(params),
+            before=_state_from_json(before),
+            after=_state_from_json(after),
         )
 
 
 _set_kind, _set_params, _set_before, _set_after = slot_setters(LogStep)
+_STEP_JSON = JsonFormat(
+    "log step", {"kind": ANY, "before": ANY, "after": ANY}, {"params": dict}
+)
 
 
 class MutationLog(Value):

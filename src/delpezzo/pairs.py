@@ -35,6 +35,7 @@ import enum
 from .chern import KClass, compare_mu, euler_form, skew_form
 from .errors import DomainError, InvalidInputError, InvariantViolationError
 from .picard import Surface, anticanonical_degree, dot, effective_root_decomposition
+from .picard import require_on_surface
 from .values import Value, slot_setters
 
 
@@ -146,8 +147,7 @@ def restriction_degree(S: Surface, E: KClass, e_index: int) -> int:
     """deg of E restricted to e_i, i.e. c1(E).e_i: the coefficient b_i."""
     if type(e_index) is not int or not 1 <= e_index <= S.d:
         raise InvalidInputError(f"e_{e_index} does not exist with {S.d} blow-ups")
-    if E.c1.d != S.d:
-        raise InvalidInputError("divisor class does not belong to this surface")
+    require_on_surface(S, E.c1)
     return E.c1.coeffs[e_index]
 
 

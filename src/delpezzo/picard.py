@@ -30,7 +30,7 @@ from itertools import combinations, permutations
 from operator import mul
 
 from .errors import DomainError, InvalidInputError
-from .values import Value, slot_setters
+from .values import JsonFormat, Value, slot_setters
 
 MAX_BLOWUPS = 8
 
@@ -53,7 +53,8 @@ class DivisorClass(Value):
         if not self.coeffs:
             raise InvalidInputError("divisor class needs at least the h coordinate")
         if not _INT_ONLY.issuperset(map(type, self.coeffs)):
-            raise InvalidInputError("divisor coefficients must be integers")
+            bad = next(x for x in self.coeffs if type(x) is not int)
+            raise InvalidInputError(f"divisor coefficients must be integers, got {bad!r}")
 
     @property
     def d(self) -> int:
@@ -85,7 +86,7 @@ class DivisorClass(Value):
 
     @staticmethod
     def from_json(data: list[int]) -> "DivisorClass":
-        if not isinstance(data, list) or any(type(x) is not int for x in data):
+        if type(data) is not list:
             raise InvalidInputError(f"bad divisor class {data!r}: need a list of integers")
         return DivisorClass(tuple(data))
 
@@ -172,21 +173,21 @@ class Surface(Value):
 
     @staticmethod
     def from_json(data: dict) -> "Surface":
-        if not isinstance(data, dict) or "blowups" not in data:
-            raise InvalidInputError("surface JSON needs a 'blowups' key")
-        unknown = [key for key in data if key not in ("blowups", "effective_roots")]
-        if unknown:
-            raise InvalidInputError(f"unknown surface key {unknown[0]!r}")
-        d, roots = data["blowups"], data.get("effective_roots", [])
-        if type(d) is not int:
-            raise InvalidInputError(f"blowups must be a JSON integer, got {d!r}")
-        if not isinstance(roots, list):
-            raise InvalidInputError("effective_roots must be a list of divisor classes")
-        _check_size(d, len(roots))  # before any root is built
-        return Surface(d, tuple(DivisorClass.from_json(r) for r in roots))
+        d, roots = _SURFACE_JSON.read(data)
+        _check_size(d, len(roots or ()))  # before any root is built
+        return Surface(d, tuple(map(DivisorClass.from_json, roots or ())))
 
 
 _set_d, _set_effective_simple_roots = slot_setters(Surface)
+_SURFACE_JSON = JsonFormat("surface", {"blowups": int}, {"effective_roots": list})
+
+
+def require_on_surface(S: Surface, *divisors: DivisorClass) -> None:
+    """Refuse, with one message, a divisor class without S's d + 1 coordinates."""
+    n = S.d + 1
+    for D in divisors:
+        if len(D.coeffs) != n:
+            raise InvalidInputError("class does not belong to this surface")
 
 
 def _check_size(d: int, count: int) -> None:
@@ -237,8 +238,7 @@ def _check_configuration(d: int, roots: tuple[DivisorClass, ...]) -> None:
 
 def intersect(S: Surface, C: DivisorClass, D: DivisorClass) -> int:
     """Intersection number of two classes on S."""
-    if C.d != S.d or D.d != S.d:
-        raise InvalidInputError("divisor class does not belong to this surface")
+    require_on_surface(S, C, D)
     return dot(C, D)
 
 

@@ -226,8 +226,9 @@ def _check_mults(c: Collection, mults: list[int]) -> None:
         )
     if len(mults) != len(c.members):
         raise InvalidInputError("one multiplicity per member is required")
-    if any(type(m) is not int or m < 1 for m in mults):
-        raise InvalidInputError("multiplicities must be positive integers")
+    for m in mults:
+        if type(m) is not int or m < 1:
+            raise InvalidInputError(f"multiplicities must be positive integers, got {m!r}")
 
 
 def peel_curve(

@@ -22,8 +22,8 @@ from __future__ import annotations
 from fractions import Fraction
 from .chern import KClass, default_ample, weighted_sum
 from .errors import DomainError, InvalidInputError
-from .picard import DivisorClass, Surface, dot
-from .values import Value, slot_setters
+from .picard import DivisorClass, Surface, dot, require_on_surface
+from .values import ANY, JsonFormat, Value, slot_setters
 
 
 class SlopeVector(Value):
@@ -71,8 +71,7 @@ def vector_slope(
 ) -> SlopeVector:
     """The lexicographic slope (mu_H, mu_A, 2 ch2/r) of a positive-rank class,
     stored as numerators over the common denominator r."""
-    if E.d != S.d:
-        raise InvalidInputError("class does not belong to this surface")
+    require_on_surface(S, E.c1)
     if E.r <= 0:
         raise DomainError("vector slope needs positive rank")
     if A is None:
@@ -106,10 +105,12 @@ class GradedObject(Value):
         if not quotients:
             raise InvalidInputError("graded object needs at least one quotient")
         for q, m in quotients:
+            if type(m) is not int or m < 1:
+                raise InvalidInputError(
+                    f"multiplicities must be positive integers, got {m!r}"
+                )
             if q.r <= 0:
                 raise DomainError("graded quotients must have positive rank")
-            if type(m) is not int or m < 1:
-                raise InvalidInputError("multiplicities must be positive integers")
         _set_quotients(self, quotients)
 
     def to_json(self) -> dict:
@@ -121,21 +122,15 @@ class GradedObject(Value):
 
     @staticmethod
     def from_json(data: dict) -> "GradedObject":
-        if not isinstance(data, dict) or "quotients" not in data:
-            raise InvalidInputError("graded-object JSON needs a 'quotients' key")
-        if not isinstance(data["quotients"], list):
-            raise InvalidInputError("graded-object quotients must be a JSON list")
-        quotients = []
-        for item in data["quotients"]:
-            if not isinstance(item, dict) or not {"class", "mult"} <= set(item):
-                raise InvalidInputError("graded quotient JSON needs keys class, mult")
-            if type(item["mult"]) is not int:
-                raise InvalidInputError(f"mult must be a JSON integer, got {item['mult']!r}")
-            quotients.append((KClass.from_json(item["class"]), item["mult"]))
-        return GradedObject(tuple(quotients))
+        """Read {"quotients": [{"class": K-class, "mult": int}, ...]}."""
+        (quotients,) = _GRADED_JSON.read(data)
+        pairs = map(_QUOTIENT_JSON.read, quotients)
+        return GradedObject(tuple((KClass.from_json(q), m) for q, m in pairs))
 
 
 (_set_quotients,) = slot_setters(GradedObject)
+_GRADED_JSON = JsonFormat("graded object", {"quotients": list})
+_QUOTIENT_JSON = JsonFormat("graded quotient", {"class": ANY, "mult": ANY})
 
 
 def hn_coarsen(g: GradedObject, A: DivisorClass) -> GradedObject:

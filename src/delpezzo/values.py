@@ -20,11 +20,18 @@ forms are unchanged.  Assignment and deletion raise AttributeError.  The
 types are written out by hand because a class decorator that generates
 these methods costs a cold command-line call more than its whole
 computation.
+
+Every JSON object the package reads goes through ``JsonFormat.read``,
+and every integer written as text (a flag, a braid position) through
+``read_int``; each refuses with ``InvalidInputError``.
 """
 
 from __future__ import annotations
 
-from operator import attrgetter
+import re
+from operator import attrgetter, itemgetter
+
+from .errors import InvalidInputError
 
 
 class Value:
@@ -62,3 +69,66 @@ class Value:
 def slot_setters(cls: type) -> tuple:
     """The ``__set__`` of each of cls's own ``__slots__``, in their order."""
     return tuple(vars(cls)[name].__set__ for name in cls.__slots__)
+
+
+# Any JSON value: the reader's caller, a constructor or a parser checks it.
+ANY = object
+_TYPE_NAMES = {int: "integer", str: "string", list: "list", dict: "object"}
+
+
+class JsonFormat:
+    """A JSON object format: its name and its required and optional keys,
+    each with its exact JSON type (a bool is no int).  An optional key is
+    never ANY, so ``read`` gives None only for a key left out."""
+
+    __slots__ = ("name", "_required", "_keys", "_names", "_typed", "_get")
+
+    def __init__(self, name: str, required: dict, optional: dict | None = None):
+        types = {**required, **(optional or {})}
+        names = self._names = tuple(types)
+        self.name, self._keys = name, frozenset(names)
+        self._required = names[: len(required)]
+        self._typed = tuple((i, t) for i, t in enumerate(types.values()) if t is not ANY)
+        if len(names) > 1:
+            self._get = itemgetter(*names)
+        else:  # itemgetter of one name returns the bare value
+            self._get = lambda data: tuple(map(data.__getitem__, names))
+
+    def read(self, data) -> tuple:
+        """data's values in declared order.  One lookup of every key and the
+        length tell the usual object; a message is built only to refuse."""
+        if type(data) is not dict:
+            raise InvalidInputError(f"{self.name} must be a JSON object")
+        try:
+            values = self._get(data)
+        except KeyError:
+            values = None
+        if values is None or len(data) != len(values):
+            missing = [key for key in self._required if key not in data]
+            unknown = [key for key in data if key not in self._keys]
+            if missing:
+                raise InvalidInputError(f"missing {self.name} key {missing[0]!r}")
+            if unknown:
+                raise InvalidInputError(f"unknown {self.name} key {unknown[0]!r}")
+            values = tuple(map(data.get, self._names))
+        for i, t in self._typed:  # a left-out optional key reads None
+            if type(values[i]) is not t and self._names[i] in data:
+                raise InvalidInputError(
+                    f"{self.name} key {self._names[i]!r} must be a JSON "
+                    f"{_TYPE_NAMES[t]}, got {values[i]!r}"
+                )
+        return values
+
+
+_INT_TEXT = re.compile(r"-?(?:0|[1-9][0-9]*)")
+
+
+def read_int(text: str) -> int:
+    """The integer that text writes as JSON writes one, -?(0|[1-9][0-9]*)
+    in ASCII digits, within the int-from-string digit limit."""
+    if not _INT_TEXT.fullmatch(text):
+        raise InvalidInputError(f"not a JSON integer: {text!r}")
+    try:
+        return int(text)
+    except ValueError as exc:  # past the int-from-string digit limit
+        raise InvalidInputError(f"integer of {len(text)} digits is too long") from exc

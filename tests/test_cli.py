@@ -501,7 +501,7 @@ class TestRefusals:
             "braid", "--collection", collection, "--word", "L" + "9" * 5000
         )
         assert code == 1, out
-        assert "invalid input: braid position of 5000 digits" in err
+        assert "invalid input: integer of 5000 digits is too long" in err
         assert "Traceback" not in err
 
     @pytest.mark.parametrize("with_out", [False, True])
@@ -846,8 +846,8 @@ class TestReplayCommand:
 
 
     def test_non_string_direction_exits_one(self, capsys, tmp_path):
-        # A JSON list cannot key a dict: the direction lookup must refuse it,
-        # not raise TypeError.
+        # A JSON list cannot key a dict: the params reader refuses it, and
+        # the lookup raises no TypeError.
         collection = json.dumps(p2_basic().to_json())
         log_path, _ = self.write_log(
             capsys, tmp_path, "braid", "--collection", collection, "--word", "L1"
@@ -857,7 +857,10 @@ class TestReplayCommand:
         log_path.write_text(json.dumps(step) + "\n")
         code, out, err = invoke_process("replay", "--log", str(log_path))
         assert (code, out) == (1, "")
-        assert err == "invalid input: unknown direction ['left']\n"
+        assert err == (
+            "invalid input: mutate params key 'direction' must be a JSON string, "
+            "got ['left']\n"
+        )
 
     @pytest.mark.parametrize(
         "kind, params", [("rotate", {"j": 2}), ("twist", {"k_multiple": 1})]
@@ -927,7 +930,7 @@ class TestIntegerFlags:
         flags = ["--collection", P2_BASIC, "--word"] if command == "braid" else ["--braid"]
         code, out, err = invoke(capsys, command, *flags, word)
         assert (code, out) == (1, "")
-        assert err == f"invalid input: bad braid letter {f'L{position}'!r}\n"
+        assert err == f"invalid input: not a JSON integer: {position!r}\n"
 
     @pytest.mark.parametrize(
         "argv",
@@ -994,7 +997,7 @@ class TestStrictWords:
         flags = ["--collection", P2_BASIC, "--word"] if command == "braid" else ["--braid"]
         code, out, err = invoke(capsys, command, *flags, word)
         assert (code, out) == (1, "")
-        assert err == f"invalid input: bad braid letter {word!r}\n"
+        assert err == f"invalid input: not a JSON integer: {word[1:]!r}\n"
 
     @pytest.mark.parametrize("word", ["L1 R2", "  L1   R2 ", " l1 r2", "L1 R2  "])
     @pytest.mark.parametrize("command", ["braid", "markov"])

@@ -3,8 +3,9 @@ decodes or is refused with InvalidInputError or DomainError, and every
 generated command line exits 0, 1 or 2; no other exception escapes.
 
 Documents are arbitrary JSON values, and valid documents written by the
-library with one node replaced by an arbitrary JSON value or deleted, so
-that the edits reach the checks behind the outer schema.  Log steps are
+library with one node replaced by an arbitrary JSON value or deleted, or
+with one key inserted into an object, so that the edits reach the checks
+behind the outer schema.  Log steps are
 decoded and then replayed alone, as a one-step log.  Command lines give each
 command's flags fuzzed values (JSON documents, braid words, positions,
 directions, small integers) or leave them out.  The runs are
@@ -73,8 +74,9 @@ JSON = st.recursive(
 @st.composite
 def _edited(draw, node):
     """node with one descendant, or node itself, replaced by arbitrary
-    JSON, or with one entry deleted; each depth is about as likely as the
-    next, so top-level keys are edited as often as deep leaves."""
+    JSON, with one entry deleted or with one key inserted into an object;
+    each depth is about as likely as the next, so top-level keys are
+    edited as often as deep leaves."""
     if isinstance(node, dict):
         keys = list(node)
     else:
@@ -83,8 +85,11 @@ def _edited(draw, node):
         return draw(SCALARS | JSON)
     key = draw(st.sampled_from(keys))
     copy = dict(node) if isinstance(node, dict) else list(node)
-    if draw(st.integers(0, 4)) == 0:
+    edit = draw(st.integers(0, 5))
+    if edit == 0:
         del copy[key]
+    elif edit == 1 and isinstance(copy, dict):
+        copy[draw(st.sampled_from(KEYS) | st.text(max_size=3))] = draw(JSON)
     else:
         copy[key] = draw(_edited(copy[key]))
     return copy

@@ -340,6 +340,74 @@ def test_isinstance_int_lint_catches_each_form():
     assert isinstance_int_calls(tree) == [3, 4, 5]
 
 
+def hand_key_checks(tree, whole_module):
+    """Lines that check a JSON object's keys or type by hand, in each
+    function whose name ends in ``from_json`` or, given whole_module, in the
+    whole tree: isinstance(x, dict), type(x) is dict, set(x), frozenset(x),
+    x.keys() and a "key" in x test.  Such checks belong to
+    ``values.JsonFormat.read``, the one reader of an object."""
+
+    def names_dict(node):
+        if isinstance(node, ast.Tuple):
+            return any(names_dict(e) for e in node.elts)
+        return isinstance(node, ast.Name) and node.id == "dict"
+
+    def is_check(node):
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Name):
+            name, args = node.func.id, node.args
+            if name == "isinstance" and len(args) == 2 and names_dict(args[1]):
+                return True
+            return name in ("set", "frozenset") and bool(args)
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute):
+            return node.func.attr == "keys"
+        if isinstance(node, ast.Compare):
+            left_is_key = isinstance(node.left, ast.Constant) and type(node.left.value) is str
+            for op, right in zip(node.ops, node.comparators):
+                if isinstance(op, (ast.In, ast.NotIn)) and left_is_key:
+                    return True
+                if isinstance(op, (ast.Is, ast.IsNot, ast.Eq, ast.NotEq)) and names_dict(right):
+                    return True
+        return False
+
+    scopes = [tree] if whole_module else [
+        fn
+        for fn in ast.walk(tree)
+        if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef))
+        and fn.name.endswith("from_json")
+    ]
+    return sorted({node.lineno for scope in scopes for node in ast.walk(scope) if is_check(node)})
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_objects_are_read_by_the_one_reader(path):
+    """No ``from_json`` and no code in ``logs`` checks an object's keys by
+    hand; each declares its keys to ``values.JsonFormat``."""
+    lines = hand_key_checks(parse(path), path.name == "logs.py")
+    assert lines == [], f"hand-written key checks on lines {lines}"
+
+
+def test_hand_key_check_lint_catches_each_form():
+    tree = ast.parse(
+        "def from_json(data):\n"
+        "    isinstance(data, dict)\n"
+        "    isinstance(data, (list, dict))\n"
+        "    type(data) is not dict\n"
+        "    {'r', 'c1'} <= set(data)\n"
+        "    data.keys() == KEYS\n"
+        "    'r' in data\n"
+        "    'r' not in data\n"
+        "    isinstance(data, list)\n"
+        "    x in data\n"
+        "    return FORMAT.read(data)\n"
+        "def _state_from_json(data):\n"
+        "    return 'class' in data\n"
+        "def replay(step):\n"
+        "    return 'j' in step.params\n"
+    )
+    assert hand_key_checks(tree, False) == [2, 3, 4, 5, 6, 7, 8, 13]
+    assert hand_key_checks(tree, True) == [2, 3, 4, 5, 6, 7, 8, 13, 15]
+
+
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_no_private_names_imported_from_siblings(path):
     private = [

@@ -216,7 +216,7 @@ class TestMutateCollection:
         for d, other in ((1, 2), (2, 1), (0, 8)):
             S = surface(d)
             members = (structure_class(S), structure_class(surface(other)))
-            with pytest.raises(InvalidInputError, match="^member does not belong to the surface$"):
+            with pytest.raises(InvalidInputError, match="^class does not belong to this surface$"):
                 Collection(S, members)
 
 
@@ -1450,7 +1450,7 @@ class TestRefusedArguments:
             BraidWord(((1, "left"),))
 
     def test_braid_position_past_the_digit_limit(self):
-        with pytest.raises(InvalidInputError, match="^braid position of 5000 digits is too long$"):
+        with pytest.raises(InvalidInputError, match="^integer of 5000 digits is too long$"):
             BraidWord.parse("L" + "1" * 5000)
 
     def test_helix_of_an_empty_foundation(self):

@@ -233,7 +233,7 @@ class TestRotationIndex:
         with pytest.raises(InvalidInputError, match=r"^e_0 does not exist with 2 blow-ups$"):
             restriction_degree(S, line_bundle(S, 0, 1, 0), 0)
         with pytest.raises(
-            InvalidInputError, match=r"^divisor class does not belong to this surface$"
+            InvalidInputError, match=r"^class does not belong to this surface$"
         ):
             restriction_degree(S, E1, 1)
 

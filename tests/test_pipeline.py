@@ -572,13 +572,15 @@ class TestNonPositiveMultiplicities:
     def test_refused_at_peel(self, capsys, make, mults):
         c = make()
         assert is_numerically_exceptional(c)[0]
-        message = "[peel] multiplicities must be positive integers"
+        bad = next(m for m in mults if m < 1)
+        message = f"[peel] multiplicities must be positive integers, got {bad}"
         with pytest.raises(PipelineError) as err:
             normalize_and_descend(c, mults)
         assert err.value.stage == "peel"
         assert str(err.value) == message
-        with pytest.raises(InvalidInputError, match="^multiplicities must be positive integers$"):
+        with pytest.raises(InvalidInputError) as err:
             peel_curve(c, mults, c.surface.d)
+        assert f"[peel] {err.value}" == message
         capsys.readouterr()
         argv = ["normalize", "--collection", json.dumps(c.to_json())]
         assert run(argv + ["--mults", ",".join(map(str, mults))]) == 2

@@ -52,7 +52,7 @@ from delpezzo import (
 from delpezzo.chern import weighted_sum
 from delpezzo.pipeline import _slope_groups
 
-OTHER_SURFACE = (InvalidInputError, "inputs do not belong to this surface")
+OTHER_SURFACE = (InvalidInputError, "class does not belong to this surface")
 RANK_ZERO = (DomainError, "slope is undefined for rank-0 classes")
 NOT_INCREASING = (DomainError, "rotation index needs strictly increasing slopes")
 REFUSALS = {RANK_ZERO: "rank 0", OTHER_SURFACE: "other surface", NOT_INCREASING: "not increasing"}

@@ -1,4 +1,5 @@
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -209,7 +210,8 @@ class TestHNCoarsen:
     @pytest.mark.parametrize("m", [0, -1, True, False, 1.0])
     def test_multiplicity_that_is_no_positive_int_refused(self, m):
         # A bool would be written as "mult": true, which from_json refuses.
-        with pytest.raises(InvalidInputError, match="^multiplicities must be positive integers$"):
+        message = f"multiplicities must be positive integers, got {m!r}"
+        with pytest.raises(InvalidInputError, match=f"^{re.escape(message)}$"):
             graded((self.q0, m))
 
     def test_polarization_of_another_surface_refused(self):
